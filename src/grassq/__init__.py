@@ -7,9 +7,9 @@ from .scalars import Cyclo, Scalar, cyclotomic_polynomial, rho_factorial
 from .galg import (GExpr, Kind, berezin, d_theta, d_thetabar, grade,
                    normal_order, theta, thetabar)
 from .opalg import (IDENT, OpExpr, PHI, PSI, bra, dual_identity_sum,
-                    eta_conjugate, ket, ket_op, make_ladder, op_compose,
-                    op_dagger, op_term, outer, q_commutator, sharp_adjoint,
-                    theta_op, thetabar_op)
+                    eta_conjugate, ket, ket_op, make_ladder, op_dagger,
+                    op_term, outer, q_commutator, sharp_adjoint, theta_op,
+                    thetabar_op)
 from .coherent import (CoherentState, check_stability, evolve_state,
                        exponential_form, exponential_form_defect,
                        make_coherent, q_exponential, verify_eigen)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EngineError, ProblemFormatError
-from .suites import Problem, SELECTORS, SuiteReport, emit_report, run_suite
+from .suites import Problem, SELECTORS, emit_report, run_suite
 
 
 def load_problem(path: str) -> Problem:
@@ -111,6 +112,11 @@ def _parse_rho(text: str) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
+def _check_size(n: int, flag: str, max_n: int) -> None:
+    if n > max_n:
+        raise EngineError(f"problem size n = {n} from {flag} exceeds --max-n {max_n}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grassq",
@@ -127,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", default="text", choices=("text", "json"))
     verify.add_argument("--tol", type=float, default=1e-10)
     verify.add_argument("--max-n", type=int, default=8,
-                        help="hard cap on the level range (default 8)")
+                        help="hard cap on the level range and the problem "
+                        "size (default 8)")
     verify.add_argument("--timings", action="store_true",
                         help="include per-check runtimes (breaks byte-stability)")
     return parser
@@ -140,16 +147,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise EngineError(f"--tol must be finite and > 0, got {args.tol}")
         n_range = _parse_range(args.n)
         problem = None
         if args.input is not None:
             problem = load_problem(args.input)
+            _check_size(problem.n, "--input", args.max_n)
         if args.rho is not None:
             rho = _parse_rho(args.rho)
             if problem is not None:
                 problem = Problem(n=problem.n, rho=rho, H=problem.H)
             else:
                 n = len(rho) + 1
+                _check_size(n, "--rho", args.max_n)
                 problem = Problem(n=n, rho=rho,
                                   H=np.asarray(_default_matrix(n), dtype=complex))
         report = run_suite(args.selector, n_range, problem=problem,

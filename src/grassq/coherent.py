@@ -15,7 +15,7 @@ where u is the unimodular symbol standing for exp(-i E t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import EngineError, NonTerminatingSeriesError

@@ -33,11 +33,11 @@ the Grassmann variables).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
                      GramUnknownError, LevelMismatchError)
-from .galg import GExpr, Kind, Word, _word_str, grade, integrate_word, normalize_word
+from .galg import GExpr, Kind, Word, _word_str, integrate_word, normalize_word
 from .scalars import Scalar
 
 PSI = "psi"
@@ -275,10 +275,6 @@ def op_term(level: int, coeff: Scalar, dyad: Dyad = IDENT,
     if w is None or coeff.is_zero:
         return OpExpr.zero(level)
     return OpExpr(level, {(w, dyad): coeff.mul_q_power(cross + qe)})
-
-
-def op_compose(a: OpExpr, b: OpExpr) -> OpExpr:
-    return a @ b
 
 
 def op_dagger(e: OpExpr) -> OpExpr:

@@ -10,11 +10,16 @@ the mixed pairs |theta><theta~| and |theta~><theta| a diagonal weight
 makes the integral the exact identity; the same-family pairs produce
 same-family dyads and therefore can never match it.
 
-:func:`solve_weight` re-derives the weight from scratch: it treats the
-c_kl as unknowns, expands the integral column by column, and solves the
-resulting exact linear system.  The solver, not any closed formula, is
-the source of truth; the two closed-form candidates below are compared
-against it index by index.
+:func:`solve_weight` re-derives the weight from scratch.  It builds
+|theta><theta~| once and integrates every monomial theta^k thetabar^l
+against it, which gives one column of the linear system in the unknowns
+c_kl.  It then proves that the system is a generalized permutation
+matrix: every column holds exactly one invertible monomial entry and
+every dyad |psi_i><phi_j| is hit exactly once.  Such a system has
+exactly one solution, read off by inverting the entries on the diagonal
+dyads; any other shape is refused.  The solver, not any closed formula,
+is the source of truth; the two closed-form candidates below are
+compared against it index by index.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EngineError, SingularSystemError
-from .galg import GExpr, Kind, d_theta, d_thetabar, normalize_word
+from .galg import GExpr, Kind, d_theta, d_thetabar, grade, normalize_word
 from .opalg import (OpExpr, PHI, PSI, berezin_op, dual_identity_sum,
-                    op_dagger, outer)
-from .coherent import CoherentState, evolve_state, make_coherent
+                    op_dagger)
+from .coherent import evolve_state, make_coherent
 from .scalars import Scalar, rho_factorial
 
 MEASURE = (d_thetabar(), d_theta())
@@ -43,50 +48,53 @@ class Weight:
     expr: GExpr
 
     def coefficient(self, k: int, l: int) -> Scalar:
-        if k == 0 and l == 0:
-            word = ()
-        else:
-            _, word = normalize_word(self.level,
-                                     [(Kind.THETA, 1, k), (Kind.THETABAR, 1, l)])
+        _, word = normalize_word(self.level, _monomial_word(k, l))
         return self.expr.terms.get(word, Scalar.zero(self.level))
 
     def is_diagonal(self) -> bool:
-        for word in self.expr.terms:
-            degs = {}
-            for kind, _, e in word:
-                degs[kind] = e
-            if degs.get(Kind.THETA, 0) != degs.get(Kind.THETABAR, 0):
-                return False
-        return True
+        return all(dt == db for dt, db in map(grade, self.expr.terms))
 
 
-def _monomial_weight(level: int, k: int, l: int) -> Weight:
-    expr = GExpr.from_raw(level, [(Scalar.one(level),
-                                   [(Kind.THETA, 1, k), (Kind.THETABAR, 1, l)])])
-    return Weight(level, expr)
+def _monomial_word(k: int, l: int) -> list:
+    return [(Kind.THETA, 1, k), (Kind.THETABAR, 1, l)]
+
+
+def _weight(level: int, coefficients: dict[tuple[int, int], Scalar]) -> Weight:
+    """sum c_kl theta^k thetabar^l over the given coefficients c_kl."""
+    return Weight(level, GExpr.from_raw(
+        level, [(c, _monomial_word(k, l)) for (k, l), c in coefficients.items()]))
+
+
+def _factorial_weight(level: int, reverse: bool) -> Weight:
+    """sum_i q^(i(i+1)) rho_m! theta^i thetabar^i; m = n-1-i if ``reverse`` else i."""
+    return _weight(level, {
+        (i, i): rho_factorial(level, level - 1 - i if reverse else i)
+        .mul_q_power(i * (i + 1)) for i in range(level)})
 
 
 def closed_form_weight(level: int) -> Weight:
     """The candidate  sum_i q^(i(i+1)) rho_{n-1-i}! theta^i thetabar^i."""
-    expr = GExpr.zero(level)
-    for i in range(level):
-        coeff = rho_factorial(level, level - 1 - i).mul_q_power(i * (i + 1))
-        expr = expr + GExpr.from_raw(level, [(coeff,
-                                              [(Kind.THETA, 1, i),
-                                               (Kind.THETABAR, 1, i)])])
-    return Weight(level, expr)
+    return _factorial_weight(level, reverse=True)
 
 
 def mirror_weight(level: int) -> Weight:
     """The competing candidate with the factorial index unreversed,
     sum_i q^(i(i+1)) rho_i! theta^i thetabar^i."""
-    expr = GExpr.zero(level)
-    for i in range(level):
-        coeff = rho_factorial(level, i).mul_q_power(i * (i + 1))
-        expr = expr + GExpr.from_raw(level, [(coeff,
-                                              [(Kind.THETA, 1, i),
-                                               (Kind.THETABAR, 1, i)])])
-    return Weight(level, expr)
+    return _factorial_weight(level, reverse=False)
+
+
+def _pair_outer(level: int, pair: tuple[str, str],
+                sqrt_rho: Sequence[Scalar] | None, evolved: bool = False) -> OpExpr:
+    """|A><B| for the pair's coherent states: ket body @ dagger(bra body)."""
+    ket_state = make_coherent(level, pair[0], sqrt_rho)
+    bra_state = make_coherent(level, pair[1], sqrt_rho)
+    ket_body = evolve_state(ket_state) if evolved else ket_state.body
+    bra_body = evolve_state(bra_state) if evolved else bra_state.body
+    return ket_body @ op_dagger(bra_body)
+
+
+def _integrate(weight: Weight, outer_product: OpExpr) -> OpExpr:
+    return berezin_op(OpExpr.from_gexpr(weight.expr) @ outer_product, MEASURE)
 
 
 def resolution_integral(weight: Weight, pair: tuple[str, str],
@@ -98,14 +106,7 @@ def resolution_integral(weight: Weight, pair: tuple[str, str],
     dagger provides the bra.  With ``evolved`` both states carry their
     time evolution factors first.
     """
-    n = weight.level
-    ket_state = make_coherent(n, pair[0], sqrt_rho)
-    bra_state = make_coherent(n, pair[1], sqrt_rho)
-    ket_body = evolve_state(ket_state) if evolved else ket_state.body
-    bra_body = evolve_state(bra_state) if evolved else bra_state.body
-    outer_product = ket_body @ op_dagger(bra_body)
-    integrand = OpExpr.from_gexpr(weight.expr) @ outer_product
-    return berezin_op(integrand, MEASURE)
+    return _integrate(weight, _pair_outer(weight.level, pair, sqrt_rho, evolved))
 
 
 def identity_target(level: int, pair: tuple[str, str]) -> OpExpr:
@@ -123,57 +124,35 @@ def verify_resolution(weight: Weight, pair: tuple[str, str],
 
 
 # ---------------------------------------------------------------------------
-# exact linear solve for the weight coefficients
+# the weight system and its permutation structure
 # ---------------------------------------------------------------------------
 
-def _gaussian_solve(matrix: list[list[Scalar]], rhs: list[Scalar],
-                    level: int) -> list[Scalar]:
-    """Solve A x = b exactly over the scalar ring.
+def _solve_permutation(level: int, columns: dict) -> dict:
+    """Solve  sum_kl columns[kl][ij] c_kl = delta_ij, (i, j), (k, l) in range(level)^2.
 
-    Pivots must be invertible (single-term) scalars; the systems built
-    here satisfy that.  Raises when the system is singular or a needed
-    pivot is not a monomial.
+    The system must be a generalized permutation matrix: each column one
+    single-term (so invertible) entry, no row hit twice, hence none missed.
+    Its unique solution is c_kl = 1/entry on the diagonal rows, zero
+    elsewhere.  Any other shape, or a surviving off-diagonal c_kl, raises
+    :class:`SingularSystemError`.
     """
-    m = len(matrix)
-    if m != len(rhs):
-        raise EngineError("matrix and right-hand side sizes differ")
-    ncols = len(matrix[0]) if m else 0
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    where = [-1] * ncols
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, m):
-            if not a[r][col].is_zero:
-                if len(a[r][col].terms) == 1:
-                    pivot = r
-                    break
-                pivot = pivot if pivot is not None else r
-        if pivot is None:
-            continue
-        if len(a[pivot][col].terms) != 1:
-            raise SingularSystemError("pivot is not an invertible monomial")
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = a[row][col].monomial_inverse()
-        a[row] = [entry * inv for entry in a[row]]
-        for r in range(m):
-            if r != row and not a[r][col].is_zero:
-                factor = a[r][col]
-                a[r] = [er - factor * ep for er, ep in zip(a[r], a[row])]
-        where[col] = row
-        row += 1
-    zero = Scalar.zero(level)
-    solution = []
-    for col in range(ncols):
-        if where[col] < 0:
-            raise SingularSystemError("underdetermined system")
-        solution.append(a[where[col]][ncols])
-    for r in range(m):
-        residual = zero
-        for col in range(ncols):
-            residual = residual + matrix[r][col] * solution[col]
-        if residual != rhs[r]:
-            raise SingularSystemError("inconsistent system")
+    rows = {(i, j) for i in range(level) for j in range(level)}
+    if set(columns) != rows:
+        raise SingularSystemError("need one unknown c_kl per row (i, j)")
+    solution = {}
+    for (k, l), column in columns.items():
+        if len(column) != 1:
+            raise SingularSystemError(f"column c_{k}{l} has {len(column)} entries")
+        (row, entry), = column.items()
+        if len(entry.terms) != 1:
+            raise SingularSystemError(f"c_{k}{l} has a non-monomial entry {entry}")
+        if row not in rows:
+            raise SingularSystemError(f"row {row} is hit twice or does not exist")
+        rows.remove(row)
+        if row[0] == row[1]:
+            if k != l:
+                raise SingularSystemError(f"off-diagonal c_{k}{l} survived")
+            solution[(k, l)] = entry.monomial_inverse()
     return solution
 
 
@@ -181,37 +160,20 @@ def solve_weight(level: int,
                  sqrt_rho: Sequence[Scalar] | None = None) -> Weight:
     """Derive the weight coefficients from the resolution condition.
 
-    Expands int dthetabar dtheta theta^k thetabar^l |theta><theta~| for
-    every monomial, equates the total against sum_i |psi_i><phi_i|, and
-    solves the exact linear system in the c_kl.  Asserts that the unique
-    solution is diagonal.
+    Builds |theta><theta~| once, integrates every monomial theta^k
+    thetabar^l against it and equates the total with sum_i |psi_i><phi_i|.
+    The system must be a generalized permutation matrix, which proves the
+    solution unique, and the solution must be diagonal.
     """
     n = level
-    pairs = [(i, j) for i in range(n) for j in range(n)]
+    outer_product = _pair_outer(n, (PSI, PHI), sqrt_rho)
     columns = {}
-    for k, l in pairs:
-        integral = resolution_integral(_monomial_weight(n, k, l),
-                                       (PSI, PHI), sqrt_rho)
-        col = {}
-        for (word, dyad), coeff in integral.terms.items():
-            if word or dyad[0] != "O":
-                raise EngineError("unexpected term shape in weight system")
-            col[(dyad[2], dyad[4])] = coeff
-        columns[(k, l)] = col
-    zero = Scalar.zero(n)
-    one = Scalar.one(n)
-    matrix = [[columns[kl].get(ij, zero) for kl in pairs] for ij in pairs]
-    rhs = [one if i == j else zero for i, j in pairs]
-    solution = _gaussian_solve(matrix, rhs, n)
-    expr = GExpr.zero(n)
-    for (k, l), c in zip(pairs, solution):
-        if k != l and not c.is_zero:
-            raise SingularSystemError(
-                f"off-diagonal weight coefficient c_{k}{l} = {c} survived")
-        if not c.is_zero:
-            expr = expr + GExpr.from_raw(n, [(c, [(Kind.THETA, 1, k),
-                                                  (Kind.THETABAR, 1, l)])])
-    return Weight(n, expr)
+    for kl in [(k, l) for k in range(n) for l in range(n)]:
+        integral = _integrate(_weight(n, {kl: Scalar.one(n)}), outer_product)
+        if any(word or dyad[0] != "O" for word, dyad in integral.terms):
+            raise EngineError("unexpected term shape in weight system")
+        columns[kl] = {(d[2], d[4]): c for (_, d), c in integral.terms.items()}
+    return _weight(n, _solve_permutation(n, columns))
 
 
 def compare_weights(a: Weight, b: Weight) -> list[tuple[int, bool, Scalar]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import EngineError, LevelMismatchError
 
@@ -208,12 +208,6 @@ class Cyclo:
 
     def __hash__(self) -> int:
         return hash((self.level, self.coeffs))
-
-    def as_rational(self) -> Fraction | None:
-        """The value as a rational number, or None if q really occurs."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def eval(self) -> complex:
         root = cmath.exp(2j * cmath.pi / self.level)

@@ -29,14 +29,11 @@ from .coherent import (check_stability, exponential_form_defect,
                        make_coherent, verify_eigen)
 from .errors import EngineError
 from .opalg import PHI, PSI, eta_conjugate, ket_op, op_dagger
-from .resolution import (MIXED_PAIRS, SAME_PAIRS, Weight, closed_form_weight,
-                         compare_weights, mirror_weight, solve_weight,
+from .resolution import (closed_form_weight, mirror_weight, solve_weight,
                          verify_resolution)
-from .scalars import Scalar
 from .suq2 import (check_closure, make_squeeze, make_squeezed_state,
                    make_suq2, squeeze_defect, squeeze_tilde_exponential_defect,
-                   squeezed_closed_form, squeezed_state_defect,
-                   verify_suq2_relations)
+                   squeezed_state_defect, verify_suq2_relations)
 
 SELECTORS = ("coherent", "resolution", "suq2", "dynamics", "biortho", "all")
 
@@ -82,53 +79,46 @@ class SuiteReport:
         return SuiteReport(sorted(self.checks, key=lambda c: c.id))
 
 
+def _vanishes(defect) -> bool:
+    return defect.is_zero if hasattr(defect, "is_zero") else not defect
+
+
 class _Runner:
     def __init__(self, timings: bool):
         self.timings = timings
         self.checks: list[CheckResult] = []
 
-    def _record(self, check_id: str, ref: str, status: str,
-                defect, started: float) -> None:
-        elapsed = (time.perf_counter() - started) * 1000.0 if self.timings else None
-        self.checks.append(CheckResult(check_id, ref, status, defect, elapsed))
+    def _run(self, check_id: str, ref: str, fn: Callable,
+             judge: Callable, bad: str = "fail") -> None:
+        """Time ``fn``, let ``judge`` turn its value into (ok, defect) and
+        record the check as pass, or as ``bad`` when not ok."""
+        t0 = time.perf_counter()
+        ok, defect = judge(fn())
+        elapsed = (time.perf_counter() - t0) * 1000.0 if self.timings else None
+        self.checks.append(CheckResult(check_id, ref, "pass" if ok else bad,
+                                       defect, elapsed))
 
     def zero(self, check_id: str, ref: str, fn: Callable) -> None:
         """Identity that must hold exactly."""
-        t0 = time.perf_counter()
-        defect = fn()
-        ok = defect.is_zero if hasattr(defect, "is_zero") else not defect
-        self._record(check_id, ref, "pass" if ok else "fail", str(defect), t0)
+        self._run(check_id, ref, fn, lambda d: (_vanishes(d), str(d)))
 
     def nonzero(self, check_id: str, ref: str, fn: Callable) -> None:
         """Structural obstruction that must NOT vanish."""
-        t0 = time.perf_counter()
-        defect = fn()
-        ok = not (defect.is_zero if hasattr(defect, "is_zero") else not defect)
-        self._record(check_id, ref, "pass" if ok else "fail", str(defect), t0)
+        self._run(check_id, ref, fn, lambda d: (not _vanishes(d), str(d)))
 
     def discrepancy(self, check_id: str, ref: str, fn: Callable) -> None:
         """Comparison against a quoted form; mismatches are reported, not failed."""
-        t0 = time.perf_counter()
-        defect = fn()
-        ok = defect.is_zero if hasattr(defect, "is_zero") else not defect
-        status = "pass" if ok else "reported-discrepancy"
-        self._record(check_id, ref, status, str(defect), t0)
+        self._run(check_id, ref, fn, lambda d: (_vanishes(d), str(d)),
+                  bad="reported-discrepancy")
 
     def residual(self, check_id: str, ref: str, fn: Callable, tol: float) -> None:
-        t0 = time.perf_counter()
-        value = float(fn())
-        self._record(check_id, ref, "pass" if value <= tol else "fail", value, t0)
+        self._run(check_id, ref, lambda: float(fn()), lambda v: (v <= tol, v))
 
     def gap(self, check_id: str, ref: str, fn: Callable, threshold: float) -> None:
-        t0 = time.perf_counter()
-        value = float(fn())
-        self._record(check_id, ref, "pass" if value > threshold else "fail",
-                     value, t0)
+        self._run(check_id, ref, lambda: float(fn()), lambda v: (v > threshold, v))
 
     def condition(self, check_id: str, ref: str, fn: Callable, detail: str = "") -> None:
-        t0 = time.perf_counter()
-        ok = bool(fn())
-        self._record(check_id, ref, "pass" if ok else "fail", detail, t0)
+        self._run(check_id, ref, fn, lambda ok: (bool(ok), detail))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import EngineError, NonTerminatingSeriesError
 from .galg import Kind
@@ -94,12 +93,10 @@ def check_closure(root_order: int = 3, equal_rho: bool = False) -> ClosureVerdic
     sys = make_suq2(root_order, equal_rho)
     bracket = q_commutator(sys.b_z, sys.b)
     pref1, pref2 = closure_prefactors(sys)
-    return ClosureVerdict(
-        closes=(bracket - sys.b.scale(pref1)).is_zero
-        and (bracket - sys.b.scale(pref2)).is_zero,
-        defect_first=bracket - sys.b.scale(pref1),
-        defect_second=bracket - sys.b.scale(pref2),
-    )
+    first = bracket - sys.b.scale(pref1)
+    second = bracket - sys.b.scale(pref2)
+    return ClosureVerdict(closes=first.is_zero and second.is_zero,
+                          defect_first=first, defect_second=second)
 
 
 @dataclass(frozen=True)

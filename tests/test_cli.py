@@ -133,3 +133,24 @@ def test_run_suite_rejects_unknown_selector():
 def test_emit_report_empty():
     from grassq.suites import SuiteReport
     assert json.loads(emit_report(SuiteReport(), "json")) == {"checks": []}
+
+
+def test_boundary_flags_are_checked_before_any_solve(tmp_path, monkeypatch,
+                                                     capsys):
+    import grassq.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite reached")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    for tol in ("nan", "inf", "-1", "0"):
+        assert main(["verify", "biortho", "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+    rho = ",".join(["2"] * 40)
+    assert main(["verify", "biortho", "--rho", rho]) == 2
+    err = capsys.readouterr().err
+    assert "--rho" in err and "--max-n" in err
+    path = write(tmp_path, "p.json", {"n": 3, "rho": ["2", "3"]})
+    assert main(["verify", "biortho", "--input", path, "--max-n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--input" in err and "--max-n" in err

@@ -7,7 +7,7 @@ from grassq.resolution import (MIXED_PAIRS, SAME_PAIRS, Weight,
                                closed_form_weight, compare_weights,
                                mirror_weight, resolution_integral,
                                solve_weight, verify_resolution,
-                               _gaussian_solve)
+                               _solve_permutation)
 from grassq.scalars import Scalar, rho_factorial
 
 
@@ -24,7 +24,7 @@ def test_closed_form_weight_values():
 
 
 def test_solver_matches_reversed_factorial_form():
-    for n in range(2, 6):
+    for n in range(2, 9):
         solved = solve_weight(n)
         assert solved.is_diagonal()
         rows = compare_weights(solved, closed_form_weight(n))
@@ -101,17 +101,22 @@ def test_evolved_pair_resolves_with_static_weight():
             assert defect.is_zero, (n, pair)
 
 
-def test_gaussian_solver():
-    n = 3
+def test_permutation_solver():
+    n = 2
     one, q, s1 = Scalar.one(n), Scalar.q(n), Scalar.s(n, 1)
-    zero = Scalar.zero(n)
-    # a small invertible system with monomial pivots
-    matrix = [[s1, one], [zero, q]]
-    rhs = [s1 * s1, q * q]
-    x = _gaussian_solve(matrix, rhs, n)
-    assert x[0] * s1 + x[1] == s1 * s1
-    assert x[1] == q
-    with pytest.raises(SingularSystemError):
-        _gaussian_solve([[one, one], [one, one]], [one, zero], n)
-    with pytest.raises(SingularSystemError):
-        _gaussian_solve([[one + s1]], [one], n)
+    # the n=2 shape: c_kl reaches row (1-k, 1-l) with a monomial entry
+    columns = {(0, 0): {(1, 1): s1}, (0, 1): {(1, 0): q},
+               (1, 0): {(0, 1): one}, (1, 1): {(0, 0): s1 * q}}
+    x = _solve_permutation(n, columns)
+    assert set(x) == {(0, 0), (1, 1)}
+    assert x[(0, 0)] * s1 == one
+    assert x[(1, 1)] * s1 * q == one
+
+    def refused(changes, reason):
+        with pytest.raises(SingularSystemError, match=reason):
+            _solve_permutation(n, {**columns, **changes})
+
+    refused({(0, 0): {(1, 1): one + s1}}, "non-monomial")
+    refused({(0, 1): {}}, "has 0 entries")
+    refused({(0, 1): {(0, 1): q}}, "hit twice")
+    refused({(0, 1): {(1, 1): q}, (0, 0): {(1, 0): s1}}, "off-diagonal")
