@@ -26,7 +26,7 @@ def load_problem(path: str) -> Problem:
     """Parse and validate a problem description.
 
     Schema: {"n": int >= 2, "rho": ["p/q", ...] with n-1 positive
-    rationals, "H": optional n x n matrix of [re, im] pairs}.
+    rationals, "H": optional n x n matrix of finite [re, im] pairs}.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -34,6 +34,9 @@ def load_problem(path: str) -> Problem:
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}: "
                                  f"{exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path}: not valid UTF-8 at byte "
+                                 f"{exc.start}") from None
     if not isinstance(raw, dict):
         raise ProblemFormatError(f"{path}: top level must be an object")
     n = raw.get("n")
@@ -72,7 +75,14 @@ def load_problem(path: str) -> Problem:
                                for x in entry)):
                     raise ProblemFormatError(
                         f"{path}: H[{i}][{j}] must be a [re, im] pair")
-                H[i, j] = complex(entry[0], entry[1])
+                try:
+                    real, imag = float(entry[0]), float(entry[1])
+                except OverflowError:
+                    real = imag = math.inf
+                if not (math.isfinite(real) and math.isfinite(imag)):
+                    raise ProblemFormatError(
+                        f"{path}: H[{i}][{j}] must be finite")
+                H[i, j] = complex(real, imag)
     return Problem(n=n, rho=tuple(rho), H=H)
 
 

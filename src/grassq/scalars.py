@@ -13,6 +13,17 @@ q^(n-1) and u to 1/u.
 Working modulo the cyclotomic polynomial (rather than x^n - 1) keeps the
 coefficient domain a field in q, so equality with zero is decidable and
 exact.  Floats appear only in :meth:`Scalar.eval`.
+
+An element of Q(q) is kept as integer numerators over one positive
+integer denominator: the coordinates of its residue modulo Phi_n in the
+basis 1, q, ..., q^(phi(n)-1), with the denominator coprime to the
+numerators together.  That form is canonical, so ``==`` and ``hash`` are
+exact.  One table per level, built once from the monic integer Phi_n,
+holds x^k mod Phi_n for k < phi(n) + n.  A product is an integer
+convolution whose high degrees fold back through the table; a phase
+multiply, conjugation and the inverse of +-c*q^k read its rows and divide
+nothing.  Any other element is inverted through the product of its other
+Galois conjugates, which times the element is its rational norm.
 """
 
 from __future__ import annotations
@@ -20,71 +31,13 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add
 from typing import Sequence, Union
 
 from .errors import EngineError, LevelMismatchError
 
 Rational = Union[int, Fraction]
-
-
-# ---------------------------------------------------------------------------
-# dense rational polynomials, lowest degree first
-# ---------------------------------------------------------------------------
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = _trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    r = _trim(a)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        factor = r[-1] / lead
-        q[shift] = factor
-        for i, bi in enumerate(b):
-            r[shift + i] -= factor * bi
-        r = _trim(r)
-    return _trim(q), r
-
-
-def _poly_xgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Return (g, s, t) with s*a + t*b = g over Q[x]."""
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r2 = _poly_divmod(r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, _trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(a: Sequence[Fraction], b: Sequence[Fraction]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else Fraction(0),
-               b[i] if i < len(b) else Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -96,15 +49,141 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     """
     if n < 1:
         raise ValueError("cyclotomic level must be positive")
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise EngineError("cyclotomic division left a remainder")
-    return tuple(num)
+            num = _divide_monic(num, [int(c) for c in cyclotomic_polynomial(d)])
+    return tuple(Fraction(c) for c in num)
+
+
+def _divide_monic(a: list[int], b: list[int]) -> list[int]:
+    """The exact quotient a / b of integer polynomials, b monic."""
+    a = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(quot))):
+        f = quot[shift] = a[shift + len(b) - 1]
+        if f:
+            for i, bi in enumerate(b):
+                a[shift + i] -= f * bi
+    if any(a):
+        raise EngineError("cyclotomic division left a remainder")
+    return quot
+
+
+# ---------------------------------------------------------------------------
+# the per-level table and the integer kernel
+# ---------------------------------------------------------------------------
+
+class _Table:
+    """x^k mod Phi_n for one level n.
+
+    ``powers[k]`` is the coordinate vector of x^k for k < phi(n) + n and
+    ``rows[k]`` its nonzero (index, value) pairs.  ``phases`` maps the
+    vector of +-q^k, k < n, to (sign, k).
+    """
+
+    __slots__ = ("n", "degree", "powers", "rows", "phases")
+
+    def __init__(self, n: int):
+        phi = [int(c) for c in cyclotomic_polynomial(n)]
+        d = len(phi) - 1
+        vec = [1] + [0] * (d - 1)
+        powers = []
+        for _ in range(d + n):
+            powers.append(tuple(vec))
+            # x * vec, with x^d replaced by -(phi_0 + ... + phi_{d-1} x^(d-1))
+            top = vec[-1]
+            vec = [0] + vec[:-1]
+            if top:
+                vec = [v - top * p for v, p in zip(vec, phi)]
+        self.n = n
+        self.degree = d
+        self.powers = powers
+        self.rows = [tuple((i, c) for i, c in enumerate(p) if c)
+                     for p in powers]
+        self.phases: dict[tuple[int, ...], tuple[int, int]] = {}
+        for sign in (1, -1):
+            for k in range(n):
+                self.phases.setdefault(tuple(sign * c for c in powers[k]),
+                                       (sign, k))
+
+
+_table = lru_cache(maxsize=None)(_Table)
+
+
+def _reduce(t: _Table, raw: Sequence[int]) -> list[int]:
+    """Integer coefficients of any length reduced modulo Phi_n."""
+    d, n, rows = t.degree, t.n, t.rows
+    out = list(raw[:d]) + [0] * (d - len(raw))
+    for m in range(d, len(raw)):
+        c = raw[m]
+        if c:
+            for i, r in rows[m % n]:
+                out[i] += c * r
+    return out
+
+
+def _product(t: _Table, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    d, rows = t.degree, t.rows
+    out = [0] * (2 * d - 1)
+    bnz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in bnz:
+                out[i + j] += x * y
+    for m in range(d, 2 * d - 1):
+        c = out[m]
+        if c:
+            for i, r in rows[m]:
+                out[i] += c * r
+    del out[d:]
+    return out
+
+
+def _rotate(t: _Table, a: Sequence[int], k: int) -> tuple[int, ...]:
+    """a * q^k for 0 <= k < n."""
+    d, rows = t.degree, t.rows
+    out = [0] * d
+    for j, x in enumerate(a):
+        if x:
+            m = j + k
+            if m < d:
+                out[m] += x
+            else:
+                for i, r in rows[m]:
+                    out[i] += x * r
+    return tuple(out)
+
+
+def _substitute(t: _Table, a: Sequence[int], j: int) -> list[int]:
+    """The Galois image q -> q^j of a, for j coprime to n."""
+    n, rows = t.n, t.rows
+    out = [0] * t.degree
+    for i, x in enumerate(a):
+        if x:
+            for p, r in rows[i * j % n]:
+                out[p] += x * r
+    return out
+
+
+def _new(t: _Table, num: tuple[int, ...], den: int) -> "Cyclo":
+    """Wrap a canonical (numerators, denominator) pair without checks."""
+    c = object.__new__(Cyclo)
+    c.level, c._t, c._num, c._den = t.n, t, num, den
+    return c
+
+
+def _lowest(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num / den for any den > 0, with the common factor divided out."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple(a // g for a in num), den // g
+    return tuple(num), den
+
+
+def _canonical(t: _Table, num: Sequence[int], den: int) -> "Cyclo":
+    return _new(t, *_lowest(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +194,28 @@ class Cyclo:
     """An element of Q(q) with q a primitive ``level``-th root of unity.
 
     Stored as the unique residue modulo Phi_level of degree below
-    phi(level).  Supports field arithmetic, conjugation (q -> q^(level-1))
-    and numeric evaluation at q = exp(2*pi*i/level).
+    phi(level), as integer numerators over one denominator.  ``coeffs``
+    gives its coefficients as Fractions.  Supports field arithmetic,
+    conjugation (q -> q^(level-1)) and numeric evaluation at
+    q = exp(2*pi*i/level).
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "_t", "_num", "_den")
 
     def __init__(self, level: int, coeffs: Sequence[Rational]):
         if level < 2:
             raise ValueError("level must be at least 2")
-        phi = cyclotomic_polynomial(level)
-        degree = len(phi) - 1
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > degree:
-            _, cs = _poly_divmod(cs, list(phi))
-        cs += [Fraction(0)] * (degree - len(cs))
-        self.level = level
-        self.coeffs = tuple(cs)
+        t = _table(level)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        num = _reduce(t, [c.numerator * (den // c.denominator) for c in cs])
+        self.level, self._t = level, t
+        self._num, self._den = _lowest(num, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self._den) for a in self._num)
 
     # -- constructors ------------------------------------------------------
 
@@ -141,18 +225,17 @@ class Cyclo:
 
     @classmethod
     def one(cls, level: int) -> "Cyclo":
-        return cls(level, [Fraction(1)])
+        return cls(level, [1])
 
     @classmethod
     def from_rational(cls, level: int, value: Rational) -> "Cyclo":
-        return cls(level, [Fraction(value)])
+        return cls(level, [value])
 
     @classmethod
     def q_power(cls, level: int, k: int) -> "Cyclo":
         """q**k reduced to canonical form; k may be any integer."""
-        k %= level
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        return cls(level, coeffs)
+        t = _table(level)
+        return _new(t, t.powers[k % level], 1)
 
     # -- ring/field operations ---------------------------------------------
 
@@ -161,60 +244,84 @@ class Cyclo:
             raise LevelMismatchError(
                 f"cannot mix levels {self.level} and {other.level}")
 
-    def __add__(self, other: "Cyclo") -> "Cyclo":
+    def _sum(self, other: "Cyclo", sign: int) -> "Cyclo":
         self._check(other)
-        return Cyclo(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self._den, other._den
+        if da == db:
+            return _canonical(self._t, [x + sign * y for x, y in
+                                        zip(self._num, other._num)], da)
+        return _canonical(self._t, [x * db + sign * y * da for x, y in
+                                    zip(self._num, other._num)], da * db)
+
+    def __add__(self, other: "Cyclo") -> "Cyclo":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
-        self._check(other)
-        return Cyclo(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other, -1)
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.level, [-a for a in self.coeffs])
+        return _new(self._t, tuple(-a for a in self._num), self._den)
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         self._check(other)
-        return Cyclo(self.level, _poly_mul(self.coeffs, other.coeffs))
+        return _canonical(self._t, _product(self._t, self._num, other._num),
+                          self._den * other._den)
+
+    def _times_q(self, k: int) -> "Cyclo":
+        """self * q**k for 0 <= k < level: a unit keeps the form canonical."""
+        return _new(self._t, _rotate(self._t, self._num, k), self._den)
 
     def scaled(self, factor: Rational) -> "Cyclo":
         f = Fraction(factor)
-        return Cyclo(self.level, [a * f for a in self.coeffs])
+        return _canonical(self._t, [a * f.numerator for a in self._num],
+                          self._den * f.denominator)
 
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        g, s, _ = _poly_xgcd(self.coeffs, cyclotomic_polynomial(self.level))
-        if len(g) != 1:
-            raise EngineError("cyclotomic polynomial not coprime with element")
-        return Cyclo(self.level, [c / g[0] for c in s])
+        t, num = self._t, self._num
+        g = gcd(*num)
+        hit = t.phases.get(tuple(a // g for a in num))
+        if hit is not None:
+            # self = sign * (g / den) * q^k
+            sign, k = hit
+            return Cyclo.q_power(self.level, -k).scaled(
+                Fraction(sign * self._den, g))
+        # a^-1 = (product of the other Galois conjugates of a) / norm(a)
+        rest = [1] + [0] * (t.degree - 1)
+        for j in range(2, t.n):
+            if gcd(j, t.n) == 1:
+                rest = _product(t, rest, _substitute(t, num, j))
+        norm = _product(t, num, rest)
+        if any(norm[1:]):
+            raise EngineError("norm of a cyclotomic element is not rational")
+        return Cyclo(self.level, rest).scaled(Fraction(self._den, norm[0]))
 
     def conj(self) -> "Cyclo":
         """The field automorphism q -> q^(level-1), an involution."""
-        n = self.level
-        raw = [Fraction(0)] * n
-        for k, a in enumerate(self.coeffs):
-            raw[(-k) % n] += a
-        return Cyclo(n, raw)
+        t = self._t
+        return _new(t, tuple(_substitute(t, self._num, t.n - 1)), self._den)
 
     # -- predicates, hashing, display ---------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return self.level == other.level and self.coeffs == other.coeffs
+        return (self.level == other.level and self._num == other._num
+                and self._den == other._den)
 
     def __hash__(self) -> int:
-        return hash((self.level, self.coeffs))
+        return hash((self.level, self._num, self._den))
 
     def eval(self) -> complex:
         root = cmath.exp(2j * cmath.pi / self.level)
         acc = 0j
-        for k, a in enumerate(self.coeffs):
+        for k, a in enumerate(self._num):
             if a:
-                acc += complex(a) * root ** k
+                acc += complex(a / self._den) * root ** k
         return acc
 
     def __str__(self) -> str:
@@ -341,7 +448,7 @@ class Scalar:
         acc: dict[tuple[int, ...], Cyclo] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
+                key = tuple(map(add, k1, k2))
                 prod = c1 * c2
                 prev = acc.get(key)
                 s = prev + prod if prev is not None else prod
@@ -355,10 +462,11 @@ class Scalar:
 
     def mul_q_power(self, k: int) -> "Scalar":
         """Multiply by q**k; the common fast path for exchange phases."""
-        if k % self.level == 0:
+        k %= self.level
+        if not k:
             return self
-        qk = Cyclo.q_power(self.level, k)
-        return Scalar(self.level, {key: c * qk for key, c in self.terms.items()})
+        return Scalar(self.level,
+                      {key: c._times_q(k) for key, c in self.terms.items()})
 
     def conj(self) -> "Scalar":
         """Conjugation: q -> q^(n-1), s_i fixed, u -> 1/u."""

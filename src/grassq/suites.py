@@ -29,8 +29,8 @@ from .coherent import (check_stability, exponential_form_defect,
                        make_coherent, verify_eigen)
 from .errors import EngineError
 from .opalg import PHI, PSI, eta_conjugate, ket_op, op_dagger
-from .resolution import (closed_form_weight, mirror_weight, solve_weight,
-                         verify_resolution)
+from .resolution import (Weight, closed_form_weight, mirror_weight,
+                         solve_weight, verify_resolution)
 from .suq2 import (check_closure, make_squeeze, make_squeezed_state,
                    make_suq2, squeeze_defect, squeeze_tilde_exponential_defect,
                    squeezed_state_defect, verify_suq2_relations)
@@ -143,7 +143,8 @@ def _coherent_checks(r: _Runner, n_values: Sequence[int]) -> None:
                lambda psi=psi, phi=phi: eta_conjugate(psi.body) - phi.body)
 
 
-def _dynamics_checks(r: _Runner, n_values: Sequence[int]) -> None:
+def _dynamics_checks(r: _Runner, n_values: Sequence[int],
+                     weight_of: Callable[[int], Weight]) -> None:
     for n in n_values:
         r.zero(f"dynamics/n={n}/stability-psi",
                "|theta,t> = u^-(n-2) |theta(t)>",
@@ -153,13 +154,14 @@ def _dynamics_checks(r: _Runner, n_values: Sequence[int]) -> None:
                lambda n=n: check_stability(n, PHI))
         r.zero(f"dynamics/n={n}/evolved-resolution",
                "int w |theta,t><theta~,t| = I",
-               lambda n=n: verify_resolution(solve_weight(n), (PSI, PHI),
+               lambda n=n: verify_resolution(weight_of(n), (PSI, PHI),
                                              evolved=True))
 
 
-def _resolution_checks(r: _Runner, n_values: Sequence[int]) -> None:
+def _resolution_checks(r: _Runner, n_values: Sequence[int],
+                       weight_of: Callable[[int], Weight]) -> None:
     for n in n_values:
-        weight = solve_weight(n)
+        weight = weight_of(n)
         r.condition(f"resolution/n={n}/solver-diagonal",
                     "derived weight is diagonal and unique",
                     lambda weight=weight: weight.is_diagonal(),
@@ -192,7 +194,7 @@ def _resolution_checks(r: _Runner, n_values: Sequence[int]) -> None:
                           weight.expr - closed_form_weight(3).expr)
 
 
-def _suq2_checks(r: _Runner) -> None:
+def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
     sys3 = make_suq2(3)
     r.condition("suq2/closure/cube-root-free-rho",
                 "[b_z,b]_q closes at q = primitive cube root",
@@ -241,7 +243,7 @@ def _suq2_checks(r: _Runner) -> None:
     r.zero("suq2/squeeze/tilde-exponential-form",
            "eta S eta^-1 = exp[(theta b~#'^2 - thetabar b~^2)/2]",
            lambda: squeeze_tilde_exponential_defect(sys3))
-    weight3 = solve_weight(3)
+    weight3 = weight_of(3)
     r.zero("suq2/weight/three-level-resolution",
            "int w |theta><theta~| = I at n=3",
            lambda: verify_resolution(weight3, (PSI, PHI)))
@@ -249,7 +251,8 @@ def _suq2_checks(r: _Runner) -> None:
            lambda: check_stability(3, PSI))
 
 
-def _biortho_checks(r: _Runner, problem: Problem, tol: float) -> None:
+def _biortho_checks(r: _Runner, problem: Problem, tol: float,
+                    weight_of: Callable[[int], Weight]) -> None:
     if problem.H is None:
         raise EngineError("the biortho suite needs a concrete matrix")
     decomp = nb.biortho_decompose(problem.H, tol=tol)
@@ -280,7 +283,7 @@ def _biortho_checks(r: _Runner, problem: Problem, tol: float) -> None:
                lambda: nb.instantiate_numeric(
                    verify_eigen(make_coherent(n, PSI)), decomp, rho_values),
                tol=1e-10)
-    weight = solve_weight(n)
+    weight = weight_of(n)
     r.residual("biortho/instantiate/mixed-resolution",
                "symbolic resolution defect grounds to zero",
                lambda: nb.instantiate_numeric(
@@ -321,16 +324,25 @@ def run_suite(selector: str, n_range: tuple[int, int] = (2, 4), *,
     n_values = range(lo, hi + 1)
     problem = problem or default_problem()
     r = _Runner(timings)
+    # Each level's weight is solved once per run, by the first suite that
+    # needs it.
+    weights: dict[int, Weight] = {}
+
+    def weight_of(n: int) -> Weight:
+        if n not in weights:
+            weights[n] = solve_weight(n)
+        return weights[n]
+
     if selector in ("coherent", "all"):
         _coherent_checks(r, n_values)
     if selector in ("dynamics", "all"):
-        _dynamics_checks(r, n_values)
+        _dynamics_checks(r, n_values, weight_of)
     if selector in ("resolution", "all"):
-        _resolution_checks(r, n_values)
+        _resolution_checks(r, n_values, weight_of)
     if selector in ("suq2", "all"):
-        _suq2_checks(r)
+        _suq2_checks(r, weight_of)
     if selector in ("biortho", "all"):
-        _biortho_checks(r, problem, tol)
+        _biortho_checks(r, problem, tol, weight_of)
     return SuiteReport(r.checks).sorted()
 
 

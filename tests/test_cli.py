@@ -154,3 +154,43 @@ def test_boundary_flags_are_checked_before_any_solve(tmp_path, monkeypatch,
     assert main(["verify", "biortho", "--input", path, "--max-n", "2"]) == 2
     err = capsys.readouterr().err
     assert "--input" in err and "--max-n" in err
+
+
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b'{"n": 2, "rho": ["2"]}\xff')
+    assert main(["verify", "biortho", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
+def test_non_finite_matrix_entries_are_input_errors(tmp_path, capsys):
+    for k, bad in enumerate(("NaN", "Infinity", "-Infinity", "1e400")):
+        path = tmp_path / f"h{k}.json"
+        path.write_text('{"n": 2, "rho": ["2"], "H": [[[1, 0], [4, %s]], '
+                        '[[1, 0], [1, 0]]]}' % bad)
+        assert main(["verify", "biortho", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "H[0][1] must be finite" in err and "Traceback" not in err
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 2, "rho": ["2"], "H": [[[1, 0], [4, 0]], '
+                    '[[%d, 0], [1, 0]]]}' % 10 ** 400)
+    with pytest.raises(ProblemFormatError, match=r"H\[1\]\[0\] must be finite"):
+        load_problem(str(path))
+
+
+def test_each_weight_is_solved_once_per_run(monkeypatch):
+    import grassq.suites as suites
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return solve_weight(n)
+
+    solve_weight = suites.solve_weight
+    monkeypatch.setattr(suites, "solve_weight", counting)
+    report = run_suite("all", (2, 3))
+    assert sorted(calls) == [2, 3]
+    monkeypatch.undo()
+    assert emit_report(report, "json") == emit_report(run_suite("all", (2, 3)),
+                                                      "json")

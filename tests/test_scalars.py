@@ -165,3 +165,93 @@ def test_monomial_inverse_only_for_monomials():
     assert x * x.monomial_inverse() == Scalar.one(3)
     with pytest.raises(EngineError):
         (Scalar.one(3) + Scalar.s(3, 1)).monomial_inverse()
+
+
+# ---------------------------------------------------------------------------
+# differential test against sympy's reduction modulo cyclotomic_poly(n)
+# ---------------------------------------------------------------------------
+
+def _random_coeffs(rng, length):
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(length)]
+    cs[0] = cs[0] or Fraction(1)
+    return cs
+
+
+def _residue(sympy, x, n, poly):
+    """Coefficients of poly mod Phi_n as Fractions, lowest degree first."""
+    phi = sympy.cyclotomic_poly(n, x)
+    rem = sympy.Poly(sympy.rem(sympy.expand(poly), phi, x), x)
+    cs = [Fraction(int(c.p), int(c.q)) for c in rem.all_coeffs()[::-1]]
+    return tuple(cs + [Fraction(0)] * (sympy.degree(phi, x) - len(cs)))
+
+
+def _as_poly(sympy, x, coeffs):
+    return sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+               for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_field_operations_match_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.cyclotomic_poly(n, x)
+    degree = len(cyclotomic_polynomial(n)) - 1
+    rng = random.Random(1000 + n)
+
+    def check(value, poly):
+        assert value.coeffs == _residue(sympy, x, n, poly)
+
+    for _ in range(3):
+        ca, cb = _random_coeffs(rng, degree), _random_coeffs(rng, degree)
+        a, b = Cyclo(n, ca), Cyclo(n, cb)
+        pa, pb = _as_poly(sympy, x, ca), _as_poly(sympy, x, cb)
+        check(a * b, pa * pb)
+        check(a + b, pa + pb)
+        check(a - b, pa - pb)
+        check(a.inverse(), sympy.invert(pa, phi, x))
+        check(a.conj(), pa.subs(x, x ** (n - 1)))
+        # construction from more coefficients than phi(n)
+        long = _random_coeffs(rng, degree + rng.randint(1, 3 * n))
+        check(Cyclo(n, long), _as_poly(sympy, x, long))
+    for k in (-1, -n - 2, 2 * n + 1, 10 * n + 3, 1):
+        check(Cyclo.q_power(n, k), x ** k if k >= 0
+              else sympy.invert(x ** -k, phi, x))
+        for sign, c in ((1, Fraction(3, 7)), (-1, Fraction(5, 2))):
+            unit = Cyclo.q_power(n, k).scaled(sign * c)
+            check(unit.inverse(),
+                  sympy.invert(sign * sympy.Rational(c.numerator, c.denominator)
+                               * x ** (k % n), phi, x))
+
+
+def test_coeffs_are_fractions_and_display_is_stable():
+    x = Cyclo(5, [1, Fraction(-2, 3), 0, 1])
+    assert isinstance(x.coeffs, tuple)
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.coeffs == (1, Fraction(-2, 3), 0, 1)
+    assert str(x) == "1 - 2/3*q + q^3"
+    assert repr(x) == "Cyclo(5, 1 - 2/3*q + q^3)"
+    assert repr(Cyclo(3, [-1, -1])) == "Cyclo(3, -1 - q)"
+    assert repr(Cyclo.zero(4)) == "Cyclo(4, 0)"
+    assert Cyclo.zero(4).coeffs == (Fraction(0), Fraction(0))
+    assert str(Cyclo(7, [0, 1, 0, 0, 0, 0, 0, 5])) == "5 + q"
+    assert str(Cyclo(6, [Fraction(3, 4), -1])) == "3/4 - q"
+    assert repr(Cyclo.q_power(12, -5)) == "Cyclo(12, -q)"
+    assert repr((Scalar.q(4) + Scalar.one(4)) * Scalar.s(4, 1)
+                * Scalar.u(4, -2)) == "Scalar(4, (1 + q)*s1*u^-2)"
+    y = (Scalar.s(3, 2, -2) * Scalar(3, {(0, 0, 0): Cyclo(3, [Fraction(1, 2)])})
+         - Scalar.q(3, 2) * Scalar.s(3, 1))
+    assert str(y) == "1/2*s2^-2 + (1 + q)*s1"
+
+
+def test_canonical_form_gives_exact_equality_and_hash():
+    pairs = [
+        (Cyclo(3, [1, 1, 1]), Cyclo.zero(3)),
+        (Cyclo(4, [Fraction(2, 4), 0, Fraction(1, 2)]), Cyclo.zero(4)),
+        (Cyclo(6, [Fraction(6, 4), Fraction(3, 9)]),
+         Cyclo(6, [Fraction(3, 2), Fraction(1, 3)])),
+        (Cyclo(5, [2, 4]) * Cyclo.from_rational(5, Fraction(1, 2)),
+         Cyclo(5, [1, 2])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert Cyclo(5, [1, 2]) != Cyclo(5, [Fraction(1, 2), 1])
