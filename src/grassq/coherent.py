@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 
 from .errors import EngineError, NonTerminatingSeriesError
 from .galg import Kind, grade
-from .opalg import (OpExpr, PHI, PSI, ket, ket_op, make_ladder, op_term,
-                    theta_op)
+from .opalg import (OpExpr, PHI, PSI, default_sqrt_rho, ket, ket_op,
+                    make_ladder, op_term, theta_op)
 from .scalars import Scalar
 
 
@@ -47,8 +47,7 @@ def make_coherent(level: int, family: str = PSI,
     """
     if level < 2:
         raise EngineError("need at least two levels")
-    rho = tuple(sqrt_rho) if sqrt_rho is not None else tuple(
-        Scalar.s(level, i) for i in range(1, level))
+    rho = tuple(sqrt_rho) if sqrt_rho is not None else default_sqrt_rho(level)
     if len(rho) < level - 1:
         raise EngineError("need one sqrt(rho) per ladder step")
     body = OpExpr.zero(level)
@@ -83,8 +82,7 @@ def q_exponential(arg: OpExpr, level: int,
     is still nonzero the factorial rho_level! would need a symbol that
     does not exist, and the series is reported as non-terminating.
     """
-    rho = tuple(sqrt_rho) if sqrt_rho is not None else tuple(
-        Scalar.s(level, i) for i in range(1, level))
+    rho = tuple(sqrt_rho) if sqrt_rho is not None else default_sqrt_rho(level)
     acc = OpExpr.identity(level)
     power = OpExpr.identity(level)
     inv_fact = Scalar.one(level)
@@ -126,22 +124,15 @@ def evolve_state(state: CoherentState,
     n = state.level
     if energy_of_level is None:
         energy_of_level = lambda k: -(n - k - 2)
-    acc: dict = {}
-    out = OpExpr.zero(n)
-    for (w, d), c in state.body.terms.items():
-        k = d[2]
-        out._merge(acc, (w, d), c * Scalar.u(n, energy_of_level(k)))
-    return OpExpr(n, acc)
+    return OpExpr(n, {(w, d): c * Scalar.u(n, energy_of_level(d[2]))
+                      for (w, d), c in state.body.terms.items()})
 
 
 def theta_time_shift(e: OpExpr) -> OpExpr:
     """Substitute theta -> u theta: each term gains u^(theta degree)."""
-    acc: dict = {}
-    out = OpExpr.zero(e.level)
-    for (w, d), c in e.terms.items():
-        deg = grade(w)[0]
-        out._merge(acc, (w, d), c * Scalar.u(e.level, deg) if deg else c)
-    return OpExpr(e.level, acc)
+    return OpExpr(e.level, {
+        key: c * Scalar.u(e.level, deg) if (deg := grade(key[0])[0]) else c
+        for key, c in e.terms.items()})
 
 
 def check_stability(level: int, family: str = PSI,

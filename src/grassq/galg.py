@@ -29,8 +29,8 @@ import random
 from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
-from .errors import EngineError, LevelMismatchError, UnspecifiedRelationError
-from .scalars import Scalar
+from .errors import EngineError, UnspecifiedRelationError
+from .scalars import Scalar, _SparseSum, _accumulate
 
 
 class Kind(IntEnum):
@@ -151,24 +151,16 @@ def _word_str(word: Word) -> str:
     return " ".join(bits)
 
 
-class GExpr:
+class GExpr(_SparseSum):
     """Formal sum of graded words with Scalar coefficients.
 
     Instances are always in canonical form: every word normal ordered,
     no zero coefficients stored.  Equality is plain map equality.
     """
 
-    __slots__ = ("level", "terms")
-
-    def __init__(self, level: int, terms: dict[Word, Scalar] | None = None):
-        self.level = level
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, level: int) -> "GExpr":
-        return cls(level)
 
     @classmethod
     def one(cls, level: int) -> "GExpr":
@@ -186,46 +178,13 @@ class GExpr:
     def from_raw(cls, level: int, items: Iterable[tuple[Scalar, Iterable[Factor]]],
                  rng: Optional[random.Random] = None) -> "GExpr":
         """Normal order a sum given as (coefficient, raw factor list) pairs."""
-        acc: dict[Word, Scalar] = {}
-        for coeff, raw in items:
-            if coeff.is_zero:
-                continue
-            qe, w = normalize_word(level, raw, rng)
-            if w is None:
-                continue
-            c = coeff.mul_q_power(qe)
-            prev = acc.get(w)
-            s = prev + c if prev is not None else c
-            if s:
-                acc[w] = s
-            elif prev is not None:
-                del acc[w]
-        return cls(level, acc)
+        ordered = ((normalize_word(level, raw, rng), coeff)
+                   for coeff, raw in items if not coeff.is_zero)
+        return cls(level, _accumulate({}, (
+            (w, coeff.mul_q_power(qe))
+            for (qe, w), coeff in ordered if w is not None)))
 
     # -- algebra ---------------------------------------------------------------
-
-    def _check(self, other: "GExpr") -> None:
-        if self.level != other.level:
-            raise LevelMismatchError(
-                f"cannot mix levels {self.level} and {other.level}")
-
-    def __add__(self, other: "GExpr") -> "GExpr":
-        self._check(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = acc.get(w)
-            s = prev + c if prev is not None else c
-            if s:
-                acc[w] = s
-            elif prev is not None:
-                del acc[w]
-        return GExpr(self.level, acc)
-
-    def __sub__(self, other: "GExpr") -> "GExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "GExpr":
-        return GExpr(self.level, {w: -c for w, c in self.terms.items()})
 
     def scale(self, factor: Scalar | int) -> "GExpr":
         if isinstance(factor, int):
@@ -240,27 +199,13 @@ class GExpr:
              for w1, c1 in self.terms.items()
              for w2, c2 in other.terms.items()))
 
-    # -- predicates and display ----------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GExpr):
-            return NotImplemented
-        return self.level == other.level and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
+    # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(f"({self.terms[w]}) {_word_str(w)}"
                           for w in sorted(self.terms))
-
-    def __repr__(self) -> str:
-        return f"GExpr({self.level}, {self})"
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +283,15 @@ def integrate_word(level: int, word: Word,
         del fs[p:p + 2]
 
 
-def berezin(e: GExpr, measure: Sequence[tuple[int, int]]) -> GExpr:
-    """Berezin integral of ``e`` against an ordered list of measure symbols.
+def _integrate_terms(level: int,
+                     terms: Iterable[tuple[tuple[Word, object], Scalar]],
+                     measure: Sequence[tuple[int, int]]):
+    """Integrate ``((word, tag), coefficient)`` terms against ``measure``.
 
-    ``measure`` is written outermost first, e.g. ``[d_thetabar(), d_theta()]``
-    integrates `int dthetabar dtheta (...)`.  The integrand must not
-    already contain measure symbols, and the measure symbols must be
-    distinct.
+    Checks that the measure symbols are distinct dtheta or dthetabar
+    symbols and that no integrand word already holds one, then yields
+    ``((remaining word, tag), coefficient)`` for every term that
+    survives; the tag rides along unchanged.
     """
     seen = set()
     for k, i in measure:
@@ -353,18 +300,22 @@ def berezin(e: GExpr, measure: Sequence[tuple[int, int]]) -> GExpr:
         if (k, i) in seen:
             raise EngineError("measure symbols must be distinct")
         seen.add((k, i))
-    acc: dict[Word, Scalar] = {}
-    for w, c in e.terms.items():
+    for (w, tag), c in terms:
         if any(f[0] in (Kind.DTHETA, Kind.DTHETABAR) for f in w):
             raise EngineError("integrand already contains measure symbols")
-        qe, rest = integrate_word(e.level, w, measure)
-        if rest is None:
-            continue
-        nc = c.mul_q_power(qe)
-        prev = acc.get(rest)
-        s = prev + nc if prev is not None else nc
-        if s:
-            acc[rest] = s
-        elif prev is not None:
-            del acc[rest]
-    return GExpr(e.level, acc)
+        qe, rest = integrate_word(level, w, measure)
+        if rest is not None:
+            yield (rest, tag), c.mul_q_power(qe)
+
+
+def berezin(e: GExpr, measure: Sequence[tuple[int, int]]) -> GExpr:
+    """Berezin integral of ``e`` against an ordered list of measure symbols.
+
+    ``measure`` is written outermost first, e.g. ``[d_thetabar(), d_theta()]``
+    integrates `int dthetabar dtheta (...)`.  The integrand must not
+    already contain measure symbols, and the measure symbols must be
+    distinct.
+    """
+    integrals = _integrate_terms(
+        e.level, (((w, None), c) for w, c in e.terms.items()), measure)
+    return GExpr(e.level, _accumulate({}, ((w, c) for (w, _), c in integrals)))

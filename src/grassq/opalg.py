@@ -36,9 +36,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
-                     GramUnknownError, LevelMismatchError)
-from .galg import GExpr, Kind, Word, _word_str, integrate_word, normalize_word
-from .scalars import Scalar
+                     GramUnknownError)
+from .galg import (GExpr, Kind, Word, _integrate_terms, _word_str,
+                   normalize_word)
+from .scalars import Scalar, _SparseSum, _accumulate
 
 PSI = "psi"
 PHI = "phi"
@@ -141,65 +142,22 @@ def _require_dual(f1: str, f2: str) -> None:
 # operator expressions
 # ---------------------------------------------------------------------------
 
-class OpExpr:
+class OpExpr(_SparseSum):
     """Formal sum of (word, dyad) terms with Scalar coefficients."""
 
-    __slots__ = ("level", "terms")
-
-    def __init__(self, level: int,
-                 terms: dict[tuple[Word, Dyad], Scalar] | None = None):
-        self.level = level
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, level: int) -> "OpExpr":
-        return cls(level)
 
     @classmethod
     def identity(cls, level: int) -> "OpExpr":
         return cls(level, {((), IDENT): Scalar.one(level)})
 
     @classmethod
-    def single(cls, level: int, coeff: Scalar, dyad: Dyad = IDENT,
-               word: Word = ()) -> "OpExpr":
-        qe, w = normalize_word(level, word)
-        if w is None or coeff.is_zero:
-            return cls.zero(level)
-        return cls(level, {(w, dyad): coeff.mul_q_power(qe)})
-
-    @classmethod
     def from_gexpr(cls, g: GExpr) -> "OpExpr":
         return cls(g.level, {(w, IDENT): c for w, c in g.terms.items()})
 
     # -- linear structure -------------------------------------------------------
-
-    def _check(self, other: "OpExpr") -> None:
-        if self.level != other.level:
-            raise LevelMismatchError(
-                f"cannot mix levels {self.level} and {other.level}")
-
-    def _merge(self, acc: dict, key, value: Scalar) -> None:
-        prev = acc.get(key)
-        s = prev + value if prev is not None else value
-        if s:
-            acc[key] = s
-        elif prev is not None:
-            del acc[key]
-
-    def __add__(self, other: "OpExpr") -> "OpExpr":
-        self._check(other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            self._merge(acc, key, c)
-        return OpExpr(self.level, acc)
-
-    def __sub__(self, other: "OpExpr") -> "OpExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "OpExpr":
-        return OpExpr(self.level, {k: -v for k, v in self.terms.items()})
 
     def scale(self, factor: Scalar | int | Fraction) -> "OpExpr":
         if isinstance(factor, (int, Fraction)):
@@ -210,18 +168,19 @@ class OpExpr:
 
     def __matmul__(self, other: "OpExpr") -> "OpExpr":
         self._check(other)
-        acc: dict[tuple[Word, Dyad], Scalar] = {}
-        for (w1, d1), c1 in self.terms.items():
-            for (w2, d2), c2 in other.terms.items():
-                survives, dyad = _contract(d1, d2)
-                if not survives:
-                    continue
-                cross = _cross_word(w2, d1)
-                qe, w = normalize_word(self.level, w1 + w2)
-                if w is None:
-                    continue
-                self._merge(acc, (w, dyad), (c1 * c2).mul_q_power(cross + qe))
-        return OpExpr(self.level, acc)
+        level = self.level
+
+        def products():
+            for (w1, d1), c1 in self.terms.items():
+                for (w2, d2), c2 in other.terms.items():
+                    survives, dyad = _contract(d1, d2)
+                    if not survives:
+                        continue
+                    cross = _cross_word(w2, d1)
+                    qe, w = normalize_word(level, w1 + w2)
+                    if w is not None:
+                        yield (w, dyad), (c1 * c2).mul_q_power(cross + qe)
+        return OpExpr(level, _accumulate({}, products()))
 
     def power(self, k: int) -> "OpExpr":
         if k < 0:
@@ -231,18 +190,7 @@ class OpExpr:
             out = out @ self
         return out
 
-    # -- predicates and display ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpExpr):
-            return NotImplemented
-        return self.level == other.level and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
+    # -- display -----------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Word, Dyad, Scalar]]:
         keys = sorted(self.terms, key=lambda k: (k[1], k[0]))
@@ -253,9 +201,6 @@ class OpExpr:
             return "0"
         return " + ".join(f"({c}) {_word_str(w)} {_dyad_str(d)}"
                           for w, d, c in self.sorted_terms())
-
-    def __repr__(self) -> str:
-        return f"OpExpr({self.level}, {self})"
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +230,24 @@ def op_dagger(e: OpExpr) -> OpExpr:
     """
     swap = {Kind.THETA: Kind.THETABAR, Kind.THETABAR: Kind.THETA,
             Kind.DTHETA: Kind.DTHETABAR, Kind.DTHETABAR: Kind.DTHETA}
-    acc = OpExpr.zero(e.level)
-    for (w, d), c in e.terms.items():
-        if d == IDENT:
-            nd: Dyad = IDENT
-        elif d[0] == "K":
-            nd = bra(d[1], d[2])
-        elif d[0] == "B":
-            nd = ket(d[1], d[2])
-        else:
-            nd = outer(d[3], d[4], d[1], d[2])
-        nw = tuple((swap[Kind(k)], i, x) for k, i, x in reversed(w))
-        acc = acc + op_term(e.level, c.conj(), nd, right=nw)
-    return acc
+
+    def flipped():
+        for (w, d), c in e.terms.items():
+            if d == IDENT:
+                nd: Dyad = IDENT
+            elif d[0] == "K":
+                nd = bra(d[1], d[2])
+            elif d[0] == "B":
+                nd = ket(d[1], d[2])
+            else:
+                nd = outer(d[3], d[4], d[1], d[2])
+            # the reversed word stands right of the new dyad and crosses it
+            nw = tuple((swap[Kind(k)], i, x) for k, i, x in reversed(w))
+            cross = _cross_word(nw, nd)
+            qe, nw = normalize_word(e.level, nw)
+            if nw is not None:
+                yield (nw, nd), c.conj().mul_q_power(cross + qe)
+    return OpExpr(e.level, _accumulate({}, flipped()))
 
 
 def eta_conjugate(e: OpExpr, inverse: bool = False) -> OpExpr:
@@ -422,13 +372,5 @@ def berezin_op(e: OpExpr, measure: Sequence[tuple[int, int]]) -> OpExpr:
     Valid because every canonical term keeps its word strictly left of
     the dyad, so the measure never has to cross a ket or bra.
     """
-    acc: dict[tuple[Word, Dyad], Scalar] = {}
-    out = OpExpr.zero(e.level)
-    for (w, d), c in e.terms.items():
-        if any(f[0] in (Kind.DTHETA, Kind.DTHETABAR) for f in w):
-            raise EngineError("integrand already contains measure symbols")
-        qe, rest = integrate_word(e.level, w, measure)
-        if rest is None:
-            continue
-        out._merge(acc, (rest, d), c.mul_q_power(qe))
-    return OpExpr(e.level, acc)
+    return OpExpr(e.level, _accumulate(
+        {}, _integrate_terms(e.level, e.terms.items(), measure)))

@@ -24,6 +24,15 @@ convolution whose high degrees fold back through the table; a phase
 multiply, conjugation and the inverse of +-c*q^k read its rows and divide
 nothing.  Any other element is inverted through the product of its other
 Galois conjugates, which times the element is its rational norm.
+
+Every symbolic quantity above the field is a sparse formal sum: a
+:class:`Scalar` maps symbol exponents to ``Cyclo`` coefficients, a
+``galg.GExpr`` maps words to Scalars and an ``opalg.OpExpr`` maps
+(word, dyad) pairs to Scalars.  All three share one core here: the
+constructor that drops zero values, the level check, ``+``, ``-``,
+``is_zero`` and ``==``, and one merge that adds (key, value) pairs into a
+dict and drops each sum that vanishes.  Every product and integral in
+the engine accumulates its terms through that merge.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import EngineError, LevelMismatchError
 
@@ -351,30 +360,87 @@ class Cyclo:
 
 
 # ---------------------------------------------------------------------------
-# Laurent ring over Q(q)
+# the sparse-sum core shared by Scalar, GExpr and OpExpr
 # ---------------------------------------------------------------------------
 
-class Scalar:
-    """Exact coefficient: Laurent polynomial in s_1..s_{n-1}, u over Q(q).
+def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, value) pairs into ``acc``, dropping each sum that vanishes."""
+    for key, value in pairs:
+        prev = acc.get(key)
+        if prev is not None:
+            value = prev + value
+        if value:
+            acc[key] = value
+        elif prev is not None:
+            del acc[key]
+    return acc
 
-    ``terms`` maps an exponent tuple (e_1, ..., e_{n-1}, e_u) to a nonzero
-    Cyclo coefficient.  The empty map is zero.  All operations return new
-    values; instances are never mutated after construction.
+
+class _SparseSum:
+    """A formal sum at one level: ``terms`` maps keys to nonzero values.
+
+    The empty map is zero.  Operations return new values; instances are
+    never mutated after construction.  Sums of different types never
+    compare equal.
     """
 
     __slots__ = ("level", "terms")
 
-    def __init__(self, level: int, terms: dict[tuple[int, ...], Cyclo] | None = None):
+    def __init__(self, level: int, terms: dict | None = None):
         if level < 2:
             raise ValueError("level must be at least 2")
         self.level = level
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def zero(cls, level: int) -> "Scalar":
+    def zero(cls, level: int):
         return cls(level)
+
+    def _check(self, other: "_SparseSum") -> None:
+        if self.level != other.level:
+            raise LevelMismatchError(
+                f"cannot mix levels {self.level} and {other.level}")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.level,
+                          _accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.level, {k: -v for k, v in self.terms.items()})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.level == other.level and self.terms == other.terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.level}, {self})"
+
+
+# ---------------------------------------------------------------------------
+# Laurent ring over Q(q)
+# ---------------------------------------------------------------------------
+
+class Scalar(_SparseSum):
+    """Exact coefficient: Laurent polynomial in s_1..s_{n-1}, u over Q(q).
+
+    ``terms`` maps an exponent tuple (e_1, ..., e_{n-1}, e_u) to a nonzero
+    Cyclo coefficient.
+    """
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls, level: int) -> "Scalar":
@@ -382,12 +448,12 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, level: int, value: Rational) -> "Scalar":
-        c = Cyclo.from_rational(level, value)
-        return cls(level, {cls._unit_key(level): c} if c else {})
+        return cls(level, {cls._unit_key(level):
+                           Cyclo.from_rational(level, value)})
 
     @classmethod
     def from_cyclo(cls, c: Cyclo) -> "Scalar":
-        return cls(c.level, {cls._unit_key(c.level): c} if c else {})
+        return cls(c.level, {cls._unit_key(c.level): c})
 
     @classmethod
     def q(cls, level: int, power: int = 1) -> "Scalar":
@@ -415,48 +481,15 @@ class Scalar:
 
     # -- ring operations ----------------------------------------------------
 
-    def _check(self, other: "Scalar") -> None:
-        if self.level != other.level:
-            raise LevelMismatchError(
-                f"cannot mix levels {self.level} and {other.level}")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = acc.get(key)
-            s = prev + c if prev is not None else c
-            if s:
-                acc[key] = s
-            elif prev is not None:
-                del acc[key]
-        return Scalar(self.level, acc)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.level, {k: -v for k, v in self.terms.items()})
-
     def __mul__(self, other: "Scalar | Rational") -> "Scalar":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Scalar.zero(self.level)
             return Scalar(self.level,
                           {k: v.scaled(other) for k, v in self.terms.items()})
         self._check(other)
-        acc: dict[tuple[int, ...], Cyclo] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(map(add, k1, k2))
-                prod = c1 * c2
-                prev = acc.get(key)
-                s = prev + prod if prev is not None else prod
-                if s:
-                    acc[key] = s
-                elif prev is not None:
-                    del acc[key]
-        return Scalar(self.level, acc)
+        return Scalar(self.level, _accumulate({}, (
+            (tuple(map(add, k1, k2)), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -470,11 +503,8 @@ class Scalar:
 
     def conj(self) -> "Scalar":
         """Conjugation: q -> q^(n-1), s_i fixed, u -> 1/u."""
-        acc = {}
-        for key, c in self.terms.items():
-            nk = key[:-1] + (-key[-1],)
-            acc[nk] = c.conj()
-        return Scalar(self.level, acc)
+        return Scalar(self.level, {key[:-1] + (-key[-1],): c.conj()
+                                   for key, c in self.terms.items()})
 
     def monomial_inverse(self) -> "Scalar":
         """Inverse of a single-term Scalar; raises on anything else.
@@ -487,21 +517,8 @@ class Scalar:
         (key, c), = self.terms.items()
         return Scalar(self.level, {tuple(-e for e in key): c.inverse()})
 
-    # -- predicates ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.level == other.level and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
 
     # -- evaluation -----------------------------------------------------------
 
@@ -561,9 +578,6 @@ class Scalar:
                     cs = f"({cs})"
             parts.append("*".join([cs] + syms) if syms else cs)
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.level}, {self})"
 
 
 # ---------------------------------------------------------------------------

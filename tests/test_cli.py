@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +195,13 @@ def test_each_weight_is_solved_once_per_run(monkeypatch):
     monkeypatch.undo()
     assert emit_report(report, "json") == emit_report(run_suite("all", (2, 3)),
                                                       "json")
+
+
+@pytest.mark.parametrize("selector", ["coherent", "dynamics", "resolution",
+                                      "suq2"])
+def test_report_matches_the_committed_golden_file(selector):
+    # exact, symbolic suites only: their reports must not change by a byte
+    # under a refactor (the numeric biortho residuals may vary by platform)
+    golden = Path(__file__).parent / "golden" / f"{selector}.json"
+    assert emit_report(run_suite(selector, (2, 5)), "json") == \
+        golden.read_text(encoding="utf-8")

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from grassq.errors import DyadShapeError, EtaUnexpressibleError, GramUnknownError
-from grassq.galg import Kind
-from grassq.opalg import (IDENT, OpExpr, PHI, PSI, bra, dual_identity_sum,
+from grassq.errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
+                           GramUnknownError)
+from grassq.galg import Kind, d_theta, d_thetabar
+from grassq.opalg import (IDENT, OpExpr, PHI, PSI, berezin_op, bra,
+                          dual_identity_sum,
                           eta_conjugate, ket, ket_op, make_ladder, op_dagger,
                           op_term, outer, q_commutator, sharp_adjoint,
                           theta_op, thetabar_op)
@@ -222,3 +224,15 @@ def test_completeness_two_sided_identity():
                                          if k[1] == IDENT})
         assert resolved @ word_times_identity == \
             word_times_identity @ resolved
+
+
+def test_berezin_op_validates_its_measure():
+    # the same measure rules as galg.berezin: only distinct dtheta and
+    # dthetabar symbols, checked before any term is integrated
+    with pytest.raises(EngineError, match="dtheta or dthetabar"):
+        berezin_op(theta_op(3, 2), [(Kind.THETA, 1)])
+    with pytest.raises(EngineError, match="distinct"):
+        berezin_op(theta_op(3, 2), [d_theta(), d_theta()])
+    with pytest.raises(EngineError, match="distinct"):
+        berezin_op(OpExpr.zero(3), [d_thetabar(), d_thetabar()])
+    assert berezin_op(theta_op(3, 2), [d_theta()]) == OpExpr.identity(3)

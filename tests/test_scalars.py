@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassq.errors import EngineError, LevelMismatchError
+from grassq.galg import GExpr
+from grassq.opalg import OpExpr
 from grassq.scalars import (Cyclo, Scalar, cyclotomic_polynomial,
                             rho_factorial, rho_factorial_inverse)
 
@@ -73,10 +75,30 @@ def test_scalar_conjugation_rules():
 
 
 def test_level_mismatch_raises():
-    with pytest.raises(LevelMismatchError):
-        Scalar.one(2) * Scalar.one(3)
-    with pytest.raises(LevelMismatchError):
-        Scalar.one(2) + Scalar.one(3)
+    cases = [
+        (Scalar.one, lambda a, b: a * b),
+        (Scalar.one, lambda a, b: a + b),
+        (Scalar.one, lambda a, b: a - b),
+        (GExpr.one, lambda a, b: a + b),
+        (GExpr.one, lambda a, b: a - b),
+        (GExpr.one, lambda a, b: a * b),
+        (OpExpr.identity, lambda a, b: a + b),
+        (OpExpr.identity, lambda a, b: a - b),
+        (OpExpr.identity, lambda a, b: a @ b),
+    ]
+    for build, combine in cases:
+        with pytest.raises(LevelMismatchError,
+                           match="cannot mix levels 2 and 3"):
+            combine(build(2), build(3))
+
+
+def test_sum_types_stay_apart_and_need_two_levels():
+    assert Scalar.zero(3) != GExpr.zero(3)
+    assert GExpr.zero(3) != OpExpr.zero(3)
+    assert not Scalar.zero(3) == OpExpr.zero(3)
+    for sum_type in (Scalar, GExpr, OpExpr):
+        with pytest.raises(ValueError, match="at least 2"):
+            sum_type(1)
 
 
 @st.composite
