@@ -202,15 +202,14 @@ def numeric_ladder(d: BiorthoDecomp, rho_values: Sequence[float]) -> LadderMatri
 def _dyad_matrix(d: BiorthoDecomp, dyad) -> tuple[str, np.ndarray]:
     n = d.size
     cols = {PSI: d.Psi, PHI: d.Phi}
-    if dyad == ("I",):
-        return "op", np.eye(n, dtype=complex)
-    tag = dyad[0]
-    if tag == "K":
-        return "ket", cols[dyad[1]][:, dyad[2]].reshape(n, 1)
-    if tag == "B":
-        return "bra", cols[dyad[1]][:, dyad[2]].conj().reshape(1, n)
-    return "op", np.outer(cols[dyad[1]][:, dyad[2]],
-                          cols[dyad[3]][:, dyad[4]].conj())
+    k, b = dyad
+    if k and b:
+        return "op", np.outer(cols[k[0]][:, k[1]], cols[b[0]][:, b[1]].conj())
+    if k:
+        return "ket", cols[k[0]][:, k[1]].reshape(n, 1)
+    if b:
+        return "bra", cols[b[0]][:, b[1]].conj().reshape(1, n)
+    return "op", np.eye(n, dtype=complex)
 
 
 def instantiate_numeric(expr: OpExpr, d: BiorthoDecomp,

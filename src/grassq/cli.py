@@ -22,6 +22,21 @@ from .errors import EngineError, ProblemFormatError
 from .suites import Problem, SELECTORS, emit_report, run_suite
 
 
+def _rho_value(text: str, name: str) -> Fraction:
+    """One rho: a rational that the numeric suite can read as a float > 0."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ProblemFormatError(f"{name} is not a valid rational") from None
+    try:
+        positive = float(value) > 0
+    except OverflowError:
+        positive = False
+    if not positive:
+        raise ProblemFormatError(f"{name} must convert to a finite float > 0")
+    return value
+
+
 def load_problem(path: str) -> Problem:
     """Parse and validate a problem description.
 
@@ -50,14 +65,7 @@ def load_problem(path: str) -> Problem:
         if not isinstance(item, str):
             raise ProblemFormatError(
                 f"{path}: rho[{k}] must be a rational encoded as a string")
-        try:
-            value = Fraction(item)
-        except (ValueError, ZeroDivisionError):
-            raise ProblemFormatError(
-                f"{path}: rho[{k}] = {item!r} is not a valid rational") from None
-        if value <= 0:
-            raise ProblemFormatError(f"{path}: rho[{k}] must be positive")
-        rho.append(value)
+        rho.append(_rho_value(item, f"{path}: rho[{k}] = {item!r}"))
     if len(rho) != n - 1:
         raise ProblemFormatError(
             f"{path}: expected {n - 1} rho values for n = {n}, got {len(rho)}")
@@ -110,16 +118,8 @@ def _default_matrix(n: int):
 
 
 def _parse_rho(text: str) -> tuple[Fraction, ...]:
-    values = []
-    for piece in text.split(","):
-        try:
-            value = Fraction(piece.strip())
-        except (ValueError, ZeroDivisionError):
-            raise EngineError(f"invalid rho value {piece!r}") from None
-        if value <= 0:
-            raise EngineError("rho values must be positive")
-        values.append(value)
-    return tuple(values)
+    pieces = [piece.strip() for piece in text.split(",")]
+    return tuple(_rho_value(piece, f"rho value {piece!r}") for piece in pieces)
 
 
 def _check_size(n: int, flag: str, max_n: int) -> None:

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import EngineError, NonTerminatingSeriesError
+from .errors import EngineError
 from .galg import Kind, grade
-from .opalg import (OpExpr, PHI, PSI, default_sqrt_rho, ket, ket_op,
-                    make_ladder, op_term, theta_op)
+from .opalg import (OpExpr, PHI, PSI, _nilpotent_series, default_sqrt_rho,
+                    ket, ket_op, make_ladder, op_term, theta_op)
 from .scalars import Scalar
 
 
@@ -83,20 +83,15 @@ def q_exponential(arg: OpExpr, level: int,
     does not exist, and the series is reported as non-terminating.
     """
     rho = tuple(sqrt_rho) if sqrt_rho is not None else default_sqrt_rho(level)
-    acc = OpExpr.identity(level)
-    power = OpExpr.identity(level)
-    inv_fact = Scalar.one(level)
-    for k in range(1, level + 1):
-        power = power @ arg
-        if power.is_zero:
-            return acc
-        if k > min(level - 1, len(rho)):
-            raise NonTerminatingSeriesError(
-                f"argument power {k} is still nonzero")
-        inv_rho_k = rho[k - 1].monomial_inverse()
-        inv_fact = inv_fact * inv_rho_k * inv_rho_k
-        acc = acc + power.scale(inv_fact)
-    return acc
+
+    def inverse_factorials():
+        inv_fact = Scalar.one(level)
+        for sqrt_rho_k in rho:
+            inv_rho_k = sqrt_rho_k.monomial_inverse()
+            inv_fact = inv_fact * inv_rho_k * inv_rho_k
+            yield inv_fact
+    return _nilpotent_series(arg, min(level - 1, len(rho)),
+                             inverse_factorials())
 
 
 def exponential_form(state: CoherentState) -> OpExpr:
@@ -124,7 +119,7 @@ def evolve_state(state: CoherentState,
     n = state.level
     if energy_of_level is None:
         energy_of_level = lambda k: -(n - k - 2)
-    return OpExpr(n, {(w, d): c * Scalar.u(n, energy_of_level(d[2]))
+    return OpExpr(n, {(w, d): c * Scalar.u(n, energy_of_level(d[0][1]))
                       for (w, d), c in state.body.terms.items()})
 
 

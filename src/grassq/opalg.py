@@ -1,12 +1,18 @@
 """Kets, bras and operators over the graded algebra.
 
 An :class:`OpExpr` is a formal sum of terms ``coefficient * word * dyad``
-where the word is a canonical Grassmann word and the dyad is one of
+where the word is a canonical Grassmann word and the dyad is the pair
+(ket side, bra side), each side either () or (family, index):
 
-    1                      the abstract identity operator
-    |F_i>                  a ket of family F in {psi, phi}
-    <F_j|                  a bra
-    |F_i><G_j|             an outer product
+    ((), ())          1            the abstract identity operator
+    ((F, i), ())      |F_i>        a ket of family F in {psi, phi}
+    ((), (G, j))      <G_j|        a bra
+    ((F, i), (G, j))  |F_i><G_j|   an outer product
+
+Composing d1 with d2 is one rule: the identity passes the other dyad
+through; otherwise d1's bra side meets d2's ket side, where both must be
+absent or both present (else :class:`DyadShapeError`), a present pair
+contracts to delta_ij, and the result is (d1's ket side, d2's bra side).
 
 Moving a variable across a ket or bra picks up the quantization phases
 
@@ -33,10 +39,10 @@ the Grassmann variables).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
-                     GramUnknownError)
+                     GramUnknownError, NonTerminatingSeriesError)
 from .galg import (GExpr, Kind, Word, _integrate_terms, _word_str,
                    normalize_word)
 from .scalars import Scalar, _SparseSum, _accumulate
@@ -44,21 +50,21 @@ from .scalars import Scalar, _SparseSum, _accumulate
 PSI = "psi"
 PHI = "phi"
 
-IDENT = ("I",)
+IDENT = ((), ())
 
 Dyad = tuple
 
 
 def ket(family: str, index: int) -> Dyad:
-    return ("K", family, index)
+    return ((family, index), ())
 
 
 def bra(family: str, index: int) -> Dyad:
-    return ("B", family, index)
+    return ((), (family, index))
 
 
 def outer(ket_family: str, i: int, bra_family: str, j: int) -> Dyad:
-    return ("O", ket_family, i, bra_family, j)
+    return ((ket_family, i), (bra_family, j))
 
 
 def _dual(family: str) -> str:
@@ -66,13 +72,11 @@ def _dual(family: str) -> str:
 
 
 def _dyad_str(d: Dyad) -> str:
-    if d == IDENT:
+    k, b = d
+    if not (k or b):
         return "1"
-    if d[0] == "K":
-        return f"|{d[1]}_{d[2]}>"
-    if d[0] == "B":
-        return f"<{d[1]}_{d[2]}|"
-    return f"|{d[1]}_{d[2]}><{d[3]}_{d[4]}|"
+    return ((f"|{k[0]}_{k[1]}>" if k else "")
+            + (f"<{b[0]}_{b[1]}|" if b else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +90,8 @@ def _cross_single(kind: int, d: Dyad) -> int:
     if kind not in (Kind.THETA, Kind.THETABAR):
         raise EngineError("measure symbols cannot cross kets or bras")
     sign = 1 if kind == Kind.THETA else -1
-    if d[0] == "K":
-        return -sign * (d[2] - 1)
-    if d[0] == "B":
-        return sign * (d[2] - 1)
-    return sign * ((d[4] - 1) - (d[2] - 1))
+    k, b = d
+    return sign * ((b[1] - 1 if b else 0) - (k[1] - 1 if k else 0))
 
 
 def _cross_word(word: Word, d: Dyad) -> int:
@@ -99,43 +100,25 @@ def _cross_word(word: Word, d: Dyad) -> int:
     return sum(_cross_single(k, d) * e for k, _, e in word)
 
 
-def _contract(d1: Dyad, d2: Dyad) -> tuple[bool, Dyad]:
-    """Compose two dyads; returns (survives, dyad).
+def _contract(d1: Dyad, d2: Dyad) -> Dyad | None:
+    """Compose two dyads; None when the pairing <d1 bra|d2 ket> vanishes.
 
     Mixed-family pairings contract with delta on the indices; pairings
     inside one family are refused.
     """
     if d1 == IDENT:
-        return True, d2
+        return d2
     if d2 == IDENT:
-        return True, d1
-    t1, t2 = d1[0], d2[0]
-    if t1 == "K":
-        if t2 == "B":
-            return True, outer(d1[1], d1[2], d2[1], d2[2])
+        return d1
+    b, k = d1[1], d2[0]
+    if bool(b) != bool(k):
         raise DyadShapeError(f"cannot compose {_dyad_str(d1)} with {_dyad_str(d2)}")
-    if t1 == "B":
-        if t2 == "K":
-            _require_dual(d1[1], d2[1])
-            return (d1[2] == d2[2]), IDENT
-        if t2 == "O":
-            _require_dual(d1[1], d2[1])
-            return (d1[2] == d2[2]), bra(d2[3], d2[4])
-        raise DyadShapeError(f"cannot compose {_dyad_str(d1)} with {_dyad_str(d2)}")
-    # t1 == "O"
-    if t2 == "K":
-        _require_dual(d1[3], d2[1])
-        return (d1[4] == d2[2]), ket(d1[1], d1[2])
-    if t2 == "O":
-        _require_dual(d1[3], d2[1])
-        return (d1[4] == d2[2]), outer(d1[1], d1[2], d2[3], d2[4])
-    raise DyadShapeError(f"cannot compose {_dyad_str(d1)} with {_dyad_str(d2)}")
-
-
-def _require_dual(f1: str, f2: str) -> None:
-    if f1 == f2:
+    if b and b[0] == k[0]:
         raise GramUnknownError(
-            f"<{f1}|{f2}> overlaps are not determined by biorthonormality")
+            f"<{b[0]}|{k[0]}> overlaps are not determined by biorthonormality")
+    if b and b[1] != k[1]:
+        return None
+    return (d1[0], d2[1])
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +156,8 @@ class OpExpr(_SparseSum):
         def products():
             for (w1, d1), c1 in self.terms.items():
                 for (w2, d2), c2 in other.terms.items():
-                    survives, dyad = _contract(d1, d2)
-                    if not survives:
+                    dyad = _contract(d1, d2)
+                    if dyad is None:
                         continue
                     cross = _cross_word(w2, d1)
                     qe, w = normalize_word(level, w1 + w2)
@@ -193,7 +176,9 @@ class OpExpr(_SparseSum):
     # -- display -----------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Word, Dyad, Scalar]]:
-        keys = sorted(self.terms, key=lambda k: (k[1], k[0]))
+        # bras, identity, kets, outers: plain pair order would mix the four
+        keys = sorted(self.terms, key=lambda k: (
+            bool(k[1][0]), bool(k[1][0]) == bool(k[1][1]), k[1], k[0]))
         return [(w, d, self.terms[(w, d)]) for w, d in keys]
 
     def __str__(self) -> str:
@@ -233,14 +218,7 @@ def op_dagger(e: OpExpr) -> OpExpr:
 
     def flipped():
         for (w, d), c in e.terms.items():
-            if d == IDENT:
-                nd: Dyad = IDENT
-            elif d[0] == "K":
-                nd = bra(d[1], d[2])
-            elif d[0] == "B":
-                nd = ket(d[1], d[2])
-            else:
-                nd = outer(d[3], d[4], d[1], d[2])
+            nd = (d[1], d[0])
             # the reversed word stands right of the new dyad and crosses it
             nw = tuple((swap[Kind(k)], i, x) for k, i, x in reversed(w))
             cross = _cross_word(nw, nd)
@@ -258,35 +236,18 @@ def eta_conjugate(e: OpExpr, inverse: bool = False) -> OpExpr:
     family for the chosen direction raise, since their image would need
     the metric squared.
     """
-    ket_map = {PHI: PSI} if inverse else {PSI: PHI}
-    bra_map = {PSI: PHI} if inverse else {PHI: PSI}
+    ket_family = PHI if inverse else PSI
+    bra_family = _dual(ket_family)
 
-    def map_ket(f: str) -> str:
-        try:
-            return ket_map[f]
-        except KeyError:
+    def relabel(side, role: str, family: str):
+        if side and side[0] != family:
             raise EtaUnexpressibleError(
-                f"metric action on a {f} ket is not expressible") from None
+                f"metric action on a {side[0]} {role} is not expressible")
+        return (_dual(family), side[1]) if side else side
 
-    def map_bra(f: str) -> str:
-        try:
-            return bra_map[f]
-        except KeyError:
-            raise EtaUnexpressibleError(
-                f"metric action on a {f} bra is not expressible") from None
-
-    acc: dict[tuple[Word, Dyad], Scalar] = {}
-    for (w, d), c in e.terms.items():
-        if d == IDENT:
-            nd: Dyad = IDENT
-        elif d[0] == "K":
-            nd = ket(map_ket(d[1]), d[2])
-        elif d[0] == "B":
-            nd = bra(map_bra(d[1]), d[2])
-        else:
-            nd = outer(map_ket(d[1]), d[2], map_bra(d[3]), d[4])
-        acc[(w, nd)] = c
-    return OpExpr(e.level, acc)
+    return OpExpr(e.level, {
+        (w, (relabel(k, "ket", ket_family), relabel(b, "bra", bra_family))): c
+        for (w, (k, b)), c in e.terms.items()})
 
 
 def sharp_adjoint(e: OpExpr) -> OpExpr:
@@ -298,6 +259,25 @@ def q_commutator(a: OpExpr, b: OpExpr) -> OpExpr:
     """[A, B]_q = A B - q B A."""
     a._check(b)
     return (a @ b) - (b @ a).scale(Scalar.q(a.level))
+
+
+def _nilpotent_series(arg: OpExpr, bound: int,
+                      weights: Iterator[Scalar | Fraction]) -> OpExpr:
+    """sum_k w_k arg^k (w_0 = 1) up to the first vanishing power of arg.
+
+    ``weights`` yields w_1, w_2, ... and is read only for nonzero powers;
+    a power past ``bound`` that is still nonzero raises.
+    """
+    acc = power = OpExpr.identity(arg.level)
+    for k in range(1, bound + 2):
+        power = power @ arg
+        if power.is_zero:
+            return acc
+        if k > bound:
+            raise NonTerminatingSeriesError(
+                f"argument power {k} is still nonzero")
+        acc = acc + power.scale(next(weights))
+    return acc
 
 
 # ---------------------------------------------------------------------------

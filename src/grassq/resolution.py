@@ -170,9 +170,10 @@ def solve_weight(level: int,
     columns = {}
     for kl in [(k, l) for k in range(n) for l in range(n)]:
         integral = _integrate(_weight(n, {kl: Scalar.one(n)}), outer_product)
-        if any(word or dyad[0] != "O" for word, dyad in integral.terms):
+        if any(word or not (k and b) for word, (k, b) in integral.terms):
             raise EngineError("unexpected term shape in weight system")
-        columns[kl] = {(d[2], d[4]): c for (_, d), c in integral.terms.items()}
+        columns[kl] = {(k[1], b[1]): c
+                       for (_, (k, b)), c in integral.terms.items()}
     return _weight(n, _solve_permutation(n, columns))
 
 

@@ -23,13 +23,16 @@ exactly, because metric conjugation is an algebra homomorphism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
-from .errors import EngineError, NonTerminatingSeriesError
+from .errors import EngineError
 from .galg import Kind
-from .opalg import (OpExpr, PHI, PSI, eta_conjugate, ket, ket_op, make_ladder,
-                    op_dagger, op_term, q_commutator, theta_op, thetabar_op)
+from .opalg import (OpExpr, PHI, PSI, _nilpotent_series, eta_conjugate, ket,
+                    ket_op, make_ladder, op_dagger, op_term, q_commutator,
+                    theta_op, thetabar_op)
 from .scalars import Scalar
 
 LEVELS = 3
@@ -133,21 +136,9 @@ def verify_suq2_relations(sys: Suq2System) -> Suq2Relations:
 
 def factorial_exponential(arg: OpExpr, max_power: int | None = None) -> OpExpr:
     """exp(arg) = sum_k arg^k / k!, exact, for nilpotent arguments."""
-    level = arg.level
-    bound = 2 * level + 1 if max_power is None else max_power
-    acc = OpExpr.identity(level)
-    power = OpExpr.identity(level)
-    fact = 1
-    for k in range(1, bound + 2):
-        power = power @ arg
-        if power.is_zero:
-            return acc
-        if k > bound:
-            raise NonTerminatingSeriesError(
-                f"argument power {k} is still nonzero")
-        fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
-    return acc
+    bound = 2 * arg.level + 1 if max_power is None else max_power
+    return _nilpotent_series(arg, bound, (Fraction(1, math.factorial(k))
+                                          for k in count(1)))
 
 
 def squeeze_argument(sys: Suq2System) -> OpExpr:

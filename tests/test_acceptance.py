@@ -71,7 +71,7 @@ def test_criterion_3_bi_overcompleteness():
         for pair in SAME_PAIRS:
             defect = verify_resolution(weight, pair)
             assert not defect.is_zero, (n, pair)
-            families = {(d[1], d[3])
+            families = {(d[0][0], d[1][0])
                         for _, d in resolution_integral(weight, pair).terms}
             assert families == {(pair[0], pair[0])}
         # arbitration between the two closed-form candidates

@@ -180,6 +180,27 @@ def test_non_finite_matrix_entries_are_input_errors(tmp_path, capsys):
         load_problem(str(path))
 
 
+def test_rho_outside_the_float_range_is_a_usage_error(capsys):
+    # the numeric suite reads rho as a float: 1e400 overflows it and
+    # 1e-400 rounds to zero, though both are positive rationals
+    for bad in ("1e400", "1e-400"):
+        assert main(["verify", "biortho", "--rho", bad]) == 2
+        err = capsys.readouterr().err
+        assert "rho value '%s' must convert to a finite float > 0" % bad in err
+        assert "Traceback" not in err
+
+
+def test_problem_rho_outside_the_float_range_is_an_input_error(tmp_path,
+                                                                capsys):
+    for k, bad in enumerate(("1e400", "1e-400")):
+        path = write(tmp_path, f"r{k}.json", {
+            "n": 2, "rho": [bad], "H": [[[1, 0], [4, 0]], [[1, 0], [1, 0]]]})
+        assert main(["verify", "biortho", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "rho[0] = '%s' must convert to a finite float > 0" % bad in err
+        assert "Traceback" not in err
+
+
 def test_each_weight_is_solved_once_per_run(monkeypatch):
     import grassq.suites as suites
     calls = []

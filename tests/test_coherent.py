@@ -89,7 +89,7 @@ def test_evolution_default_spectrum():
     evolved = evolve_state(state)
     # E_k = -(n-k-2) E, so (E_0, E_1, E_2) = (-E, 0, E) at n=3
     for (w, d), c in evolved.terms.items():
-        k = d[2]
+        k = d[0][1]
         assert c == state.body.terms[(w, d)] * Scalar.u(n, -(n - k - 2))
 
 
@@ -98,7 +98,7 @@ def test_evolution_two_levels():
     state = make_coherent(2, PSI)
     evolved = evolve_state(state)
     for (w, d), c in evolved.terms.items():
-        expected = state.body.terms[(w, d)] * Scalar.u(2, -(2 - d[2] - 2))
+        expected = state.body.terms[(w, d)] * Scalar.u(2, -(2 - d[0][1] - 2))
         assert c == expected
     assert evolved.terms[((), ket(PSI, 0))] == Scalar.one(2)
 
@@ -134,4 +134,4 @@ def test_exponential_form_uses_the_right_vacuum():
     state = make_coherent(n, PHI)
     form = exponential_form(state)
     assert ((), ket(PHI, 0)) in form.terms
-    assert all(d[1] == PHI for (_, d) in form.terms)
+    assert all(d[0][0] == PHI for (_, d) in form.terms)

@@ -77,6 +77,63 @@ def test_gram_and_shape_errors():
             OpExpr(n, {((), bra(PHI, 1)): _one(n)})
 
 
+# the bra and the outer on the left end in <phi_1|; the ket and the outer
+# on the right start with |F_i>, over a dual (psi) or same (phi) family F
+# and an equal (1) or unequal (2) index i
+LEFT = {"1": IDENT, "K": ket(PSI, 0), "B": bra(PHI, 1),
+        "O": outer(PSI, 0, PHI, 1)}
+RIGHT = {"1": lambda f, i: IDENT, "K": lambda f, i: ket(f, i),
+         "B": lambda f, i: bra(PSI, 2), "O": lambda f, i: outer(f, i, PSI, 2)}
+RIGHT_SIDES = ((PSI, 1), (PSI, 2), (PHI, 1), (PHI, 2))
+ZERO, SHAPE, GRAM = None, DyadShapeError, GramUnknownError
+COMPOSITION_TABLE = {
+    ("1", "1"): (IDENT,) * 4,
+    ("1", "K"): (ket(PSI, 1), ket(PSI, 2), ket(PHI, 1), ket(PHI, 2)),
+    ("1", "B"): (bra(PSI, 2),) * 4,
+    ("1", "O"): (outer(PSI, 1, PSI, 2), outer(PSI, 2, PSI, 2),
+                 outer(PHI, 1, PSI, 2), outer(PHI, 2, PSI, 2)),
+    ("K", "1"): (ket(PSI, 0),) * 4,
+    ("K", "K"): (SHAPE,) * 4,
+    ("K", "B"): (outer(PSI, 0, PSI, 2),) * 4,
+    ("K", "O"): (SHAPE,) * 4,
+    ("B", "1"): (bra(PHI, 1),) * 4,
+    ("B", "K"): (IDENT, ZERO, GRAM, GRAM),
+    ("B", "B"): (SHAPE,) * 4,
+    ("B", "O"): (bra(PSI, 2), ZERO, GRAM, GRAM),
+    ("O", "1"): (outer(PSI, 0, PHI, 1),) * 4,
+    ("O", "K"): (ket(PSI, 0), ZERO, GRAM, GRAM),
+    ("O", "B"): (SHAPE,) * 4,
+    ("O", "O"): (outer(PSI, 0, PSI, 2), ZERO, GRAM, GRAM),
+}
+
+
+def test_composition_table_of_every_shape_pair():
+    n = 3
+    for (left, right), outcomes in COMPOSITION_TABLE.items():
+        a = OpExpr(n, {((), LEFT[left]): _one(n)})
+        for (f, i), expected in zip(RIGHT_SIDES, outcomes):
+            b = OpExpr(n, {((), RIGHT[right](f, i)): _one(n)})
+            case = (left, right, f, i)
+            if expected in (SHAPE, GRAM):
+                with pytest.raises(expected):
+                    a @ b
+            elif expected is ZERO:
+                assert (a @ b).is_zero, case
+            else:
+                assert a @ b == OpExpr(n, {((), expected): _one(n)}), case
+
+
+def test_display_order_of_mixed_shapes():
+    # bras, then the identity, then kets, then outers, each group in
+    # family and index order, whatever order the terms were added in
+    n = 3
+    e = OpExpr(n, {((), d): _one(n) for d in (
+        outer(PSI, 1, PHI, 0), ket(PSI, 2), IDENT, ket(PHI, 0),
+        bra(PHI, 1))})
+    assert str(e) == ("(1) 1 <phi_1| + (1) 1 1 + (1) 1 |phi_0> + "
+                      "(1) 1 |psi_2> + (1) 1 |psi_1><phi_0|")
+
+
 def test_ladder_forms():
     n = 3
     s1, s2 = Scalar.s(n, 1), Scalar.s(n, 2)
@@ -215,10 +272,10 @@ def test_completeness_two_sided_identity():
         resolved = dual_identity_sum(n, PSI)
         x = random_standard_opexpr(rng, n)
         left_composable = OpExpr(n, {k: v for k, v in x.terms.items()
-                                     if k[1][0] not in ("B", "I")})
+                                     if k[1][0]})
         assert resolved @ left_composable == left_composable
         right_composable = OpExpr(n, {k: v for k, v in x.terms.items()
-                                      if k[1][0] not in ("K", "I")})
+                                      if k[1][1]})
         assert right_composable @ resolved == right_composable
         word_times_identity = OpExpr(n, {k: v for k, v in x.terms.items()
                                          if k[1] == IDENT})

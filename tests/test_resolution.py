@@ -55,7 +55,7 @@ def test_same_family_pairs_fail_structurally():
             defect = verify_resolution(weight, pair)
             assert not defect.is_zero
             integral = resolution_integral(weight, pair)
-            families = {(d[1], d[3]) for (_, d) in integral.terms}
+            families = {(d[0][0], d[1][0]) for (_, d) in integral.terms}
             assert families == {(pair[0], pair[0])}
 
 

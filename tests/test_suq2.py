@@ -4,8 +4,8 @@ import pytest
 
 from grassq.errors import EngineError, NonTerminatingSeriesError
 from grassq.galg import Kind
-from grassq.opalg import (OpExpr, PHI, PSI, eta_conjugate, ket, ket_op,
-                          make_ladder, op_dagger, op_term, outer,
+from grassq.opalg import (IDENT, OpExpr, PHI, PSI, eta_conjugate, ket,
+                          ket_op, make_ladder, op_dagger, op_term, outer,
                           q_commutator, theta_op, thetabar_op)
 from grassq.scalars import Scalar
 from grassq.suq2 import (check_closure, closure_prefactors,
@@ -200,5 +200,5 @@ def test_closed_form_comparison_target_shape():
     # the quadratic closed form has exactly the identity, two first-order
     # and two second-order terms
     closed = squeeze_closed_form(make_suq2(3))
-    assert ((), ("I",)) in closed.terms
+    assert ((), IDENT) in closed.terms
     assert len(closed.terms) == 5
