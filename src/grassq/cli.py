@@ -22,8 +22,28 @@ from .errors import EngineError, ProblemFormatError
 from .suites import Problem, SELECTORS, emit_report, run_suite
 
 
+# The exact decimal of any double has at most 1,075 digits.
+_MAX_RHO_DIGITS = 1100
+
+
 def _rho_value(text: str, name: str) -> Fraction:
-    """One rho: a rational that the numeric suite can read as a float > 0."""
+    """One rho: a rational that the numeric suite can read as a float > 0.
+
+    The text is bounded before ``Fraction`` reads it, because ``Fraction``
+    expands a decimal exponent into an exact integer first.  A mantissa of
+    D digits times 10^e lies between 10^(e-D) and 10^(e+D), so e - D > 308
+    or e + D < -324 cannot give a finite float > 0 (1.8e308 .. 4.9e-324).
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(ch.isdigit() for ch in mantissa)
+    if digits > _MAX_RHO_DIGITS:
+        raise ProblemFormatError(f"{name} has more than {_MAX_RHO_DIGITS} digits")
+    try:
+        shift = int(exponent) if exponent else 0
+    except ValueError:
+        shift = 0  # malformed: Fraction refuses it without expanding it
+    if shift - digits > 308 or shift + digits < -324:
+        raise ProblemFormatError(f"{name} must convert to a finite float > 0")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -20,6 +20,18 @@ exactly one solution, read off by inverting the entries on the diagonal
 dyads; any other shape is refused.  The solver, not any closed formula,
 is the source of truth; the two closed-form candidates below are
 compared against it index by index.
+
+Every integral is formed by degree complement.  The measure keeps a word
+only when it holds theta_1^(n-1) thetabar_1^(n-1) (int dtheta theta^k =
+delta(k, n-1)).  Normal ordering merges equal generators by adding their
+exponents, returns zero at an exponent >= n, and a phase never changes
+an exponent; so a product's theta_1 and thetabar_1 exponents are the
+sums of its factors'.  The integrand w |A><B| is therefore split by the
+(theta_1, thetabar_1) exponents of each word, and a weight block (a, b)
+is multiplied only by the outer-product block (n-1-a, n-1-b).  Every
+product left out integrates to exactly 0, so no result changes.
+|theta><theta~| is split once per solve and once per
+:func:`resolution_integral` call.
 """
 
 from __future__ import annotations
@@ -28,7 +40,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EngineError, SingularSystemError
-from .galg import GExpr, Kind, d_theta, d_thetabar, grade, normalize_word
+from .galg import (GExpr, Kind, Word, d_theta, d_thetabar, grade,
+                   normalize_word)
 from .opalg import (OpExpr, PHI, PSI, berezin_op, dual_identity_sum,
                     op_dagger)
 from .coherent import evolve_state, make_coherent
@@ -93,8 +106,38 @@ def _pair_outer(level: int, pair: tuple[str, str],
     return ket_body @ op_dagger(bra_body)
 
 
-def _integrate(weight: Weight, outer_product: OpExpr) -> OpExpr:
-    return berezin_op(OpExpr.from_gexpr(weight.expr) @ outer_product, MEASURE)
+def _measured_degrees(word: Word) -> tuple[int, int]:
+    """Exponents of theta_1 and thetabar_1, the two variables MEASURE
+    integrates (a canonical word holds each generator at most once)."""
+    exps = {(kind, index): exp for kind, index, exp in word}
+    return exps.get((Kind.THETA, 1), 0), exps.get((Kind.THETABAR, 1), 0)
+
+
+def _blocks(e: OpExpr) -> dict[tuple[int, int], OpExpr]:
+    """``e`` split into one OpExpr per measured degrees of its words."""
+    blocks: dict = {}
+    for key, c in e.terms.items():
+        blocks.setdefault(_measured_degrees(key[0]), {})[key] = c
+    return {d: OpExpr(e.level, terms) for d, terms in blocks.items()}
+
+
+def _integrate(weight: Weight,
+               outer_blocks: dict[tuple[int, int], OpExpr]) -> OpExpr:
+    """int dthetabar dtheta w |A><B| with ``outer_blocks`` = ``_blocks(|A><B|)``.
+
+    A weight block of degrees (a, b) meets only the outer block
+    (n-1-a, n-1-b) (see the module docstring); every other pair would
+    integrate to 0 and is never formed.  Nor is it normal ordered, so a
+    generator pair without an exchange rule inside it goes unreported:
+    its value is 0 however that missing rule would read.
+    """
+    top = weight.level - 1
+    integrand = OpExpr.zero(weight.level)
+    for (a, b), block in _blocks(OpExpr.from_gexpr(weight.expr)).items():
+        partner = outer_blocks.get((top - a, top - b))
+        if partner is not None:
+            integrand = integrand + block @ partner
+    return berezin_op(integrand, MEASURE)
 
 
 def resolution_integral(weight: Weight, pair: tuple[str, str],
@@ -106,7 +149,8 @@ def resolution_integral(weight: Weight, pair: tuple[str, str],
     dagger provides the bra.  With ``evolved`` both states carry their
     time evolution factors first.
     """
-    return _integrate(weight, _pair_outer(weight.level, pair, sqrt_rho, evolved))
+    return _integrate(weight, _blocks(
+        _pair_outer(weight.level, pair, sqrt_rho, evolved)))
 
 
 def identity_target(level: int, pair: tuple[str, str]) -> OpExpr:
@@ -166,10 +210,10 @@ def solve_weight(level: int,
     solution unique, and the solution must be diagonal.
     """
     n = level
-    outer_product = _pair_outer(n, (PSI, PHI), sqrt_rho)
+    outer_blocks = _blocks(_pair_outer(n, (PSI, PHI), sqrt_rho))
     columns = {}
     for kl in [(k, l) for k in range(n) for l in range(n)]:
-        integral = _integrate(_weight(n, {kl: Scalar.one(n)}), outer_product)
+        integral = _integrate(_weight(n, {kl: Scalar.one(n)}), outer_blocks)
         if any(word or not (k and b) for word, (k, b) in integral.terms):
             raise EngineError("unexpected term shape in weight system")
         columns[kl] = {(k[1], b[1]): c

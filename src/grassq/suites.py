@@ -9,6 +9,9 @@ symbolic checks, a residual for numeric ones).  Statuses:
     reported-discrepancy  a comparison against a quoted closed form that
                           the mechanical expansion contradicts; recorded
                           verbatim, never silently reconciled
+    error                 the check raised; the defect is
+                          "<ExceptionType>: <message>", the run goes on
+                          and the check counts as failed
 
 Reports are deterministic: checks are sorted by id and timings are only
 included on request, so the default output is byte-identical across runs.
@@ -69,7 +72,7 @@ class SuiteReport:
 
     @property
     def failed(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
+        return sum(1 for c in self.checks if c.status in ("fail", "error"))
 
     @property
     def discrepancies(self) -> int:
@@ -91,12 +94,16 @@ class _Runner:
     def _run(self, check_id: str, ref: str, fn: Callable,
              judge: Callable, bad: str = "fail") -> None:
         """Time ``fn``, let ``judge`` turn its value into (ok, defect) and
-        record the check as pass, or as ``bad`` when not ok."""
+        record the check as pass, as ``bad`` when not ok, or as error when
+        either raises."""
         t0 = time.perf_counter()
-        ok, defect = judge(fn())
+        try:
+            ok, defect = judge(fn())
+            status = "pass" if ok else bad
+        except Exception as exc:
+            status, defect = "error", f"{type(exc).__name__}: {exc}"
         elapsed = (time.perf_counter() - t0) * 1000.0 if self.timings else None
-        self.checks.append(CheckResult(check_id, ref, "pass" if ok else bad,
-                                       defect, elapsed))
+        self.checks.append(CheckResult(check_id, ref, status, defect, elapsed))
 
     def zero(self, check_id: str, ref: str, fn: Callable) -> None:
         """Identity that must hold exactly."""
@@ -367,7 +374,10 @@ def emit_report(report: SuiteReport, fmt: str = "text") -> str:
         if c.runtime_ms is not None:
             line += f"  ({c.runtime_ms:.1f} ms)"
         lines.append(line)
+    n_errors = sum(1 for c in report.checks if c.status == "error")
+    errors = f" ({n_errors} error)" if n_errors else ""
     lines.append(f"{len(report.checks)} checks: "
                  f"{len(report.checks) - report.failed - report.discrepancies} pass, "
-                 f"{report.failed} fail, {report.discrepancies} reported-discrepancy")
+                 f"{report.failed} fail{errors}, "
+                 f"{report.discrepancies} reported-discrepancy")
     return "\n".join(lines)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,57 @@ def test_problem_rho_outside_the_float_range_is_an_input_error(tmp_path,
         assert "Traceback" not in err
 
 
+def test_rho_exponent_is_bounded_before_fraction_reads_it(tmp_path,
+                                                          monkeypatch, capsys):
+    # Fraction("1e100000000") builds a 10^8-digit integer before any range
+    # check; both parsers must refuse such text without handing it over
+    import grassq.cli as cli
+    huge = ("1e100000000", "1e-100000000")
+
+    def guarded(*args):
+        if args and args[0] in huge:
+            raise AssertionError(f"Fraction({args[0]!r}) reached")
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", guarded)
+    assert main(["verify", "biortho", "--rho", huge[0]]) == 2
+    err = capsys.readouterr().err
+    assert f"rho value '{huge[0]}'" in err and "Traceback" not in err
+    path = write(tmp_path, "p.json", {"n": 2, "rho": [huge[1]]})
+    assert main(["verify", "biortho", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert f"rho[0] = '{huge[1]}'" in err and "Traceback" not in err
+    path = write(tmp_path, "long.json", {"n": 2, "rho": ["1" * 1101]})
+    assert main(["verify", "biortho", "--input", path]) == 2
+    assert "more than 1100 digits" in capsys.readouterr().err
+    for text in ("2", "3/2", "1e-300", " 7 ", "2.5E3"):
+        assert cli._rho_value(text, "rho") == Fraction(text)
+
+
+def test_a_raising_check_is_an_error_and_the_run_goes_on(monkeypatch, capsys):
+    import grassq.suites as suites
+
+    def broken(level, family):
+        raise ValueError(f"broken at n={level}")
+
+    monkeypatch.setattr(suites, "check_stability", broken)
+    report = run_suite("dynamics", (2, 3))
+    by_id = {c.id: c for c in report.checks}
+    for n in (2, 3):
+        for family in ("psi", "phi"):
+            check = by_id[f"dynamics/n={n}/stability-{family}"]
+            assert check.status == "error"
+            assert check.defect == f"ValueError: broken at n={n}"
+        assert by_id[f"dynamics/n={n}/evolved-resolution"].status == "pass"
+    assert report.failed == 4
+    assert emit_report(report).endswith(
+        "6 checks: 2 pass, 4 fail (4 error), 0 reported-discrepancy")
+    assert main(["verify", "dynamics", "--n", "2..2"]) == 1
+    out, err = capsys.readouterr()
+    assert "error " in out and "ValueError: broken at n=2" in out
+    assert "Traceback" not in err
+
+
 def test_each_weight_is_solved_once_per_run(monkeypatch):
     import grassq.suites as suites
     calls = []
@@ -218,11 +270,14 @@ def test_each_weight_is_solved_once_per_run(monkeypatch):
                                                       "json")
 
 
-@pytest.mark.parametrize("selector", ["coherent", "dynamics", "resolution",
-                                      "suq2"])
-def test_report_matches_the_committed_golden_file(selector):
+@pytest.mark.parametrize("name", ["coherent", "dynamics", "resolution",
+                                  "suq2", "dynamics-6-11", "resolution-6-11"])
+def test_report_matches_the_committed_golden_file(name):
     # exact, symbolic suites only: their reports must not change by a byte
-    # under a refactor (the numeric biortho residuals may vary by platform)
-    golden = Path(__file__).parent / "golden" / f"{selector}.json"
-    assert emit_report(run_suite(selector, (2, 5)), "json") == \
-        golden.read_text(encoding="utf-8")
+    # under a refactor (the numeric biortho residuals may vary by platform);
+    # "<selector>-<lo>-<hi>" names a level range other than 2..5
+    selector, *levels = name.split("-")
+    lo, hi = map(int, levels) if levels else (2, 5)
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert emit_report(run_suite(selector, (lo, hi), max_n=hi),
+                       "json") == golden.read_text(encoding="utf-8")
