@@ -187,6 +187,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.rho is not None:
             rho = _parse_rho(args.rho)
             if problem is not None:
+                if len(rho) != problem.n - 1:
+                    raise EngineError(
+                        f"--rho needs {problem.n - 1} values for the --input "
+                        f"problem's n = {problem.n}, got {len(rho)}")
                 problem = Problem(n=problem.n, rho=rho, H=problem.H)
             else:
                 n = len(rho) + 1

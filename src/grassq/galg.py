@@ -13,19 +13,25 @@ primitive n-th root of unity, the defining exchange rules are
     thetabar dthetabar    = qbar dthetabar thetabar    (same index)
     dtheta dthetabar      = qbar dthetabar dtheta      (same index)
 
-together with nilpotency theta_i^n = thetabar_i^n = 0.  Any pair these
-rules do not cover (for instance theta_1 thetabar_2) raises
-:class:`UnspecifiedRelationError` rather than guessing a phase.
+together with nilpotency theta_i^n = thetabar_i^n = 0.
 
 The canonical order is: all dthetabar, then all dtheta, then all theta,
-then all thetabar, each kind sorted by index.  Integration follows the
-rule `int dtheta theta^k = delta(k, n-1)`, applied innermost first after
+then all thetabar, each kind sorted by index.  Normal ordering is in
+closed form: the swap phase is bilinear in the exponents and any
+sequence of adjacent swaps exchanges each out-of-order pair of factors
+exactly once, so a raw product equals q**e times its sorted, merged
+word, with e the sum over out-of-order pairs of their exchange exponent
+times both exponents.  An out-of-order pair that the rules do not cover
+(for instance thetabar_2 before theta_1) raises
+:class:`UnspecifiedRelationError` rather than guessing a phase; that is
+checked before nilpotency, so whether a word raises never depends on
+the order in which it is rewritten.  Integration follows the rule
+`int dtheta theta^k = delta(k, n-1)`, applied innermost first after
 commuting each measure symbol rightward to its own variable block.
 """
 
 from __future__ import annotations
 
-import random
 from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
@@ -87,49 +93,40 @@ def _swap_qexp(left: tuple[int, int], right: tuple[int, int]) -> int:
         f"{_KIND_NAMES[Kind(rk)]}{ri}")
 
 
-def normalize_word(level: int, factors: Iterable[Factor],
-                   rng: Optional[random.Random] = None) -> tuple[int, Optional[Word]]:
+def normalize_word(level: int, factors: Iterable[Factor]) -> tuple[int, Optional[Word]]:
     """Bring a raw product into canonical order.
 
     Returns ``(e, word)`` where the input equals q**e times the canonical
-    word, or ``(0, None)`` when nilpotency collapses the product to zero.
-    With ``rng`` given, applicable rewrites are applied in random order;
-    confluence of the rule system makes the result independent of that
-    choice (and the property tests check so).
+    word, or ``(0, None)`` when a merged exponent reaches ``level``.  One
+    left-to-right insertion pass: each factor moves left past the blocks
+    with a larger (kind, index), picking up their exchange phase, then
+    merges into an equal block or is inserted.  Every out-of-order pair
+    is met, so an uncovered one raises even when the product vanishes.
     """
-    fs: list[Factor] = []
-    for kind, index, exp in factors:
-        if exp < 0:
-            raise EngineError("negative generator exponent")
-        if exp == 0:
-            continue
-        if exp >= level:
-            return 0, None
-        fs.append((int(kind), index, exp))
+    word: list[Factor] = []
     qexp = 0
-    while True:
-        actions = []
-        for p in range(len(fs) - 1):
-            k1, i1, _ = fs[p]
-            k2, i2, _ = fs[p + 1]
-            if (k1, i1) == (k2, i2):
-                actions.append((p, True))
-            elif (k1, i1) > (k2, i2):
-                actions.append((p, False))
-        if not actions:
-            return qexp, tuple(fs)
-        p, merge = actions[0] if rng is None else rng.choice(actions)
-        k1, i1, e1 = fs[p]
-        k2, i2, e2 = fs[p + 1]
-        if merge:
-            e = e1 + e2
-            if e >= level:
-                return 0, None
-            fs[p] = (k1, i1, e)
-            del fs[p + 1]
+    for kind, index, exp in factors:
+        if exp <= 0:
+            if exp:
+                raise EngineError("negative generator exponent")
+            continue
+        p = len(word)
+        while p:
+            k, i, e = word[p - 1]
+            if k == kind and i == index:
+                word[p - 1] = (k, i, e + exp)
+                break
+            if k < kind or (k == kind and i < index):
+                word.insert(p, (int(kind), index, exp))
+                break
+            qexp += _swap_qexp((k, i), (kind, index)) * e * exp
+            p -= 1
         else:
-            qexp += _swap_qexp((k1, i1), (k2, i2)) * e1 * e2
-            fs[p], fs[p + 1] = fs[p + 1], fs[p]
+            word.insert(0, (int(kind), index, exp))
+    for _, _, e in word:
+        if e >= level:
+            return 0, None
+    return qexp, tuple(word)
 
 
 def grade(word: Word) -> tuple[int, int]:
@@ -175,10 +172,10 @@ class GExpr(_SparseSum):
         return cls(level, {w: Scalar.q(level, qe)})
 
     @classmethod
-    def from_raw(cls, level: int, items: Iterable[tuple[Scalar, Iterable[Factor]]],
-                 rng: Optional[random.Random] = None) -> "GExpr":
+    def from_raw(cls, level: int,
+                 items: Iterable[tuple[Scalar, Iterable[Factor]]]) -> "GExpr":
         """Normal order a sum given as (coefficient, raw factor list) pairs."""
-        ordered = ((normalize_word(level, raw, rng), coeff)
+        ordered = ((normalize_word(level, raw), coeff)
                    for coeff, raw in items if not coeff.is_zero)
         return cls(level, _accumulate({}, (
             (w, coeff.mul_q_power(qe))
@@ -230,9 +227,9 @@ def d_thetabar(index: int = 1) -> tuple[int, int]:
     return (Kind.DTHETABAR, index)
 
 
-def normal_order(e: GExpr, rng: Optional[random.Random] = None) -> GExpr:
+def normal_order(e: GExpr) -> GExpr:
     """Re-canonicalize an expression; idempotent on canonical input."""
-    return GExpr.from_raw(e.level, ((c, w) for w, c in e.terms.items()), rng)
+    return GExpr.from_raw(e.level, ((c, w) for w, c in e.terms.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,14 @@ def random_single_pair_word(rng: random.Random, level: int,
             for _ in range(rng.randrange(0, max_factors + 1))]
 
 
+def random_two_index_word(rng: random.Random, level: int,
+                          max_factors: int = 6) -> list:
+    """Raw word over all four kinds at indices 1 and 2; exponents may
+    reach the level, so raw nilpotency and uncovered pairs both occur."""
+    return [(rng.choice(list(Kind)), rng.choice((1, 2)), rng.randrange(1, level + 1))
+            for _ in range(rng.randrange(0, max_factors + 1))]
+
+
 def random_gexpr(rng: random.Random, level: int, max_terms: int = 3) -> GExpr:
     items = []
     for _ in range(rng.randrange(1, max_terms + 1)):

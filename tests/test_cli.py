@@ -158,6 +158,28 @@ def test_boundary_flags_are_checked_before_any_solve(tmp_path, monkeypatch,
     assert "--input" in err and "--max-n" in err
 
 
+def test_rho_must_match_the_input_problem_size(tmp_path, monkeypatch, capsys):
+    # --rho replaces the file's rho, so it must hold n - 1 values for the
+    # file's n; a mismatch is a usage error found before any solve
+    import grassq.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite reached")
+
+    path = write(tmp_path, "p.json", {
+        "n": 3, "rho": ["2", "3"],
+        "H": [[[1, 0], [1, 0], [0, 0]], [[0, 0], [2, 0], [1, 0]],
+              [[0, 0], [0, 0], [3, 0]]]})
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    for rho, count in (("2,3,4", 3), ("2", 1)):
+        assert main(["verify", "biortho", "--input", path, "--rho", rho]) == 2
+        err = capsys.readouterr().err
+        assert f"--rho needs 2 values for the --input problem's n = 3, " \
+               f"got {count}" in err
+    monkeypatch.undo()
+    assert main(["verify", "biortho", "--input", path, "--rho", "5,7"]) == 0
+
+
 def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "bytes.json"
     path.write_bytes(b'{"n": 2, "rho": ["2"]}\xff')

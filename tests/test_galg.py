@@ -4,10 +4,11 @@ import pytest
 
 from grassq.errors import EngineError, UnspecifiedRelationError
 from grassq.galg import (GExpr, Kind, berezin, d_theta, d_thetabar, grade,
-                         normal_order, theta, thetabar)
+                         normal_order, normalize_word, theta, thetabar)
 from grassq.scalars import Scalar
 
-from conftest import random_gexpr, random_single_pair_word
+from conftest import random_gexpr, random_single_pair_word, random_two_index_word
+from rewrite_oracle import has_uncovered_inversion, rewrite, rewrite_gexpr
 
 
 def test_exchange_rule_examples():
@@ -67,8 +68,7 @@ def test_normal_order_idempotent_and_confluent():
         raw = random_single_pair_word(rng, n, 6)
         reference = GExpr.from_raw(n, [(Scalar.one(n), raw)])
         assert normal_order(reference) == reference
-        shuffled = GExpr.from_raw(n, [(Scalar.one(n), raw)],
-                                  rng=random.Random(trial))
+        shuffled = rewrite_gexpr(n, raw, random.Random(trial))
         assert shuffled == reference, raw
 
 
@@ -79,8 +79,55 @@ def test_multi_index_same_kind_confluence():
         raw = [(Kind.THETA, rng.randrange(1, 4), rng.randrange(1, n))
                for _ in range(rng.randrange(1, 6))]
         a = GExpr.from_raw(n, [(Scalar.one(n), raw)])
-        b = GExpr.from_raw(n, [(Scalar.one(n), raw)], rng=random.Random(trial))
+        b = rewrite_gexpr(n, raw, random.Random(trial))
         assert a == b, raw
+
+
+def test_uncovered_pair_raises_before_nilpotency():
+    # dth1^2 ... dth1^3 vanishes, but dthb2 must pass thb1 and dth1, which
+    # no rule covers: the result may not depend on what is met first
+    word = [(Kind.DTHETA, 1, 2), (Kind.THETABAR, 1, 1), (Kind.DTHETA, 1, 3),
+            (Kind.DTHETABAR, 2, 4), (Kind.THETABAR, 2, 4)]
+    with pytest.raises(UnspecifiedRelationError):
+        normalize_word(5, word)
+    # a raw factor at the level vanishes only if no uncovered pair is out
+    # of order
+    with pytest.raises(UnspecifiedRelationError):
+        normalize_word(3, [(Kind.THETABAR, 2, 1), (Kind.THETA, 1, 3)])
+    assert normalize_word(3, [(Kind.THETA, 1, 3), (Kind.THETABAR, 2, 1)]) \
+        == (0, None)
+
+
+def test_two_index_words_against_the_rewrite_oracle():
+    rng = random.Random(29)
+    seen = {"agree": 0, "raise": 0, "vanish": 0}
+    for n in range(2, 7):
+        for trial in range(300):
+            raw = random_two_index_word(rng, n)
+            outcomes = set()
+            for order in range(8):
+                try:
+                    qe, word = rewrite(n, raw, random.Random(8 * trial + order))
+                    outcomes.add((qe % n, word))
+                except UnspecifiedRelationError:
+                    outcomes.add("raise")
+            if (0, None) in outcomes:
+                seen["vanish"] += 1
+                if has_uncovered_inversion(raw):
+                    with pytest.raises(UnspecifiedRelationError):
+                        normalize_word(n, raw)
+                else:
+                    assert normalize_word(n, raw) == (0, None), raw
+            elif outcomes == {"raise"}:
+                seen["raise"] += 1
+                with pytest.raises(UnspecifiedRelationError):
+                    normalize_word(n, raw)
+            else:
+                seen["agree"] += 1
+                (want_qe, want_word), = outcomes
+                qe, word = normalize_word(n, raw)
+                assert word == want_word and qe % n == want_qe, raw
+    assert min(seen.values()) > 0, seen
 
 
 def test_mul_associative():
