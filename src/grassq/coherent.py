@@ -11,6 +11,11 @@ of (raising operator * theta) applied to the vacuum, and evolve stably
 under the equally spaced spectrum E_k = -(n-k-2) E: the evolved state is
 a global phase times the original state with theta replaced by u theta,
 where u is the unimodular symbol standing for exp(-i E t).
+
+The exponential form is built on the vacuum: by linearity
+e_q^A |F_0> = sum_k (A^k |F_0>) / rho_k!, so :func:`q_exponential` with
+``on=|F_0>`` forms n one-term states and never the operator e_q^A, whose
+~n^2/2 terms would nearly all miss |F_0>.
 """
 
 from __future__ import annotations
@@ -75,12 +80,16 @@ def verify_eigen(state: CoherentState) -> OpExpr:
 
 
 def q_exponential(arg: OpExpr, level: int,
-                  sqrt_rho: Sequence[Scalar] | None = None) -> OpExpr:
-    """e_q^arg = sum_k arg^k / rho_k!, exact, for nilpotent arguments.
+                  sqrt_rho: Sequence[Scalar] | None = None,
+                  on: OpExpr | None = None) -> OpExpr:
+    """e_q^arg on = sum_k (arg^k on) / rho_k!, exact, for nilpotent arguments.
 
-    The series must terminate within the nilpotency bound; if arg^level
-    is still nonzero the factorial rho_level! would need a symbol that
-    does not exist, and the series is reported as non-terminating.
+    ``on`` defaults to the identity, which gives the operator e_q^arg;
+    passing a state gives e_q^arg applied to it, built one term arg^k on
+    at a time.  The series must end within the nilpotency bound: if a
+    term arg^k on with k >= level is still nonzero, the factorial
+    rho_k! would need a symbol that does not exist, and the series is
+    reported as non-terminating.
     """
     rho = tuple(sqrt_rho) if sqrt_rho is not None else default_sqrt_rho(level)
 
@@ -91,16 +100,20 @@ def q_exponential(arg: OpExpr, level: int,
             inv_fact = inv_fact * inv_rho_k * inv_rho_k
             yield inv_fact
     return _nilpotent_series(arg, min(level - 1, len(rho)),
-                             inverse_factorials())
+                             inverse_factorials(), on)
 
 
 def exponential_form(state: CoherentState) -> OpExpr:
-    """The q-exponential construction of the same state from its vacuum."""
+    """The q-exponential construction of the same state from its vacuum.
+
+    The series acts on the vacuum term by term, so only the n states
+    arg^k |F_0> are formed, never the operator e_q^arg itself.
+    """
     kind = "b_sharp" if state.family == PSI else "b_tilde_sharp_prime"
     raiser = make_ladder(kind, state.level, state.sqrt_rho)
     arg = raiser @ theta_op(state.level)
-    series = q_exponential(arg, state.level, state.sqrt_rho)
-    return series @ ket_op(state.level, state.family, 0)
+    return q_exponential(arg, state.level, state.sqrt_rho,
+                         on=ket_op(state.level, state.family, 0))
 
 
 def exponential_form_defect(state: CoherentState) -> OpExpr:

@@ -262,15 +262,19 @@ def q_commutator(a: OpExpr, b: OpExpr) -> OpExpr:
 
 
 def _nilpotent_series(arg: OpExpr, bound: int,
-                      weights: Iterator[Scalar | Fraction]) -> OpExpr:
-    """sum_k w_k arg^k (w_0 = 1) up to the first vanishing power of arg.
+                      weights: Iterator[Scalar | Fraction],
+                      on: OpExpr | None = None) -> OpExpr:
+    """sum_k w_k arg^k on (w_0 = 1) up to the first vanishing arg^k on.
 
-    ``weights`` yields w_1, w_2, ... and is read only for nonzero powers;
-    a power past ``bound`` that is still nonzero raises.
+    ``on`` defaults to the identity, giving the operator series itself;
+    any other ``on`` (a state, say) gets the same sum applied to it term
+    by term, sum_k w_k (arg^k on), without forming the operator.
+    ``weights`` yields w_1, w_2, ... and is read only for nonzero terms;
+    a term arg^k on past ``bound`` that is still nonzero raises.
     """
-    acc = power = OpExpr.identity(arg.level)
+    acc = power = OpExpr.identity(arg.level) if on is None else on
     for k in range(1, bound + 2):
-        power = power @ arg
+        power = arg @ power
         if power.is_zero:
             return acc
         if k > bound:

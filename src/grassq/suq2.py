@@ -134,11 +134,15 @@ def verify_suq2_relations(sys: Suq2System) -> Suq2Relations:
 # squeezing
 # ---------------------------------------------------------------------------
 
-def factorial_exponential(arg: OpExpr, max_power: int | None = None) -> OpExpr:
-    """exp(arg) = sum_k arg^k / k!, exact, for nilpotent arguments."""
+def factorial_exponential(arg: OpExpr, max_power: int | None = None,
+                          on: OpExpr | None = None) -> OpExpr:
+    """exp(arg) on = sum_k (arg^k on) / k!, exact, for nilpotent arguments.
+
+    ``on`` defaults to the identity (the operator exp(arg) itself).
+    """
     bound = 2 * arg.level + 1 if max_power is None else max_power
     return _nilpotent_series(arg, bound, (Fraction(1, math.factorial(k))
-                                          for k in count(1)))
+                                          for k in count(1)), on)
 
 
 def squeeze_argument(sys: Suq2System) -> OpExpr:
@@ -181,8 +185,12 @@ def squeeze_defect(sys: Suq2System) -> OpExpr:
 
 
 def make_squeezed_state(sys: Suq2System, family: str = PSI) -> OpExpr:
-    """S(theta) applied to the vacuum; the dual family is its metric image."""
-    state = make_squeeze(sys) @ ket_op(sys.root_order, PSI, 0)
+    """S(theta)|psi_0>, the series applied to the vacuum term by term.
+
+    The dual family is its metric image.
+    """
+    state = factorial_exponential(squeeze_argument(sys),
+                                  on=ket_op(sys.root_order, PSI, 0))
     if family == PHI:
         return eta_conjugate(state)
     return state

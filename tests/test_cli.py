@@ -293,7 +293,8 @@ def test_each_weight_is_solved_once_per_run(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["coherent", "dynamics", "resolution",
-                                  "suq2", "dynamics-6-11", "resolution-6-11"])
+                                  "suq2", "dynamics-6-11", "resolution-6-11",
+                                  "coherent-24-32"])
 def test_report_matches_the_committed_golden_file(name):
     # exact, symbolic suites only: their reports must not change by a byte
     # under a refactor (the numeric biortho residuals may vary by platform);

@@ -1,5 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from conftest import random_scalar, random_single_pair_word
 from grassq.coherent import (CoherentState, check_stability, evolve_state,
                              exponential_form, exponential_form_defect,
                              make_coherent, q_exponential, theta_time_shift,
@@ -7,7 +11,7 @@ from grassq.coherent import (CoherentState, check_stability, evolve_state,
 from grassq.errors import NonTerminatingSeriesError
 from grassq.galg import Kind, grade
 from grassq.opalg import (OpExpr, PHI, PSI, eta_conjugate, ket, ket_op,
-                          op_term, theta_op)
+                          make_ladder, op_term, theta_op)
 from grassq.scalars import Scalar
 
 TH = (Kind.THETA, 1, 1)
@@ -61,7 +65,7 @@ def test_corrupted_state_has_defect():
 
 
 def test_exponential_form_equivalence():
-    for n in range(2, 7):
+    for n in range(2, 17):
         for family in (PSI, PHI):
             defect = exponential_form_defect(make_coherent(n, family))
             assert defect.is_zero, (n, family, str(defect))
@@ -74,6 +78,40 @@ def test_q_exponential_of_zero():
 def test_q_exponential_nontermination_guard():
     with pytest.raises(NonTerminatingSeriesError):
         q_exponential(OpExpr.identity(3), 3)
+    # on a state the rule is the same: arg^k |psi_0> never vanishes
+    with pytest.raises(NonTerminatingSeriesError):
+        q_exponential(OpExpr.identity(3), 3, on=ket_op(3, PSI, 0))
+
+
+def _random_ket_sum(rng: random.Random, n: int, family: str) -> OpExpr:
+    acc = OpExpr.zero(n)
+    for _ in range(rng.randrange(1, 4)):
+        acc = acc + op_term(n, random_scalar(rng, n) + Scalar.one(n),
+                            ket(family, rng.randrange(n)),
+                            left=random_single_pair_word(rng, n, 3))
+    return acc
+
+
+def test_q_exponential_on_a_state_matches_the_operator_applied():
+    # e_q^arg on == (e_q^arg) @ on, to the byte; the identity is the default
+    rng = random.Random(8)
+    for n in range(2, 11):
+        rational_rho = tuple(Scalar.from_rational(n, Fraction(i + 2, i + 1))
+                             for i in range(n - 1))
+        for family, kind in ((PSI, "b_sharp"), (PHI, "b_tilde_sharp_prime")):
+            for rho in (None, rational_rho):
+                arg = make_ladder(kind, n, rho) @ theta_op(n)
+                series = q_exponential(arg, n, rho)
+                on_identity = q_exponential(arg, n, rho,
+                                            on=OpExpr.identity(n))
+                assert on_identity == series
+                assert str(on_identity) == str(series)
+                for on in (ket_op(n, family, 0),
+                           _random_ket_sum(rng, n, family)):
+                    applied = q_exponential(arg, n, rho, on=on)
+                    expected = series @ on
+                    assert applied == expected, (n, family, rho)
+                    assert str(applied) == str(expected)
 
 
 def test_eta_maps_between_families():

@@ -119,6 +119,26 @@ def test_factorial_exponential_guard_and_zero():
     assert factorial_exponential(OpExpr.zero(3)) == OpExpr.identity(3)
     with pytest.raises(NonTerminatingSeriesError):
         factorial_exponential(OpExpr.identity(3))
+    with pytest.raises(NonTerminatingSeriesError):
+        factorial_exponential(OpExpr.identity(3), on=ket_op(3, PSI, 0))
+
+
+def test_factorial_exponential_on_a_state_matches_the_operator_applied():
+    for root_order in (3, 4, 5):
+        for equal_rho in (False, True):
+            sys = make_suq2(root_order, equal_rho)
+            arg = squeeze_argument(sys)
+            squeeze = factorial_exponential(arg)
+            assert factorial_exponential(
+                arg, on=OpExpr.identity(root_order)) == squeeze
+            for i in range(3):
+                on = ket_op(root_order, PSI, i) + op_term(
+                    root_order, Scalar.s(root_order, 1), ket(PSI, 2 - i),
+                    left=[(Kind.THETABAR, 1, 1)])
+                applied = factorial_exponential(arg, on=on)
+                expected = squeeze @ on
+                assert applied == expected
+                assert str(applied) == str(expected)
 
 
 def test_squeeze_defect_against_quadratic_closed_form():
