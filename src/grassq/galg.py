@@ -177,7 +177,7 @@ class GExpr(_SparseSum):
         """Normal order a sum given as (coefficient, raw factor list) pairs."""
         ordered = ((normalize_word(level, raw), coeff)
                    for coeff, raw in items if not coeff.is_zero)
-        return cls(level, _accumulate({}, (
+        return cls._wrap(level, _accumulate({}, (
             (w, coeff.mul_q_power(qe))
             for (qe, w), coeff in ordered if w is not None)))
 
@@ -315,4 +315,5 @@ def berezin(e: GExpr, measure: Sequence[tuple[int, int]]) -> GExpr:
     """
     integrals = _integrate_terms(
         e.level, (((w, None), c) for w, c in e.terms.items()), measure)
-    return GExpr(e.level, _accumulate({}, ((w, c) for (w, _), c in integrals)))
+    return GExpr._wrap(e.level, _accumulate(
+        {}, ((w, c) for (w, _), c in integrals)))

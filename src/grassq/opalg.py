@@ -163,7 +163,7 @@ class OpExpr(_SparseSum):
                     qe, w = normalize_word(level, w1 + w2)
                     if w is not None:
                         yield (w, dyad), (c1 * c2).mul_q_power(cross + qe)
-        return OpExpr(level, _accumulate({}, products()))
+        return OpExpr._wrap(level, _accumulate({}, products()))
 
     def power(self, k: int) -> "OpExpr":
         if k < 0:
@@ -225,7 +225,7 @@ def op_dagger(e: OpExpr) -> OpExpr:
             qe, nw = normalize_word(e.level, nw)
             if nw is not None:
                 yield (nw, nd), c.conj().mul_q_power(cross + qe)
-    return OpExpr(e.level, _accumulate({}, flipped()))
+    return OpExpr._wrap(e.level, _accumulate({}, flipped()))
 
 
 def eta_conjugate(e: OpExpr, inverse: bool = False) -> OpExpr:
@@ -356,5 +356,5 @@ def berezin_op(e: OpExpr, measure: Sequence[tuple[int, int]]) -> OpExpr:
     Valid because every canonical term keeps its word strictly left of
     the dyad, so the measure never has to cross a ket or bra.
     """
-    return OpExpr(e.level, _accumulate(
+    return OpExpr._wrap(e.level, _accumulate(
         {}, _integrate_terms(e.level, e.terms.items(), measure)))

@@ -10,16 +10,16 @@ the mixed pairs |theta><theta~| and |theta~><theta| a diagonal weight
 makes the integral the exact identity; the same-family pairs produce
 same-family dyads and therefore can never match it.
 
-:func:`solve_weight` re-derives the weight from scratch.  It builds
-|theta><theta~| once and integrates every monomial theta^k thetabar^l
-against it, which gives one column of the linear system in the unknowns
-c_kl.  It then proves that the system is a generalized permutation
-matrix: every column holds exactly one invertible monomial entry and
-every dyad |psi_i><phi_j| is hit exactly once.  Such a system has
-exactly one solution, read off by inverting the entries on the diagonal
-dyads; any other shape is refused.  The solver, not any closed formula,
-is the source of truth; the two closed-form candidates below are
-compared against it index by index.
+:func:`solve_weight` re-derives the weight from scratch.  It integrates
+every monomial theta^k thetabar^l against |theta><theta~|, which gives
+one column of the linear system in the unknowns c_kl.  It then proves
+that the system is a generalized permutation matrix: every column holds
+exactly one invertible monomial entry and every dyad |psi_i><phi_j| is
+hit exactly once.  Such a system has exactly one solution, read off by
+inverting the entries on the diagonal dyads; any other shape is
+refused.  The solver, not any closed formula, is the source of truth;
+the two closed-form candidates below are compared against it index by
+index.
 
 Every integral is formed by degree complement.  The measure keeps a word
 only when it holds theta_1^(n-1) thetabar_1^(n-1) (int dtheta theta^k =
@@ -28,10 +28,14 @@ exponents, returns zero at an exponent >= n, and a phase never changes
 an exponent; so a product's theta_1 and thetabar_1 exponents are the
 sums of its factors'.  The integrand w |A><B| is therefore split by the
 (theta_1, thetabar_1) exponents of each word, and a weight block (a, b)
-is multiplied only by the outer-product block (n-1-a, n-1-b).  Every
-product left out integrates to exactly 0, so no result changes.
-|theta><theta~| is split once per solve and once per
-:func:`resolution_integral` call.
+is multiplied only by the outer-product block (n-1-a, n-1-b).  The same
+rule builds that block: |A><B| is never formed whole, its ket factor and
+the dagger of its bra factor are split by degree once per solve and once
+per :func:`resolution_integral` call, and the block (i, j) composes only
+the factor blocks whose degrees sum to (i, j).  A diagonal weight thus
+reads n of the n^2 outer products, and :func:`solve_weight`, which reads
+every block, forms each product once.  Every product left out
+integrates to exactly 0, so no result changes.
 """
 
 from __future__ import annotations
@@ -97,13 +101,16 @@ def mirror_weight(level: int) -> Weight:
 
 
 def _pair_outer(level: int, pair: tuple[str, str],
-                sqrt_rho: Sequence[Scalar] | None, evolved: bool = False) -> OpExpr:
-    """|A><B| for the pair's coherent states: ket body @ dagger(bra body)."""
+                sqrt_rho: Sequence[Scalar] | None,
+                evolved: bool = False) -> tuple[dict, dict]:
+    """The two factors of |A><B| for the pair's coherent states, each split
+    by measured degrees: ``_blocks`` of the ket body and of dagger(bra body).
+    Their product is never formed; :func:`_outer_block` composes one block."""
     ket_state = make_coherent(level, pair[0], sqrt_rho)
     bra_state = make_coherent(level, pair[1], sqrt_rho)
     ket_body = evolve_state(ket_state) if evolved else ket_state.body
     bra_body = evolve_state(bra_state) if evolved else bra_state.body
-    return ket_body @ op_dagger(bra_body)
+    return _blocks(ket_body), _blocks(op_dagger(bra_body))
 
 
 def _measured_degrees(word: Word) -> tuple[int, int]:
@@ -118,23 +125,41 @@ def _blocks(e: OpExpr) -> dict[tuple[int, int], OpExpr]:
     blocks: dict = {}
     for key, c in e.terms.items():
         blocks.setdefault(_measured_degrees(key[0]), {})[key] = c
-    return {d: OpExpr(e.level, terms) for d, terms in blocks.items()}
+    return {d: OpExpr._wrap(e.level, terms) for d, terms in blocks.items()}
 
 
-def _integrate(weight: Weight,
-               outer_blocks: dict[tuple[int, int], OpExpr]) -> OpExpr:
-    """int dthetabar dtheta w |A><B| with ``outer_blocks`` = ``_blocks(|A><B|)``.
+def _outer_block(factors: tuple[dict, dict],
+                 degrees: tuple[int, int]) -> OpExpr | None:
+    """The ``degrees`` block of |A><B| from ``factors`` = ``_pair_outer(...)``.
+
+    Only the ket and bra blocks whose degrees sum to ``degrees`` are
+    composed (see the module docstring); None if no such pair exists.
+    """
+    ket_blocks, bra_blocks = factors
+    i, j = degrees
+    block = None
+    for (a, b), ket_block in ket_blocks.items():
+        bra_block = bra_blocks.get((i - a, j - b))
+        if bra_block is not None:
+            product = ket_block @ bra_block
+            block = product if block is None else block + product
+    return block
+
+
+def _integrate(weight: Weight, factors: tuple[dict, dict]) -> OpExpr:
+    """int dthetabar dtheta w |A><B| with ``factors`` = ``_pair_outer(...)``.
 
     A weight block of degrees (a, b) meets only the outer block
-    (n-1-a, n-1-b) (see the module docstring); every other pair would
-    integrate to 0 and is never formed.  Nor is it normal ordered, so a
-    generator pair without an exchange rule inside it goes unreported:
-    its value is 0 however that missing rule would read.
+    (n-1-a, n-1-b) (see the module docstring); it alone is composed, and
+    every other pair, which would integrate to 0, is never formed.  Nor
+    is it normal ordered, so a generator pair without an exchange rule
+    inside it goes unreported: its value is 0 however that missing rule
+    would read.
     """
     top = weight.level - 1
     integrand = OpExpr.zero(weight.level)
     for (a, b), block in _blocks(OpExpr.from_gexpr(weight.expr)).items():
-        partner = outer_blocks.get((top - a, top - b))
+        partner = _outer_block(factors, (top - a, top - b))
         if partner is not None:
             integrand = integrand + block @ partner
     return berezin_op(integrand, MEASURE)
@@ -149,8 +174,8 @@ def resolution_integral(weight: Weight, pair: tuple[str, str],
     dagger provides the bra.  With ``evolved`` both states carry their
     time evolution factors first.
     """
-    return _integrate(weight, _blocks(
-        _pair_outer(weight.level, pair, sqrt_rho, evolved)))
+    return _integrate(weight,
+                      _pair_outer(weight.level, pair, sqrt_rho, evolved))
 
 
 def identity_target(level: int, pair: tuple[str, str]) -> OpExpr:
@@ -204,16 +229,17 @@ def solve_weight(level: int,
                  sqrt_rho: Sequence[Scalar] | None = None) -> Weight:
     """Derive the weight coefficients from the resolution condition.
 
-    Builds |theta><theta~| once, integrates every monomial theta^k
-    thetabar^l against it and equates the total with sum_i |psi_i><phi_i|.
-    The system must be a generalized permutation matrix, which proves the
-    solution unique, and the solution must be diagonal.
+    Splits the factors of |theta><theta~| once, integrates every
+    monomial theta^k thetabar^l against it and equates the total with
+    sum_i |psi_i><phi_i|.  The system must be a generalized permutation
+    matrix, which proves the solution unique, and the solution must be
+    diagonal.
     """
     n = level
-    outer_blocks = _blocks(_pair_outer(n, (PSI, PHI), sqrt_rho))
+    factors = _pair_outer(n, (PSI, PHI), sqrt_rho)
     columns = {}
     for kl in [(k, l) for k in range(n) for l in range(n)]:
-        integral = _integrate(_weight(n, {kl: Scalar.one(n)}), outer_blocks)
+        integral = _integrate(_weight(n, {kl: Scalar.one(n)}), factors)
         if any(word or not (k and b) for word, (k, b) in integral.terms):
             raise EngineError("unexpected term shape in weight system")
         columns[kl] = {(k[1], b[1]): c

@@ -29,7 +29,8 @@ Every symbolic quantity above the field is a sparse formal sum: a
 :class:`Scalar` maps symbol exponents to ``Cyclo`` coefficients, a
 ``galg.GExpr`` maps words to Scalars and an ``opalg.OpExpr`` maps
 (word, dyad) pairs to Scalars.  All three share one core here: the
-constructor that drops zero values, the level check, ``+``, ``-``,
+constructor that drops zero values (and a private one, ``_wrap``, for
+dicts already known to hold none), the level check, ``+``, ``-``,
 ``is_zero`` and ``==``, and one merge that adds (key, value) pairs into a
 dict and drops each sum that vanishes.  Every product and integral in
 the engine accumulates its terms through that merge.
@@ -393,6 +394,14 @@ class _SparseSum:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
+    def _wrap(cls, level: int, terms: dict):
+        """``terms`` as is, unfiltered and unchecked: for a dict whose values
+        are all known to be nonzero, such as a result of ``_accumulate``."""
+        s = object.__new__(cls)
+        s.level, s.terms = level, terms
+        return s
+
+    @classmethod
     def zero(cls, level: int):
         return cls(level)
 
@@ -403,14 +412,14 @@ class _SparseSum:
 
     def __add__(self, other):
         self._check(other)
-        return type(self)(self.level,
+        return self._wrap(self.level,
                           _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.level, {k: -v for k, v in self.terms.items()})
+        return self._wrap(self.level, {k: -v for k, v in self.terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -486,7 +495,7 @@ class Scalar(_SparseSum):
             return Scalar(self.level,
                           {k: v.scaled(other) for k, v in self.terms.items()})
         self._check(other)
-        return Scalar(self.level, _accumulate({}, (
+        return Scalar._wrap(self.level, _accumulate({}, (
             (tuple(map(add, k1, k2)), c1 * c2)
             for k1, c1 in self.terms.items()
             for k2, c2 in other.terms.items())))
@@ -498,8 +507,8 @@ class Scalar(_SparseSum):
         k %= self.level
         if not k:
             return self
-        return Scalar(self.level,
-                      {key: c._times_q(k) for key, c in self.terms.items()})
+        return Scalar._wrap(self.level, {key: c._times_q(k)
+                                         for key, c in self.terms.items()})
 
     def conj(self) -> "Scalar":
         """Conjugation: q -> q^(n-1), s_i fixed, u -> 1/u."""

@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_scalar
+from grassq.coherent import evolve_state, make_coherent
 from grassq.errors import SingularSystemError
 from grassq.galg import GExpr, Kind
-from grassq.opalg import PHI, PSI, OpExpr, berezin_op, outer
+from grassq.opalg import PHI, PSI, OpExpr, berezin_op, op_dagger, outer
 from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
                                closed_form_weight, compare_weights,
                                mirror_weight, resolution_integral,
                                solve_weight, verify_resolution, _blocks,
-                               _integrate, _pair_outer, _solve_permutation,
-                               _weight)
+                               _integrate, _outer_block, _pair_outer,
+                               _solve_permutation, _weight)
 from grassq.scalars import Scalar, rho_factorial
 from grassq.suites import run_suite
 
@@ -132,6 +133,17 @@ def test_permutation_solver():
 # the degree-complement integral against the plain one
 # ---------------------------------------------------------------------------
 
+def _pair_bodies(n, pair, sqrt_rho, evolved):
+    """The ket body and the bra body of the pair's coherent states."""
+    states = [make_coherent(n, family, sqrt_rho) for family in pair]
+    return [evolve_state(s) if evolved else s.body for s in states]
+
+
+def _plain_outer(ket_body, bra_body):
+    """|A><B| formed whole: every ket term times every bra term."""
+    return ket_body @ op_dagger(bra_body)
+
+
 def _reference_integral(weight, outer_product):
     """Every weight term times every outer-product term, then integrated."""
     return berezin_op(OpExpr.from_gexpr(weight.expr) @ outer_product, MEASURE)
@@ -167,31 +179,40 @@ def test_filtered_integral_matches_the_plain_one():
                     case += 1
                     weight = (solve_weight(n, sqrt_rho) if shape == "solved"
                               else _random_weight(rng, n, shape))
-                    outer_product = _pair_outer(n, pair, sqrt_rho, evolved)
+                    outer_product = _plain_outer(
+                        *_pair_bodies(n, pair, sqrt_rho, evolved))
                     _assert_same(
                         resolution_integral(weight, pair, sqrt_rho, evolved),
                         _reference_integral(weight, outer_product),
                         (n, pair, evolved, sqrt_rho is None, shape))
 
 
+def _thin(rng, e):
+    """A random proper subset of the terms of ``e``."""
+    keys = rng.sample(sorted(e.terms, key=str), rng.randrange(len(e.terms)))
+    return OpExpr(e.level, {key: e.terms[key] for key in keys})
+
+
 def test_weight_blocks_without_a_partner_integrate_to_zero():
-    # thin |theta><theta~| so that some weight blocks find no partner block
+    # thin the ket and bra bodies so that some weight blocks find no
+    # partner block
     rng = random.Random(7)
     for n in range(2, 9):
-        full = _pair_outer(n, (PSI, PHI), None)
+        ket_body, bra_body = _pair_bodies(n, (PSI, PHI), None, False)
         for _ in range(3):
-            keys = rng.sample(sorted(full.terms, key=str),
-                              rng.randrange(len(full.terms)))
-            thinned = OpExpr(n, {key: full.terms[key] for key in keys})
+            ket_thin, bra_thin = _thin(rng, ket_body), _thin(rng, bra_body)
+            factors = (_blocks(ket_thin), _blocks(op_dagger(bra_thin)))
+            thinned = _plain_outer(ket_thin, bra_thin)
             for shape in ("dense", "non-diagonal", "single"):
                 weight = _random_weight(rng, n, shape)
-                _assert_same(_integrate(weight, _blocks(thinned)),
+                _assert_same(_integrate(weight, factors),
                              _reference_integral(weight, thinned),
-                             (n, len(keys), shape))
+                             (n, len(ket_thin.terms), len(bra_thin.terms),
+                              shape))
 
 
 def _reference_solve(n):
-    outer_product = _pair_outer(n, (PSI, PHI), None)
+    outer_product = _plain_outer(*_pair_bodies(n, (PSI, PHI), None, False))
     columns = {}
     for k in range(n):
         for l in range(n):
@@ -206,6 +227,49 @@ def _reference_solve(n):
 def test_solver_matches_a_solve_on_the_plain_integral():
     for n in range(2, 9):
         _assert_same(solve_weight(n).expr, _reference_solve(n).expr, n)
+
+
+def test_blocks_built_on_demand_match_the_plain_product():
+    for n in range(2, 9):
+        custom = tuple(Scalar.from_rational(n, Fraction(i + 3, i + 1))
+                       .mul_q_power(i + 1) for i in range(n - 1))
+        for pair in MIXED_PAIRS + SAME_PAIRS:
+            for evolved in (False, True):
+                for sqrt_rho in (None, custom):
+                    context = (n, pair, evolved, sqrt_rho is None)
+                    plain = _blocks(_plain_outer(
+                        *_pair_bodies(n, pair, sqrt_rho, evolved)))
+                    factors = _pair_outer(n, pair, sqrt_rho, evolved)
+                    for a in range(n):
+                        for b in range(n):
+                            built = _outer_block(factors, (a, b))
+                            want = plain.get((a, b))
+                            if built is None or want is None:
+                                assert built is None or built.is_zero, context
+                                assert want is None, context
+                            else:
+                                _assert_same(built, want, (context, a, b))
+                    assert set(plain) <= {(a, b) for a in range(n)
+                                          for b in range(n)}, context
+
+
+def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch):
+    # counts term pairs, not time: the whole |A><B| alone is n^2 pairs
+    pairs = []
+    plain_matmul = OpExpr.__matmul__
+
+    def counting_matmul(a, b):
+        pairs.append(len(a.terms) * len(b.terms))
+        return plain_matmul(a, b)
+
+    n = 12
+    weight = solve_weight(n)
+    monkeypatch.setattr(OpExpr, "__matmul__", counting_matmul)
+    for pair in MIXED_PAIRS + SAME_PAIRS:
+        for evolved in (False, True):
+            pairs.clear()
+            resolution_integral(weight, pair, evolved=evolved)
+            assert 0 < sum(pairs) <= 2 * n, (pair, evolved, sum(pairs))
 
 
 def test_resolution_status_pattern_holds_at_n16():
