@@ -187,11 +187,11 @@ def numeric_ladder(d: BiorthoDecomp, rho_values: Sequence[float]) -> LadderMatri
     b_sharp = d.eta_inv @ b.conj().T @ d.eta
     b_tilde = d.eta @ b @ d.eta_inv
     btsp = d.eta @ b_tilde.conj().T @ d.eta_inv
-    bn = np.linalg.matrix_power(b, n)
     bnorm = max(np.linalg.norm(b, 2), 1e-300)
+    bn = np.linalg.matrix_power(b / bnorm, n)
     return LadderMatrices(
         b=b, b_sharp=b_sharp, b_tilde=b_tilde, b_tilde_sharp_prime=btsp,
-        nilpotency_residual=float(np.linalg.norm(bn, 2) / bnorm ** n),
+        nilpotency_residual=float(np.linalg.norm(bn, 2)),
         sharp_form_residual=float(
             np.linalg.norm(b_sharp - b_sharp_direct, 2) / bnorm),
         dagger_residual=float(

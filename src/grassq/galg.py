@@ -26,8 +26,9 @@ times both exponents.  An out-of-order pair that the rules do not cover
 :class:`UnspecifiedRelationError` rather than guessing a phase; that is
 checked before nilpotency, so whether a word raises never depends on
 the order in which it is rewritten.  Integration follows the rule
-`int dtheta theta^k = delta(k, n-1)`, applied innermost first after
-commuting each measure symbol rightward to its own variable block.
+`int dtheta theta^k = delta(k, n-1)`, applied innermost first in one
+pass: a measure symbol picks up the exchange phase of each variable
+block before its own, then removes its own block.
 """
 
 from __future__ import annotations
@@ -244,40 +245,35 @@ def integrate_word(level: int, word: Word,
                    measure: Sequence[tuple[int, int]]) -> tuple[int, Optional[Word]]:
     """Integrate a single canonical word against the given measure.
 
-    The measure factors are prepended in the written order, normal
-    ordered, and consumed innermost (rightmost) first: each measure
-    symbol commutes rightward, phase by phase, until it reaches its own
-    variable block, where the degree must be exactly level - 1 for the
-    term to survive.  Returns (q exponent, remaining word or None).
+    The measure factors are prepended in the written order and normal
+    ordered, which leaves the measure blocks followed by the variable
+    blocks.  The measure symbols are consumed innermost (rightmost)
+    first, in one pass: a symbol's phase is minus the sum of
+    ``_swap_qexp(block, symbol) * exp`` over the remaining variable
+    blocks before its own, and its own block must hold degree exactly
+    level - 1 for the term to survive; it is then dropped.  Returns
+    (q exponent, remaining word or None).
     """
     raw = [(k, i, 1) for k, i in measure] + list(word)
     qexp, fs = normalize_word(level, raw)
     if fs is None:
         return 0, None
-    fs = list(fs)
-    while True:
-        pos = None
-        for p in range(len(fs) - 1, -1, -1):
-            if fs[p][0] in (Kind.DTHETA, Kind.DTHETABAR):
-                pos = p
-                break
-        if pos is None:
-            return qexp, tuple(fs)
-        dkind, didx, dexp = fs[pos]
+    split = sum(1 for f in fs if f[0] <= Kind.DTHETA)
+    rest = list(fs[split:])
+    for dkind, didx, dexp in reversed(fs[:split]):
         if dexp != 1:
             raise EngineError("repeated measure symbol")
         want = (_variable_kind(dkind), didx)
-        p = pos
-        while p + 1 < len(fs) and (fs[p + 1][0], fs[p + 1][1]) != want:
-            nk, ni, ne = fs[p + 1]
-            qexp -= _swap_qexp((nk, ni), (dkind, didx)) * ne
-            fs[p], fs[p + 1] = fs[p + 1], fs[p]
-            p += 1
-        if p + 1 == len(fs):
+        for p, (k, i, e) in enumerate(rest):
+            if (k, i) == want:
+                break
+            qexp -= _swap_qexp((k, i), (dkind, didx)) * e
+        else:
             return 0, None  # no matching variable: degree 0 < level - 1
-        if fs[p + 1][2] != level - 1:
+        if e != level - 1:
             return 0, None
-        del fs[p:p + 2]
+        del rest[p]
+    return qexp, tuple(rest)
 
 
 def _integrate_terms(level: int,

@@ -27,15 +27,13 @@ delta(k, n-1)).  Normal ordering merges equal generators by adding their
 exponents, returns zero at an exponent >= n, and a phase never changes
 an exponent; so a product's theta_1 and thetabar_1 exponents are the
 sums of its factors'.  The integrand w |A><B| is therefore split by the
-(theta_1, thetabar_1) exponents of each word, and a weight block (a, b)
-is multiplied only by the outer-product block (n-1-a, n-1-b).  The same
-rule builds that block: |A><B| is never formed whole, its ket factor and
-the dagger of its bra factor are split by degree once per solve and once
-per :func:`resolution_integral` call, and the block (i, j) composes only
-the factor blocks whose degrees sum to (i, j).  A diagonal weight thus
-reads n of the n^2 outer products, and :func:`solve_weight`, which reads
-every block, forms each product once.  Every product left out
-integrates to exactly 0, so no result changes.
+(theta_1, thetabar_1) exponents of each word.  |A><B| is never formed
+whole: its ket factor and the dagger of its bra factor are split by
+degree once per solve and once per :func:`resolution_integral` call, and
+a weight block (a, b) with a ket block (c, d) is composed only with the
+bra block (n-1-a-c, n-1-b-d).  A diagonal weight thus reads n of the n^2
+ket-bra products.  Every product left out integrates to exactly 0, so no
+result changes.
 """
 
 from __future__ import annotations
@@ -105,7 +103,8 @@ def _pair_outer(level: int, pair: tuple[str, str],
                 evolved: bool = False) -> tuple[dict, dict]:
     """The two factors of |A><B| for the pair's coherent states, each split
     by measured degrees: ``_blocks`` of the ket body and of dagger(bra body).
-    Their product is never formed; :func:`_outer_block` composes one block."""
+    Their product is never formed whole; :func:`_integrate` composes only
+    the blocks the weight reads."""
     ket_state = make_coherent(level, pair[0], sqrt_rho)
     bra_state = make_coherent(level, pair[1], sqrt_rho)
     ket_body = evolve_state(ket_state) if evolved else ket_state.body
@@ -128,40 +127,24 @@ def _blocks(e: OpExpr) -> dict[tuple[int, int], OpExpr]:
     return {d: OpExpr._wrap(e.level, terms) for d, terms in blocks.items()}
 
 
-def _outer_block(factors: tuple[dict, dict],
-                 degrees: tuple[int, int]) -> OpExpr | None:
-    """The ``degrees`` block of |A><B| from ``factors`` = ``_pair_outer(...)``.
-
-    Only the ket and bra blocks whose degrees sum to ``degrees`` are
-    composed (see the module docstring); None if no such pair exists.
-    """
-    ket_blocks, bra_blocks = factors
-    i, j = degrees
-    block = None
-    for (a, b), ket_block in ket_blocks.items():
-        bra_block = bra_blocks.get((i - a, j - b))
-        if bra_block is not None:
-            product = ket_block @ bra_block
-            block = product if block is None else block + product
-    return block
-
-
 def _integrate(weight: Weight, factors: tuple[dict, dict]) -> OpExpr:
     """int dthetabar dtheta w |A><B| with ``factors`` = ``_pair_outer(...)``.
 
-    A weight block of degrees (a, b) meets only the outer block
-    (n-1-a, n-1-b) (see the module docstring); it alone is composed, and
-    every other pair, which would integrate to 0, is never formed.  Nor
-    is it normal ordered, so a generator pair without an exchange rule
-    inside it goes unreported: its value is 0 however that missing rule
-    would read.
+    A weight block (a, b) and a ket block (c, d) meet only the bra block
+    (n-1-a-c, n-1-b-d) (see the module docstring); only such triples are
+    composed, and every other product, which would integrate to 0, is
+    never formed.  Nor is such a product normal ordered, so a generator
+    pair without an exchange rule inside it goes unreported: its value is
+    0 however that missing rule would read.
     """
     top = weight.level - 1
+    ket_blocks, bra_blocks = factors
     integrand = OpExpr.zero(weight.level)
     for (a, b), block in _blocks(OpExpr.from_gexpr(weight.expr)).items():
-        partner = _outer_block(factors, (top - a, top - b))
-        if partner is not None:
-            integrand = integrand + block @ partner
+        for (c, d), ket_block in ket_blocks.items():
+            bra_block = bra_blocks.get((top - a - c, top - b - d))
+            if bra_block is not None:
+                integrand = integrand + block @ ket_block @ bra_block
     return berezin_op(integrand, MEASURE)
 
 

@@ -1,11 +1,17 @@
-"""Step-by-step rewrite system for normal ordering, kept as a test oracle.
+"""Step-by-step rewrite systems for normal ordering and Berezin
+integration, kept as test oracles.
 
-Each step applies one rule to one adjacent pair: merge two factors of the
-same generator, or swap an out-of-order pair of distinct generators with
-its exchange phase.  A raw factor, or a merge, that reaches the level
-makes the product zero at once.  With ``rng`` given, the rule to apply is
-chosen at random among those that apply, so different orders of rewriting
-can be compared with each other and with ``galg.normalize_word``.
+Each step of :func:`rewrite` applies one rule to one adjacent pair: merge
+two factors of the same generator, or swap an out-of-order pair of
+distinct generators with its exchange phase.  A raw factor, or a merge,
+that reaches the level makes the product zero at once.  With ``rng``
+given, the rule to apply is chosen at random among those that apply, so
+different orders of rewriting can be compared with each other and with
+``galg.normalize_word``.
+
+:func:`integrate_by_swaps` moves each measure symbol rightward one
+adjacent swap at a time until it meets its own variable block; it is
+compared with the one-pass ``galg.integrate_word``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import random
 from typing import Optional
 
 from grassq.errors import EngineError, UnspecifiedRelationError
-from grassq.galg import GExpr, _swap_qexp
+from grassq.galg import (GExpr, Kind, _swap_qexp, _variable_kind,
+                         normalize_word)
 from grassq.scalars import Scalar
 
 
@@ -74,3 +81,35 @@ def has_uncovered_inversion(factors) -> bool:
                 except UnspecifiedRelationError:
                     return True
     return False
+
+
+def integrate_by_swaps(level: int, word, measure):
+    """``(e, word)`` or ``(0, None)``, as ``integrate_word`` returns them."""
+    raw = [(k, i, 1) for k, i in measure] + list(word)
+    qexp, fs = normalize_word(level, raw)
+    if fs is None:
+        return 0, None
+    fs = list(fs)
+    while True:
+        pos = None
+        for p in range(len(fs) - 1, -1, -1):
+            if fs[p][0] in (Kind.DTHETA, Kind.DTHETABAR):
+                pos = p
+                break
+        if pos is None:
+            return qexp, tuple(fs)
+        dkind, didx, dexp = fs[pos]
+        if dexp != 1:
+            raise EngineError("repeated measure symbol")
+        want = (_variable_kind(dkind), didx)
+        p = pos
+        while p + 1 < len(fs) and (fs[p + 1][0], fs[p + 1][1]) != want:
+            nk, ni, ne = fs[p + 1]
+            qexp -= _swap_qexp((nk, ni), (dkind, didx)) * ne
+            fs[p], fs[p + 1] = fs[p + 1], fs[p]
+            p += 1
+        if p + 1 == len(fs):
+            return 0, None  # no matching variable: degree 0 < level - 1
+        if fs[p + 1][2] != level - 1:
+            return 0, None
+        del fs[p:p + 2]

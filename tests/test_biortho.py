@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from grassq.biortho import (biortho_decompose, check_pseudo_hermiticity,
                             decomposition_residuals, instantiate_numeric,
                             numeric_ladder)
+from grassq.cli import _default_matrix
 from grassq.coherent import check_stability, make_coherent, verify_eigen
 from grassq.errors import (ComplexSpectrumError, DecompositionError,
                            DefectiveMatrixError, DegenerateSpectrumError,
@@ -87,6 +90,14 @@ def test_numeric_bracket_matches_symbolic_closure():
     bracket = bz @ b - q * b @ bz
     prefactor = rho[0] - q * rho[1] + q ** 2 * rho[0]
     assert np.linalg.norm(bracket - prefactor * b, 2) < 1e-9
+
+
+def test_nilpotency_residual_is_finite_at_tiny_rho():
+    d = biortho_decompose(np.asarray(_default_matrix(3), dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        residual = numeric_ladder(d, (1e-300, 1e-300)).nilpotency_residual
+    assert np.isfinite(residual) and residual < 1e-12
 
 
 def test_instantiate_symbolic_zero_defects():

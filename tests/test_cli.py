@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,6 +87,25 @@ def test_exit_code_one_on_failing_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fail" in out
     assert "same-family-gap" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("rho", ["1e88,1e-86,1e-204,1e199",
+                                 "1e-300,1e-300", "1e300,1e300"])
+def test_extreme_rho_gives_a_finite_ladder_report(rho, capsys):
+    # b**n over- or underflows unless b is scaled to unit norm first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "biortho", "--rho", rho,
+                     "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert not caught, [str(w.message) for w in caught]
+    checks = json.loads(out, parse_constant=_reject_constant)["checks"]
+    assert {c["status"] for c in checks} == {"pass"}
 
 
 def test_json_report_shape_and_determinism(capsys):

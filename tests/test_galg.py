@@ -4,11 +4,13 @@ import pytest
 
 from grassq.errors import EngineError, UnspecifiedRelationError
 from grassq.galg import (GExpr, Kind, berezin, d_theta, d_thetabar, grade,
-                         normal_order, normalize_word, theta, thetabar)
+                         integrate_word, normal_order, normalize_word, theta,
+                         thetabar)
 from grassq.scalars import Scalar
 
 from conftest import random_gexpr, random_single_pair_word, random_two_index_word
-from rewrite_oracle import has_uncovered_inversion, rewrite, rewrite_gexpr
+from rewrite_oracle import (has_uncovered_inversion, integrate_by_swaps,
+                            rewrite, rewrite_gexpr)
 
 
 def test_exchange_rule_examples():
@@ -128,6 +130,39 @@ def test_two_index_words_against_the_rewrite_oracle():
                 qe, word = normalize_word(n, raw)
                 assert word == want_word and qe % n == want_qe, raw
     assert min(seen.values()) > 0, seen
+
+
+def _outcome(integrate, level, word, measure):
+    try:
+        return integrate(level, word, measure)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def test_closed_form_integration_matches_the_swap_oracle():
+    # raw words over all four kinds at indices 1..3, exponents up to the
+    # level; half of them also hold the degree n-1 block of each measure
+    # symbol, so that integrals survive as well as vanish and raise
+    rng = random.Random(31)
+    symbols = [(kind, index) for kind in (Kind.DTHETA, Kind.DTHETABAR)
+               for index in (1, 2, 3)]
+    seen = {"survive": 0, "vanish": 0, "raise": 0}
+    for trial in range(4000):
+        n = rng.choice([2, 3, 4, 5])
+        measure = rng.sample(symbols, rng.randrange(4))
+        word = [(rng.choice(list(Kind)), rng.randrange(1, 4),
+                 rng.randrange(1, n + 1))
+                for _ in range(rng.randrange(4))]
+        if trial % 2:
+            word += [(Kind.THETA if kind == Kind.DTHETA else Kind.THETABAR,
+                      index, n - 1) for kind, index in measure]
+            rng.shuffle(word)
+        want = _outcome(integrate_by_swaps, n, word, measure)
+        assert _outcome(integrate_word, n, word, measure) == want, \
+            (n, word, measure)
+        seen["raise" if isinstance(want[0], type) else
+             "vanish" if want[1] is None else "survive"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_mul_associative():

@@ -12,8 +12,7 @@ from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
                                closed_form_weight, compare_weights,
                                mirror_weight, resolution_integral,
                                solve_weight, verify_resolution, _blocks,
-                               _integrate, _outer_block, _pair_outer,
-                               _solve_permutation, _weight)
+                               _integrate, _solve_permutation, _weight)
 from grassq.scalars import Scalar, rho_factorial
 from grassq.suites import run_suite
 
@@ -227,30 +226,6 @@ def _reference_solve(n):
 def test_solver_matches_a_solve_on_the_plain_integral():
     for n in range(2, 9):
         _assert_same(solve_weight(n).expr, _reference_solve(n).expr, n)
-
-
-def test_blocks_built_on_demand_match_the_plain_product():
-    for n in range(2, 9):
-        custom = tuple(Scalar.from_rational(n, Fraction(i + 3, i + 1))
-                       .mul_q_power(i + 1) for i in range(n - 1))
-        for pair in MIXED_PAIRS + SAME_PAIRS:
-            for evolved in (False, True):
-                for sqrt_rho in (None, custom):
-                    context = (n, pair, evolved, sqrt_rho is None)
-                    plain = _blocks(_plain_outer(
-                        *_pair_bodies(n, pair, sqrt_rho, evolved)))
-                    factors = _pair_outer(n, pair, sqrt_rho, evolved)
-                    for a in range(n):
-                        for b in range(n):
-                            built = _outer_block(factors, (a, b))
-                            want = plain.get((a, b))
-                            if built is None or want is None:
-                                assert built is None or built.is_zero, context
-                                assert want is None, context
-                            else:
-                                _assert_same(built, want, (context, a, b))
-                    assert set(plain) <= {(a, b) for a in range(n)
-                                          for b in range(n)}, context
 
 
 def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch):
