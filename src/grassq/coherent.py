@@ -16,11 +16,20 @@ The exponential form is built on the vacuum: by linearity
 e_q^A |F_0> = sum_k (A^k |F_0>) / rho_k!, so :func:`q_exponential` with
 ``on=|F_0>`` forms n one-term states and never the operator e_q^A, whose
 ~n^2/2 terms would nearly all miss |F_0>.
+
+:func:`make_coherent` builds each default state (sqrt(rho_i) = s_i) once
+per (level, family) and hands the same object to every caller: one
+``verify all`` run asks for each default state many times, from the
+coherent checks, the stability checks, the weight solve and every
+resolution integral.  Sharing is exact because a state never changes:
+the dataclass is frozen and its body is never mutated.  Custom sqrt_rho
+values (unhashable Scalars) are not memoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import EngineError
@@ -48,8 +57,22 @@ def make_coherent(level: int, family: str = PSI,
 
     The i-th coefficient is qbar^(i(i+1)/2) divided by sqrt(rho_i!); the
     i = 0 coefficient is 1.  Custom sqrt_rho values must be invertible
-    monomials (the defaults s_i are).
+    monomials (the defaults s_i are).  With the default sqrt_rho the
+    state is built once per (level, family) and shared (see the module
+    docstring); a custom sqrt_rho always builds a fresh state.
     """
+    if sqrt_rho is None:
+        return _default_coherent(level, family)
+    return _build_coherent(level, family, sqrt_rho)
+
+
+@lru_cache(maxsize=32)
+def _default_coherent(level: int, family: str) -> CoherentState:
+    return _build_coherent(level, family, None)
+
+
+def _build_coherent(level: int, family: str,
+                    sqrt_rho: Sequence[Scalar] | None) -> CoherentState:
     if level < 2:
         raise EngineError("need at least two levels")
     rho = tuple(sqrt_rho) if sqrt_rho is not None else default_sqrt_rho(level)

@@ -121,6 +121,26 @@ def _contract(d1: Dyad, d2: Dyad) -> Dyad | None:
     return (d1[0], d2[1])
 
 
+def _term_pairs(level: int, left: dict, right: dict):
+    """The surviving term pairs of a product, before any coefficient product.
+
+    For each term of ``left`` times each term of ``right`` whose dyads
+    contract and whose word does not vanish, yields
+    ``((word, dyad), e, c1, c2)``: the pair contributes
+    c1 c2 q**e word dyad.  ``OpExpr.__matmul__`` evaluates these tuples;
+    the weight solver only inspects them.
+    """
+    for (w1, d1), c1 in left.items():
+        for (w2, d2), c2 in right.items():
+            dyad = _contract(d1, d2)
+            if dyad is None:
+                continue
+            cross = _cross_word(w2, d1)
+            qe, w = normalize_word(level, w1 + w2)
+            if w is not None:
+                yield (w, dyad), cross + qe, c1, c2
+
+
 # ---------------------------------------------------------------------------
 # operator expressions
 # ---------------------------------------------------------------------------
@@ -151,19 +171,9 @@ class OpExpr(_SparseSum):
 
     def __matmul__(self, other: "OpExpr") -> "OpExpr":
         self._check(other)
-        level = self.level
-
-        def products():
-            for (w1, d1), c1 in self.terms.items():
-                for (w2, d2), c2 in other.terms.items():
-                    dyad = _contract(d1, d2)
-                    if dyad is None:
-                        continue
-                    cross = _cross_word(w2, d1)
-                    qe, w = normalize_word(level, w1 + w2)
-                    if w is not None:
-                        yield (w, dyad), (c1 * c2).mul_q_power(cross + qe)
-        return OpExpr._wrap(level, _accumulate({}, products()))
+        return OpExpr._wrap(self.level, _accumulate({}, (
+            (key, (c1 * c2).mul_q_power(qe)) for key, qe, c1, c2
+            in _term_pairs(self.level, self.terms, other.terms))))
 
     def power(self, k: int) -> "OpExpr":
         if k < 0:

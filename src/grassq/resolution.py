@@ -10,16 +10,19 @@ the mixed pairs |theta><theta~| and |theta~><theta| a diagonal weight
 makes the integral the exact identity; the same-family pairs produce
 same-family dyads and therefore can never match it.
 
-:func:`solve_weight` re-derives the weight from scratch.  It integrates
-every monomial theta^k thetabar^l against |theta><theta~|, which gives
-one column of the linear system in the unknowns c_kl.  It then proves
-that the system is a generalized permutation matrix: every column holds
-exactly one invertible monomial entry and every dyad |psi_i><phi_j| is
-hit exactly once.  Such a system has exactly one solution, read off by
+:func:`solve_weight` re-derives the weight from scratch.  The integral of
+each monomial theta^k thetabar^l against |theta><theta~| is one column
+of the linear system in the unknowns c_kl.  The solver proves that the
+system is a generalized permutation matrix: every column holds exactly
+one invertible monomial entry and every dyad |psi_i><phi_j| is hit
+exactly once.  Such a system has exactly one solution, read off by
 inverting the entries on the diagonal dyads; any other shape is
-refused.  The solver, not any closed formula, is the source of truth;
-the two closed-form candidates below are compared against it index by
-index.
+refused.  Only the n diagonal columns are integrated exactly; each of
+the n^2 - n off-diagonal columns is shown, by integer bookkeeping alone,
+to hit one dyad through one pair of single-term coefficients, which
+makes its entry a nonzero monomial without computing it.  The solver,
+not any closed formula, is the source of truth; the two closed-form
+candidates below are compared against it index by index.
 
 Every integral is formed by degree complement.  The measure keeps a word
 only when it holds theta_1^(n-1) thetabar_1^(n-1) (int dtheta theta^k =
@@ -32,8 +35,9 @@ whole: its ket factor and the dagger of its bra factor are split by
 degree once per solve and once per :func:`resolution_integral` call, and
 a weight block (a, b) with a ket block (c, d) is composed only with the
 bra block (n-1-a-c, n-1-b-d).  A diagonal weight thus reads n of the n^2
-ket-bra products.  Every product left out integrates to exactly 0, so no
-result changes.
+ket-bra products, and the solver sends a ket block (c, d) with a bra
+block (e, f) to the one column (n-1-c-e, n-1-d-f) that reads them.
+Every product left out integrates to exactly 0, so no result changes.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ from typing import Sequence
 
 from .errors import EngineError, SingularSystemError
 from .galg import (GExpr, Kind, Word, d_theta, d_thetabar, grade,
-                   normalize_word)
-from .opalg import (OpExpr, PHI, PSI, berezin_op, dual_identity_sum,
-                    op_dagger)
+                   integrate_word, normalize_word)
+from .opalg import (IDENT, OpExpr, PHI, PSI, _term_pairs, berezin_op,
+                    dual_identity_sum, op_dagger)
 from .coherent import evolve_state, make_coherent
 from .scalars import Scalar, rho_factorial
 
@@ -184,8 +188,10 @@ def _solve_permutation(level: int, columns: dict) -> dict:
 
     The system must be a generalized permutation matrix: each column one
     single-term (so invertible) entry, no row hit twice, hence none missed.
-    Its unique solution is c_kl = 1/entry on the diagonal rows, zero
-    elsewhere.  Any other shape, or a surviving off-diagonal c_kl, raises
+    An entry may be None: a single-term entry proven by structure (see
+    :func:`_proven_column`), whose value is never read.  The unique
+    solution is c_kl = 1/entry on the diagonal rows, zero elsewhere.  Any
+    other shape, or a surviving off-diagonal c_kl, raises
     :class:`SingularSystemError`.
     """
     rows = {(i, j) for i in range(level) for j in range(level)}
@@ -196,7 +202,7 @@ def _solve_permutation(level: int, columns: dict) -> dict:
         if len(column) != 1:
             raise SingularSystemError(f"column c_{k}{l} has {len(column)} entries")
         (row, entry), = column.items()
-        if len(entry.terms) != 1:
+        if entry is not None and len(entry.terms) != 1:
             raise SingularSystemError(f"c_{k}{l} has a non-monomial entry {entry}")
         if row not in rows:
             raise SingularSystemError(f"row {row} is hit twice or does not exist")
@@ -208,26 +214,87 @@ def _solve_permutation(level: int, columns: dict) -> dict:
     return solution
 
 
-def solve_weight(level: int,
-                 sqrt_rho: Sequence[Scalar] | None = None) -> Weight:
-    """Derive the weight coefficients from the resolution condition.
+def _row(word: Word, dyad: tuple) -> tuple[int, int]:
+    """The row (i, j) of a weight-system term: an empty word on |psi_i><phi_j|."""
+    ket_side, bra_side = dyad
+    if word or not (ket_side and bra_side):
+        raise SingularSystemError("unexpected term shape in weight system")
+    return ket_side[1], bra_side[1]
 
-    Splits the factors of |theta><theta~| once, integrates every
-    monomial theta^k thetabar^l against it and equates the total with
-    sum_i |psi_i><phi_i|.  The system must be a generalized permutation
-    matrix, which proves the solution unique, and the solution must be
-    diagonal.
+
+def _proven_column(level: int, kl: tuple[int, int], block_pairs: list) -> dict:
+    """Column c_kl by structure alone: ``{row: None}``.
+
+    Only integer work: ``_term_pairs`` contracts the dyads and normal
+    orders theta^k thetabar^l (ket word) (bra word), and ``integrate_word``
+    keeps the surviving words.  Exactly one (ket term, bra term) pair
+    must survive, with the empty word on an outer product, and both its
+    coefficients must be single-term.  Its entry is then a phase times
+    two nonzero Laurent monomials over a field, a nonzero single-term
+    Scalar, so no product is formed.  Any other shape raises
+    :class:`SingularSystemError`; no cancellation is ever assumed.
+    """
+    k, l = kl
+    _, unit_word = normalize_word(level, _monomial_word(k, l))
+    unit = {(unit_word, IDENT): None}  # coefficient one, never read
+    survivors = []
+    for ket_block, bra_block in block_pairs:
+        for key, _, _, c_ket in _term_pairs(level, unit, ket_block.terms):
+            for (word, dyad), _, _, c_bra in _term_pairs(
+                    level, {key: c_ket}, bra_block.terms):
+                _, rest = integrate_word(level, word, MEASURE)
+                if rest is not None:
+                    survivors.append((_row(rest, dyad), c_ket, c_bra))
+    if len(survivors) != 1:
+        raise SingularSystemError(
+            f"column c_{k}{l} is reached by {len(survivors)} term pairs")
+    (row, c_ket, c_bra), = survivors
+    if len(c_ket.terms) != 1 or len(c_bra.terms) != 1:
+        raise SingularSystemError(f"c_{k}{l} has a non-monomial factor")
+    return {row: None}
+
+
+def _weight_columns(level: int, sqrt_rho: Sequence[Scalar] | None) -> dict:
+    """The columns of the weight system, ``{(k, l): {row: entry}}``.
+
+    The n diagonal columns are integrated exactly, as any weight is.  For
+    the n^2 - n off-diagonal ones, whose values the solution never reads,
+    one pass over the (ket block, bra block) pairs of |theta><theta~|
+    sends the pair with degrees (c, d), (e, f) to the only column that
+    can read it, (k, l) = (n-1-c-e, n-1-d-f), and each column is proven
+    single-term by structure (:func:`_proven_column`).
     """
     n = level
     factors = _pair_outer(n, (PSI, PHI), sqrt_rho)
     columns = {}
-    for kl in [(k, l) for k in range(n) for l in range(n)]:
-        integral = _integrate(_weight(n, {kl: Scalar.one(n)}), factors)
-        if any(word or not (k and b) for word, (k, b) in integral.terms):
-            raise EngineError("unexpected term shape in weight system")
-        columns[kl] = {(k[1], b[1]): c
-                       for (_, (k, b)), c in integral.terms.items()}
-    return _weight(n, _solve_permutation(n, columns))
+    for i in range(n):
+        integral = _integrate(_weight(n, {(i, i): Scalar.one(n)}), factors)
+        columns[(i, i)] = {_row(word, dyad): c
+                           for (word, dyad), c in integral.terms.items()}
+    reached: dict = {(k, l): [] for k in range(n) for l in range(n) if k != l}
+    ket_blocks, bra_blocks = factors
+    for (c, d), ket_block in ket_blocks.items():
+        for (e, f), bra_block in bra_blocks.items():
+            pairs = reached.get((n - 1 - c - e, n - 1 - d - f))
+            if pairs is not None:
+                pairs.append((ket_block, bra_block))
+    for kl, pairs in reached.items():
+        columns[kl] = _proven_column(n, kl, pairs)
+    return columns
+
+
+def solve_weight(level: int,
+                 sqrt_rho: Sequence[Scalar] | None = None) -> Weight:
+    """Derive the weight coefficients from the resolution condition.
+
+    Equates int w |theta><theta~| with sum_i |psi_i><phi_i|, one column
+    per unknown c_kl (:func:`_weight_columns`): n columns integrated
+    exactly, n^2 - n proven by structure.  The system must be a
+    generalized permutation matrix, which proves the solution unique,
+    and the solution must be diagonal.
+    """
+    return _weight(level, _solve_permutation(
+        level, _weight_columns(level, sqrt_rho)))
 
 
 def compare_weights(a: Weight, b: Weight) -> list[tuple[int, bool, Scalar]]:

@@ -40,6 +40,36 @@ def test_closed_form_two_levels():
     assert state.body == expected
 
 
+def test_default_state_is_built_once_per_level_and_family():
+    assert make_coherent(5, PSI) is make_coherent(5, PSI)
+    assert make_coherent(5) is make_coherent(5, PSI)
+    keys = [(3, PSI), (4, PSI), (3, PHI)]
+    states = [make_coherent(n, family) for n, family in keys]
+    assert len({id(state) for state in states}) == len(keys)
+    for (n, family), state in zip(keys, states):
+        assert (state.level, state.family) == (n, family)
+        assert {d[0][0] for _, d in state.body.terms} == {family}
+        assert len(state.body.terms) == n
+
+
+def test_custom_sqrt_rho_builds_a_fresh_state():
+    n = 3
+    default = make_coherent(n, PSI)
+    custom = (Scalar.from_rational(n, 2), Scalar.from_rational(n, 3))
+    state = make_coherent(n, PSI, custom)
+    assert state is not make_coherent(n, PSI, custom)
+    assert state is not default and state.sqrt_rho == custom
+    expected = (ket_op(n, PSI, 0)
+                + op_term(n, Scalar.q(n, -1) * Scalar.from_rational(
+                    n, Fraction(1, 2)), ket(PSI, 1), left=[TH])
+                + op_term(n, Scalar.from_rational(n, Fraction(1, 6)),
+                          ket(PSI, 2), left=[(Kind.THETA, 1, 2)]))
+    assert state.body == expected
+    # the custom build leaves the shared default state as it was
+    assert make_coherent(n, PSI) is default
+    assert default.sqrt_rho == (Scalar.s(n, 1), Scalar.s(n, 2))
+
+
 def test_leading_coefficient_is_one():
     for n in range(2, 7):
         body = make_coherent(n, PSI).body

@@ -12,7 +12,8 @@ from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
                                closed_form_weight, compare_weights,
                                mirror_weight, resolution_integral,
                                solve_weight, verify_resolution, _blocks,
-                               _integrate, _solve_permutation, _weight)
+                               _integrate, _pair_outer, _proven_column,
+                               _solve_permutation, _weight, _weight_columns)
 from grassq.scalars import Scalar, rho_factorial
 from grassq.suites import run_suite
 
@@ -126,6 +127,35 @@ def test_permutation_solver():
     refused({(0, 1): {}}, "has 0 entries")
     refused({(0, 1): {(0, 1): q}}, "hit twice")
     refused({(0, 1): {(1, 1): q}, (0, 0): {(1, 0): s1}}, "off-diagonal")
+    # None marks an entry proven single-term by structure, never read
+    proven = {(0, 1): {(1, 0): None}, (1, 0): {(0, 1): None}}
+    assert _solve_permutation(n, {**columns, **proven}) == x
+    refused({(0, 1): {(1, 1): None}, (0, 0): {(1, 0): s1}}, "off-diagonal")
+
+
+def test_off_diagonal_column_of_the_wrong_shape_is_refused():
+    n = 2
+    ket_blocks, bra_blocks = _pair_outer(n, (PSI, PHI), None)
+    # c_01: theta^0 thetabar^1 meets the ket block (1, 0) and the bra
+    # block (0, 0), and only there
+    pair = (ket_blocks[(1, 0)], bra_blocks[(0, 0)])
+    assert _proven_column(n, (0, 1), [pair]) == {(1, 0): None}
+
+    def refused(pairs, reason):
+        with pytest.raises(SingularSystemError, match=reason):
+            _proven_column(n, (0, 1), pairs)
+
+    refused([], "c_01 is reached by 0 term pairs")
+    refused([pair, pair], "c_01 is reached by 2 term pairs")
+    s1 = Scalar.s(n, 1)
+    ket_block, bra_block = pair
+    refused([(ket_block.scale(Scalar.one(n) + s1), bra_block)],
+            "c_01 has a non-monomial factor")
+    refused([(ket_block, bra_block.scale(Scalar.one(n) + s1))],
+            "c_01 has a non-monomial factor")
+    # a pair whose degrees miss the column leaves a word behind
+    refused([(ket_blocks[(0, 0)], bra_blocks[(0, 0)])],
+            "c_01 is reached by 0 term pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +166,11 @@ def _pair_bodies(n, pair, sqrt_rho, evolved):
     """The ket body and the bra body of the pair's coherent states."""
     states = [make_coherent(n, family, sqrt_rho) for family in pair]
     return [evolve_state(s) if evolved else s.body for s in states]
+
+
+def _custom_sqrt_rho(n):
+    return tuple(Scalar.from_rational(n, Fraction(i + 2, i + 1))
+                 .mul_q_power(i) for i in range(n - 1))
 
 
 def _plain_outer(ket_body, bra_body):
@@ -169,8 +204,7 @@ def test_filtered_integral_matches_the_plain_one():
     shapes = ("dense", "non-diagonal", "single", "solved")
     case = 0
     for n in range(2, 9):
-        custom = tuple(Scalar.from_rational(n, Fraction(i + 2, i + 1))
-                       .mul_q_power(i) for i in range(n - 1))
+        custom = _custom_sqrt_rho(n)
         for pair in MIXED_PAIRS + SAME_PAIRS:
             for evolved in (False, True):
                 for sqrt_rho in (None, custom):
@@ -210,22 +244,50 @@ def test_weight_blocks_without_a_partner_integrate_to_zero():
                               shape))
 
 
-def _reference_solve(n):
-    outer_product = _plain_outer(*_pair_bodies(n, (PSI, PHI), None, False))
+def _reference_columns(n, integrate):
+    """Every column of the weight system in full, values included: the
+    monomial theta^k thetabar^l integrated by ``integrate``."""
     columns = {}
     for k in range(n):
         for l in range(n):
-            integral = _reference_integral(
-                _weight(n, {(k, l): Scalar.one(n)}), outer_product)
+            integral = integrate(_weight(n, {(k, l): Scalar.one(n)}))
             columns[(k, l)] = {(ket_side[1], bra_side[1]): c for
                                (_, (ket_side, bra_side)), c in
                                integral.terms.items()}
-    return _weight(n, _solve_permutation(n, columns))
+    return columns
+
+
+def _reference_solve(n):
+    outer_product = _plain_outer(*_pair_bodies(n, (PSI, PHI), None, False))
+    return _weight(n, _solve_permutation(n, _reference_columns(
+        n, lambda weight: _reference_integral(weight, outer_product))))
 
 
 def test_solver_matches_a_solve_on_the_plain_integral():
     for n in range(2, 9):
         _assert_same(solve_weight(n).expr, _reference_solve(n).expr, n)
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_solver_columns_match_the_per_column_integral(custom):
+    # the reference integrates every monomial exactly, one column at a
+    # time; the solver computes only the diagonal columns and proves the
+    # others by structure, so it must agree on every row and on every
+    # value it computes
+    for n in range(2, 17):
+        sqrt_rho = _custom_sqrt_rho(n) if custom else None
+        factors = _pair_outer(n, (PSI, PHI), sqrt_rho)
+        want = _reference_columns(n, lambda w: _integrate(w, factors))
+        got = _weight_columns(n, sqrt_rho)
+        assert set(got) == set(want), n
+        for (k, l), column in want.items():
+            assert len(column) == 1, (n, k, l)
+            (row, value), = column.items()
+            assert set(got[(k, l)]) == {row}, (n, k, l)
+            if k == l:
+                assert got[(k, l)][row] == value, (n, k)
+            else:
+                assert got[(k, l)][row] is None, (n, k, l)
 
 
 def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch):
