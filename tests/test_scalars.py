@@ -201,48 +201,104 @@ def _random_coeffs(rng, length):
 
 def _residue(sympy, x, n, poly):
     """Coefficients of poly mod Phi_n as Fractions, lowest degree first."""
-    phi = sympy.cyclotomic_poly(n, x)
-    rem = sympy.Poly(sympy.rem(sympy.expand(poly), phi, x), x)
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+    rem = sympy.Poly(poly, x, domain="QQ").rem(phi)
     cs = [Fraction(int(c.p), int(c.q)) for c in rem.all_coeffs()[::-1]]
-    return tuple(cs + [Fraction(0)] * (sympy.degree(phi, x) - len(cs)))
+    return tuple(cs + [Fraction(0)] * (phi.degree() - len(cs)))
 
 
 def _as_poly(sympy, x, coeffs):
-    return sum(sympy.Rational(c.numerator, c.denominator) * x ** k
-               for k, c in enumerate(coeffs))
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                          for k, c in enumerate(coeffs)), x, domain="QQ")
+
+
+def _is_unit(c):
+    """Whether c is held in unit form, the fast path's private tag."""
+    return c._k is not None
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_field_operations_match_sympy(n):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    phi = sympy.cyclotomic_poly(n, x)
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
     degree = len(cyclotomic_polynomial(n)) - 1
     rng = random.Random(1000 + n)
 
     def check(value, poly):
         assert value.coeffs == _residue(sympy, x, n, poly)
 
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def power(k):
+        return sympy.Poly(x ** (k % n), x, domain="QQ")
+
+    # units c*q^k below phi(n), at and past it (dense basis rows at
+    # n = 10, 11, 12), and past the half-turn q^(n/2) = -1 at even n
+    units = []
+    for k, c in ((0, Fraction(-3, 7)), (1, Fraction(5, 2)),
+                 (degree, Fraction(1)), (n - 1, Fraction(-2)),
+                 (n // 2 + 1, Fraction(4, 9))):
+        poly = power(k) * rational(c)
+        units.append((Cyclo.q_power(n, k).scaled(c), poly))
+        units.append((Cyclo(n, [0] * k + [c]), poly))
+    dense = []
+    for _ in range(2):
+        cs = _random_coeffs(rng, degree)
+        dense.append((Cyclo(n, cs), _as_poly(sympy, x, cs)))
+    assert all(_is_unit(u) for u, _ in units)
+    # at n = 2 every nonzero element is rational, so a unit
+    assert all(_is_unit(a) == (n == 2) for a, _ in dense)
+
+    operands = units[::2] + dense
+    for a, pa in operands:
+        derived = [a.inverse(), a.conj(), a.scaled(Fraction(-5, 3)), -a]
+        check(derived[0], pa.invert(phi))
+        check(derived[1], pa.compose(power(n - 1)))
+        check(derived[2], pa * sympy.Rational(-5, 3))
+        check(derived[3], -pa)
+        for j in (1, n // 2, n - 1):
+            derived.append(a._times_q(j))
+            check(derived[-1], pa * power(j))
+        assert all(_is_unit(d) == _is_unit(a) for d in derived)
+        for b, pb in operands:
+            check(a * b, pa * pb)
+            check(a + b, pa + pb)
+            check(a - b, pa - pb)
+            if _is_unit(a) != _is_unit(b):
+                assert not _is_unit(a * b)
+
+    # products and sums that cancel to a unit or to zero
+    for u, pu in units:
+        check(u, pu)
+        for a, pa in dense:
+            b = u * a.inverse()
+            check(a * b, pu)
+            check(a + (u - a), pu)
+            assert _is_unit(a * b) and _is_unit(a + (u - a))
+        for zero in (u - u, u + (-u), u + u.scaled(-1)):
+            assert not zero and zero == Cyclo.zero(n)
+        assert _is_unit(u + u) and u + u == u.scaled(2)
+    # with p the least prime factor of n and m = n/p, the units q^(j*m),
+    # j < p, sum to zero: 1 + q = -q^2 at n = 3
+    p = min(f for f in range(2, n + 1) if n % f == 0)
+    m = n // p
+    partial = Cyclo.zero(n)
+    for j in range(p - 1):
+        partial = partial + Cyclo.q_power(n, j * m)
+    check(partial, -power((p - 1) * m))
+    assert _is_unit(partial)
+    assert partial == -Cyclo.q_power(n, (p - 1) * m)
+    assert not partial + Cyclo.q_power(n, (p - 1) * m)
+
+    # construction from more coefficients than phi(n)
     for _ in range(3):
-        ca, cb = _random_coeffs(rng, degree), _random_coeffs(rng, degree)
-        a, b = Cyclo(n, ca), Cyclo(n, cb)
-        pa, pb = _as_poly(sympy, x, ca), _as_poly(sympy, x, cb)
-        check(a * b, pa * pb)
-        check(a + b, pa + pb)
-        check(a - b, pa - pb)
-        check(a.inverse(), sympy.invert(pa, phi, x))
-        check(a.conj(), pa.subs(x, x ** (n - 1)))
-        # construction from more coefficients than phi(n)
         long = _random_coeffs(rng, degree + rng.randint(1, 3 * n))
         check(Cyclo(n, long), _as_poly(sympy, x, long))
     for k in (-1, -n - 2, 2 * n + 1, 10 * n + 3, 1):
-        check(Cyclo.q_power(n, k), x ** k if k >= 0
-              else sympy.invert(x ** -k, phi, x))
-        for sign, c in ((1, Fraction(3, 7)), (-1, Fraction(5, 2))):
-            unit = Cyclo.q_power(n, k).scaled(sign * c)
-            check(unit.inverse(),
-                  sympy.invert(sign * sympy.Rational(c.numerator, c.denominator)
-                               * x ** (k % n), phi, x))
+        check(Cyclo.q_power(n, k), power(k) if k >= 0
+              else power(-k).invert(phi))
 
 
 def test_coeffs_are_fractions_and_display_is_stable():
@@ -277,3 +333,149 @@ def test_canonical_form_gives_exact_equality_and_hash():
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
     assert Cyclo(5, [1, 2]) != Cyclo(5, [Fraction(1, 2), 1])
+
+
+def _oracle_str(coeffs):
+    """``Cyclo.__str__`` as it was when every element was stored dense,
+    read from Fraction coefficients: the bytes every report pins."""
+    parts = []
+    for k, a in enumerate(coeffs):
+        if not a:
+            continue
+        if k == 0:
+            parts.append(str(a))
+        else:
+            base = "q" if k == 1 else f"q^{k}"
+            if a == 1:
+                parts.append(base)
+            elif a == -1:
+                parts.append(f"-{base}")
+            else:
+                parts.append(f"{a}*{base}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def _same(values):
+    first = values[0]
+    text = _oracle_str(first.coeffs)
+    for v in values:
+        assert v == first and hash(v) == hash(first)
+        assert v.coeffs == first.coeffs
+        assert str(v) == text
+        assert repr(v) == f"Cyclo({first.level}, {text})"
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_every_route_to_a_unit_gives_one_canonical_form(n):
+    degree = len(cyclotomic_polynomial(n)) - 1
+    dense = Cyclo(n, [2, 1]) if degree > 1 else None
+    if dense is not None:
+        assert not _is_unit(dense)
+        dense_inverse = dense.inverse()
+        _same([dense, Cyclo(n, [2, 1] + [0] * 3 * n), -(-dense),
+               dense.inverse().inverse(), dense.conj().conj(),
+               dense.scaled(-1).scaled(-1), dense * Cyclo.one(n)])
+    for k in range(n):
+        for c in (1, -1, Fraction(-3, 4), 5):
+            q = Cyclo.q_power(n, k)
+            unit = q.scaled(c)
+            routes = [
+                unit,
+                Cyclo(n, [0] * k + [c]),
+                Cyclo(n, [0] * (k + 2 * n) + [c, 0, 0]),
+                Cyclo.q_power(n, k - n).scaled(c),
+                Cyclo.q_power(n, k + 7 * n).scaled(c),
+                Cyclo.q_power(n, k // 2) * Cyclo.q_power(n, k - k // 2)
+                .scaled(c),
+                Cyclo.one(n).scaled(c)._times_q(k),
+                (unit + unit) - unit,
+                unit.scaled(2) - unit,
+                unit.inverse().inverse(),
+                unit.scaled(-1).scaled(-1),
+                (-unit).scaled(-1),
+                -(-unit),
+                unit.conj().conj(),
+                Cyclo.q_power(n, -k).scaled(c).conj(),
+            ]
+            if k == 0:
+                routes.append(Cyclo.from_rational(n, c))
+            if dense is not None:
+                routes += [(unit + dense) - dense,
+                           (unit * dense) * dense_inverse,
+                           dense_inverse * (dense * unit)]
+                assert not _is_unit(unit * dense)
+                assert str(unit + dense) == _oracle_str((unit + dense).coeffs)
+            assert all(_is_unit(r) for r in routes)
+            _same(routes)
+        _same([unit - unit, Cyclo.zero(n), Cyclo(n, [0] * (k + 1)),
+               unit.scaled(0), unit * Cyclo.zero(n)])
+
+
+def test_even_levels_fold_the_half_turn_into_the_sign():
+    for n in (2, 4, 6, 10, 12):
+        half = n // 2
+        for k in range(n):
+            folded = Cyclo.q_power(n, k)
+            assert folded == Cyclo.q_power(n, k - half).scaled(-1)
+            assert folded._k == k % half
+            assert folded._num == (-1 if k >= half else 1)
+    # at n = 2, q = -1 is rational
+    assert Cyclo.q_power(2, 1) == Cyclo.from_rational(2, -1)
+    assert Cyclo.q_power(2, 1)._k == 0
+
+
+def test_unit_products_never_reach_the_dense_convolution(monkeypatch):
+    # counts calls, not time: every coefficient of these suites is a unit,
+    # and a unit times a dense element only rotates and rescales it
+    from grassq import coherent, scalars
+    from grassq.suites import run_suite
+
+    calls = []
+    plain_product = scalars._product
+
+    def counting_product(t, a, b):
+        calls.append(t.n)
+        return plain_product(t, a, b)
+
+    monkeypatch.setattr(scalars, "_product", counting_product)
+    dense = Cyclo(5, [1, 2])
+    assert dense * dense == Cyclo(5, [1, 4, 4]) and calls == [5]
+    calls.clear()
+    unit = Cyclo.q_power(5, 3).scaled(Fraction(-2, 3))
+    assert unit * dense == dense * unit == Cyclo(5, [0, 0, 0, -2, -4]).scaled(
+        Fraction(1, 3))
+    assert calls == []
+    coherent._default_coherent.cache_clear()
+    run_suite("coherent", (31, 31), max_n=31)
+    for n in (8, 11):
+        run_suite("all", (n, n), max_n=n)
+    assert calls == []
+
+
+def test_q_power_checks_the_level_like_the_constructor():
+    for level in (1, 0, -3):
+        for build in (lambda: Cyclo.q_power(level, 1),
+                      lambda: Cyclo.q_power(level, 0),
+                      lambda: Cyclo(level, [1])):
+            with pytest.raises(ValueError, match="^level must be at least 2$"):
+                build()
+
+
+def test_floats_are_refused_on_the_symbolic_path():
+    unit, dense = Cyclo.q_power(5, 2), Cyclo(5, [1, 2])
+    for bad in (0.1, 1.0, 1j, complex(2, 0)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Cyclo(5, [1, bad])
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Cyclo.from_rational(5, bad)
+        for value in (unit, dense):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                value.scaled(bad)
+    assert Cyclo(5, [Fraction(1, 10), 3]) == Cyclo(5, [1, 30]).scaled(
+        Fraction(1, 10))
+    assert unit.scaled(3) == unit.scaled(Fraction(6, 2))
