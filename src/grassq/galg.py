@@ -243,9 +243,10 @@ def _variable_kind(measure_kind: int) -> int:
 
 def integrate_word(level: int, word: Word,
                    measure: Sequence[tuple[int, int]]) -> tuple[int, Optional[Word]]:
-    """Integrate a single canonical word against the given measure.
+    """Integrate a single word against the given measure.
 
-    The measure factors are prepended in the written order and normal
+    ``word`` may be any raw factor list: the measure factors are
+    prepended in the written order and the whole product is normal
     ordered, which leaves the measure blocks followed by the variable
     blocks.  The measure symbols are consumed innermost (rightmost)
     first, in one pass: a symbol's phase is minus the sum of

@@ -17,12 +17,13 @@ system is a generalized permutation matrix: every column holds exactly
 one invertible monomial entry and every dyad |psi_i><phi_j| is hit
 exactly once.  Such a system has exactly one solution, read off by
 inverting the entries on the diagonal dyads; any other shape is
-refused.  Only the n diagonal columns are integrated exactly; each of
-the n^2 - n off-diagonal columns is shown, by integer bookkeeping alone,
-to hit one dyad through one pair of single-term coefficients, which
-makes its entry a nonzero monomial without computing it.  The solver,
-not any closed formula, is the source of truth; the two closed-form
-candidates below are compared against it index by index.
+refused.  Every column is built the same way: its (ket term, bra term)
+pairs are contracted and integrated word by word, and exactly one pair
+may survive, on one dyad with two single-term coefficients, which makes
+the entry a nonzero monomial.  Only the n diagonal entries, which the
+solution reads, are multiplied out.  The solver, not any closed formula,
+is the source of truth; the two closed-form candidates below are
+compared against it index by index.
 
 Every integral is formed by degree complement.  The measure keeps a word
 only when it holds theta_1^(n-1) thetabar_1^(n-1) (int dtheta theta^k =
@@ -36,7 +37,8 @@ degree once per solve and once per :func:`resolution_integral` call, and
 a weight block (a, b) with a ket block (c, d) is composed only with the
 bra block (n-1-a-c, n-1-b-d).  A diagonal weight thus reads n of the n^2
 ket-bra products, and the solver sends a ket block (c, d) with a bra
-block (e, f) to the one column (n-1-c-e, n-1-d-f) that reads them.
+block (e, f) to the one column (n-1-c-e, n-1-d-f) that reads them, with
+no operator product at all.
 Every product left out integrates to exactly 0, so no result changes.
 """
 
@@ -48,7 +50,7 @@ from typing import Sequence
 from .errors import EngineError, SingularSystemError
 from .galg import (GExpr, Kind, Word, d_theta, d_thetabar, grade,
                    integrate_word, normalize_word)
-from .opalg import (IDENT, OpExpr, PHI, PSI, _term_pairs, berezin_op,
+from .opalg import (OpExpr, PHI, PSI, _term_pairs, berezin_op,
                     dual_identity_sum, op_dagger)
 from .coherent import evolve_state, make_coherent
 from .scalars import Scalar, rho_factorial
@@ -107,8 +109,9 @@ def _pair_outer(level: int, pair: tuple[str, str],
                 evolved: bool = False) -> tuple[dict, dict]:
     """The two factors of |A><B| for the pair's coherent states, each split
     by measured degrees: ``_blocks`` of the ket body and of dagger(bra body).
-    Their product is never formed whole; :func:`_integrate` composes only
-    the blocks the weight reads."""
+    Their product is never formed whole: :func:`_integrate` composes only
+    the blocks the weight reads, and :func:`_weight_columns` pairs them
+    term by term."""
     ket_state = make_coherent(level, pair[0], sqrt_rho)
     bra_state = make_coherent(level, pair[1], sqrt_rho)
     ket_body = evolve_state(ket_state) if evolved else ket_state.body
@@ -188,11 +191,10 @@ def _solve_permutation(level: int, columns: dict) -> dict:
 
     The system must be a generalized permutation matrix: each column one
     single-term (so invertible) entry, no row hit twice, hence none missed.
-    An entry may be None: a single-term entry proven by structure (see
-    :func:`_proven_column`), whose value is never read.  The unique
-    solution is c_kl = 1/entry on the diagonal rows, zero elsewhere.  Any
-    other shape, or a surviving off-diagonal c_kl, raises
-    :class:`SingularSystemError`.
+    An entry may be None: an off-diagonal entry proven single-term by
+    :func:`_column`, whose value is never read.  The unique solution is
+    c_kl = 1/entry on the diagonal rows, zero elsewhere.  Any other shape,
+    or a surviving off-diagonal c_kl, raises :class:`SingularSystemError`.
     """
     rows = {(i, j) for i in range(level) for j in range(level)}
     if set(columns) != rows:
@@ -222,65 +224,54 @@ def _row(word: Word, dyad: tuple) -> tuple[int, int]:
     return ket_side[1], bra_side[1]
 
 
-def _proven_column(level: int, kl: tuple[int, int], block_pairs: list) -> dict:
-    """Column c_kl by structure alone: ``{row: None}``.
+def _column(level: int, kl: tuple[int, int], block_pairs: list) -> dict:
+    """Column c_kl of the weight system, ``{row: entry}``.
 
-    Only integer work: ``_term_pairs`` contracts the dyads and normal
-    orders theta^k thetabar^l (ket word) (bra word), and ``integrate_word``
-    keeps the surviving words.  Exactly one (ket term, bra term) pair
-    must survive, with the empty word on an outer product, and both its
-    coefficients must be single-term.  Its entry is then a phase times
-    two nonzero Laurent monomials over a field, a nonzero single-term
-    Scalar, so no product is formed.  Any other shape raises
-    :class:`SingularSystemError`; no cancellation is ever assumed.
+    For each (ket block, bra block) pair the degree complement sends to
+    (k, l), ``_term_pairs`` contracts the dyads and normal orders (ket
+    word) (bra word), and ``integrate_word`` integrates theta^k thetabar^l
+    times that word.  Exactly one term pair must survive, as the empty
+    word on an outer product, with two single-term coefficients; any
+    other shape raises :class:`SingularSystemError` (no cancellation is
+    assumed).  The entry, a phase times their product, is then a nonzero
+    monomial; it is formed only when k == l, the columns the solution
+    reads, and is ``None`` otherwise.
     """
     k, l = kl
-    _, unit_word = normalize_word(level, _monomial_word(k, l))
-    unit = {(unit_word, IDENT): None}  # coefficient one, never read
+    monomial = _monomial_word(k, l)
     survivors = []
     for ket_block, bra_block in block_pairs:
-        for key, _, _, c_ket in _term_pairs(level, unit, ket_block.terms):
-            for (word, dyad), _, _, c_bra in _term_pairs(
-                    level, {key: c_ket}, bra_block.terms):
-                _, rest = integrate_word(level, word, MEASURE)
-                if rest is not None:
-                    survivors.append((_row(rest, dyad), c_ket, c_bra))
+        for (word, dyad), qe, c_ket, c_bra in _term_pairs(
+                level, ket_block.terms, bra_block.terms):
+            qi, rest = integrate_word(level, monomial + list(word), MEASURE)
+            if rest is not None:
+                survivors.append((_row(rest, dyad), qe + qi, c_ket, c_bra))
     if len(survivors) != 1:
         raise SingularSystemError(
             f"column c_{k}{l} is reached by {len(survivors)} term pairs")
-    (row, c_ket, c_bra), = survivors
+    (row, qe, c_ket, c_bra), = survivors
     if len(c_ket.terms) != 1 or len(c_bra.terms) != 1:
         raise SingularSystemError(f"c_{k}{l} has a non-monomial factor")
-    return {row: None}
+    return {row: (c_ket * c_bra).mul_q_power(qe) if k == l else None}
 
 
 def _weight_columns(level: int, sqrt_rho: Sequence[Scalar] | None) -> dict:
-    """The columns of the weight system, ``{(k, l): {row: entry}}``.
+    """The n^2 columns of the weight system, ``{(k, l): {row: entry}}``.
 
-    The n diagonal columns are integrated exactly, as any weight is.  For
-    the n^2 - n off-diagonal ones, whose values the solution never reads,
-    one pass over the (ket block, bra block) pairs of |theta><theta~|
+    One pass over the (ket block, bra block) pairs of |theta><theta~|
     sends the pair with degrees (c, d), (e, f) to the only column that
-    can read it, (k, l) = (n-1-c-e, n-1-d-f), and each column is proven
-    single-term by structure (:func:`_proven_column`).
+    can read it, (k, l) = (n-1-c-e, n-1-d-f); :func:`_column` then
+    integrates each column's pairs.
     """
     n = level
-    factors = _pair_outer(n, (PSI, PHI), sqrt_rho)
-    columns = {}
-    for i in range(n):
-        integral = _integrate(_weight(n, {(i, i): Scalar.one(n)}), factors)
-        columns[(i, i)] = {_row(word, dyad): c
-                           for (word, dyad), c in integral.terms.items()}
-    reached: dict = {(k, l): [] for k in range(n) for l in range(n) if k != l}
-    ket_blocks, bra_blocks = factors
+    ket_blocks, bra_blocks = _pair_outer(n, (PSI, PHI), sqrt_rho)
+    reached: dict = {(k, l): [] for k in range(n) for l in range(n)}
     for (c, d), ket_block in ket_blocks.items():
         for (e, f), bra_block in bra_blocks.items():
             pairs = reached.get((n - 1 - c - e, n - 1 - d - f))
             if pairs is not None:
                 pairs.append((ket_block, bra_block))
-    for kl, pairs in reached.items():
-        columns[kl] = _proven_column(n, kl, pairs)
-    return columns
+    return {kl: _column(n, kl, pairs) for kl, pairs in reached.items()}
 
 
 def solve_weight(level: int,
@@ -288,10 +279,10 @@ def solve_weight(level: int,
     """Derive the weight coefficients from the resolution condition.
 
     Equates int w |theta><theta~| with sum_i |psi_i><phi_i|, one column
-    per unknown c_kl (:func:`_weight_columns`): n columns integrated
-    exactly, n^2 - n proven by structure.  The system must be a
-    generalized permutation matrix, which proves the solution unique,
-    and the solution must be diagonal.
+    per unknown c_kl, each from one walk over its term pairs
+    (:func:`_weight_columns`).  The system must be a generalized
+    permutation matrix, which proves the solution unique, and the
+    solution must be diagonal.
     """
     return _weight(level, _solve_permutation(
         level, _weight_columns(level, sqrt_rho)))

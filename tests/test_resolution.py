@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_scalar
+from grassq import resolution
 from grassq.coherent import evolve_state, make_coherent
 from grassq.errors import SingularSystemError
 from grassq.galg import GExpr, Kind
@@ -12,7 +13,7 @@ from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
                                closed_form_weight, compare_weights,
                                mirror_weight, resolution_integral,
                                solve_weight, verify_resolution, _blocks,
-                               _integrate, _pair_outer, _proven_column,
+                               _column, _integrate, _pair_outer,
                                _solve_permutation, _weight, _weight_columns)
 from grassq.scalars import Scalar, rho_factorial
 from grassq.suites import run_suite
@@ -133,29 +134,49 @@ def test_permutation_solver():
     refused({(0, 1): {(1, 1): None}, (0, 0): {(1, 0): s1}}, "off-diagonal")
 
 
-def test_off_diagonal_column_of_the_wrong_shape_is_refused():
+def _column_pairs(n, kl, factors):
+    """The (ket block, bra block) pairs the degree complement sends to kl."""
+    ket_blocks, bra_blocks = factors
+    return [(ket_block, bra_block)
+            for (c, d), ket_block in ket_blocks.items()
+            for (e, f), bra_block in bra_blocks.items()
+            if (n - 1 - c - e, n - 1 - d - f) == kl]
+
+
+def test_column_reads_one_term_pair_and_refuses_any_other_shape():
     n = 2
-    ket_blocks, bra_blocks = _pair_outer(n, (PSI, PHI), None)
+    factors = _pair_outer(n, (PSI, PHI), None)
+    ket_blocks, bra_blocks = factors
     # c_01: theta^0 thetabar^1 meets the ket block (1, 0) and the bra
     # block (0, 0), and only there
     pair = (ket_blocks[(1, 0)], bra_blocks[(0, 0)])
-    assert _proven_column(n, (0, 1), [pair]) == {(1, 0): None}
+    assert _column_pairs(n, (0, 1), factors) == [pair]
+    assert _column(n, (0, 1), [pair]) == {(1, 0): None}
+    # a diagonal column carries the value the exact integral gives
+    for k in range(n):
+        integral = _integrate(_weight(n, {(k, k): Scalar.one(n)}), factors)
+        ((_, (ket_side, bra_side)), value), = integral.terms.items()
+        got = _column(n, (k, k), _column_pairs(n, (k, k), factors))
+        assert got == {(ket_side[1], bra_side[1]): value}, k
 
-    def refused(pairs, reason):
+    def refused(kl, pairs, reason):
         with pytest.raises(SingularSystemError, match=reason):
-            _proven_column(n, (0, 1), pairs)
+            _column(n, kl, pairs)
 
-    refused([], "c_01 is reached by 0 term pairs")
-    refused([pair, pair], "c_01 is reached by 2 term pairs")
+    refused((0, 1), [], "c_01 is reached by 0 term pairs")
+    refused((0, 1), [pair, pair], "c_01 is reached by 2 term pairs")
     s1 = Scalar.s(n, 1)
     ket_block, bra_block = pair
-    refused([(ket_block.scale(Scalar.one(n) + s1), bra_block)],
+    refused((0, 1), [(ket_block.scale(Scalar.one(n) + s1), bra_block)],
             "c_01 has a non-monomial factor")
-    refused([(ket_block, bra_block.scale(Scalar.one(n) + s1))],
+    refused((0, 1), [(ket_block, bra_block.scale(Scalar.one(n) + s1))],
             "c_01 has a non-monomial factor")
     # a pair whose degrees miss the column leaves a word behind
-    refused([(ket_blocks[(0, 0)], bra_blocks[(0, 0)])],
+    refused((0, 1), [(ket_blocks[(0, 0)], bra_blocks[(0, 0)])],
             "c_01 is reached by 0 term pairs")
+    # two surviving pairs on a diagonal column are refused, not summed
+    refused((0, 0), 2 * _column_pairs(n, (0, 0), factors),
+            "c_00 is reached by 2 term pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +292,9 @@ def test_solver_matches_a_solve_on_the_plain_integral():
 @pytest.mark.parametrize("custom", [False, True])
 def test_solver_columns_match_the_per_column_integral(custom):
     # the reference integrates every monomial exactly, one column at a
-    # time; the solver computes only the diagonal columns and proves the
-    # others by structure, so it must agree on every row and on every
-    # value it computes
+    # time; the solver walks each column's term pairs once and forms only
+    # the diagonal entries, so it must agree on every row and on every
+    # value it forms
     for n in range(2, 17):
         sqrt_rho = _custom_sqrt_rho(n) if custom else None
         factors = _pair_outer(n, (PSI, PHI), sqrt_rho)
@@ -307,6 +328,27 @@ def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch):
             pairs.clear()
             resolution_integral(weight, pair, evolved=evolved)
             assert 0 < sum(pairs) <= 2 * n, (pair, evolved, sum(pairs))
+
+
+def test_weight_solve_makes_no_operator_product(monkeypatch):
+    # counts calls, not time: every column is one integrated term pair
+    n = 12
+    solve_weight(n)  # the default coherent states are built once
+    calls = {"matmul": 0, "berezin_op": 0, "integrate_word": 0}
+
+    def counted(name, plain):
+        def wrapper(*args):
+            calls[name] += 1
+            return plain(*args)
+        return wrapper
+
+    monkeypatch.setattr(OpExpr, "__matmul__",
+                        counted("matmul", OpExpr.__matmul__))
+    for name in ("berezin_op", "integrate_word"):
+        monkeypatch.setattr(resolution, name,
+                            counted(name, getattr(resolution, name)))
+    assert solve_weight(n).expr == closed_form_weight(n).expr
+    assert calls == {"matmul": 0, "berezin_op": 0, "integrate_word": n * n}
 
 
 def test_resolution_status_pattern_holds_at_n16():
