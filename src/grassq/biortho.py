@@ -143,16 +143,15 @@ class PseudoHermReport:
     passed: bool
 
 
-def check_pseudo_hermiticity(d: BiorthoDecomp,
-                             tol: float | None = None) -> PseudoHermReport:
-    """Residual of eta H eta^-1 = H^dagger and positivity of the metric."""
-    tol = d.tol if tol is None else tol
+def check_pseudo_hermiticity(d: BiorthoDecomp) -> PseudoHermReport:
+    """Residual of eta H eta^-1 = H^dagger and positivity of the metric,
+    judged against the decomposition's own tolerance."""
     scale = _matrix_scale(d.H)
     residual = np.linalg.norm(d.eta @ d.H @ d.eta_inv - d.H.conj().T, 2) / scale
     min_eig = float(np.min(np.linalg.eigvalsh((d.eta + d.eta.conj().T) / 2)))
     return PseudoHermReport(residual=float(residual),
                             eta_min_eigenvalue=min_eig,
-                            passed=residual <= tol and min_eig > 0)
+                            passed=residual <= d.tol and min_eig > 0)
 
 
 @dataclass

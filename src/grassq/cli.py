@@ -62,6 +62,8 @@ def load_problem(path: str) -> Problem:
 
     Schema: {"n": int >= 2, "rho": ["p/q", ...] with n-1 positive
     rationals, "H": optional n x n matrix of finite [re, im] pairs}.
+    Without "H" the numeric suite grounds on the same seeded matrix that
+    ``--rho`` alone gives.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -126,17 +128,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_matrix(n: int):
-    """Fallback matrix when only rho values are supplied: the reference
-    two-level system, or a seeded real-spectrum similarity otherwise."""
-    if n == 2:
-        return [[1.0, 4.0], [1.0, 1.0]]
-    rng = np.random.default_rng(12345)
-    diag = np.diag(np.arange(1.0, n + 1.0))
-    S = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-    return S @ diag @ np.linalg.inv(S)
-
-
 def _parse_rho(text: str) -> tuple[Fraction, ...]:
     pieces = [piece.strip() for piece in text.split(",")]
     return tuple(_rho_value(piece, f"rho value {piece!r}") for piece in pieces)
@@ -195,8 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else:
                 n = len(rho) + 1
                 _check_size(n, "--rho", args.max_n)
-                problem = Problem(n=n, rho=rho,
-                                  H=np.asarray(_default_matrix(n), dtype=complex))
+                problem = Problem(n=n, rho=rho)
         report = run_suite(args.selector, n_range, problem=problem,
                            tol=args.tol, max_n=args.max_n,
                            timings=args.timings)

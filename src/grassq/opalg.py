@@ -338,26 +338,24 @@ def make_ladder(kind: str, level: int,
     return op_dagger(b)
 
 
-def theta_op(level: int, power: int = 1, index: int = 1) -> OpExpr:
+def theta_op(level: int, power: int = 1) -> OpExpr:
     return op_term(level, Scalar.one(level), IDENT,
-                   left=[(Kind.THETA, index, power)])
+                   left=[(Kind.THETA, 1, power)])
 
 
-def thetabar_op(level: int, power: int = 1, index: int = 1) -> OpExpr:
+def thetabar_op(level: int, power: int = 1) -> OpExpr:
     return op_term(level, Scalar.one(level), IDENT,
-                   left=[(Kind.THETABAR, index, power)])
+                   left=[(Kind.THETABAR, 1, power)])
 
 
 def ket_op(level: int, family: str, index: int) -> OpExpr:
     return OpExpr(level, {((), ket(family, index)): Scalar.one(level)})
 
 
-def dual_identity_sum(level: int, ket_family: str = PSI,
-                      nlevels: int | None = None) -> OpExpr:
+def dual_identity_sum(level: int, ket_family: str = PSI) -> OpExpr:
     """sum_i |F_i><F'_i| over the dual pair, the resolved identity."""
-    nlevels = level if nlevels is None else nlevels
     return OpExpr(level, {((), outer(ket_family, i, _dual(ket_family), i)):
-                          Scalar.one(level) for i in range(nlevels)})
+                          Scalar.one(level) for i in range(level)})
 
 
 def berezin_op(e: OpExpr, measure: Sequence[tuple[int, int]]) -> OpExpr:

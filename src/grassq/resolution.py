@@ -8,7 +8,10 @@ The engine checks integrals of the form
 against the resolved identity sum_i |psi_i><phi_i| (or its dual).  With
 the mixed pairs |theta><theta~| and |theta~><theta| a diagonal weight
 makes the integral the exact identity; the same-family pairs produce
-same-family dyads and therefore can never match it.
+same-family dyads and therefore can never match it.  States, weights and
+integrals are written in the symbols s_i = sqrt(rho_i) (rho_k! is
+s_1^2 ... s_k^2), so one solve and one integral hold for every choice of
+rho_i > 0 at once.
 
 :func:`solve_weight` re-derives the weight from scratch.  The integral of
 each monomial theta^k thetabar^l against |theta><theta~| is one column
@@ -45,7 +48,6 @@ Every product left out integrates to exactly 0, so no result changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import EngineError, SingularSystemError
 from .galg import (GExpr, Kind, Word, d_theta, d_thetabar, grade,
@@ -65,8 +67,11 @@ SAME_PAIRS = ((PSI, PSI), (PHI, PHI))
 class Weight:
     """Diagonal-or-not weight polynomial, stored as a graded expression."""
 
-    level: int
     expr: GExpr
+
+    @property
+    def level(self) -> int:
+        return self.expr.level
 
     def coefficient(self, k: int, l: int) -> Scalar:
         _, word = normalize_word(self.level, _monomial_word(k, l))
@@ -82,7 +87,7 @@ def _monomial_word(k: int, l: int) -> list:
 
 def _weight(level: int, coefficients: dict[tuple[int, int], Scalar]) -> Weight:
     """sum c_kl theta^k thetabar^l over the given coefficients c_kl."""
-    return Weight(level, GExpr.from_raw(
+    return Weight(GExpr.from_raw(
         level, [(c, _monomial_word(k, l)) for (k, l), c in coefficients.items()]))
 
 
@@ -105,15 +110,14 @@ def mirror_weight(level: int) -> Weight:
 
 
 def _pair_outer(level: int, pair: tuple[str, str],
-                sqrt_rho: Sequence[Scalar] | None,
                 evolved: bool = False) -> tuple[dict, dict]:
     """The two factors of |A><B| for the pair's coherent states, each split
     by measured degrees: ``_blocks`` of the ket body and of dagger(bra body).
     Their product is never formed whole: :func:`_integrate` composes only
     the blocks the weight reads, and :func:`_weight_columns` pairs them
     term by term."""
-    ket_state = make_coherent(level, pair[0], sqrt_rho)
-    bra_state = make_coherent(level, pair[1], sqrt_rho)
+    ket_state = make_coherent(level, pair[0])
+    bra_state = make_coherent(level, pair[1])
     ket_body = evolve_state(ket_state) if evolved else ket_state.body
     bra_body = evolve_state(bra_state) if evolved else bra_state.body
     return _blocks(ket_body), _blocks(op_dagger(bra_body))
@@ -156,7 +160,6 @@ def _integrate(weight: Weight, factors: tuple[dict, dict]) -> OpExpr:
 
 
 def resolution_integral(weight: Weight, pair: tuple[str, str],
-                        sqrt_rho: Sequence[Scalar] | None = None,
                         evolved: bool = False) -> OpExpr:
     """int dthetabar dtheta w |A><B| for the requested state pair.
 
@@ -164,22 +167,15 @@ def resolution_integral(weight: Weight, pair: tuple[str, str],
     dagger provides the bra.  With ``evolved`` both states carry their
     time evolution factors first.
     """
-    return _integrate(weight,
-                      _pair_outer(weight.level, pair, sqrt_rho, evolved))
-
-
-def identity_target(level: int, pair: tuple[str, str]) -> OpExpr:
-    """The identity the integral is compared against: the resolved sum
-    whose ket family matches the pair's ket state."""
-    return dual_identity_sum(level, pair[0])
+    return _integrate(weight, _pair_outer(weight.level, pair, evolved))
 
 
 def verify_resolution(weight: Weight, pair: tuple[str, str],
-                      sqrt_rho: Sequence[Scalar] | None = None,
                       evolved: bool = False) -> OpExpr:
-    """Defect of the resolution of identity for the given pair."""
-    integral = resolution_integral(weight, pair, sqrt_rho, evolved)
-    return integral - identity_target(weight.level, pair)
+    """Defect of the resolution of identity for the given pair, against
+    the resolved sum whose ket family matches the pair's ket state."""
+    return (resolution_integral(weight, pair, evolved)
+            - dual_identity_sum(weight.level, pair[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +251,7 @@ def _column(level: int, kl: tuple[int, int], block_pairs: list) -> dict:
     return {row: (c_ket * c_bra).mul_q_power(qe) if k == l else None}
 
 
-def _weight_columns(level: int, sqrt_rho: Sequence[Scalar] | None) -> dict:
+def _weight_columns(level: int) -> dict:
     """The n^2 columns of the weight system, ``{(k, l): {row: entry}}``.
 
     One pass over the (ket block, bra block) pairs of |theta><theta~|
@@ -264,7 +260,7 @@ def _weight_columns(level: int, sqrt_rho: Sequence[Scalar] | None) -> dict:
     integrates each column's pairs.
     """
     n = level
-    ket_blocks, bra_blocks = _pair_outer(n, (PSI, PHI), sqrt_rho)
+    ket_blocks, bra_blocks = _pair_outer(n, (PSI, PHI))
     reached: dict = {(k, l): [] for k in range(n) for l in range(n)}
     for (c, d), ket_block in ket_blocks.items():
         for (e, f), bra_block in bra_blocks.items():
@@ -274,8 +270,7 @@ def _weight_columns(level: int, sqrt_rho: Sequence[Scalar] | None) -> dict:
     return {kl: _column(n, kl, pairs) for kl, pairs in reached.items()}
 
 
-def solve_weight(level: int,
-                 sqrt_rho: Sequence[Scalar] | None = None) -> Weight:
+def solve_weight(level: int) -> Weight:
     """Derive the weight coefficients from the resolution condition.
 
     Equates int w |theta><theta~| with sum_i |psi_i><phi_i|, one column
@@ -285,7 +280,7 @@ def solve_weight(level: int,
     solution must be diagonal.
     """
     return _weight(level, _solve_permutation(
-        level, _weight_columns(level, sqrt_rho)))
+        level, _weight_columns(level)))
 
 
 def compare_weights(a: Weight, b: Weight) -> list[tuple[int, bool, Scalar]]:

@@ -660,16 +660,16 @@ class Scalar(_SparseSum):
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, rho_values: Sequence[Rational | float],
-             u_value: complex = 1.0, unit_tol: float = 1e-9) -> complex:
+             u_value: complex = 1.0) -> complex:
         """Numeric value with s_i = sqrt(rho_values[i-1]) and u = u_value.
 
         rho values must be positive and u must sit on the unit circle to
-        within ``unit_tol``.
+        within 1e-9.
         """
         for i, r in enumerate(rho_values, start=1):
             if not float(r) > 0.0:
                 raise ValueError(f"rho_{i} must be positive, got {r}")
-        if abs(abs(complex(u_value)) - 1.0) > unit_tol:
+        if abs(abs(complex(u_value)) - 1.0) > 1e-9:
             raise ValueError(f"u must be unimodular, got |u| = {abs(u_value)}")
         sqrt_rho = [float(r) ** 0.5 for r in rho_values]
         acc = 0j

@@ -43,9 +43,22 @@ SELECTORS = ("coherent", "resolution", "suq2", "dynamics", "biortho", "all")
 DEFAULT_H = ((1.0, 4.0), (1.0, 1.0))
 
 
+def _default_matrix(n: int) -> np.ndarray:
+    """The matrix the numeric suite grounds on when the problem gives
+    none: the reference two-level system DEFAULT_H, or a seeded
+    real-spectrum similarity otherwise."""
+    if n == 2:
+        return np.array(DEFAULT_H, dtype=complex)
+    rng = np.random.default_rng(12345)
+    diag = np.diag(np.arange(1.0, n + 1.0))
+    S = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    return np.asarray(S @ diag @ np.linalg.inv(S), dtype=complex)
+
+
 @dataclass(frozen=True)
 class Problem:
-    """Concrete parameters for numeric grounding."""
+    """Concrete parameters for numeric grounding; without ``H`` the
+    numeric suite uses ``_default_matrix(n)``."""
 
     n: int
     rho: tuple[Fraction, ...]
@@ -53,8 +66,7 @@ class Problem:
 
 
 def default_problem() -> Problem:
-    return Problem(n=2, rho=(Fraction(2),),
-                   H=np.array(DEFAULT_H, dtype=complex))
+    return Problem(n=2, rho=(Fraction(2),))
 
 
 @dataclass
@@ -260,9 +272,8 @@ def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
 
 def _biortho_checks(r: _Runner, problem: Problem, tol: float,
                     weight_of: Callable[[int], Weight]) -> None:
-    if problem.H is None:
-        raise EngineError("the biortho suite needs a concrete matrix")
-    decomp = nb.biortho_decompose(problem.H, tol=tol)
+    H = _default_matrix(problem.n) if problem.H is None else problem.H
+    decomp = nb.biortho_decompose(H, tol=tol)
     n = decomp.size
     rho_values = [float(x) for x in problem.rho[:n - 1]]
     if len(rho_values) < n - 1:

@@ -134,15 +134,16 @@ def verify_suq2_relations(sys: Suq2System) -> Suq2Relations:
 # squeezing
 # ---------------------------------------------------------------------------
 
-def factorial_exponential(arg: OpExpr, max_power: int | None = None,
-                          on: OpExpr | None = None) -> OpExpr:
+def factorial_exponential(arg: OpExpr, on: OpExpr | None = None) -> OpExpr:
     """exp(arg) on = sum_k (arg^k on) / k!, exact, for nilpotent arguments.
 
-    ``on`` defaults to the identity (the operator exp(arg) itself).
+    ``on`` defaults to the identity (the operator exp(arg) itself).  A
+    term arg^k on still nonzero past k = 2 level + 1 is reported as
+    non-terminating.
     """
-    bound = 2 * arg.level + 1 if max_power is None else max_power
-    return _nilpotent_series(arg, bound, (Fraction(1, math.factorial(k))
-                                          for k in count(1)), on)
+    return _nilpotent_series(arg, 2 * arg.level + 1,
+                             (Fraction(1, math.factorial(k))
+                              for k in count(1)), on)
 
 
 def squeeze_argument(sys: Suq2System) -> OpExpr:

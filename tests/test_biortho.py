@@ -6,7 +6,7 @@ import pytest
 from grassq.biortho import (biortho_decompose, check_pseudo_hermiticity,
                             decomposition_residuals, instantiate_numeric,
                             numeric_ladder)
-from grassq.cli import _default_matrix
+from grassq.suites import _default_matrix
 from grassq.coherent import check_stability, make_coherent, verify_eigen
 from grassq.errors import (ComplexSpectrumError, DecompositionError,
                            DefectiveMatrixError, DegenerateSpectrumError,
@@ -93,7 +93,7 @@ def test_numeric_bracket_matches_symbolic_closure():
 
 
 def test_nilpotency_residual_is_finite_at_tiny_rho():
-    d = biortho_decompose(np.asarray(_default_matrix(3), dtype=complex))
+    d = biortho_decompose(_default_matrix(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         residual = numeric_ladder(d, (1e-300, 1e-300)).nilpotency_residual

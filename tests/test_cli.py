@@ -78,6 +78,18 @@ def test_problem_driven_biortho(tmp_path, capsys):
     assert "biortho/pseudo-hermiticity" in out
 
 
+def test_problem_without_a_matrix_grounds_on_the_rho_fallback(tmp_path, capsys):
+    # a problem file may leave H out; the numeric suite then runs on the
+    # same seeded matrix that --rho alone gives, to the byte
+    path = write(tmp_path, "p.json", {"n": 3, "rho": ["2", "3"]})
+    assert main(["verify", "biortho", "--input", path]) == 0
+    from_file = capsys.readouterr().out
+    assert "biortho/pseudo-hermiticity" in from_file
+    assert main(["verify", "biortho", "--rho", "2,3"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert main(["verify", "all", "--input", path]) == 0
+
+
 def test_exit_code_one_on_failing_check(tmp_path, capsys):
     # a barely non-Hermitian matrix: eigenvectors nearly orthonormal, so
     # the same-family integral sits close to I and the gap check fails

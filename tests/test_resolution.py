@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -84,7 +83,7 @@ def test_resolution_phase_bookkeeping():
     for n in (2, 3, 4):
         for k in range(n):
             for l in range(n):
-                weight = Weight(n, GExpr.from_raw(
+                weight = Weight(GExpr.from_raw(
                     n, [(Scalar.one(n), [(Kind.THETA, 1, k),
                                          (Kind.THETABAR, 1, l)])]))
                 integral = resolution_integral(weight, (PSI, PHI))
@@ -145,7 +144,7 @@ def _column_pairs(n, kl, factors):
 
 def test_column_reads_one_term_pair_and_refuses_any_other_shape():
     n = 2
-    factors = _pair_outer(n, (PSI, PHI), None)
+    factors = _pair_outer(n, (PSI, PHI))
     ket_blocks, bra_blocks = factors
     # c_01: theta^0 thetabar^1 meets the ket block (1, 0) and the bra
     # block (0, 0), and only there
@@ -183,15 +182,10 @@ def test_column_reads_one_term_pair_and_refuses_any_other_shape():
 # the degree-complement integral against the plain one
 # ---------------------------------------------------------------------------
 
-def _pair_bodies(n, pair, sqrt_rho, evolved):
+def _pair_bodies(n, pair, evolved):
     """The ket body and the bra body of the pair's coherent states."""
-    states = [make_coherent(n, family, sqrt_rho) for family in pair]
+    states = [make_coherent(n, family) for family in pair]
     return [evolve_state(s) if evolved else s.body for s in states]
-
-
-def _custom_sqrt_rho(n):
-    return tuple(Scalar.from_rational(n, Fraction(i + 2, i + 1))
-                 .mul_q_power(i) for i in range(n - 1))
 
 
 def _plain_outer(ket_body, bra_body):
@@ -221,24 +215,21 @@ def _assert_same(got, want, context):
 
 
 def test_filtered_integral_matches_the_plain_one():
+    # every (pair, evolved) combination meets every weight shape at every
+    # level, so a solved weight is integrated against static and evolved
+    # states of all four pairs
     rng = random.Random(20261018)
-    shapes = ("dense", "non-diagonal", "single", "solved")
-    case = 0
     for n in range(2, 9):
-        custom = _custom_sqrt_rho(n)
+        solved = solve_weight(n)
         for pair in MIXED_PAIRS + SAME_PAIRS:
             for evolved in (False, True):
-                for sqrt_rho in (None, custom):
-                    shape = shapes[case % len(shapes)]
-                    case += 1
-                    weight = (solve_weight(n, sqrt_rho) if shape == "solved"
+                outer_product = _plain_outer(*_pair_bodies(n, pair, evolved))
+                for shape in ("dense", "non-diagonal", "single", "solved"):
+                    weight = (solved if shape == "solved"
                               else _random_weight(rng, n, shape))
-                    outer_product = _plain_outer(
-                        *_pair_bodies(n, pair, sqrt_rho, evolved))
-                    _assert_same(
-                        resolution_integral(weight, pair, sqrt_rho, evolved),
-                        _reference_integral(weight, outer_product),
-                        (n, pair, evolved, sqrt_rho is None, shape))
+                    _assert_same(resolution_integral(weight, pair, evolved),
+                                 _reference_integral(weight, outer_product),
+                                 (n, pair, evolved, shape))
 
 
 def _thin(rng, e):
@@ -252,7 +243,7 @@ def test_weight_blocks_without_a_partner_integrate_to_zero():
     # partner block
     rng = random.Random(7)
     for n in range(2, 9):
-        ket_body, bra_body = _pair_bodies(n, (PSI, PHI), None, False)
+        ket_body, bra_body = _pair_bodies(n, (PSI, PHI), False)
         for _ in range(3):
             ket_thin, bra_thin = _thin(rng, ket_body), _thin(rng, bra_body)
             factors = (_blocks(ket_thin), _blocks(op_dagger(bra_thin)))
@@ -279,7 +270,7 @@ def _reference_columns(n, integrate):
 
 
 def _reference_solve(n):
-    outer_product = _plain_outer(*_pair_bodies(n, (PSI, PHI), None, False))
+    outer_product = _plain_outer(*_pair_bodies(n, (PSI, PHI), False))
     return _weight(n, _solve_permutation(n, _reference_columns(
         n, lambda weight: _reference_integral(weight, outer_product))))
 
@@ -289,17 +280,15 @@ def test_solver_matches_a_solve_on_the_plain_integral():
         _assert_same(solve_weight(n).expr, _reference_solve(n).expr, n)
 
 
-@pytest.mark.parametrize("custom", [False, True])
-def test_solver_columns_match_the_per_column_integral(custom):
+def test_solver_columns_match_the_per_column_integral():
     # the reference integrates every monomial exactly, one column at a
     # time; the solver walks each column's term pairs once and forms only
     # the diagonal entries, so it must agree on every row and on every
     # value it forms
     for n in range(2, 17):
-        sqrt_rho = _custom_sqrt_rho(n) if custom else None
-        factors = _pair_outer(n, (PSI, PHI), sqrt_rho)
+        factors = _pair_outer(n, (PSI, PHI))
         want = _reference_columns(n, lambda w: _integrate(w, factors))
-        got = _weight_columns(n, sqrt_rho)
+        got = _weight_columns(n)
         assert set(got) == set(want), n
         for (k, l), column in want.items():
             assert len(column) == 1, (n, k, l)

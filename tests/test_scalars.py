@@ -450,7 +450,7 @@ def test_unit_products_never_reach_the_dense_convolution(monkeypatch):
     assert unit * dense == dense * unit == Cyclo(5, [0, 0, 0, -2, -4]).scaled(
         Fraction(1, 3))
     assert calls == []
-    coherent._default_coherent.cache_clear()
+    coherent._build_coherent.cache_clear()
     run_suite("coherent", (31, 31), max_n=31)
     for n in (8, 11):
         run_suite("all", (n, n), max_n=n)
