@@ -24,6 +24,7 @@ from .errors import (ComplexSpectrumError, DecompositionError,
                      DefectiveMatrixError, DegenerateSpectrumError,
                      EngineError)
 from .opalg import OpExpr, PHI, PSI
+from .scalars import finite_positive
 
 DEFAULT_TOL = 1e-10
 
@@ -175,8 +176,8 @@ def numeric_ladder(d: BiorthoDecomp, rho_values: Sequence[float]) -> LadderMatri
     n = d.size
     if len(rho_values) < n - 1:
         raise EngineError("need one rho value per ladder step")
-    if any(not float(r) > 0 for r in rho_values[:n - 1]):
-        raise EngineError("rho values must be positive")
+    if not all(map(finite_positive, rho_values[:n - 1])):
+        raise EngineError("rho values must be finite floats > 0")
     roots = [float(r) ** 0.5 for r in rho_values[:n - 1]]
     b = np.zeros((n, n), dtype=complex)
     b_sharp_direct = np.zeros((n, n), dtype=complex)

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EngineError, ProblemFormatError
+from .scalars import finite_positive
 from .suites import Problem, SELECTORS, emit_report, run_suite
 
 
@@ -48,11 +49,7 @@ def _rho_value(text: str, name: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ProblemFormatError(f"{name} is not a valid rational") from None
-    try:
-        positive = float(value) > 0
-    except OverflowError:
-        positive = False
-    if not positive:
+    if not finite_positive(value):
         raise ProblemFormatError(f"{name} must convert to a finite float > 0")
     return value
 

@@ -36,8 +36,8 @@ from functools import lru_cache
 
 from .errors import EngineError
 from .galg import Kind, grade
-from .opalg import (OpExpr, PHI, PSI, _nilpotent_series, ket, ket_op,
-                    make_ladder, op_term, theta_op)
+from .opalg import (OpExpr, PSI, _known_family, _nilpotent_series, ket,
+                    ket_op, make_ladder, op_term, theta_op)
 from .scalars import Scalar, rho_factorial_inverse
 
 
@@ -48,8 +48,7 @@ class CoherentState:
     body: OpExpr
 
     def __post_init__(self):
-        if self.family not in (PSI, PHI):
-            raise EngineError(f"unknown family {self.family!r}")
+        _known_family(self.family)
 
 
 def make_coherent(level: int, family: str = PSI) -> CoherentState:

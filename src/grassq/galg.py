@@ -37,7 +37,7 @@ from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
 from .errors import EngineError, UnspecifiedRelationError
-from .scalars import Scalar, _SparseSum, _accumulate
+from .scalars import Rational, Scalar, _SparseSum, _accumulate
 
 
 class Kind(IntEnum):
@@ -81,14 +81,8 @@ def _swap_qexp(left: tuple[int, int], right: tuple[int, int]) -> int:
     if lk == rk:
         if lk in (Kind.THETA, Kind.THETABAR):
             return -1
-        raise UnspecifiedRelationError(
-            f"no exchange rule for {_KIND_NAMES[Kind(lk)]}{li} and "
-            f"{_KIND_NAMES[Kind(rk)]}{ri}")
-    if li == ri:
-        try:
-            return _MIXED_SWAP[(lk, rk)]
-        except KeyError:
-            pass
+    elif li == ri and (lk, rk) in _MIXED_SWAP:
+        return _MIXED_SWAP[(lk, rk)]
     raise UnspecifiedRelationError(
         f"no exchange rule for {_KIND_NAMES[Kind(lk)]}{li} and "
         f"{_KIND_NAMES[Kind(rk)]}{ri}")
@@ -184,9 +178,7 @@ class GExpr(_SparseSum):
 
     # -- algebra ---------------------------------------------------------------
 
-    def scale(self, factor: Scalar | int) -> "GExpr":
-        if isinstance(factor, int):
-            factor = Scalar.from_rational(self.level, factor)
+    def scale(self, factor: Scalar | Rational) -> "GExpr":
         return GExpr(self.level, {w: c * factor for w, c in self.terms.items()})
 
     def __mul__(self, other: "GExpr") -> "GExpr":

@@ -67,6 +67,11 @@ def outer(ket_family: str, i: int, bra_family: str, j: int) -> Dyad:
     return ((ket_family, i), (bra_family, j))
 
 
+def _known_family(family: str) -> None:
+    if family not in (PSI, PHI):
+        raise EngineError(f"unknown family {family!r}")
+
+
 def _dual(family: str) -> str:
     return PHI if family == PSI else PSI
 
@@ -163,8 +168,6 @@ class OpExpr(_SparseSum):
     # -- linear structure -------------------------------------------------------
 
     def scale(self, factor: Scalar | int | Fraction) -> "OpExpr":
-        if isinstance(factor, (int, Fraction)):
-            factor = Scalar.from_rational(self.level, factor)
         return OpExpr(self.level, {k: c * factor for k, c in self.terms.items()})
 
     # -- composition -------------------------------------------------------------
@@ -301,20 +304,11 @@ def _nilpotent_series(arg: OpExpr, bound: int,
 LADDER_KINDS = ("b", "b_sharp", "b_tilde", "b_tilde_sharp_prime")
 
 
-def default_sqrt_rho(level: int, count: int | None = None) -> tuple[Scalar, ...]:
-    """The symbols s_1 .. s_count, each standing for sqrt(rho_i)."""
-    count = level - 1 if count is None else count
-    return tuple(Scalar.s(level, i) for i in range(1, count + 1))
-
-
-def make_ladder(kind: str, level: int,
-                sqrt_rho: Sequence[Scalar] | None = None,
-                nlevels: int | None = None) -> OpExpr:
+def make_ladder(kind: str, level: int) -> OpExpr:
     """One of the four ladder operators as an operator expression.
 
-    ``nlevels`` is the number of levels the ladder connects (defaults to
-    ``level``); ``sqrt_rho`` supplies the sqrt(rho_i) coefficients and
-    defaults to the symbols s_i.  The lowering operator is built from its
+    The ladder connects all ``level`` levels with the symbols s_i as its
+    sqrt(rho_i) coefficients.  The lowering operator is built from its
     defining sum; the other three are derived through dagger and the
     metric, which is exactly how they are defined.
     """
@@ -322,13 +316,8 @@ def make_ladder(kind: str, level: int,
         raise EngineError("need at least two levels")
     if kind not in LADDER_KINDS:
         raise EngineError(f"unknown ladder kind {kind!r}")
-    nlevels = level if nlevels is None else nlevels
-    rho = tuple(sqrt_rho) if sqrt_rho is not None else default_sqrt_rho(
-        level, nlevels - 1)
-    if len(rho) < nlevels - 1:
-        raise EngineError("need one sqrt(rho) per ladder step")
-    b = OpExpr(level, {((), outer(PSI, i, PHI, i + 1)): rho[i]
-                       for i in range(nlevels - 1)})
+    b = OpExpr(level, {((), outer(PSI, i, PHI, i + 1)): Scalar.s(level, i + 1)
+                       for i in range(level - 1)})
     if kind == "b":
         return b
     if kind == "b_sharp":

@@ -56,7 +56,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add
 from typing import Iterable, Sequence, Union
 
@@ -585,12 +585,11 @@ class Scalar(_SparseSum):
 
     @classmethod
     def from_rational(cls, level: int, value: Rational) -> "Scalar":
-        return cls(level, {cls._unit_key(level):
-                           Cyclo.from_rational(level, value)})
+        return cls.from_cyclo(Cyclo.from_rational(level, value))
 
     @classmethod
     def from_cyclo(cls, c: Cyclo) -> "Scalar":
-        return cls(c.level, {cls._unit_key(c.level): c})
+        return cls(c.level, {(0,) * c.level: c})
 
     @classmethod
     def q(cls, level: int, power: int = 1) -> "Scalar":
@@ -601,20 +600,20 @@ class Scalar(_SparseSum):
         """The symbol s_index, standing for sqrt(rho_index)."""
         if not 1 <= index <= level - 1:
             raise ValueError(f"s_{index} does not exist at level {level}")
-        key = [0] * level
-        key[index - 1] = power
-        return cls(level, {tuple(key): Cyclo.one(level)})
+        return cls._monomial(level, (index - 1,), power)
 
     @classmethod
     def u(cls, level: int, power: int = 1) -> "Scalar":
         """The unimodular evolution phase symbol."""
-        key = [0] * level
-        key[-1] = power
-        return cls(level, {tuple(key): Cyclo.one(level)})
+        return cls._monomial(level, (level - 1,), power)
 
-    @staticmethod
-    def _unit_key(level: int) -> tuple[int, ...]:
-        return (0,) * level
+    @classmethod
+    def _monomial(cls, level: int, slots: Iterable[int], power: int) -> "Scalar":
+        """Each symbol at ``slots`` (s_i at i - 1, u at level - 1) to ``power``."""
+        key = [0] * level
+        for i in slots:
+            key[i] = power
+        return cls(level, {tuple(key): Cyclo.one(level)})
 
     # -- ring operations ----------------------------------------------------
 
@@ -663,12 +662,12 @@ class Scalar(_SparseSum):
              u_value: complex = 1.0) -> complex:
         """Numeric value with s_i = sqrt(rho_values[i-1]) and u = u_value.
 
-        rho values must be positive and u must sit on the unit circle to
-        within 1e-9.
+        Each rho value must convert to a finite float > 0, and u must sit
+        on the unit circle to within 1e-9.
         """
         for i, r in enumerate(rho_values, start=1):
-            if not float(r) > 0.0:
-                raise ValueError(f"rho_{i} must be positive, got {r}")
+            if not finite_positive(r):
+                raise ValueError(f"rho_{i} must be a finite float > 0, got {r}")
         if abs(abs(complex(u_value)) - 1.0) > 1e-9:
             raise ValueError(f"u must be unimodular, got |u| = {abs(u_value)}")
         sqrt_rho = [float(r) ** 0.5 for r in rho_values]
@@ -718,17 +717,22 @@ class Scalar(_SparseSum):
 
 
 # ---------------------------------------------------------------------------
-# rho factorial helpers
+# rho helpers
 # ---------------------------------------------------------------------------
+
+def finite_positive(rho: Rational | float) -> bool:
+    """Whether ``rho`` converts to a finite float > 0, as every rho must."""
+    try:
+        return 0.0 < float(rho) < inf
+    except OverflowError:
+        return False
+
 
 def rho_factorial(level: int, k: int) -> Scalar:
     """rho_k! = rho_1 * rho_2 * ... * rho_k with rho_0! = 1, as s squares."""
     if k < 0 or k > level - 1:
         raise ValueError(f"rho_{k}! is outside the symbol range of level {level}")
-    key = [0] * level
-    for j in range(1, k + 1):
-        key[j - 1] = 2
-    return Scalar(level, {tuple(key): Cyclo.one(level)})
+    return Scalar._monomial(level, range(k), 2)
 
 
 def rho_factorial_inverse(level: int, k: int) -> Scalar:

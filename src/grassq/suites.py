@@ -94,10 +94,6 @@ class SuiteReport:
         return SuiteReport(sorted(self.checks, key=lambda c: c.id))
 
 
-def _vanishes(defect) -> bool:
-    return defect.is_zero if hasattr(defect, "is_zero") else not defect
-
-
 class _Runner:
     def __init__(self, timings: bool):
         self.timings = timings
@@ -119,15 +115,15 @@ class _Runner:
 
     def zero(self, check_id: str, ref: str, fn: Callable) -> None:
         """Identity that must hold exactly."""
-        self._run(check_id, ref, fn, lambda d: (_vanishes(d), str(d)))
+        self._run(check_id, ref, fn, lambda d: (d.is_zero, str(d)))
 
     def nonzero(self, check_id: str, ref: str, fn: Callable) -> None:
         """Structural obstruction that must NOT vanish."""
-        self._run(check_id, ref, fn, lambda d: (not _vanishes(d), str(d)))
+        self._run(check_id, ref, fn, lambda d: (not d.is_zero, str(d)))
 
     def discrepancy(self, check_id: str, ref: str, fn: Callable) -> None:
         """Comparison against a quoted form; mismatches are reported, not failed."""
-        self._run(check_id, ref, fn, lambda d: (_vanishes(d), str(d)),
+        self._run(check_id, ref, fn, lambda d: (d.is_zero, str(d)),
                   bad="reported-discrepancy")
 
     def residual(self, check_id: str, ref: str, fn: Callable, tol: float) -> None:

@@ -30,12 +30,10 @@ from itertools import count
 
 from .errors import EngineError
 from .galg import Kind
-from .opalg import (OpExpr, PHI, PSI, _nilpotent_series, eta_conjugate, ket,
-                    ket_op, make_ladder, op_dagger, op_term, q_commutator,
-                    theta_op, thetabar_op)
+from .opalg import (OpExpr, PHI, PSI, _known_family, _nilpotent_series,
+                    eta_conjugate, ket, ket_op, op_dagger, op_term, outer,
+                    q_commutator, sharp_adjoint, theta_op, thetabar_op)
 from .scalars import Scalar
-
-LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -57,18 +55,19 @@ class Suq2System:
 def make_suq2(root_order: int = 3, equal_rho: bool = False) -> Suq2System:
     """Build the three-level system with q a primitive root of the given order.
 
-    ``equal_rho`` substitutes rho_2 = rho_1, the degenerate choice that
-    closes the algebra at any root order.
+    b = s_1 |psi_0><phi_1| + s_2 |psi_1><phi_2| is the defining sum over
+    three levels and b_sharp its metric adjoint.  ``equal_rho`` sets s_2 =
+    s_1, the degenerate rho_2 = rho_1 that closes the algebra at any root.
     """
     if root_order < 3:
         raise EngineError("need at least s_1 and s_2, so root order >= 3")
     s1 = Scalar.s(root_order, 1)
     s2 = s1 if equal_rho else Scalar.s(root_order, 2)
-    sqrt_rho = (s1, s2)
-    b = make_ladder("b", root_order, sqrt_rho, nlevels=LEVELS)
-    b_sharp = make_ladder("b_sharp", root_order, sqrt_rho, nlevels=LEVELS)
-    b_z = q_commutator(b, b_sharp)
-    return Suq2System(root_order, sqrt_rho, b, b_sharp, b_z)
+    b = OpExpr(root_order, {((), outer(PSI, 0, PHI, 1)): s1,
+                            ((), outer(PSI, 1, PHI, 2)): s2})
+    b_sharp = sharp_adjoint(b)
+    return Suq2System(root_order, (s1, s2), b, b_sharp,
+                      q_commutator(b, b_sharp))
 
 
 def closure_prefactors(sys: Suq2System) -> tuple[Scalar, Scalar]:
@@ -146,12 +145,15 @@ def factorial_exponential(arg: OpExpr, on: OpExpr | None = None) -> OpExpr:
                               for k in count(1)), on)
 
 
+def _squeeze_term(up: OpExpr, down: OpExpr) -> OpExpr:
+    """(theta up - thetabar down) / 2, for the squares of a ladder pair."""
+    n = up.level
+    return (theta_op(n) @ up - thetabar_op(n) @ down).scale(Fraction(1, 2))
+
+
 def squeeze_argument(sys: Suq2System) -> OpExpr:
     """(theta b_sharp^2 - thetabar b^2) / 2."""
-    n = sys.root_order
-    up = theta_op(n) @ sys.b_sharp.power(2)
-    down = thetabar_op(n) @ sys.b.power(2)
-    return (up - down).scale(Fraction(1, 2))
+    return _squeeze_term(sys.b_sharp.power(2), sys.b.power(2))
 
 
 def make_squeeze(sys: Suq2System) -> OpExpr:
@@ -171,13 +173,12 @@ def squeeze_closed_form(sys: Suq2System) -> OpExpr:
     n = sys.root_order
     bs2 = sys.b_sharp.power(2)
     b2 = sys.b.power(2)
-    first = (theta_op(n) @ bs2 - thetabar_op(n) @ b2).scale(Fraction(1, 2))
     cross = bs2 @ b2 + (b2 @ bs2).scale(Scalar.q(n))
     theta_thetabar = op_term(n, Scalar.one(n), left=[(Kind.THETA, 1, 1),
                                                      (Kind.THETABAR, 1, 1)])
     second = (theta_thetabar @ cross).scale(
         Scalar.q(n, -1) * Fraction(-1, 4))
-    return OpExpr.identity(n) + first + second
+    return OpExpr.identity(n) + _squeeze_term(bs2, b2) + second
 
 
 def squeeze_defect(sys: Suq2System) -> OpExpr:
@@ -188,8 +189,9 @@ def squeeze_defect(sys: Suq2System) -> OpExpr:
 def make_squeezed_state(sys: Suq2System, family: str = PSI) -> OpExpr:
     """S(theta)|psi_0>, the series applied to the vacuum term by term.
 
-    The dual family is its metric image.
+    The dual family is its metric image; any other family is refused.
     """
+    _known_family(family)
     state = factorial_exponential(squeeze_argument(sys),
                                   on=ket_op(sys.root_order, PSI, 0))
     if family == PHI:
@@ -200,6 +202,7 @@ def make_squeezed_state(sys: Suq2System, family: str = PSI) -> OpExpr:
 def squeezed_closed_form(sys: Suq2System, family: str = PSI) -> OpExpr:
     """(1 - rho_1 rho_2 / 4 theta thetabar)|F_0> + sqrt(rho_1 rho_2)/2 theta |F_2>."""
     n = sys.root_order
+    _known_family(family)
     r1, r2 = sys.rho
     sqrt_r1r2 = sys.sqrt_rho[0] * sys.sqrt_rho[1]
     head = ket_op(n, family, 0)
@@ -216,10 +219,7 @@ def squeezed_state_defect(sys: Suq2System, family: str = PSI) -> OpExpr:
 
 def squeeze_tilde_exponential_defect(sys: Suq2System) -> OpExpr:
     """eta S eta^-1 against exp[(theta b~'^2 - thetabar b~^2)/2]; exact zero."""
-    n = sys.root_order
     conjugated = eta_conjugate(make_squeeze(sys))
-    b_tilde = eta_conjugate(sys.b)
-    b_tilde_sharp_prime = op_dagger(sys.b)
-    arg = (theta_op(n) @ b_tilde_sharp_prime.power(2)
-           - thetabar_op(n) @ b_tilde.power(2)).scale(Fraction(1, 2))
+    arg = _squeeze_term(op_dagger(sys.b).power(2),
+                        eta_conjugate(sys.b).power(2))
     return conjugated - factorial_exponential(arg)

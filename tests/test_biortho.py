@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,12 @@ def test_numeric_ladders():
         numeric_ladder(d, [])
     with pytest.raises(EngineError):
         numeric_ladder(d, [-1.0])
+    for bad in (float("inf"), float("nan"), Fraction(10**400)):
+        with pytest.raises(EngineError):
+            numeric_ladder(d, [bad])
+    d3 = biortho_decompose(_default_matrix(3))
+    with pytest.raises(EngineError):
+        numeric_ladder(d3, [float("inf"), 1.0])
 
 
 def test_numeric_bracket_matches_symbolic_closure():

@@ -308,6 +308,18 @@ def test_a_raising_check_is_an_error_and_the_run_goes_on(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_an_exact_check_value_that_is_not_a_sparse_sum_is_an_error(monkeypatch):
+    # a falsy 0 is not an exact zero: only a sparse sum can vanish
+    import grassq.suites as suites
+
+    monkeypatch.setattr(suites, "check_stability", lambda level, family: 0)
+    by_id = {c.id: c for c in run_suite("dynamics", (2, 2)).checks}
+    for family in ("psi", "phi"):
+        check = by_id[f"dynamics/n=2/stability-{family}"]
+        assert check.status == "error"
+        assert check.defect.startswith("AttributeError")
+
+
 def test_each_weight_is_solved_once_per_run(monkeypatch):
     import grassq.suites as suites
     calls = []

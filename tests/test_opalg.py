@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,8 @@ from grassq.opalg import (IDENT, OpExpr, PHI, PSI, berezin_op, bra,
                           theta_op, thetabar_op)
 from grassq.scalars import Scalar
 
-from conftest import random_any_dyad_opexpr, random_standard_opexpr
+from conftest import (random_any_dyad_opexpr, random_gexpr,
+                      random_standard_opexpr)
 
 TH = (Kind.THETA, 1, 1)
 TB = (Kind.THETABAR, 1, 1)
@@ -293,3 +295,22 @@ def test_berezin_op_validates_its_measure():
     with pytest.raises(EngineError, match="distinct"):
         berezin_op(OpExpr.zero(3), [d_thetabar(), d_thetabar()])
     assert berezin_op(theta_op(3, 2), [d_theta()]) == OpExpr.identity(3)
+
+
+@pytest.mark.parametrize("factor", [3, -1, Fraction(-2, 5), 0])
+def test_rational_scale_matches_the_lifted_scalar(factor):
+    # an int or Fraction scales each coefficient in place; the value and
+    # its printed form equal scaling by the same rational as a Scalar
+    rng = random.Random(11)
+    seen = 0
+    for n in (2, 3, 5, 6):
+        lifted = Scalar.from_rational(n, factor)
+        for _ in range(5):
+            for e in (random_any_dyad_opexpr(rng, n), random_gexpr(rng, n)):
+                if e.is_zero:
+                    continue
+                seen += 1
+                direct, via = e.scale(factor), e.scale(lifted)
+                assert direct == via and str(direct) == str(via)
+                assert direct.is_zero == (factor == 0)
+    assert seen >= 20

@@ -171,6 +171,11 @@ def test_eval_input_validation():
         Scalar.s(3, 1).eval([1, 2], u_value=1.1)
     with pytest.raises(ValueError):
         Scalar.s(3, 2).eval([2])  # missing value for rho_2
+    # rho must convert to a finite float > 0
+    for bad in (float("inf"), float("nan"), Fraction(10**400),
+                Fraction(1, 10**400), 0):
+        with pytest.raises(ValueError):
+            Scalar.s(3, 1).eval([bad, 2])
 
 
 def test_rho_factorial():

@@ -5,8 +5,8 @@ import pytest
 from grassq.errors import EngineError, NonTerminatingSeriesError
 from grassq.galg import Kind
 from grassq.opalg import (IDENT, OpExpr, PHI, PSI, eta_conjugate, ket,
-                          ket_op, make_ladder, op_dagger, op_term, outer,
-                          q_commutator, theta_op, thetabar_op)
+                          ket_op, op_dagger, op_term, outer, q_commutator,
+                          sharp_adjoint, theta_op, thetabar_op)
 from grassq.scalars import Scalar
 from grassq.suq2 import (check_closure, closure_prefactors,
                          factorial_exponential, make_squeeze,
@@ -65,11 +65,26 @@ def test_prefactor_identity():
 def test_unit_rho_reduced_form():
     # with rho_1 = rho_2 = 1 the bracket reduces to (1 - q + q^2) b
     one = Scalar.one(3)
-    b = make_ladder("b", 3, [one, one], nlevels=3)
-    bs = make_ladder("b_sharp", 3, [one, one], nlevels=3)
+    b = OpExpr(3, {((), outer(PSI, 0, PHI, 1)): one,
+                   ((), outer(PSI, 1, PHI, 2)): one})
+    bs = sharp_adjoint(b)
     bz = q_commutator(b, bs)
     prefactor = one - Scalar.q(3) + Scalar.q(3, 2)
     assert q_commutator(bz, b) == b.scale(prefactor)
+
+
+@pytest.mark.parametrize("equal_rho", [False, True])
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_suq2_ladder_pair_is_the_three_level_defining_sum(r, equal_rho):
+    # b = sum_i s_(i+1) |psi_i><phi_(i+1)| and b# = sum_i s_(i+1)
+    # |psi_(i+1)><phi_i| over three levels, at any root order r
+    s1 = Scalar.s(r, 1)
+    s2 = s1 if equal_rho else Scalar.s(r, 2)
+    sys = make_suq2(r, equal_rho)
+    assert sys.b == OpExpr(r, {((), outer(PSI, 0, PHI, 1)): s1,
+                               ((), outer(PSI, 1, PHI, 2)): s2})
+    assert sys.b_sharp == OpExpr(r, {((), outer(PSI, 1, PHI, 0)): s1,
+                                     ((), outer(PSI, 2, PHI, 1)): s2})
 
 
 def test_nilpotency_of_all_four():
@@ -194,6 +209,15 @@ def test_tilde_state_is_metric_image():
         eta_conjugate(squeezed_closed_form(sys3, PSI))
     assert squeezed_state_defect(sys3, PHI) == \
         eta_conjugate(squeezed_state_defect(sys3, PSI))
+
+
+@pytest.mark.parametrize("family", ["Phi", "psi_", "", "chi"])
+def test_squeezed_state_builders_refuse_an_unknown_family(family):
+    sys3 = make_suq2(3)
+    for build in (make_squeezed_state, squeezed_closed_form,
+                  squeezed_state_defect):
+        with pytest.raises(EngineError, match="unknown family"):
+            build(sys3, family)
 
 
 def test_eta_channel_consistency():
