@@ -24,25 +24,24 @@ refused.  Every column is built the same way: its (ket term, bra term)
 pairs are contracted and integrated word by word, and exactly one pair
 may survive, on one dyad with two single-term coefficients, which makes
 the entry a nonzero monomial.  Only the n diagonal entries, which the
-solution reads, are multiplied out.  The solver, not any closed formula,
-is the source of truth; the two closed-form candidates below are
-compared against it index by index.
+solution reads, are multiplied out, and each column streams into the
+solver as it is built.  The solver, not any closed formula, is the
+source of truth; the closed-form candidates below are compared with it.
 
 Every integral is formed by degree complement.  The measure keeps a word
 only when it holds theta_1^(n-1) thetabar_1^(n-1) (int dtheta theta^k =
 delta(k, n-1)).  Normal ordering merges equal generators by adding their
 exponents, returns zero at an exponent >= n, and a phase never changes
 an exponent; so a product's theta_1 and thetabar_1 exponents are the
-sums of its factors'.  The integrand w |A><B| is therefore split by the
-(theta_1, thetabar_1) exponents of each word.  |A><B| is never formed
-whole: its ket factor and the dagger of its bra factor are split by
-degree once per solve and once per :func:`resolution_integral` call, and
-a weight block (a, b) with a ket block (c, d) is composed only with the
-bra block (n-1-a-c, n-1-b-d).  A diagonal weight thus reads n of the n^2
-ket-bra products, and the solver sends a ket block (c, d) with a bra
-block (e, f) to the one column (n-1-c-e, n-1-d-f) that reads them, with
-no operator product at all.
-Every product left out integrates to exactly 0, so no result changes.
+sums of its factors'.  So |A><B| is never formed whole: one complement
+index (:func:`_pair_outer`) splits its ket factor and the dagger of its
+bra factor by those exponents and files each ket block (c, d) with each
+bra block (e, f) under the weight degrees (n-1-c-e, n-1-d-f) that read
+them.  The check composes a weight block only with the pairs filed under
+its degrees, so a diagonal weight reads n of the n^2 ket-bra products;
+the solve integrates the pairs filed under (k, l), term by term, as
+column c_kl, with no operator product at all.  Every product left out
+integrates to exactly 0, so no result changes.
 """
 
 from __future__ import annotations
@@ -110,17 +109,27 @@ def mirror_weight(level: int) -> Weight:
 
 
 def _pair_outer(level: int, pair: tuple[str, str],
-                evolved: bool = False) -> tuple[dict, dict]:
-    """The two factors of |A><B| for the pair's coherent states, each split
-    by measured degrees: ``_blocks`` of the ket body and of dagger(bra body).
-    Their product is never formed whole: :func:`_integrate` composes only
-    the blocks the weight reads, and :func:`_weight_columns` pairs them
-    term by term."""
-    ket_state = make_coherent(level, pair[0])
-    bra_state = make_coherent(level, pair[1])
-    ket_body = evolve_state(ket_state) if evolved else ket_state.body
-    bra_body = evolve_state(bra_state) if evolved else bra_state.body
-    return _blocks(ket_body), _blocks(op_dagger(bra_body))
+                evolved: bool = False) -> dict:
+    """The one complement index of |A><B| for the pair's coherent states
+    (:func:`_complement_index`), which the check and the solve both read."""
+    states = [make_coherent(level, family) for family in pair]
+    return _complement_index(*[evolve_state(s) if evolved else s.body
+                               for s in states])
+
+
+def _complement_index(ket_body: OpExpr, bra_body: OpExpr) -> dict:
+    """``{(a, b): [(ket block, bra block), ...]}`` for |A><B|: each ket
+    block (c, d) of ``ket_body`` with each bra block (e, f) of
+    dagger(``bra_body``) (see ``_blocks``), filed under the only weight
+    degrees (a, b) = (n-1-c-e, n-1-d-f) that read it."""
+    top = ket_body.level - 1
+    bra_blocks = _blocks(op_dagger(bra_body))
+    reached: dict = {}
+    for (c, d), ket_block in _blocks(ket_body).items():
+        for (e, f), bra_block in bra_blocks.items():
+            reached.setdefault((top - c - e, top - d - f), []).append(
+                (ket_block, bra_block))
+    return reached
 
 
 def _measured_degrees(word: Word) -> tuple[int, int]:
@@ -138,24 +147,20 @@ def _blocks(e: OpExpr) -> dict[tuple[int, int], OpExpr]:
     return {d: OpExpr._wrap(e.level, terms) for d, terms in blocks.items()}
 
 
-def _integrate(weight: Weight, factors: tuple[dict, dict]) -> OpExpr:
-    """int dthetabar dtheta w |A><B| with ``factors`` = ``_pair_outer(...)``.
+def _integrate(weight: Weight, reached: dict) -> OpExpr:
+    """int dthetabar dtheta w |A><B| with ``reached`` = ``_pair_outer(...)``.
 
-    A weight block (a, b) and a ket block (c, d) meet only the bra block
-    (n-1-a-c, n-1-b-d) (see the module docstring); only such triples are
-    composed, and every other product, which would integrate to 0, is
-    never formed.  Nor is such a product normal ordered, so a generator
-    pair without an exchange rule inside it goes unreported: its value is
-    0 however that missing rule would read.
+    Each weight block (a, b) is composed only with the (ket block, bra
+    block) pairs filed under (a, b) (see the module docstring); every
+    other product, which would integrate to 0, is never formed.  Nor is
+    such a product normal ordered, so a generator pair without an exchange
+    rule inside it goes unreported: its value is 0 however that missing
+    rule would read.
     """
-    top = weight.level - 1
-    ket_blocks, bra_blocks = factors
     integrand = OpExpr.zero(weight.level)
-    for (a, b), block in _blocks(OpExpr.from_gexpr(weight.expr)).items():
-        for (c, d), ket_block in ket_blocks.items():
-            bra_block = bra_blocks.get((top - a - c, top - b - d))
-            if bra_block is not None:
-                integrand = integrand + block @ ket_block @ bra_block
+    for ab, block in _blocks(OpExpr.from_gexpr(weight.expr)).items():
+        for ket_block, bra_block in reached.get(ab, ()):
+            integrand = integrand + block @ ket_block @ bra_block
     return berezin_op(integrand, MEASURE)
 
 
@@ -182,26 +187,20 @@ def verify_resolution(weight: Weight, pair: tuple[str, str],
 # the weight system and its permutation structure
 # ---------------------------------------------------------------------------
 
-def _solve_permutation(level: int, columns: dict) -> dict:
-    """Solve  sum_kl columns[kl][ij] c_kl = delta_ij, (i, j), (k, l) in range(level)^2.
+def _solve_permutation(level: int, columns) -> dict:
+    """Solve  sum_kl column_kl c_kl = sum_i |psi_i><phi_i|  as it streams.
 
-    The system must be a generalized permutation matrix: each column one
-    single-term (so invertible) entry, no row hit twice, hence none missed.
-    An entry may be None: an off-diagonal entry proven single-term by
-    :func:`_column`, whose value is never read.  The unique solution is
-    c_kl = 1/entry on the diagonal rows, zero elsewhere.  Any other shape,
-    or a surviving off-diagonal c_kl, raises :class:`SingularSystemError`.
+    ``columns`` yields ``((k, l), row, entry)`` from :func:`_column` once
+    per (k, l) in range(level)^2.  The system must be a generalized
+    permutation matrix: no row hit twice, hence, with level^2 columns,
+    none missed.  An entry may be None, which is never read.  The unique
+    solution is c_kl = 1/entry on the diagonal rows, zero elsewhere.  A
+    row hit twice or out of range, or a surviving off-diagonal c_kl,
+    raises :class:`SingularSystemError`.
     """
     rows = {(i, j) for i in range(level) for j in range(level)}
-    if set(columns) != rows:
-        raise SingularSystemError("need one unknown c_kl per row (i, j)")
     solution = {}
-    for (k, l), column in columns.items():
-        if len(column) != 1:
-            raise SingularSystemError(f"column c_{k}{l} has {len(column)} entries")
-        (row, entry), = column.items()
-        if entry is not None and len(entry.terms) != 1:
-            raise SingularSystemError(f"c_{k}{l} has a non-monomial entry {entry}")
+    for (k, l), row, entry in columns:
         if row not in rows:
             raise SingularSystemError(f"row {row} is hit twice or does not exist")
         rows.remove(row)
@@ -220,18 +219,18 @@ def _row(word: Word, dyad: tuple) -> tuple[int, int]:
     return ket_side[1], bra_side[1]
 
 
-def _column(level: int, kl: tuple[int, int], block_pairs: list) -> dict:
-    """Column c_kl of the weight system, ``{row: entry}``.
+def _column(level: int, kl: tuple[int, int], block_pairs) -> tuple:
+    """Column c_kl of the weight system, ``(kl, row, entry)``.
 
-    For each (ket block, bra block) pair the degree complement sends to
-    (k, l), ``_term_pairs`` contracts the dyads and normal orders (ket
-    word) (bra word), and ``integrate_word`` integrates theta^k thetabar^l
-    times that word.  Exactly one term pair must survive, as the empty
-    word on an outer product, with two single-term coefficients; any
-    other shape raises :class:`SingularSystemError` (no cancellation is
-    assumed).  The entry, a phase times their product, is then a nonzero
-    monomial; it is formed only when k == l, the columns the solution
-    reads, and is ``None`` otherwise.
+    For each (ket block, bra block) pair filed under (k, l), ``_term_pairs``
+    contracts the dyads and normal orders (ket word) (bra word), and
+    ``integrate_word`` integrates theta^k thetabar^l times that word.
+    Exactly one term pair must survive, as the empty word on an outer
+    product, with two single-term coefficients; any other shape raises
+    :class:`SingularSystemError` (no cancellation is assumed).  The entry,
+    a phase times their product, is then a nonzero monomial; it is formed
+    only when k == l, the columns the solution reads, and is ``None``
+    otherwise.
     """
     k, l = kl
     monomial = _monomial_word(k, l)
@@ -248,39 +247,22 @@ def _column(level: int, kl: tuple[int, int], block_pairs: list) -> dict:
     (row, qe, c_ket, c_bra), = survivors
     if len(c_ket.terms) != 1 or len(c_bra.terms) != 1:
         raise SingularSystemError(f"c_{k}{l} has a non-monomial factor")
-    return {row: (c_ket * c_bra).mul_q_power(qe) if k == l else None}
-
-
-def _weight_columns(level: int) -> dict:
-    """The n^2 columns of the weight system, ``{(k, l): {row: entry}}``.
-
-    One pass over the (ket block, bra block) pairs of |theta><theta~|
-    sends the pair with degrees (c, d), (e, f) to the only column that
-    can read it, (k, l) = (n-1-c-e, n-1-d-f); :func:`_column` then
-    integrates each column's pairs.
-    """
-    n = level
-    ket_blocks, bra_blocks = _pair_outer(n, (PSI, PHI))
-    reached: dict = {(k, l): [] for k in range(n) for l in range(n)}
-    for (c, d), ket_block in ket_blocks.items():
-        for (e, f), bra_block in bra_blocks.items():
-            pairs = reached.get((n - 1 - c - e, n - 1 - d - f))
-            if pairs is not None:
-                pairs.append((ket_block, bra_block))
-    return {kl: _column(n, kl, pairs) for kl, pairs in reached.items()}
+    return kl, row, (c_ket * c_bra).mul_q_power(qe) if k == l else None
 
 
 def solve_weight(level: int) -> Weight:
     """Derive the weight coefficients from the resolution condition.
 
-    Equates int w |theta><theta~| with sum_i |psi_i><phi_i|, one column
-    per unknown c_kl, each from one walk over its term pairs
-    (:func:`_weight_columns`).  The system must be a generalized
-    permutation matrix, which proves the solution unique, and the
-    solution must be diagonal.
+    Equates int w |theta><theta~| with sum_i |psi_i><phi_i|.  Column c_kl
+    is one walk over the pairs the complement index of |theta><theta~|
+    files under (k, l) (:func:`_column`), and the solver reads each column
+    as it is built.  The system must be a generalized permutation matrix,
+    which proves the solution unique, and the solution must be diagonal.
     """
-    return _weight(level, _solve_permutation(
-        level, _weight_columns(level)))
+    reached = _pair_outer(level, (PSI, PHI))
+    return _weight(level, _solve_permutation(level, (
+        _column(level, (k, l), reached.get((k, l), ()))
+        for k in range(level) for l in range(level))))
 
 
 def compare_weights(a: Weight, b: Weight) -> list[tuple[int, bool, Scalar]]:

@@ -663,13 +663,14 @@ class Scalar(_SparseSum):
         """Numeric value with s_i = sqrt(rho_values[i-1]) and u = u_value.
 
         Each rho value must convert to a finite float > 0, and u must sit
-        on the unit circle to within 1e-9.
+        on the unit circle to within 1e-9 (so a NaN or infinite u is refused).
         """
         for i, r in enumerate(rho_values, start=1):
             if not finite_positive(r):
                 raise ValueError(f"rho_{i} must be a finite float > 0, got {r}")
-        if abs(abs(complex(u_value)) - 1.0) > 1e-9:
-            raise ValueError(f"u must be unimodular, got |u| = {abs(u_value)}")
+        u = complex(u_value)
+        if not cmath.isfinite(u) or abs(abs(u) - 1.0) > 1e-9:
+            raise ValueError(f"u must be unimodular, got |u| = {abs(u)}")
         sqrt_rho = [float(r) ** 0.5 for r in rho_values]
         acc = 0j
         for key, c in self.terms.items():
@@ -680,7 +681,7 @@ class Scalar(_SparseSum):
                         raise ValueError(f"no value supplied for rho_{i + 1}")
                     val *= sqrt_rho[i] ** e
             if key[-1]:
-                val *= complex(u_value) ** key[-1]
+                val *= u ** key[-1]
             acc += val
         return acc
 

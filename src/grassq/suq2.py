@@ -115,13 +115,25 @@ class Suq2Relations:
                 and self.prefactor_difference.is_zero)
 
 
+def _bz_defining_sum(sys: Suq2System) -> OpExpr:
+    """b_z = [b, b_sharp]_q written out: s_1^2 |psi_0><phi_0|
+    + (s_2^2 - q s_1^2) |psi_1><phi_1| - q s_2^2 |psi_2><phi_2|."""
+    r1, r2 = sys.rho
+    return OpExpr(sys.root_order, {
+        ((), outer(PSI, 0, PHI, 0)): r1,
+        ((), outer(PSI, 1, PHI, 1)): r2 - r1.mul_q_power(1),
+        ((), outer(PSI, 2, PHI, 2)): -r2.mul_q_power(1)})
+
+
 def verify_suq2_relations(sys: Suq2System) -> Suq2Relations:
-    """Defects of the three closure relations at the cube root."""
+    """Defects of the three closure relations at the cube root; [b, b#]_q
+    is held against b_z's defining sum, not against ``sys.b_z`` itself."""
     if sys.root_order != 3:
         raise EngineError("the closure relations are stated at the cube root")
     pref1, pref2 = closure_prefactors(sys)
     return Suq2Relations(
-        bracket_defines_bz=q_commutator(sys.b, sys.b_sharp) - sys.b_z,
+        bracket_defines_bz=q_commutator(sys.b, sys.b_sharp)
+        - _bz_defining_sum(sys),
         bz_with_b=q_commutator(sys.b_z, sys.b) - sys.b.scale(pref1),
         bsharp_with_bz=q_commutator(sys.b_sharp, sys.b_z)
         - sys.b_sharp.scale(pref1),

@@ -351,7 +351,7 @@ def test_report_matches_the_committed_golden_file(name):
                        "json") == golden.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("n", [64, 127, 128])
+@pytest.mark.parametrize("n", [*range(2, 17), 24, 32, 64, 127, 128])
 def test_high_level_report_matches_its_golden_digest(n):
     # the whole "all" report at one level, numeric biortho residuals
     # included, so the digests also pin this platform's float results;

@@ -12,8 +12,9 @@ from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
                                closed_form_weight, compare_weights,
                                mirror_weight, resolution_integral,
                                solve_weight, verify_resolution, _blocks,
-                               _column, _integrate, _pair_outer,
-                               _solve_permutation, _weight, _weight_columns)
+                               _column, _complement_index, _integrate,
+                               _measured_degrees, _pair_outer,
+                               _solve_permutation, _weight)
 from grassq.scalars import Scalar, rho_factorial
 from grassq.suites import run_suite
 
@@ -112,51 +113,71 @@ def test_permutation_solver():
     n = 2
     one, q, s1 = Scalar.one(n), Scalar.q(n), Scalar.s(n, 1)
     # the n=2 shape: c_kl reaches row (1-k, 1-l) with a monomial entry
-    columns = {(0, 0): {(1, 1): s1}, (0, 1): {(1, 0): q},
-               (1, 0): {(0, 1): one}, (1, 1): {(0, 0): s1 * q}}
-    x = _solve_permutation(n, columns)
+    columns = {(0, 0): ((1, 1), s1), (0, 1): ((1, 0), q),
+               (1, 0): ((0, 1), one), (1, 1): ((0, 0), s1 * q)}
+
+    def solve(changes):
+        return _solve_permutation(n, (
+            (kl, row, entry)
+            for kl, (row, entry) in {**columns, **changes}.items()))
+
+    x = solve({})
     assert set(x) == {(0, 0), (1, 1)}
     assert x[(0, 0)] * s1 == one
     assert x[(1, 1)] * s1 * q == one
 
     def refused(changes, reason):
         with pytest.raises(SingularSystemError, match=reason):
-            _solve_permutation(n, {**columns, **changes})
+            solve(changes)
 
-    refused({(0, 0): {(1, 1): one + s1}}, "non-monomial")
-    refused({(0, 1): {}}, "has 0 entries")
-    refused({(0, 1): {(0, 1): q}}, "hit twice")
-    refused({(0, 1): {(1, 1): q}, (0, 0): {(1, 0): s1}}, "off-diagonal")
-    # None marks an entry proven single-term by structure, never read
-    proven = {(0, 1): {(1, 0): None}, (1, 0): {(0, 1): None}}
-    assert _solve_permutation(n, {**columns, **proven}) == x
-    refused({(0, 1): {(1, 1): None}, (0, 0): {(1, 0): s1}}, "off-diagonal")
+    refused({(0, 1): ((0, 1), q)}, "hit twice")
+    refused({(0, 1): ((2, 0), q)}, "does not exist")
+    refused({(0, 1): ((1, 1), q), (0, 0): ((1, 0), s1)}, "off-diagonal")
+    # None marks an off-diagonal column's entry, never read
+    proven = {(0, 1): ((1, 0), None), (1, 0): ((0, 1), None)}
+    assert solve(proven) == x
+    refused({(0, 1): ((1, 1), None), (0, 0): ((1, 0), s1)}, "off-diagonal")
 
 
-def _column_pairs(n, kl, factors):
-    """The (ket block, bra block) pairs the degree complement sends to kl."""
-    ket_blocks, bra_blocks = factors
-    return [(ket_block, bra_block)
-            for (c, d), ket_block in ket_blocks.items()
-            for (e, f), bra_block in bra_blocks.items()
-            if (n - 1 - c - e, n - 1 - d - f) == kl]
+def _degrees(block):
+    """The one (theta_1, thetabar_1) degree pair of every word in ``block``."""
+    (degrees,) = {_measured_degrees(word) for word, _ in block.terms}
+    return degrees
+
+
+def test_pair_outer_files_every_block_pair_once_under_its_complement():
+    for n in range(2, 9):
+        for pair in MIXED_PAIRS + SAME_PAIRS:
+            for evolved in (False, True):
+                ket_body, bra_body = _pair_bodies(n, pair, evolved)
+                ket_blocks = _blocks(ket_body)
+                bra_blocks = _blocks(op_dagger(bra_body))
+                filed = []
+                for ab, pairs in _pair_outer(n, pair, evolved).items():
+                    for ket_block, bra_block in pairs:
+                        cd, ef = _degrees(ket_block), _degrees(bra_block)
+                        assert ket_block == ket_blocks[cd], (n, pair, cd)
+                        assert bra_block == bra_blocks[ef], (n, pair, ef)
+                        filed.append((ab, cd, ef))
+                want = [((n - 1 - c - e, n - 1 - d - f), (c, d), (e, f))
+                        for c, d in ket_blocks for e, f in bra_blocks]
+                assert sorted(filed) == sorted(want), (n, pair, evolved)
 
 
 def test_column_reads_one_term_pair_and_refuses_any_other_shape():
     n = 2
-    factors = _pair_outer(n, (PSI, PHI))
-    ket_blocks, bra_blocks = factors
+    reached = _pair_outer(n, (PSI, PHI))
     # c_01: theta^0 thetabar^1 meets the ket block (1, 0) and the bra
     # block (0, 0), and only there
-    pair = (ket_blocks[(1, 0)], bra_blocks[(0, 0)])
-    assert _column_pairs(n, (0, 1), factors) == [pair]
-    assert _column(n, (0, 1), [pair]) == {(1, 0): None}
+    pair, = reached[(0, 1)]
+    assert (_degrees(pair[0]), _degrees(pair[1])) == ((1, 0), (0, 0))
+    assert _column(n, (0, 1), [pair]) == ((0, 1), (1, 0), None)
     # a diagonal column carries the value the exact integral gives
     for k in range(n):
-        integral = _integrate(_weight(n, {(k, k): Scalar.one(n)}), factors)
+        integral = _integrate(_weight(n, {(k, k): Scalar.one(n)}), reached)
         ((_, (ket_side, bra_side)), value), = integral.terms.items()
-        got = _column(n, (k, k), _column_pairs(n, (k, k), factors))
-        assert got == {(ket_side[1], bra_side[1]): value}, k
+        got = _column(n, (k, k), reached[(k, k)])
+        assert got == ((k, k), (ket_side[1], bra_side[1]), value), k
 
     def refused(kl, pairs, reason):
         with pytest.raises(SingularSystemError, match=reason):
@@ -170,12 +191,10 @@ def test_column_reads_one_term_pair_and_refuses_any_other_shape():
             "c_01 has a non-monomial factor")
     refused((0, 1), [(ket_block, bra_block.scale(Scalar.one(n) + s1))],
             "c_01 has a non-monomial factor")
-    # a pair whose degrees miss the column leaves a word behind
-    refused((0, 1), [(ket_blocks[(0, 0)], bra_blocks[(0, 0)])],
-            "c_01 is reached by 0 term pairs")
+    # a pair filed under another column leaves a word behind
+    refused((0, 1), reached[(1, 1)], "c_01 is reached by 0 term pairs")
     # two surviving pairs on a diagonal column are refused, not summed
-    refused((0, 0), 2 * _column_pairs(n, (0, 0), factors),
-            "c_00 is reached by 2 term pairs")
+    refused((0, 0), 2 * reached[(0, 0)], "c_00 is reached by 2 term pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +265,11 @@ def test_weight_blocks_without_a_partner_integrate_to_zero():
         ket_body, bra_body = _pair_bodies(n, (PSI, PHI), False)
         for _ in range(3):
             ket_thin, bra_thin = _thin(rng, ket_body), _thin(rng, bra_body)
-            factors = (_blocks(ket_thin), _blocks(op_dagger(bra_thin)))
+            reached = _complement_index(ket_thin, bra_thin)
             thinned = _plain_outer(ket_thin, bra_thin)
             for shape in ("dense", "non-diagonal", "single"):
                 weight = _random_weight(rng, n, shape)
-                _assert_same(_integrate(weight, factors),
+                _assert_same(_integrate(weight, reached),
                              _reference_integral(weight, thinned),
                              (n, len(ket_thin.terms), len(bra_thin.terms),
                               shape))
@@ -271,8 +290,13 @@ def _reference_columns(n, integrate):
 
 def _reference_solve(n):
     outer_product = _plain_outer(*_pair_bodies(n, (PSI, PHI), False))
-    return _weight(n, _solve_permutation(n, _reference_columns(
-        n, lambda weight: _reference_integral(weight, outer_product))))
+    reference = _reference_columns(
+        n, lambda weight: _reference_integral(weight, outer_product))
+    columns = []
+    for kl, column in reference.items():
+        (row, entry), = column.items()
+        columns.append((kl, row, entry))
+    return _weight(n, _solve_permutation(n, columns))
 
 
 def test_solver_matches_a_solve_on_the_plain_integral():
@@ -286,18 +310,13 @@ def test_solver_columns_match_the_per_column_integral():
     # the diagonal entries, so it must agree on every row and on every
     # value it forms
     for n in range(2, 17):
-        factors = _pair_outer(n, (PSI, PHI))
-        want = _reference_columns(n, lambda w: _integrate(w, factors))
-        got = _weight_columns(n)
-        assert set(got) == set(want), n
+        reached = _pair_outer(n, (PSI, PHI))
+        want = _reference_columns(n, lambda w: _integrate(w, reached))
         for (k, l), column in want.items():
             assert len(column) == 1, (n, k, l)
             (row, value), = column.items()
-            assert set(got[(k, l)]) == {row}, (n, k, l)
-            if k == l:
-                assert got[(k, l)][row] == value, (n, k)
-            else:
-                assert got[(k, l)][row] is None, (n, k, l)
+            got = _column(n, (k, l), reached.get((k, l), ()))
+            assert got == ((k, l), row, value if k == l else None), (n, k, l)
 
 
 def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch):

@@ -169,6 +169,11 @@ def test_eval_input_validation():
         Scalar.s(3, 1).eval([-1, 2])
     with pytest.raises(ValueError):
         Scalar.s(3, 1).eval([1, 2], u_value=1.1)
+    # u must be finite as well as unimodular: |nan| - 1 > 1e-9 is False
+    for bad in (float("nan"), complex(float("nan"), 0), float("inf"),
+                complex(0, float("-inf"))):
+        with pytest.raises(ValueError, match="unimodular"):
+            Scalar.u(3).eval([1.0, 1.0], u_value=bad)
     with pytest.raises(ValueError):
         Scalar.s(3, 2).eval([2])  # missing value for rho_2
     # rho must convert to a finite float > 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from grassq.errors import EngineError, NonTerminatingSeriesError
+from grassq import suq2
 from grassq.galg import Kind
 from grassq.opalg import (IDENT, OpExpr, PHI, PSI, eta_conjugate, ket,
                           ket_op, op_dagger, op_term, outer, q_commutator,
@@ -43,6 +44,20 @@ def test_closure_fails_off_the_cube_root():
 def test_relations_hold_at_cube_root():
     relations = verify_suq2_relations(make_suq2(3))
     assert relations.all_hold
+
+
+def test_bracket_defines_bz_fails_on_a_q_less_commutator(monkeypatch):
+    # b_z is checked against its defining sum, not against the commutator
+    # it is built from, so a wrong commutator shows in the defect
+    monkeypatch.setattr(suq2, "q_commutator", lambda a, b: a @ b - b @ a)
+    assert not verify_suq2_relations(make_suq2(3)).bracket_defines_bz.is_zero
+
+
+@pytest.mark.parametrize("equal_rho", [False, True])
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_bz_is_its_defining_sum(r, equal_rho):
+    sys = make_suq2(r, equal_rho)
+    assert suq2._bz_defining_sum(sys) == sys.b_z
 
 
 def test_relations_need_cube_root():
