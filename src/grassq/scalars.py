@@ -618,10 +618,17 @@ class Scalar(_SparseSum):
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other: "Scalar | Rational") -> "Scalar":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar and isinstance(other, (int, Fraction)):
             return Scalar(self.level,
                           {k: v.scaled(other) for k, v in self.terms.items()})
         self._check(other)
+        if len(self.terms) == 1 == len(other.terms):
+            # monomial times monomial, the commonest product, since every
+            # ladder, state and weight coefficient is one term; Q(q) has
+            # no zero divisors, so the one coefficient product is nonzero
+            (k1, c1), = self.terms.items()
+            (k2, c2), = other.terms.items()
+            return Scalar._wrap(self.level, {tuple(map(add, k1, k2)): c1 * c2})
         return Scalar._wrap(self.level, _accumulate({}, (
             (tuple(map(add, k1, k2)), c1 * c2)
             for k1, c1 in self.terms.items()

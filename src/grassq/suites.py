@@ -23,6 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -132,8 +133,31 @@ class _Runner:
     def gap(self, check_id: str, ref: str, fn: Callable, threshold: float) -> None:
         self._run(check_id, ref, lambda: float(fn()), lambda v: (v > threshold, v))
 
-    def condition(self, check_id: str, ref: str, fn: Callable, detail: str = "") -> None:
-        self._run(check_id, ref, fn, lambda ok: (bool(ok), detail))
+    def condition(self, check_id: str, ref: str, fn: Callable,
+                  detail: Callable[[], str] = lambda: "") -> None:
+        """Truth of ``fn``'s value; ``detail()`` is formed inside the check,
+        so a raise there is an error of this check alone."""
+        self._run(check_id, ref, fn, lambda ok: (bool(ok), detail()))
+
+
+def _once(fn: Callable) -> Callable:
+    """``fn`` memoised on its arguments for one run, a raise included: a
+    call that raised re-raises to every later reader without running
+    ``fn`` again, so a failing weight solve costs one solve, not one per
+    check that reads it."""
+    outcomes: dict[tuple, tuple] = {}
+
+    def call(*args):
+        if args not in outcomes:
+            try:
+                outcomes[args] = (fn(*args), None)
+            except Exception as exc:
+                outcomes[args] = (None, exc)
+        value, exc = outcomes[args]
+        if exc is not None:
+            raise exc
+        return value
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +165,23 @@ class _Runner:
 # ---------------------------------------------------------------------------
 
 def _coherent_checks(r: _Runner, n_values: Sequence[int]) -> None:
+    # each state is formed inside the checks that read it, once per run,
+    # so a build that raises is an error of those checks alone
+    state = _once(make_coherent)
     for n in n_values:
-        psi = make_coherent(n, PSI)
-        phi = make_coherent(n, PHI)
         r.zero(f"coherent/n={n}/eigen-psi", "b|theta> = theta |theta>",
-               lambda psi=psi: verify_eigen(psi))
+               lambda n=n: verify_eigen(state(n, PSI)))
         r.zero(f"coherent/n={n}/eigen-phi", "b~|theta~> = theta |theta~>",
-               lambda phi=phi: verify_eigen(phi))
+               lambda n=n: verify_eigen(state(n, PHI)))
         r.zero(f"coherent/n={n}/exp-form-psi",
                "|theta> = e_q^(b# theta) |psi_0>",
-               lambda psi=psi: exponential_form_defect(psi))
+               lambda n=n: exponential_form_defect(state(n, PSI)))
         r.zero(f"coherent/n={n}/exp-form-phi",
                "|theta~> = e_q^(b~#' theta) |phi_0>",
-               lambda phi=phi: exponential_form_defect(phi))
+               lambda n=n: exponential_form_defect(state(n, PHI)))
         r.zero(f"coherent/n={n}/eta-map", "eta |theta> = |theta~>",
-               lambda psi=psi, phi=phi: eta_conjugate(psi.body) - phi.body)
+               lambda n=n: eta_conjugate(state(n, PSI).body)
+               - state(n, PHI).body)
 
 
 def _dynamics_checks(r: _Runner, n_values: Sequence[int],
@@ -176,92 +202,91 @@ def _dynamics_checks(r: _Runner, n_values: Sequence[int],
 def _resolution_checks(r: _Runner, n_values: Sequence[int],
                        weight_of: Callable[[int], Weight]) -> None:
     for n in n_values:
-        weight = weight_of(n)
         r.condition(f"resolution/n={n}/solver-diagonal",
                     "derived weight is diagonal and unique",
-                    lambda weight=weight: weight.is_diagonal(),
-                    detail=str(weight.expr))
+                    lambda n=n: weight_of(n).is_diagonal(),
+                    detail=lambda n=n: str(weight_of(n).expr))
         r.zero(f"resolution/n={n}/mixed-psi-phi",
                "int w |theta><theta~| = I",
-               lambda weight=weight: verify_resolution(weight, (PSI, PHI)))
+               lambda n=n: verify_resolution(weight_of(n), (PSI, PHI)))
         r.zero(f"resolution/n={n}/mixed-phi-psi",
                "int w |theta~><theta| = I",
-               lambda weight=weight: verify_resolution(weight, (PHI, PSI)))
+               lambda n=n: verify_resolution(weight_of(n), (PHI, PSI)))
         r.nonzero(f"resolution/n={n}/same-psi-psi",
                   "int w |theta><theta| != I",
-                  lambda weight=weight: verify_resolution(weight, (PSI, PSI)))
+                  lambda n=n: verify_resolution(weight_of(n), (PSI, PSI)))
         r.nonzero(f"resolution/n={n}/same-phi-phi",
                   "int w |theta~><theta~| != I",
-                  lambda weight=weight: verify_resolution(weight, (PHI, PHI)))
+                  lambda n=n: verify_resolution(weight_of(n), (PHI, PHI)))
         r.discrepancy(f"resolution/n={n}/weight-reversed-factorial",
                       "w = sum q^i(i+1) rho_(n-1-i)! theta^i thetabar^i",
-                      lambda n=n, weight=weight:
-                      weight.expr - closed_form_weight(n).expr)
+                      lambda n=n:
+                      weight_of(n).expr - closed_form_weight(n).expr)
         r.discrepancy(f"resolution/n={n}/weight-plain-factorial",
                       "c_ii = rho_i! q^i(i+1)",
-                      lambda n=n, weight=weight:
-                      weight.expr - mirror_weight(n).expr)
+                      lambda n=n: weight_of(n).expr - mirror_weight(n).expr)
         if n == 3:
             r.discrepancy("resolution/n=3/weight-three-level",
                           "w = rho1 rho2 + rho1/q theta thetabar "
                           "+ theta^2 thetabar^2",
-                          lambda weight=weight:
-                          weight.expr - closed_form_weight(3).expr)
+                          lambda: weight_of(3).expr - closed_form_weight(3).expr)
 
 
 def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
-    sys3 = make_suq2(3)
+    # every shared value is formed inside the checks that read it; the
+    # system and its squeeze series are built once, the verdicts once a run
+    sys3 = partial(make_suq2, 3)
+    v4 = _once(partial(check_closure, 4))
+    rel = _once(lambda: verify_suq2_relations(sys3()))
     r.condition("suq2/closure/cube-root-free-rho",
                 "[b_z,b]_q closes at q = primitive cube root",
                 lambda: check_closure(3).closes)
     r.condition("suq2/closure/equal-rho-any-root",
                 "[b_z,b]_q closes when rho_1 = rho_2",
                 lambda: check_closure(4, equal_rho=True).closes)
-    v4 = check_closure(4)
     r.condition("suq2/closure/distinct-rho-other-root-fails",
                 "(1+q+q^2)(rho_1-rho_2) obstruction at a fourth root",
-                lambda: not v4.closes, detail=str(v4.defect_first))
-    rel = verify_suq2_relations(sys3)
+                lambda: not v4().closes,
+                detail=lambda: str(v4().defect_first))
     r.zero("suq2/relations/bracket-defines-bz", "[b,b#]_q = b_z",
-           lambda: rel.bracket_defines_bz)
+           lambda: rel().bracket_defines_bz)
     r.zero("suq2/relations/bz-b", "[b_z,b]_q = (rho1 - q rho2 + q^2 rho1) b",
-           lambda: rel.bz_with_b)
+           lambda: rel().bz_with_b)
     r.zero("suq2/relations/bsharp-bz",
            "[b#,b_z]_q = (rho1 - q rho2 + q^2 rho1) b#",
-           lambda: rel.bsharp_with_bz)
+           lambda: rel().bsharp_with_bz)
     r.zero("suq2/relations/prefactor-equality",
            "rho1 - q rho2 + q^2 rho1 = rho2 - q rho1 + q^2 rho2",
-           lambda: rel.prefactor_difference)
+           lambda: rel().prefactor_difference)
     r.condition("suq2/nilpotency", "b^3 = b#^3 = b~^3 = b~#'^3 = 0",
-                lambda: sys3.b.power(3).is_zero
-                and sys3.b_sharp.power(3).is_zero
-                and eta_conjugate(sys3.b).power(3).is_zero
-                and op_dagger(sys3.b).power(3).is_zero)
+                lambda: sys3().b.power(3).is_zero
+                and sys3().b_sharp.power(3).is_zero
+                and eta_conjugate(sys3().b).power(3).is_zero
+                and op_dagger(sys3().b).power(3).is_zero)
     r.condition("suq2/squeeze/terminates",
                 "exp[(theta b#^2 - thetabar b^2)/2] terminates",
-                lambda: not make_squeeze(sys3).is_zero)
+                lambda: not make_squeeze(sys3()).is_zero)
     r.discrepancy("suq2/squeeze/quadratic-closed-form",
                   "S = I + (theta b#^2 - thetabar b^2)/2 "
                   "- qbar/4 theta thetabar (b#^2 b^2 + q b^2 b#^2)",
-                  lambda: squeeze_defect(sys3))
+                  lambda: squeeze_defect(sys3()))
     r.discrepancy("suq2/squeezed-state/closed-form",
                   "S|psi_0> = (1 - rho1 rho2/4 theta thetabar)|psi_0> "
                   "+ sqrt(rho1 rho2)/2 theta |psi_2>",
-                  lambda: squeezed_state_defect(sys3, PSI))
+                  lambda: squeezed_state_defect(sys3(), PSI))
     r.discrepancy("suq2/squeezed-state/tilde-closed-form",
                   "eta S|psi_0> over the phi family",
-                  lambda: squeezed_state_defect(sys3, PHI))
+                  lambda: squeezed_state_defect(sys3(), PHI))
     r.zero("suq2/squeezed-state/eta-channel",
            "eta (S|psi_0>) = (eta S eta^-1)|phi_0>",
-           lambda: eta_conjugate(make_squeezed_state(sys3, PSI))
-           - (eta_conjugate(make_squeeze(sys3)) @ ket_op(3, PHI, 0)))
+           lambda: eta_conjugate(make_squeezed_state(sys3(), PSI))
+           - (eta_conjugate(make_squeeze(sys3())) @ ket_op(3, PHI, 0)))
     r.zero("suq2/squeeze/tilde-exponential-form",
            "eta S eta^-1 = exp[(theta b~#'^2 - thetabar b~^2)/2]",
-           lambda: squeeze_tilde_exponential_defect(sys3))
-    weight3 = weight_of(3)
+           lambda: squeeze_tilde_exponential_defect(sys3()))
     r.zero("suq2/weight/three-level-resolution",
            "int w |theta><theta~| = I at n=3",
-           lambda: verify_resolution(weight3, (PSI, PHI)))
+           lambda: verify_resolution(weight_of(3), (PSI, PHI)))
     r.zero("suq2/stability/three-level", "|theta,t> = u |theta(t)> at n=3",
            lambda: check_stability(3, PSI))
 
@@ -297,24 +322,27 @@ def _biortho_checks(r: _Runner, problem: Problem, tol: float,
                lambda: nb.instantiate_numeric(
                    verify_eigen(make_coherent(n, PSI)), decomp, rho_values),
                tol=1e-10)
-    weight = weight_of(n)
     r.residual("biortho/instantiate/mixed-resolution",
                "symbolic resolution defect grounds to zero",
                lambda: nb.instantiate_numeric(
-                   verify_resolution(weight, (PSI, PHI)), decomp, rho_values),
+                   verify_resolution(weight_of(n), (PSI, PHI)), decomp,
+                   rho_values),
                tol=1e-10)
-    same_gap = nb.instantiate_numeric(
-        verify_resolution(weight, (PSI, PSI)), decomp, rho_values)
+
+    def same_gap() -> float:
+        return nb.instantiate_numeric(
+            verify_resolution(weight_of(n), (PSI, PSI)), decomp, rho_values)
+
     hermitian = bool(np.linalg.norm(decomp.H - decomp.H.conj().T, 2)
                      <= tol * np.linalg.norm(decomp.H, 2))
     if hermitian:
         r.residual("biortho/instantiate/same-family-gap",
                    "same-family integral coincides with I for Hermitian input",
-                   lambda: same_gap, tol=1e-10)
+                   same_gap, tol=1e-10)
     else:
         r.gap("biortho/instantiate/same-family-gap",
               "int w |theta><theta| lands measurably away from I",
-              lambda: same_gap, threshold=0.01)
+              same_gap, threshold=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +366,9 @@ def run_suite(selector: str, n_range: tuple[int, int] = (2, 4), *,
     n_values = range(lo, hi + 1)
     problem = problem or default_problem()
     r = _Runner(timings)
-    # Each level's weight is solved once per run, by the first suite that
-    # needs it.
-    weights: dict[int, Weight] = {}
-
-    def weight_of(n: int) -> Weight:
-        if n not in weights:
-            weights[n] = solve_weight(n)
-        return weights[n]
+    # Each level's weight is solved once per run, by the first check that
+    # needs it; a solve that raises is an error of each check that reads it.
+    weight_of = _once(solve_weight)
 
     if selector in ("coherent", "all"):
         _coherent_checks(r, n_values)

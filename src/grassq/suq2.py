@@ -19,6 +19,21 @@ form sometimes quoted for it; those comparisons are reported as exact
 defects rather than reconciled.  The metric-conjugated operator does
 satisfy  eta S(theta) eta^-1 = exp[(theta b~'^2 - thetabar b~^2)/2]
 exactly, because metric conjugation is an algebra homomorphism.
+
+:func:`make_suq2` builds each system once per (root order, equal_rho)
+and hands the same object to every caller, and a system computes its
+squeeze argument, the series S and the state S|psi_0> at most once, on
+first use.  Within one ``run_suite("all")`` the suq2 checks read S four
+times and S|psi_0> three times, so the cached values alone cut the
+series sums from eight to three.  Keeping the systems across calls pays
+only where one process runs the suq2 suite more than once, as a test
+session or a caller that runs one level at a time does; one ``grassq
+verify`` run calls ``run_suite`` once.  Sharing is exact because none
+of these values ever changes: the dataclass is frozen, no operator body
+is mutated, and each cached value is a function of the system's fields
+alone.  Every check still forms its own defect, and
+:func:`squeeze_tilde_exponential_defect` still sums its own right-hand
+side.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import count
 
 from .errors import EngineError
@@ -51,6 +67,22 @@ class Suq2System:
         return (self.sqrt_rho[0] * self.sqrt_rho[0],
                 self.sqrt_rho[1] * self.sqrt_rho[1])
 
+    @cached_property
+    def squeeze_argument(self) -> OpExpr:
+        """(theta b_sharp^2 - thetabar b^2) / 2."""
+        return _squeeze_term(self.b_sharp.power(2), self.b.power(2))
+
+    @cached_property
+    def squeeze(self) -> OpExpr:
+        """The squeezing operator S from its exponential series."""
+        return factorial_exponential(self.squeeze_argument)
+
+    @cached_property
+    def squeezed_vacuum(self) -> OpExpr:
+        """S|psi_0>, the series applied to the vacuum term by term."""
+        return factorial_exponential(self.squeeze_argument,
+                                     on=ket_op(self.root_order, PSI, 0))
+
 
 def make_suq2(root_order: int = 3, equal_rho: bool = False) -> Suq2System:
     """Build the three-level system with q a primitive root of the given order.
@@ -58,7 +90,14 @@ def make_suq2(root_order: int = 3, equal_rho: bool = False) -> Suq2System:
     b = s_1 |psi_0><phi_1| + s_2 |psi_1><phi_2| is the defining sum over
     three levels and b_sharp its metric adjoint.  ``equal_rho`` sets s_2 =
     s_1, the degenerate rho_2 = rho_1 that closes the algebra at any root.
+    The system is built once per (root_order, equal_rho) and shared (see
+    the module docstring).
     """
+    return _build_suq2(root_order, equal_rho)
+
+
+@lru_cache(maxsize=8)
+def _build_suq2(root_order: int, equal_rho: bool) -> Suq2System:
     if root_order < 3:
         raise EngineError("need at least s_1 and s_2, so root order >= 3")
     s1 = Scalar.s(root_order, 1)
@@ -165,12 +204,12 @@ def _squeeze_term(up: OpExpr, down: OpExpr) -> OpExpr:
 
 def squeeze_argument(sys: Suq2System) -> OpExpr:
     """(theta b_sharp^2 - thetabar b^2) / 2."""
-    return _squeeze_term(sys.b_sharp.power(2), sys.b.power(2))
+    return sys.squeeze_argument
 
 
 def make_squeeze(sys: Suq2System) -> OpExpr:
     """The squeezing operator from its exponential series."""
-    return factorial_exponential(squeeze_argument(sys))
+    return sys.squeeze
 
 
 def squeeze_closed_form(sys: Suq2System) -> OpExpr:
@@ -204,8 +243,7 @@ def make_squeezed_state(sys: Suq2System, family: str = PSI) -> OpExpr:
     The dual family is its metric image; any other family is refused.
     """
     _known_family(family)
-    state = factorial_exponential(squeeze_argument(sys),
-                                  on=ket_op(sys.root_order, PSI, 0))
+    state = sys.squeezed_vacuum
     if family == PHI:
         return eta_conjugate(state)
     return state

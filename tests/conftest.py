@@ -6,10 +6,28 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from grassq import coherent, suq2
 from grassq.galg import GExpr, Kind
 from grassq.opalg import IDENT, OpExpr, PHI, PSI, bra, ket, op_term, outer
 from grassq.scalars import Cyclo, Scalar
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the process-wide construction caches before and after the test.
+
+    A test that counts engine calls then sees every build, and one that
+    monkeypatches engine internals neither reads an object the unpatched
+    engine built nor leaves a patched build behind for later tests.
+    """
+    def clear():
+        coherent._build_coherent.cache_clear()
+        suq2._build_suq2.cache_clear()
+    clear()
+    yield
+    clear()
 
 
 def random_scalar(rng: random.Random, level: int, max_terms: int = 3) -> Scalar:

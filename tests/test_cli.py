@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from grassq.cli import load_problem, main
-from grassq.errors import ProblemFormatError
+from grassq.errors import EngineError, ProblemFormatError
 from grassq.suites import emit_report, run_suite
 
 
@@ -284,7 +284,8 @@ def test_rho_exponent_is_bounded_before_fraction_reads_it(tmp_path,
         assert cli._rho_value(text, "rho") == Fraction(text)
 
 
-def test_a_raising_check_is_an_error_and_the_run_goes_on(monkeypatch, capsys):
+def test_a_raising_check_is_an_error_and_the_run_goes_on(monkeypatch, capsys,
+                                                         fresh_caches):
     import grassq.suites as suites
 
     def broken(level, family):
@@ -308,7 +309,8 @@ def test_a_raising_check_is_an_error_and_the_run_goes_on(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_an_exact_check_value_that_is_not_a_sparse_sum_is_an_error(monkeypatch):
+def test_an_exact_check_value_that_is_not_a_sparse_sum_is_an_error(
+        monkeypatch, fresh_caches):
     # a falsy 0 is not an exact zero: only a sparse sum can vanish
     import grassq.suites as suites
 
@@ -320,7 +322,103 @@ def test_an_exact_check_value_that_is_not_a_sparse_sum_is_an_error(monkeypatch):
         assert check.defect.startswith("AttributeError")
 
 
-def test_each_weight_is_solved_once_per_run(monkeypatch):
+def _statuses(report):
+    return {c.id: c.status for c in report.checks}
+
+
+# The ids of the checks that read a weight: every resolution check, and one
+# check each of dynamics, suq2 and biortho per level.
+WEIGHT_READERS = ("resolution/", "/evolved-resolution",
+                  "suq2/weight/three-level-resolution",
+                  "biortho/instantiate/mixed-resolution",
+                  "biortho/instantiate/same-family-gap")
+
+
+@pytest.mark.parametrize("selector", ["resolution", "suq2", "biortho", "all"])
+def test_a_raising_weight_solve_is_an_error_of_each_check_that_reads_it(
+        selector, monkeypatch, fresh_caches, capsys):
+    import grassq.suites as suites
+
+    clean = _statuses(run_suite(selector, (2, 3)))
+    calls = []
+
+    def broken(n):
+        calls.append(n)
+        raise RuntimeError(f"no weight at n={n}")
+
+    monkeypatch.setattr(suites, "solve_weight", broken)
+    report = run_suite(selector, (2, 3))
+    # a failed solve is re-raised to its later readers, not run again
+    assert calls and len(calls) == len(set(calls))
+    errors = {c.id for c in report.checks if c.status == "error"}
+    assert errors == {i for i in clean if any(r in i for r in WEIGHT_READERS)}
+    assert errors
+    for c in report.checks:
+        if c.id in errors:
+            assert c.defect.startswith("RuntimeError: no weight at n=")
+        else:
+            assert c.status == clean[c.id]
+    assert main(["verify", selector, "--n", "2..3"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_raising_engine_error_in_a_solve_is_not_an_input_error(
+        monkeypatch, fresh_caches, capsys):
+    import grassq.suites as suites
+
+    def broken(n):
+        raise EngineError("singular")
+
+    monkeypatch.setattr(suites, "solve_weight", broken)
+    assert main(["verify", "resolution", "--n", "2..2"]) == 1
+    out, err = capsys.readouterr()
+    assert "EngineError: singular" in out and "Traceback" not in err
+
+
+@pytest.mark.parametrize("selector", ["coherent", "all"])
+def test_a_raising_state_build_is_an_error_of_the_checks_that_read_it(
+        selector, monkeypatch, fresh_caches):
+    import grassq.suites as suites
+
+    clean = _statuses(run_suite(selector, (2, 3)))
+
+    def broken(level, family):
+        raise RuntimeError(f"no state at n={level}")
+
+    monkeypatch.setattr(suites, "make_coherent", broken)
+    report = run_suite(selector, (2, 3))
+    errors = {c.id for c in report.checks if c.status == "error"}
+    readers = {i for i in clean if i.startswith("coherent/")}
+    if selector == "all":
+        readers.add("biortho/instantiate/eigen-defect")
+    assert errors == readers and len(readers) >= 10
+    for c in report.checks:
+        if c.id in errors:
+            assert c.defect.startswith("RuntimeError: no state at n=")
+        else:
+            assert c.status == clean[c.id]
+
+
+def test_a_raising_closure_verdict_is_an_error_of_its_checks(monkeypatch,
+                                                             fresh_caches):
+    import grassq.suites as suites
+
+    clean = _statuses(run_suite("suq2"))
+
+    def broken(root_order, equal_rho=False):
+        raise RuntimeError("no closure")
+
+    monkeypatch.setattr(suites, "check_closure", broken)
+    report = run_suite("suq2")
+    errors = {c.id for c in report.checks if c.status == "error"}
+    assert errors == {i for i in clean if i.startswith("suq2/closure/")}
+    assert len(errors) == 3
+    for c in report.checks:
+        if c.id not in errors:
+            assert c.status == clean[c.id]
+
+
+def test_each_weight_is_solved_once_per_run(monkeypatch, fresh_caches):
     import grassq.suites as suites
     calls = []
 

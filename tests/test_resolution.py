@@ -319,7 +319,8 @@ def test_solver_columns_match_the_per_column_integral():
             assert got == ((k, l), row, value if k == l else None), (n, k, l)
 
 
-def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch):
+def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch,
+                                                             fresh_caches):
     # counts term pairs, not time: the whole |A><B| alone is n^2 pairs
     pairs = []
     plain_matmul = OpExpr.__matmul__
@@ -338,7 +339,7 @@ def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch):
             assert 0 < sum(pairs) <= 2 * n, (pair, evolved, sum(pairs))
 
 
-def test_weight_solve_makes_no_operator_product(monkeypatch):
+def test_weight_solve_makes_no_operator_product(monkeypatch, fresh_caches):
     # counts calls, not time: every column is one integrated term pair
     n = 12
     solve_weight(n)  # the default coherent states are built once

@@ -199,6 +199,71 @@ def test_monomial_inverse_only_for_monomials():
         (Scalar.one(3) + Scalar.s(3, 1)).monomial_inverse()
 
 
+def _one_term(rng, level, dense):
+    """One term with s_i and u exponents of either sign; the coefficient is
+    a unit +-c*q^k or a dense element of Q(q)."""
+    key = tuple(rng.randrange(-3, 4) for _ in range(level))
+    if dense:
+        coeff = Cyclo(level, [rng.choice((1, 3)), rng.choice((2, -5))])
+        assert coeff._k is None
+    else:
+        coeff = Cyclo.q_power(level, rng.randrange(level)).scaled(
+            Fraction(rng.choice((-3, -1, 1, 2)), rng.randrange(1, 4)))
+        assert coeff._k is not None
+    return Scalar(level, {key: coeff})
+
+
+def _merged_product(a, b):
+    """Every term pair multiplied and merged by hand: the general product."""
+    acc = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
+    return Scalar(a.level, acc)
+
+
+def test_monomial_product_matches_the_general_product():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        level = rng.randrange(3, 8)
+        a = _one_term(rng, level, dense=rng.random() < 0.5)
+        b = _one_term(rng, level, dense=rng.random() < 0.5)
+        longer = random_scalar(rng, level, max_terms=4) + _one_term(
+            rng, level, dense=rng.random() < 0.5)
+        for x, y in ((a, b), (b, a), (a, longer), (longer, a),
+                     (longer, longer), (a, Scalar.zero(level))):
+            product = x * y
+            assert product == _merged_product(x, y)
+            assert all(product.terms.values())
+    with pytest.raises(LevelMismatchError, match="cannot mix levels 3 and 4"):
+        _one_term(rng, 3, dense=False) * _one_term(rng, 4, dense=True)
+    with pytest.raises(LevelMismatchError, match="cannot mix levels 4 and 3"):
+        (_one_term(rng, 4, dense=True) + Scalar.one(4)) * _one_term(
+            rng, 3, dense=False)
+
+
+def test_rational_factors_take_the_scaled_path(monkeypatch, fresh_caches):
+    rng = random.Random(7)
+    operands = (_one_term(rng, 5, dense=False), _one_term(rng, 5, dense=True),
+                _one_term(rng, 5, dense=True) + Scalar.s(5, 2))
+    scaled = []
+    plain_scaled = Cyclo.scaled
+
+    def counting_scaled(c, factor):
+        scaled.append(factor)
+        return plain_scaled(c, factor)
+
+    monkeypatch.setattr(Cyclo, "scaled", counting_scaled)
+    for x in operands:
+        for factor in (3, Fraction(-2, 5)):
+            for product in (x * factor, factor * x):
+                assert product == _merged_product(
+                    x, Scalar.from_rational(5, factor))
+        assert len(scaled) == 4 * len(x.terms)
+        scaled.clear()
+
+
 # ---------------------------------------------------------------------------
 # differential test against sympy's reduction modulo cyclotomic_poly(n)
 # ---------------------------------------------------------------------------
@@ -439,10 +504,11 @@ def test_even_levels_fold_the_half_turn_into_the_sign():
     assert Cyclo.q_power(2, 1)._k == 0
 
 
-def test_unit_products_never_reach_the_dense_convolution(monkeypatch):
+def test_unit_products_never_reach_the_dense_convolution(monkeypatch,
+                                                          fresh_caches):
     # counts calls, not time: every coefficient of these suites is a unit,
     # and a unit times a dense element only rotates and rescales it
-    from grassq import coherent, scalars
+    from grassq import scalars
     from grassq.suites import run_suite
 
     calls = []
@@ -460,7 +526,6 @@ def test_unit_products_never_reach_the_dense_convolution(monkeypatch):
     assert unit * dense == dense * unit == Cyclo(5, [0, 0, 0, -2, -4]).scaled(
         Fraction(1, 3))
     assert calls == []
-    coherent._build_coherent.cache_clear()
     run_suite("coherent", (31, 31), max_n=31)
     for n in (8, 11):
         run_suite("all", (n, n), max_n=n)

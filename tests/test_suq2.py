@@ -46,7 +46,8 @@ def test_relations_hold_at_cube_root():
     assert relations.all_hold
 
 
-def test_bracket_defines_bz_fails_on_a_q_less_commutator(monkeypatch):
+def test_bracket_defines_bz_fails_on_a_q_less_commutator(monkeypatch,
+                                                         fresh_caches):
     # b_z is checked against its defining sum, not against the commutator
     # it is built from, so a wrong commutator shows in the defect
     monkeypatch.setattr(suq2, "q_commutator", lambda a, b: a @ b - b @ a)
@@ -143,6 +144,41 @@ def test_squeeze_argument_powers_match_hand_expansion():
 
 def test_squeeze_series_terminates():
     assert not make_squeeze(make_suq2(3)).is_zero
+
+
+def test_a_system_and_its_squeeze_series_are_built_once(monkeypatch,
+                                                        fresh_caches):
+    from grassq.suites import run_suite
+
+    calls = []
+    plain = suq2.factorial_exponential
+
+    def counting(arg, on=None):
+        calls.append((arg, on))
+        return plain(arg, on)
+
+    monkeypatch.setattr(suq2, "factorial_exponential", counting)
+    run_suite("suq2", (3, 3), max_n=3)
+    sys3 = make_suq2(3)
+    assert make_suq2(3) is sys3 and make_suq2(root_order=3) is sys3
+    shared = [on for arg, on in calls if arg is sys3.squeeze_argument]
+    # S once and S|psi_0> once; the tilde form sums its own argument
+    assert shared.count(None) == 1
+    assert [on for on in shared if on is not None] == [ket_op(3, PSI, 0)]
+    assert len(calls) == 3
+    calls.clear()
+    run_suite("suq2", (3, 3), max_n=3)
+    assert len(calls) == 1 and calls[0][0] is not sys3.squeeze_argument
+    monkeypatch.undo()
+    # the cached values against the series summed on an unshared system
+    fresh = suq2._build_suq2.__wrapped__(3, False)
+    assert fresh is not sys3 and fresh == sys3
+    arg = suq2._squeeze_term(fresh.b_sharp.power(2), fresh.b.power(2))
+    assert sys3.squeeze == factorial_exponential(arg)
+    assert sys3.squeezed_vacuum == factorial_exponential(
+        arg, on=ket_op(3, PSI, 0))
+    assert make_squeeze(sys3) is sys3.squeeze
+    assert make_squeezed_state(sys3, PSI) is sys3.squeezed_vacuum
 
 
 def test_factorial_exponential_guard_and_zero():
