@@ -144,18 +144,19 @@ def _once(fn: Callable) -> Callable:
     """``fn`` memoised on its arguments for one run, a raise included: a
     call that raised re-raises to every later reader without running
     ``fn`` again, so a failing weight solve costs one solve, not one per
-    check that reads it."""
+    check that reads it.  Each re-raise starts from the first traceback,
+    so the stored exception does not grow by every reader's frames."""
     outcomes: dict[tuple, tuple] = {}
 
     def call(*args):
         if args not in outcomes:
             try:
-                outcomes[args] = (fn(*args), None)
+                outcomes[args] = (fn(*args), None, None)
             except Exception as exc:
-                outcomes[args] = (None, exc)
-        value, exc = outcomes[args]
+                outcomes[args] = (None, exc, exc.__traceback__)
+        value, exc, first_tb = outcomes[args]
         if exc is not None:
-            raise exc
+            raise exc.with_traceback(first_tb)
         return value
     return call
 
@@ -165,23 +166,22 @@ def _once(fn: Callable) -> Callable:
 # ---------------------------------------------------------------------------
 
 def _coherent_checks(r: _Runner, n_values: Sequence[int]) -> None:
-    # each state is formed inside the checks that read it, once per run,
-    # so a build that raises is an error of those checks alone
-    state = _once(make_coherent)
+    # each check asks make_coherent, which builds a state once, inside its
+    # own call, so a build that raises is an error of its readers alone
     for n in n_values:
         r.zero(f"coherent/n={n}/eigen-psi", "b|theta> = theta |theta>",
-               lambda n=n: verify_eigen(state(n, PSI)))
+               lambda n=n: verify_eigen(make_coherent(n, PSI)))
         r.zero(f"coherent/n={n}/eigen-phi", "b~|theta~> = theta |theta~>",
-               lambda n=n: verify_eigen(state(n, PHI)))
+               lambda n=n: verify_eigen(make_coherent(n, PHI)))
         r.zero(f"coherent/n={n}/exp-form-psi",
                "|theta> = e_q^(b# theta) |psi_0>",
-               lambda n=n: exponential_form_defect(state(n, PSI)))
+               lambda n=n: exponential_form_defect(make_coherent(n, PSI)))
         r.zero(f"coherent/n={n}/exp-form-phi",
                "|theta~> = e_q^(b~#' theta) |phi_0>",
-               lambda n=n: exponential_form_defect(state(n, PHI)))
+               lambda n=n: exponential_form_defect(make_coherent(n, PHI)))
         r.zero(f"coherent/n={n}/eta-map", "eta |theta> = |theta~>",
-               lambda n=n: eta_conjugate(state(n, PSI).body)
-               - state(n, PHI).body)
+               lambda n=n: eta_conjugate(make_coherent(n, PSI).body)
+               - make_coherent(n, PHI).body)
 
 
 def _dynamics_checks(r: _Runner, n_values: Sequence[int],
@@ -233,11 +233,10 @@ def _resolution_checks(r: _Runner, n_values: Sequence[int],
 
 
 def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
-    # every shared value is formed inside the checks that read it; the
-    # system and its squeeze series are built once, the verdicts once a run
+    # each check reads the shared system's values inside its own call, so
+    # a raise is an error of its readers alone; a system forms each value
+    # once (see grassq.suq2), so no verdict is memoised here
     sys3 = partial(make_suq2, 3)
-    v4 = _once(partial(check_closure, 4))
-    rel = _once(lambda: verify_suq2_relations(sys3()))
     r.condition("suq2/closure/cube-root-free-rho",
                 "[b_z,b]_q closes at q = primitive cube root",
                 lambda: check_closure(3).closes)
@@ -246,18 +245,18 @@ def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
                 lambda: check_closure(4, equal_rho=True).closes)
     r.condition("suq2/closure/distinct-rho-other-root-fails",
                 "(1+q+q^2)(rho_1-rho_2) obstruction at a fourth root",
-                lambda: not v4().closes,
-                detail=lambda: str(v4().defect_first))
+                lambda: not check_closure(4).closes,
+                detail=lambda: str(check_closure(4).defect_first))
     r.zero("suq2/relations/bracket-defines-bz", "[b,b#]_q = b_z",
-           lambda: rel().bracket_defines_bz)
+           lambda: verify_suq2_relations(sys3()).bracket_defines_bz)
     r.zero("suq2/relations/bz-b", "[b_z,b]_q = (rho1 - q rho2 + q^2 rho1) b",
-           lambda: rel().bz_with_b)
+           lambda: verify_suq2_relations(sys3()).bz_with_b)
     r.zero("suq2/relations/bsharp-bz",
            "[b#,b_z]_q = (rho1 - q rho2 + q^2 rho1) b#",
-           lambda: rel().bsharp_with_bz)
+           lambda: verify_suq2_relations(sys3()).bsharp_with_bz)
     r.zero("suq2/relations/prefactor-equality",
            "rho1 - q rho2 + q^2 rho1 = rho2 - q rho1 + q^2 rho2",
-           lambda: rel().prefactor_difference)
+           lambda: verify_suq2_relations(sys3()).prefactor_difference)
     r.condition("suq2/nilpotency", "b^3 = b#^3 = b~^3 = b~#'^3 = 0",
                 lambda: sys3().b.power(3).is_zero
                 and sys3().b_sharp.power(3).is_zero
@@ -297,8 +296,6 @@ def _biortho_checks(r: _Runner, problem: Problem, tol: float,
     decomp = nb.biortho_decompose(H, tol=tol)
     n = decomp.size
     rho_values = [float(x) for x in problem.rho[:n - 1]]
-    if len(rho_values) < n - 1:
-        raise EngineError("need one rho value per ladder step")
     residuals = nb.decomposition_residuals(decomp)
     for name in sorted(residuals):
         r.residual(f"biortho/decomp/{name}",

@@ -21,19 +21,25 @@ satisfy  eta S(theta) eta^-1 = exp[(theta b~'^2 - thetabar b~^2)/2]
 exactly, because metric conjugation is an algebra homomorphism.
 
 :func:`make_suq2` builds each system once per (root order, equal_rho)
-and hands the same object to every caller, and a system computes its
-squeeze argument, the series S and the state S|psi_0> at most once, on
-first use.  Within one ``run_suite("all")`` the suq2 checks read S four
-times and S|psi_0> three times, so the cached values alone cut the
-series sums from eight to three.  Keeping the systems across calls pays
-only where one process runs the suq2 suite more than once, as a test
-session or a caller that runs one level at a time does; one ``grassq
-verify`` run calls ``run_suite`` once.  Sharing is exact because none
-of these values ever changes: the dataclass is frozen, no operator body
-is mutated, and each cached value is a function of the system's fields
-alone.  Every check still forms its own defect, and
-:func:`squeeze_tilde_exponential_defect` still sums its own right-hand
-side.
+and hands the same object to every caller, and a system is the one owner
+of every value derived from it: the squares (b_sharp^2, b^2), the
+closure verdict, the bracket relations, the squeeze argument, the series
+S and the state S|psi_0>, each formed at most once, on first use.
+:func:`check_closure`, :func:`verify_suq2_relations`,
+:func:`squeeze_closed_form` and the squeeze builders only read them, and
+the relation [b_z, b]_q is the closure verdict's first defect rather
+than a second copy.  Within one ``run_suite("all")`` the suq2 checks
+read S four times and S|psi_0> three times, so the cached values alone
+cut the series sums from eight to three.  Keeping the systems across
+calls pays only where one process runs the suq2 suite more than once,
+as a test session or a caller that runs one level at a time does; one
+``grassq verify`` run calls ``run_suite`` once.  Sharing is exact
+because none of these values ever changes: the dataclass is frozen, no
+operator body is mutated, and each cached value is a function of the
+system's fields alone.  The relation [b, b_sharp]_q = b_z still holds
+``b_z`` against its written-out sum, not against the commutator it was
+built from, and :func:`squeeze_tilde_exponential_defect` still sums its
+own right-hand side.
 """
 
 from __future__ import annotations
@@ -68,9 +74,37 @@ class Suq2System:
                 self.sqrt_rho[1] * self.sqrt_rho[1])
 
     @cached_property
+    def squares(self) -> tuple[OpExpr, OpExpr]:
+        """(b_sharp^2, b^2), read by the squeeze argument and its closed form."""
+        return self.b_sharp.power(2), self.b.power(2)
+
+    @cached_property
+    def closure(self) -> ClosureVerdict:
+        """[b_z, b]_q against both candidate prefactors times b."""
+        bracket = q_commutator(self.b_z, self.b)
+        first, second = (bracket - self.b.scale(pref)
+                         for pref in closure_prefactors(self))
+        return ClosureVerdict(first.is_zero and second.is_zero, first, second)
+
+    @cached_property
+    def relations(self) -> Suq2Relations:
+        """Defects of the three closure relations at the cube root; b_z is
+        held against its defining sum, and [b_z, b]_q is the closure's."""
+        if self.root_order != 3:
+            raise EngineError("the closure relations are stated at the cube root")
+        pref1, pref2 = closure_prefactors(self)
+        return Suq2Relations(
+            bracket_defines_bz=self.b_z - _bz_defining_sum(self),
+            bz_with_b=self.closure.defect_first,
+            bsharp_with_bz=q_commutator(self.b_sharp, self.b_z)
+            - self.b_sharp.scale(pref1),
+            prefactor_difference=pref1 - pref2,
+        )
+
+    @cached_property
     def squeeze_argument(self) -> OpExpr:
         """(theta b_sharp^2 - thetabar b^2) / 2."""
-        return _squeeze_term(self.b_sharp.power(2), self.b.power(2))
+        return _squeeze_term(*self.squares)
 
     @cached_property
     def squeeze(self) -> OpExpr:
@@ -129,15 +163,9 @@ def check_closure(root_order: int = 3, equal_rho: bool = False) -> ClosureVerdic
 
     Both candidate prefactors are tried; the algebra closes when both
     defects vanish, which happens exactly when (1+q+q^2)(rho_1 - rho_2)
-    is zero.
+    is zero.  The verdict is the shared system's own.
     """
-    sys = make_suq2(root_order, equal_rho)
-    bracket = q_commutator(sys.b_z, sys.b)
-    pref1, pref2 = closure_prefactors(sys)
-    first = bracket - sys.b.scale(pref1)
-    second = bracket - sys.b.scale(pref2)
-    return ClosureVerdict(closes=first.is_zero and second.is_zero,
-                          defect_first=first, defect_second=second)
+    return make_suq2(root_order, equal_rho).closure
 
 
 @dataclass(frozen=True)
@@ -165,19 +193,8 @@ def _bz_defining_sum(sys: Suq2System) -> OpExpr:
 
 
 def verify_suq2_relations(sys: Suq2System) -> Suq2Relations:
-    """Defects of the three closure relations at the cube root; [b, b#]_q
-    is held against b_z's defining sum, not against ``sys.b_z`` itself."""
-    if sys.root_order != 3:
-        raise EngineError("the closure relations are stated at the cube root")
-    pref1, pref2 = closure_prefactors(sys)
-    return Suq2Relations(
-        bracket_defines_bz=q_commutator(sys.b, sys.b_sharp)
-        - _bz_defining_sum(sys),
-        bz_with_b=q_commutator(sys.b_z, sys.b) - sys.b.scale(pref1),
-        bsharp_with_bz=q_commutator(sys.b_sharp, sys.b_z)
-        - sys.b_sharp.scale(pref1),
-        prefactor_difference=pref1 - pref2,
-    )
+    """The system's three closure relation defects; cube root only."""
+    return sys.relations
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +239,13 @@ def squeeze_closed_form(sys: Suq2System) -> OpExpr:
     authoritative operator.
     """
     n = sys.root_order
-    bs2 = sys.b_sharp.power(2)
-    b2 = sys.b.power(2)
+    bs2, b2 = sys.squares
     cross = bs2 @ b2 + (b2 @ bs2).scale(Scalar.q(n))
     theta_thetabar = op_term(n, Scalar.one(n), left=[(Kind.THETA, 1, 1),
                                                      (Kind.THETABAR, 1, 1)])
     second = (theta_thetabar @ cross).scale(
         Scalar.q(n, -1) * Fraction(-1, 4))
-    return OpExpr.identity(n) + _squeeze_term(bs2, b2) + second
+    return OpExpr.identity(n) + sys.squeeze_argument + second
 
 
 def squeeze_defect(sys: Suq2System) -> OpExpr:

@@ -8,10 +8,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grassq import coherent, suq2
+from grassq import coherent, scalars, suq2
 from grassq.galg import GExpr, Kind
 from grassq.opalg import IDENT, OpExpr, PHI, PSI, bra, ket, op_term, outer
 from grassq.scalars import Cyclo, Scalar
+
+# The process-wide caches that ``fresh_caches`` empties, and the two that it
+# keeps: the field tables are pure functions of the level, which no engine
+# mutant in the tests reaches.
+CONSTRUCTION_CACHES = (coherent._build_coherent, suq2._build_suq2)
+FIELD_TABLES = (scalars._table, scalars.cyclotomic_polynomial)
+
+
+def clear_construction_caches() -> None:
+    for cache in CONSTRUCTION_CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture
@@ -22,12 +33,9 @@ def fresh_caches():
     monkeypatches engine internals neither reads an object the unpatched
     engine built nor leaves a patched build behind for later tests.
     """
-    def clear():
-        coherent._build_coherent.cache_clear()
-        suq2._build_suq2.cache_clear()
-    clear()
+    clear_construction_caches()
     yield
-    clear()
+    clear_construction_caches()
 
 
 def random_scalar(rng: random.Random, level: int, max_terms: int = 3) -> Scalar:

@@ -7,7 +7,7 @@ import pytest
 from grassq.biortho import (biortho_decompose, check_pseudo_hermiticity,
                             decomposition_residuals, instantiate_numeric,
                             numeric_ladder)
-from grassq.suites import _default_matrix
+from grassq.suites import Problem, _default_matrix, run_suite
 from grassq.coherent import check_stability, make_coherent, verify_eigen
 from grassq.errors import (ComplexSpectrumError, DecompositionError,
                            DefectiveMatrixError, DegenerateSpectrumError,
@@ -136,3 +136,10 @@ def test_instantiate_level_mismatch():
     d = biortho_decompose(H_REF)
     with pytest.raises(EngineError):
         instantiate_numeric(verify_eigen(make_coherent(3, PSI)), d, [2.0, 3.0])
+
+
+def test_a_problem_short_of_rho_values_is_refused_by_the_suite():
+    # the 3x3 fallback matrix has two ladder steps but the problem one rho;
+    # numeric_ladder refuses it before any check can be reported
+    with pytest.raises(EngineError, match="need one rho value per ladder step"):
+        run_suite("biortho", problem=Problem(n=3, rho=(Fraction(2),)))

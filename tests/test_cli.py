@@ -375,6 +375,26 @@ def test_a_raising_engine_error_in_a_solve_is_not_an_input_error(
     assert "EngineError: singular" in out and "Traceback" not in err
 
 
+def test_a_memoised_raise_keeps_one_traceback_across_reads():
+    # re-raising the stored exception as it stands would add every
+    # reader's frames to it, and keep them alive for the rest of the run
+    import traceback
+    from grassq.suites import _once
+
+    def broken():
+        raise RuntimeError("no weight")
+
+    read = _once(broken)
+    depths, raised = [], set()
+    for _ in range(5):
+        with pytest.raises(RuntimeError) as info:
+            read()
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        raised.add(id(info.value))
+    assert len(raised) == 1
+    assert depths == [depths[0]] * 5
+
+
 @pytest.mark.parametrize("selector", ["coherent", "all"])
 def test_a_raising_state_build_is_an_error_of_the_checks_that_read_it(
         selector, monkeypatch, fresh_caches):

@@ -150,14 +150,25 @@ def test_a_system_and_its_squeeze_series_are_built_once(monkeypatch,
                                                         fresh_caches):
     from grassq.suites import run_suite
 
-    calls = []
+    calls, products, powers = [], [], []
     plain = suq2.factorial_exponential
+    plain_matmul, plain_power = OpExpr.__matmul__, OpExpr.power
 
     def counting(arg, on=None):
         calls.append((arg, on))
         return plain(arg, on)
 
+    def counting_matmul(a, b):
+        products.append(a)
+        return plain_matmul(a, b)
+
+    def counting_power(a, k):
+        powers.append(k)
+        return plain_power(a, k)
+
     monkeypatch.setattr(suq2, "factorial_exponential", counting)
+    monkeypatch.setattr(OpExpr, "__matmul__", counting_matmul)
+    monkeypatch.setattr(OpExpr, "power", counting_power)
     run_suite("suq2", (3, 3), max_n=3)
     sys3 = make_suq2(3)
     assert make_suq2(3) is sys3 and make_suq2(root_order=3) is sys3
@@ -166,19 +177,92 @@ def test_a_system_and_its_squeeze_series_are_built_once(monkeypatch,
     assert shared.count(None) == 1
     assert [on for on in shared if on is not None] == [ket_op(3, PSI, 0)]
     assert len(calls) == 3
+    # the squares, the closure verdicts and the relations are formed once
+    # per system, so a second run forms only what no system owns
+    assert len(products) <= 63
     calls.clear()
+    products.clear()
     run_suite("suq2", (3, 3), max_n=3)
     assert len(calls) == 1 and calls[0][0] is not sys3.squeeze_argument
+    assert len(products) <= 33
+    for root_order, equal_rho in ((3, False), (4, False), (4, True)):
+        assert check_closure(root_order, equal_rho) is make_suq2(
+            root_order, equal_rho).closure
+    relations = verify_suq2_relations(sys3)
+    assert relations is sys3.relations
+    assert relations.bz_with_b is sys3.closure.defect_first
+    powers.clear()
+    squeeze_closed_form(sys3)
+    assert powers == []
     monkeypatch.undo()
     # the cached values against the series summed on an unshared system
     fresh = suq2._build_suq2.__wrapped__(3, False)
     assert fresh is not sys3 and fresh == sys3
-    arg = suq2._squeeze_term(fresh.b_sharp.power(2), fresh.b.power(2))
+    squares = (fresh.b_sharp.power(2), fresh.b.power(2))
+    assert sys3.squares == squares
+    arg = suq2._squeeze_term(*squares)
     assert sys3.squeeze == factorial_exponential(arg)
     assert sys3.squeezed_vacuum == factorial_exponential(
         arg, on=ket_op(3, PSI, 0))
     assert make_squeeze(sys3) is sys3.squeeze
     assert make_squeezed_state(sys3, PSI) is sys3.squeezed_vacuum
+
+
+class _SameS:
+    """``Scalar`` as suq2 sees it, except that s_i ignores its index, so
+    every system gets rho_2 = rho_1."""
+
+    def __init__(self, scalar):
+        self._scalar = scalar
+
+    def __getattr__(self, name):
+        return getattr(self._scalar, name)
+
+    def s(self, level, index, power=1):
+        return self._scalar.s(level, 1, power)
+
+
+# One row per mutant of a suq2 name: the replacement, built from the plain
+# value, and the suq2/closure/* and suq2/relations/* checks it must fail.
+SUQ2_MUTANTS = {
+    "_bz_defining_sum": (lambda plain: lambda sys: plain(sys).scale(2),
+                         {"relations/bracket-defines-bz"}),
+    "closure_prefactors": (
+        lambda plain: lambda sys: (plain(sys)[0] * 2, plain(sys)[1]),
+        {"closure/cube-root-free-rho", "closure/equal-rho-any-root",
+         "relations/bz-b", "relations/bsharp-bz",
+         "relations/prefactor-equality"}),
+    "q_commutator": (lambda plain: lambda a, b: a @ b - b @ a,
+                     {"closure/cube-root-free-rho",
+                      "closure/equal-rho-any-root",
+                      "relations/bracket-defines-bz", "relations/bz-b",
+                      "relations/bsharp-bz"}),
+    "Scalar": (_SameS, {"closure/distinct-rho-other-root-fails"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUQ2_MUTANTS))
+def test_each_closure_and_relation_check_fails_under_a_named_mutant(
+        name, monkeypatch, fresh_caches):
+    # the checks read values the shared system forms once, so each must
+    # still fail when the rule behind it is wrong; other checks may move
+    from grassq.suites import run_suite
+
+    def statuses():
+        return {c.id: c.status
+                for c in run_suite("suq2", (3, 3), max_n=3).checks}
+
+    clean = statuses()
+    table = {i for i in clean
+             if i.startswith(("suq2/closure/", "suq2/relations/"))}
+    assert {f"suq2/{i}" for _, flips in SUQ2_MUTANTS.values()
+            for i in flips} == table
+    assert {clean[i] for i in table} == {"pass"}
+    mutant, flips = SUQ2_MUTANTS[name]
+    monkeypatch.setattr(suq2, name, mutant(getattr(suq2, name)))
+    suq2._build_suq2.cache_clear()
+    mutated = statuses()
+    assert {mutated[f"suq2/{i}"] for i in flips} == {"fail"}
 
 
 def test_factorial_exponential_guard_and_zero():
