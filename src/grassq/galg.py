@@ -161,10 +161,8 @@ class GExpr(_SparseSum):
     @classmethod
     def generator(cls, level: int, kind: Kind, index: int = 1,
                   power: int = 1) -> "GExpr":
-        qe, w = normalize_word(level, [(kind, index, power)])
-        if w is None:
-            return cls.zero(level)
-        return cls(level, {w: Scalar.q(level, qe)})
+        return cls.from_raw(level,
+                            [(Scalar.one(level), [(kind, index, power)])])
 
     @classmethod
     def from_raw(cls, level: int,

@@ -20,10 +20,13 @@ Moving a variable across a ket or bra picks up the quantization phases
     theta <F_j|  = qbar^(j-1) <F_j| theta      thetabar <F_j|  = q^(j-1)  <F_j| thetabar
 
 with the same phase for both families, so the canonical form keeps every
-word to the left of its dyad.  Composition contracts dyads through the
-dual pairings <phi_i|psi_j> = <psi_i|phi_j> = delta_ij only; same-family
-overlaps raise :class:`GramUnknownError` because biorthonormality does
-not determine them.
+word to the left of its dyad.  One rule places a word: a word right of a
+dyad crosses it with these phases, then the whole word is normal
+ordered.  Products, ``op_term`` and the dagger all place their words by
+that one rule.  Composition contracts dyads through the dual pairings
+<phi_i|psi_j> = <psi_i|phi_j> = delta_ij only; same-family overlaps
+raise :class:`GramUnknownError` because biorthonormality does not
+determine them.
 
 The distinguished ladder operators are
 
@@ -126,6 +129,19 @@ def _contract(d1: Dyad, d2: Dyad) -> Dyad | None:
     return (d1[0], d2[1])
 
 
+def _place(level: int, left, dyad: Dyad, right) -> tuple[int, Word | None]:
+    """``left * dyad * right`` as (q exponent, canonical word or None).
+
+    The one crossing rule: the right word crosses the dyad leftward,
+    picking up the quantization phases, and then the whole word is
+    normal ordered.  Each of ``left`` and ``right`` is read once.
+    """
+    right = tuple(right)
+    cross = _cross_word(right, dyad)
+    qe, w = normalize_word(level, tuple(left) + right)
+    return cross + qe, w
+
+
 def _term_pairs(level: int, left: dict, right: dict):
     """The surviving term pairs of a product, before any coefficient product.
 
@@ -140,10 +156,9 @@ def _term_pairs(level: int, left: dict, right: dict):
             dyad = _contract(d1, d2)
             if dyad is None:
                 continue
-            cross = _cross_word(w2, d1)
-            qe, w = normalize_word(level, w1 + w2)
+            qe, w = _place(level, w1, d1, w2)
             if w is not None:
-                yield (w, dyad), cross + qe, c1, c2
+                yield (w, dyad), qe, c1, c2
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +196,10 @@ class OpExpr(_SparseSum):
     def power(self, k: int) -> "OpExpr":
         if k < 0:
             raise EngineError("negative operator powers are undefined")
-        out = OpExpr.identity(self.level)
-        for _ in range(k):
+        if not k:
+            return OpExpr.identity(self.level)
+        out = self
+        for _ in range(k - 1):
             out = out @ self
         return out
 
@@ -212,12 +229,10 @@ def op_term(level: int, coeff: Scalar, dyad: Dyad = IDENT,
     ``left`` and ``right`` are raw factor lists; the right word crosses
     the dyad leftward and picks up the quantization phases.
     """
-    right = tuple(right)
-    cross = _cross_word(right, dyad)
-    qe, w = normalize_word(level, tuple(left) + right)
+    qe, w = _place(level, left, dyad, right)
     if w is None or coeff.is_zero:
         return OpExpr.zero(level)
-    return OpExpr(level, {(w, dyad): coeff.mul_q_power(cross + qe)})
+    return OpExpr(level, {(w, dyad): coeff.mul_q_power(qe)})
 
 
 def op_dagger(e: OpExpr) -> OpExpr:
@@ -234,10 +249,9 @@ def op_dagger(e: OpExpr) -> OpExpr:
             nd = (d[1], d[0])
             # the reversed word stands right of the new dyad and crosses it
             nw = tuple((swap[Kind(k)], i, x) for k, i, x in reversed(w))
-            cross = _cross_word(nw, nd)
-            qe, nw = normalize_word(e.level, nw)
+            qe, nw = _place(e.level, (), nd, nw)
             if nw is not None:
-                yield (nw, nd), c.conj().mul_q_power(cross + qe)
+                yield (nw, nd), c.conj().mul_q_power(qe)
     return OpExpr._wrap(e.level, _accumulate({}, flipped()))
 
 

@@ -26,15 +26,18 @@ exact.  One table per level, built once from the monic integer Phi_n,
 holds x^k mod Phi_n for k < phi(n) + n and the vectors of +-q^k.
 
 On units, a product, a phase multiply, conjugation, the inverse, a
-rescale and a sum of two equal powers are integer arithmetic in O(1).  A
+rescale and a sum of two equal powers are integer arithmetic in O(1),
+and each ends in the one constructor of a unit, ``_unit``, which folds
+the power and the half-turn and divides out the common factor.  A
 unit times a dense element is one rotation through the table and a
 rescale; units form a group, so it is dense, as are the conjugate,
 inverse, phase multiple and rescale of a dense element.  Only the
 constructor, the other sums and products of two dense elements can land
 on a unit, and each looks its result up in the table once.  A dense
 product is an integer convolution whose high degrees fold back through
-the table; a dense element is inverted through the product of its other
-Galois conjugates, which times the element is its rational norm.  The
+``_reduce``, the same reduction the constructor applies to its input; a
+dense element is inverted through the product of its other Galois
+conjugates, which times the element is its rational norm.  The
 dense numerators of a unit are formed only for a sum with a dense
 element or another power, and for ``coeffs``; ``str`` and ``eval`` read
 the unit's table row with ints.  The constructor and ``Cyclo.scaled``
@@ -161,20 +164,14 @@ def _reduce(t: _Table, raw: Sequence[int]) -> list[int]:
 
 
 def _product(t: _Table, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    d, rows = t.degree, t.rows
-    out = [0] * (2 * d - 1)
+    """a * b: the integer convolution, folded back by ``_reduce``."""
+    out = [0] * (2 * t.degree - 1)
     bnz = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
             for j, y in bnz:
                 out[i + j] += x * y
-    for m in range(d, 2 * d - 1):
-        c = out[m]
-        if c:
-            for i, r in rows[m]:
-                out[i] += c * r
-    del out[d:]
-    return out
+    return _reduce(t, out)
 
 
 def _rotate(t: _Table, a: Sequence[int], k: int) -> tuple[int, ...]:
@@ -212,22 +209,18 @@ def _new(t: _Table, k: int | None, num, den: int) -> "Cyclo":
 
 
 def _unit(t: _Table, k: int, a: int, den: int) -> "Cyclo":
-    """a/den * q^k for any integer k, with a != 0 and a/den in lowest terms."""
+    """a/den * q^k for any integer k, any int a and any den > 0: the one
+    constructor of a unit, and zero when a is 0."""
+    if not a:
+        return _new(t, None, t.zero, 1)
     k %= t.n
     if k >= t.period:
         k -= t.period
         a *= t.fold
-    return _new(t, k, a, den)
-
-
-def _scaled_unit(t: _Table, k: int, a: int, den: int) -> "Cyclo":
-    """a/den * q^k for 0 <= k < t.period and any a, den > 0."""
-    if not a:
-        return _new(t, None, t.zero, 1)
     if den != 1:
         g = gcd(a, den)
         if g != 1:
-            return _new(t, k, a // g, den // g)
+            a, den = a // g, den // g
     return _new(t, k, a, den)
 
 
@@ -352,13 +345,9 @@ class Cyclo:
         t, k = self._t, self._k
         da, db = self._den, other._den
         if k is not None and k == other._k:
-            if da == db:
-                return _scaled_unit(t, k, self._num + sign * other._num, da)
-            return _scaled_unit(t, k, self._num * db + sign * other._num * da,
-                                da * db)
+            return _unit(t, k, self._num * db + sign * other._num * da,
+                         da * db)
         x, y = self._coords(), other._coords()
-        if da == db:
-            return _looked_up(t, [u + sign * v for u, v in zip(x, y)], da)
         return _looked_up(t, [u * db + sign * v * da for u, v in zip(x, y)],
                           da * db)
 
@@ -383,12 +372,7 @@ class Cyclo:
             return other._times_dense(self)
         if j is None:
             return self._times_dense(other)
-        k += j
-        a = self._num * other._num
-        if k >= t.period:
-            k -= t.period
-            a *= t.fold
-        return _scaled_unit(t, k, a, self._den * other._den)
+        return _unit(t, k + j, self._num * other._num, self._den * other._den)
 
     def _times_dense(self, x: "Cyclo") -> "Cyclo":
         """The unit self times the dense x: one rotation and a rescale.
@@ -410,7 +394,7 @@ class Cyclo:
         p, q = f.numerator, f.denominator
         if self._k is None:
             return _dense(self._t, [a * p for a in self._num], self._den * q)
-        return _scaled_unit(self._t, self._k, self._num * p, self._den * q)
+        return _unit(self._t, self._k, self._num * p, self._den * q)
 
     def inverse(self) -> "Cyclo":
         t, num, den = self._t, self._num, self._den

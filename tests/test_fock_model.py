@@ -13,14 +13,26 @@ cannot agree with the model by construction.  A raw word applied to the
 vacuum, rightmost factor first, gives one phase and one basis state; the
 engine's q exponent and canonical word must match them mod n, or both
 must vanish.
+
+A raw word may also hold dyads: a ket |F_i>, a bra <G_j|, an outer
+product or the identity, written as the engine writes them, (ket side,
+bra side).  The model state then carries a dyad label next to the
+monomial.  Meeting a dyad, the monomial built so far, which stands right
+of it, crosses it leftward with the quantization phases written out
+below from the ``opalg`` module docstring, and the label becomes the
+dyad composed with the old label.  So ``left * dyad * right`` and
+single-term products, which carry every crossing, are checked against
+phases the engine does not supply.
 """
 
 import random
 
 import pytest
 
-from grassq.errors import UnspecifiedRelationError
+from grassq.errors import EngineError, UnspecifiedRelationError
 from grassq.galg import Kind, normalize_word
+from grassq.opalg import OpExpr, op_dagger, op_term
+from grassq.scalars import Scalar
 
 # The canonical order: all dthetabar, then all dtheta, then all theta,
 # then all thetabar, each kind sorted by index.
@@ -57,19 +69,73 @@ def _exchange(a, b):
 M = {(a, b): _exchange(a, b) for p, a in enumerate(GENERATORS)
      for b in GENERATORS[:p]}
 
+# x D = q^(e (i-1)) D x for a variable x and one side D of a dyad, i the
+# index of that ket or bra, the same for both families F:
+#     theta |F_i>    = q^(i-1)    |F_i> theta
+#     thetabar |F_i> = qbar^(i-1) |F_i> thetabar
+#     theta <F_j|    = qbar^(j-1) <F_j| theta
+#     thetabar <F_j| = q^(j-1)    <F_j| thetabar
+SIDE_PHASE = {("th", "ket"): 1, ("thb", "ket"): -1,
+              ("th", "bra"): -1, ("thb", "bra"): 1}
+VARIABLES = [g for g in GENERATORS if g[0] in ("th", "thb")]
+IDENTITY = ((), ())
+# the dagger swaps theta <-> thetabar and dtheta <-> dthetabar
+DAGGER_NAME = {ENGINE_KIND[a]: b for a, b in (
+    ("th", "thb"), ("thb", "th"), ("dth", "dthb"), ("dthb", "dth"))}
+FAMILIES = ("psi", "phi")
+
+
+def compose(d1, d2):
+    """d1 d2 for dyads that compose: the identity passes the other one
+    through, a present bra-ket pair of dual families is delta_ij, and
+    None stands for zero."""
+    if d1 == IDENTITY:
+        return d2
+    if d2 == IDENTITY:
+        return d1
+    bra_side, ket_side = d1[1], d2[0]
+    if bra_side and bra_side[1] != ket_side[1]:
+        return None
+    return (d1[0], d2[1])
+
+
+def composable(d1, d2):
+    """Whether d1 d2 composes: bra of d1 and ket of d2 both absent, or
+    both present and of dual families."""
+    if IDENTITY in (d1, d2):
+        return True
+    bra_side, ket_side = d1[1], d2[0]
+    return (bool(bra_side) == bool(ket_side)
+            and (not bra_side or bra_side[0] != ket_side[0]))
+
 
 def fock_apply(level, factors):
-    """The raw word applied to the vacuum: (phase, word, uncovered, rows).
+    """The raw word applied to the vacuum: (phase, word, uncovered, rows,
+    label).
 
     ``word`` is the basis state as a canonical word, or None when the
     state is zero.  A factor records every pair it moves past even on a
     state that is already zero, because the engine refuses an uncovered
     pair before it tests nilpotency; ``uncovered`` says whether the word
     needs a pair that no rule covers, and ``rows`` lists the relation
-    rows that contributed a phase."""
+    rows, and the ``SIDE_PHASE`` keys, that contributed a phase.
+    ``factors`` may hold dyads, which only variables may cross; ``label``
+    is their composition, None when it vanishes."""
     k = {g: 0 for g in GENERATORS}
-    phase, uncovered, rows = 0, False, set()
-    for name, i, exp in reversed(factors):
+    phase, uncovered, rows, label = 0, False, set(), IDENTITY
+    for factor in reversed(factors):
+        if len(factor) == 2:
+            # the monomial right of the dyad crosses it leftward
+            for role, side in zip(("ket", "bra"), factor):
+                for g, e in k.items():
+                    if side and e:
+                        step = SIDE_PHASE[g[0], role] * (side[1] - 1) * e
+                        phase -= step
+                        if step % level:
+                            rows.add((g[0], role))
+            label = None if label is None else compose(factor, label)
+            continue
+        name, i, exp = factor
         a = (name, i)
         for b in GENERATORS[:GENERATORS.index(a)]:
             if k[b]:
@@ -80,11 +146,11 @@ def fock_apply(level, factors):
                     phase += rule[0] * k[b] * exp
                     rows.add(rule[1])
         k[a] += exp
-    if any(e >= level for e in k.values()):
-        return 0, None, uncovered, rows
+    if label is None or any(e >= level for e in k.values()):
+        return 0, None, uncovered, rows, label
     word = tuple((int(ENGINE_KIND[g[0]]), g[1], k[g])
                  for g in GENERATORS if k[g])
-    return phase % level, word, uncovered, rows
+    return phase % level, word, uncovered, rows, label
 
 
 def _random_word(rng, level):
@@ -111,7 +177,7 @@ def test_fock_model_matches_normal_ordering():
         rows_seen = set()
         for w in range(800):
             factors = (_random_word if w % 2 else _covered_shuffle)(rng, n)
-            phase, word, uncovered, rows = fock_apply(n, factors)
+            phase, word, uncovered, rows, _ = fock_apply(n, factors)
             raw = [(ENGINE_KIND[name], i, e) for name, i, e in factors]
             if uncovered:
                 with pytest.raises(UnspecifiedRelationError):
@@ -131,3 +197,118 @@ def test_fock_model_matches_normal_ordering():
         assert rows_seen == set(range(len(RELATIONS))), n
         assert min(accepted, refused, vanished) >= 50, (
             n, accepted, refused, vanished)
+
+
+def _short_words(rng, level):
+    """A left word in any generators and a right word in theta and
+    thetabar alone, the factors that may cross a dyad.  Half the cases
+    use one index, where every pair is covered, so that words survive."""
+    i = rng.choice((None, None, None) + INDICES)
+    pool = [g for g in GENERATORS if i in (None, g[1])]
+    return [[(*rng.choice(gens), rng.randrange(1, level))
+             for _ in range(rng.randrange(4))]
+            for gens in (pool, [g for g in pool if g in VARIABLES])]
+
+
+def _dyad(rng, level):
+    """The identity, a ket, a bra or an outer product, any families."""
+    sides = [(), ()]
+    for s in rng.sample(range(2), rng.randrange(3)):
+        sides[s] = (rng.choice(FAMILIES), rng.randrange(level))
+    return tuple(sides)
+
+
+def _engine(factors):
+    return [(ENGINE_KIND[name], i, e) for name, i, e in factors]
+
+
+def _expected(level, phase, word, label):
+    if word is None:
+        return OpExpr.zero(level)
+    return OpExpr(level, {(word, label): Scalar.q(level, phase)})
+
+
+def _dagger_of(level, phase, word, label):
+    """The model's dagger of q^phase word label: the flipped dyad, then
+    the word reversed with theta <-> thetabar and dtheta <-> dthetabar,
+    which crosses it; the coefficient is conjugated."""
+    flipped = [(label[1], label[0])] + [(DAGGER_NAME[kind], i, e)
+                                        for kind, i, e in reversed(word)]
+    p, w, uncovered, _, d = fock_apply(level, flipped)
+    if uncovered:
+        return None
+    return _expected(level, (p - phase) % level, w, d)
+
+
+def test_fock_model_matches_ket_and_bra_crossings():
+    # left * dyad * right through op_term, and its dagger, which reverses
+    # the word to the right of the flipped dyad
+    rng = random.Random(20261019)
+    for n in range(2, 9):
+        one = Scalar.one(n)
+        accepted = refused = vanished = daggers = 0
+        rows_seen = set()
+        for _ in range(400):
+            (left, right), dyad = _short_words(rng, n), _dyad(rng, n)
+            phase, word, uncovered, rows, label = fock_apply(
+                n, left + [dyad] + right)
+            assert label == dyad
+            if uncovered:
+                with pytest.raises(UnspecifiedRelationError):
+                    op_term(n, one, dyad, _engine(left), _engine(right))
+                refused += 1
+                continue
+            got = op_term(n, one, dyad, _engine(left), iter(_engine(right)))
+            assert got == _expected(n, phase, word, label), (
+                n, left, dyad, right)
+            if word is None:
+                vanished += 1
+                continue
+            accepted += 1
+            rows_seen |= rows
+            if dyad == IDENTITY or all(
+                    kind in (Kind.THETA, Kind.THETABAR) for kind, _, _ in word):
+                want = _dagger_of(n, phase, word, label)
+                if want is None:
+                    with pytest.raises(UnspecifiedRelationError):
+                        op_dagger(got)
+                else:
+                    assert op_dagger(got) == want
+                    daggers += 1
+        # both variables cross both sides with a phase on surviving words
+        assert set(SIDE_PHASE) <= rows_seen, (n, rows_seen)
+        assert min(accepted, refused, vanished) >= 50, (
+            n, accepted, refused, vanished)
+        assert daggers >= 100, (n, daggers)
+    # measure symbols cannot cross a ket or bra
+    with pytest.raises(EngineError, match="measure"):
+        op_term(3, Scalar.one(3), ((), ("psi", 1)),
+                right=[(Kind.DTHETA, 1, 1)])
+
+
+def test_fock_model_matches_single_term_products():
+    # (w1 d1)(w2 d2): w2 crosses d1, the dyads compose, and the word is
+    # normal ordered, the same as the model's raw word w1 d1 w2 d2
+    rng = random.Random(20261020)
+    for n in range(2, 9):
+        one = Scalar.one(n)
+        accepted = zero = 0
+        for _ in range(400):
+            d2 = _dyad(rng, n)
+            d1 = _dyad(rng, n)
+            while not composable(d1, d2):
+                d1 = _dyad(rng, n)
+            w1, w2 = _short_words(rng, n)
+            phase, word, uncovered, _, label = fock_apply(
+                n, w1 + [d1] + w2 + [d2])
+            if uncovered:
+                continue
+            a = op_term(n, one, d1, _engine(w1))
+            b = op_term(n, one, d2, _engine(w2))
+            assert a @ b == _expected(n, phase, word, label), (
+                n, w1, d1, w2, d2)
+            if word is None:
+                zero += 1
+            else:
+                accepted += 1
+        assert min(accepted, zero) >= 100, (n, accepted, zero)

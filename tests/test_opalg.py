@@ -171,6 +171,28 @@ def test_ladder_nilpotency():
         assert not make_ladder("b", n).power(n - 1).is_zero
 
 
+def test_power_makes_one_product_fewer_than_its_exponent(monkeypatch):
+    # counts products, not time: A^k takes k - 1 products of A, and A^0
+    # is the identity without any
+    n = 4
+    a = make_ladder("b", n) + theta_op(n)
+    plain, calls = OpExpr.__matmul__, []
+
+    def counting(self, other):
+        calls.append(1)
+        return plain(self, other)
+
+    expected = OpExpr.identity(n)
+    for k in range(5):
+        monkeypatch.setattr(OpExpr, "__matmul__", counting)
+        calls.clear()
+        got = a.power(k)
+        assert len(calls) == max(k - 1, 0), k
+        monkeypatch.setattr(OpExpr, "__matmul__", plain)
+        assert got == expected
+        expected = expected @ a
+
+
 def test_q_commutator_relations():
     # all four single-variable relations plus the tilde-primed one
     for n in range(2, 7):

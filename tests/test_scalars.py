@@ -487,8 +487,20 @@ def test_every_route_to_a_unit_gives_one_canonical_form(n):
                 assert str(unit + dense) == _oracle_str((unit + dense).coeffs)
             assert all(_is_unit(r) for r in routes)
             _same(routes)
+        # denominators that cancel or add, from odd and even n and every
+        # k, also those at or above the fold: a product of two scaled units,
+        # a sum of equal powers, and a rescale back to the plain power
+        half, third = (Cyclo.q_power(n, k).scaled(Fraction(1, c))
+                       for c in (2, 3))
+        _same([half, Cyclo.q_power(n, k + 1).scaled(Fraction(2, 3))
+               * Cyclo.q_power(n, n - 1).scaled(Fraction(3, 4))])
+        _same([Cyclo.q_power(n, k).scaled(Fraction(5, 6)), half + third])
+        _same([Cyclo.q_power(n, k),
+               Cyclo.q_power(n, k).scaled(Fraction(2, 3))
+               .scaled(Fraction(3, 2))])
         _same([unit - unit, Cyclo.zero(n), Cyclo(n, [0] * (k + 1)),
-               unit.scaled(0), unit * Cyclo.zero(n)])
+               unit.scaled(0), unit * Cyclo.zero(n), half - half,
+               third.scaled(0)])
 
 
 def test_even_levels_fold_the_half_turn_into_the_sign():
