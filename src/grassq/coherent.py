@@ -21,12 +21,13 @@ Every coefficient is written in the symbols s_i = sqrt(rho_i), so an
 identity proved here holds for every choice of rho_i > 0: substituting
 values (as the numeric suite does) cannot break it.
 
-:func:`make_coherent` builds each state once per (level, family) and
-hands the same object to every caller: one ``verify all`` run asks for
-each state many times, from the coherent checks, the stability checks,
-the weight solve and every resolution integral.  Sharing is exact
-because a state never changes: the dataclass is frozen and its body is
-never mutated.
+:func:`make_coherent` keeps the 32 most recently built states and hands
+the same object to every caller: one ``verify all`` run asks for each
+state many times, from the coherent checks, the stability checks, the
+weight solve and every resolution integral, and it visits one level at
+a time, so each level's states are read while they are kept.  Sharing
+is exact because a state never changes: the dataclass is frozen and its
+body is never mutated.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def make_coherent(level: int, family: str = PSI) -> CoherentState:
     """The closed-form coherent state of the requested family.
 
     The i-th coefficient is qbar^(i(i+1)/2) / (s_1 ... s_i); the i = 0
-    coefficient is 1.  The state is built once per (level, family) and
-    shared (see the module docstring).
+    coefficient is 1.  The 32 most recently built (level, family) states
+    are kept and shared (see the module docstring).
     """
     return _build_coherent(level, family)
 

@@ -34,14 +34,15 @@ delta(k, n-1)).  Normal ordering merges equal generators by adding their
 exponents, returns zero at an exponent >= n, and a phase never changes
 an exponent; so a product's theta_1 and thetabar_1 exponents are the
 sums of its factors'.  So |A><B| is never formed whole: one complement
-index (:func:`_pair_outer`) splits its ket factor and the dagger of its
-bra factor by those exponents and files each ket block (c, d) with each
-bra block (e, f) under the weight degrees (n-1-c-e, n-1-d-f) that read
-them.  The check composes a weight block only with the pairs filed under
-its degrees, so a diagonal weight reads n of the n^2 ket-bra products;
-the solve integrates the pairs filed under (k, l), term by term, as
-column c_kl, with no operator product at all.  Every product left out
-integrates to exactly 0, so no result changes.
+stream (:func:`_complement_pairs`) splits its ket factor and the dagger
+of its bra factor by those exponents and yields each ket block (c, d)
+with each bra block (e, f) under the weight degrees (n-1-c-e, n-1-d-f)
+that read them.  The check composes a weight block only with the pairs
+that arrive under its degrees, so a diagonal weight reads n of the n^2
+ket-bra products and nothing is filed.  The solve, the one reader of
+every pair, files the stream by (k, l) and integrates the pairs under
+(k, l), term by term, as column c_kl, with no operator product at all.
+Every product left out integrates to exactly 0, so no result changes.
 """
 
 from __future__ import annotations
@@ -108,28 +109,24 @@ def mirror_weight(level: int) -> Weight:
     return _factorial_weight(level, reverse=False)
 
 
-def _pair_outer(level: int, pair: tuple[str, str],
-                evolved: bool = False) -> dict:
-    """The one complement index of |A><B| for the pair's coherent states
-    (:func:`_complement_index`), which the check and the solve both read."""
+def _pair_outer(level: int, pair: tuple[str, str], evolved: bool = False):
+    """The degree-complement stream of |A><B| for the pair's coherent
+    states (:func:`_complement_pairs`)."""
     states = [make_coherent(level, family) for family in pair]
-    return _complement_index(*[evolve_state(s) if evolved else s.body
+    return _complement_pairs(*[evolve_state(s) if evolved else s.body
                                for s in states])
 
 
-def _complement_index(ket_body: OpExpr, bra_body: OpExpr) -> dict:
-    """``{(a, b): [(ket block, bra block), ...]}`` for |A><B|: each ket
-    block (c, d) of ``ket_body`` with each bra block (e, f) of
-    dagger(``bra_body``) (see ``_blocks``), filed under the only weight
-    degrees (a, b) = (n-1-c-e, n-1-d-f) that read it."""
+def _complement_pairs(ket_body: OpExpr, bra_body: OpExpr):
+    """Yield ``((a, b), ket block, bra block)`` for |A><B|: each ket block
+    (c, d) of ``ket_body`` with each bra block (e, f) of
+    dagger(``bra_body``) (see ``_blocks``), under the only weight degrees
+    (a, b) = (n-1-c-e, n-1-d-f) that read it."""
     top = ket_body.level - 1
     bra_blocks = _blocks(op_dagger(bra_body))
-    reached: dict = {}
     for (c, d), ket_block in _blocks(ket_body).items():
         for (e, f), bra_block in bra_blocks.items():
-            reached.setdefault((top - c - e, top - d - f), []).append(
-                (ket_block, bra_block))
-    return reached
+            yield (top - c - e, top - d - f), ket_block, bra_block
 
 
 def _measured_degrees(word: Word) -> tuple[int, int]:
@@ -147,20 +144,22 @@ def _blocks(e: OpExpr) -> dict[tuple[int, int], OpExpr]:
     return {d: OpExpr._wrap(e.level, terms) for d, terms in blocks.items()}
 
 
-def _integrate(weight: Weight, reached: dict) -> OpExpr:
-    """int dthetabar dtheta w |A><B| with ``reached`` = ``_pair_outer(...)``.
+def _integrate(weight: Weight, pairs) -> OpExpr:
+    """int dthetabar dtheta w |A><B|, ``pairs`` any iterable of the
+    triples ``_pair_outer(...)`` yields.
 
-    Each weight block (a, b) is composed only with the (ket block, bra
-    block) pairs filed under (a, b) (see the module docstring); every
-    other product, which would integrate to 0, is never formed.  Nor is
-    such a product normal ordered, so a generator pair without an exchange
-    rule inside it goes unreported: its value is 0 however that missing
-    rule would read.
+    A weight block (a, b) is composed only with the (ket block, bra
+    block) pairs that arrive under (a, b) (see the module docstring);
+    every other product, which would integrate to 0, is never formed.  Nor
+    is such a product normal ordered, so a generator pair without an
+    exchange rule inside it goes unreported: its value is 0 however that
+    missing rule would read.
     """
+    blocks = _blocks(OpExpr.from_gexpr(weight.expr))
     integrand = OpExpr.zero(weight.level)
-    for ab, block in _blocks(OpExpr.from_gexpr(weight.expr)).items():
-        for ket_block, bra_block in reached.get(ab, ()):
-            integrand = integrand + block @ ket_block @ bra_block
+    for ab, ket_block, bra_block in pairs:
+        if ab in blocks:
+            integrand = integrand + blocks[ab] @ ket_block @ bra_block
     return berezin_op(integrand, MEASURE)
 
 
@@ -254,14 +253,17 @@ def solve_weight(level: int) -> Weight:
     """Derive the weight coefficients from the resolution condition.
 
     Equates int w |theta><theta~| with sum_i |psi_i><phi_i|.  Column c_kl
-    is one walk over the pairs the complement index of |theta><theta~|
-    files under (k, l) (:func:`_column`), and the solver reads each column
+    is one walk over the pairs the complement stream of |theta><theta~|
+    yields under (k, l) (:func:`_column`); the solve files them by column,
+    the only table of complement pairs, and the solver reads each column
     as it is built.  The system must be a generalized permutation matrix,
     which proves the solution unique, and the solution must be diagonal.
     """
-    reached = _pair_outer(level, (PSI, PHI))
+    columns: dict = {}
+    for kl, ket_block, bra_block in _pair_outer(level, (PSI, PHI)):
+        columns.setdefault(kl, []).append((ket_block, bra_block))
     return _weight(level, _solve_permutation(level, (
-        _column(level, (k, l), reached.get((k, l), ()))
+        _column(level, (k, l), columns.get((k, l), ()))
         for k in range(level) for l in range(level))))
 
 

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -165,71 +165,60 @@ def _once(fn: Callable) -> Callable:
 # suite builders
 # ---------------------------------------------------------------------------
 
-def _coherent_checks(r: _Runner, n_values: Sequence[int]) -> None:
+def _coherent_checks(r: _Runner, n: int) -> None:
     # each check asks make_coherent, which builds a state once, inside its
     # own call, so a build that raises is an error of its readers alone
-    for n in n_values:
-        r.zero(f"coherent/n={n}/eigen-psi", "b|theta> = theta |theta>",
-               lambda n=n: verify_eigen(make_coherent(n, PSI)))
-        r.zero(f"coherent/n={n}/eigen-phi", "b~|theta~> = theta |theta~>",
-               lambda n=n: verify_eigen(make_coherent(n, PHI)))
-        r.zero(f"coherent/n={n}/exp-form-psi",
-               "|theta> = e_q^(b# theta) |psi_0>",
-               lambda n=n: exponential_form_defect(make_coherent(n, PSI)))
-        r.zero(f"coherent/n={n}/exp-form-phi",
-               "|theta~> = e_q^(b~#' theta) |phi_0>",
-               lambda n=n: exponential_form_defect(make_coherent(n, PHI)))
-        r.zero(f"coherent/n={n}/eta-map", "eta |theta> = |theta~>",
-               lambda n=n: eta_conjugate(make_coherent(n, PSI).body)
-               - make_coherent(n, PHI).body)
+    r.zero(f"coherent/n={n}/eigen-psi", "b|theta> = theta |theta>",
+           lambda: verify_eigen(make_coherent(n, PSI)))
+    r.zero(f"coherent/n={n}/eigen-phi", "b~|theta~> = theta |theta~>",
+           lambda: verify_eigen(make_coherent(n, PHI)))
+    r.zero(f"coherent/n={n}/exp-form-psi", "|theta> = e_q^(b# theta) |psi_0>",
+           lambda: exponential_form_defect(make_coherent(n, PSI)))
+    r.zero(f"coherent/n={n}/exp-form-phi",
+           "|theta~> = e_q^(b~#' theta) |phi_0>",
+           lambda: exponential_form_defect(make_coherent(n, PHI)))
+    r.zero(f"coherent/n={n}/eta-map", "eta |theta> = |theta~>",
+           lambda: eta_conjugate(make_coherent(n, PSI).body)
+           - make_coherent(n, PHI).body)
 
 
-def _dynamics_checks(r: _Runner, n_values: Sequence[int],
+def _dynamics_checks(r: _Runner, n: int,
                      weight_of: Callable[[int], Weight]) -> None:
-    for n in n_values:
-        r.zero(f"dynamics/n={n}/stability-psi",
-               "|theta,t> = u^-(n-2) |theta(t)>",
-               lambda n=n: check_stability(n, PSI))
-        r.zero(f"dynamics/n={n}/stability-phi",
-               "|theta~,t> = u^-(n-2) |theta~(t)>",
-               lambda n=n: check_stability(n, PHI))
-        r.zero(f"dynamics/n={n}/evolved-resolution",
-               "int w |theta,t><theta~,t| = I",
-               lambda n=n: verify_resolution(weight_of(n), (PSI, PHI),
-                                             evolved=True))
+    r.zero(f"dynamics/n={n}/stability-psi", "|theta,t> = u^-(n-2) |theta(t)>",
+           lambda: check_stability(n, PSI))
+    r.zero(f"dynamics/n={n}/stability-phi",
+           "|theta~,t> = u^-(n-2) |theta~(t)>",
+           lambda: check_stability(n, PHI))
+    r.zero(f"dynamics/n={n}/evolved-resolution",
+           "int w |theta,t><theta~,t| = I",
+           lambda: verify_resolution(weight_of(n), (PSI, PHI), evolved=True))
 
 
-def _resolution_checks(r: _Runner, n_values: Sequence[int],
+def _resolution_checks(r: _Runner, n: int,
                        weight_of: Callable[[int], Weight]) -> None:
-    for n in n_values:
-        r.condition(f"resolution/n={n}/solver-diagonal",
-                    "derived weight is diagonal and unique",
-                    lambda n=n: weight_of(n).is_diagonal(),
-                    detail=lambda n=n: str(weight_of(n).expr))
-        r.zero(f"resolution/n={n}/mixed-psi-phi",
-               "int w |theta><theta~| = I",
-               lambda n=n: verify_resolution(weight_of(n), (PSI, PHI)))
-        r.zero(f"resolution/n={n}/mixed-phi-psi",
-               "int w |theta~><theta| = I",
-               lambda n=n: verify_resolution(weight_of(n), (PHI, PSI)))
-        r.nonzero(f"resolution/n={n}/same-psi-psi",
-                  "int w |theta><theta| != I",
-                  lambda n=n: verify_resolution(weight_of(n), (PSI, PSI)))
-        r.nonzero(f"resolution/n={n}/same-phi-phi",
-                  "int w |theta~><theta~| != I",
-                  lambda n=n: verify_resolution(weight_of(n), (PHI, PHI)))
-        r.discrepancy(f"resolution/n={n}/weight-reversed-factorial",
-                      "w = sum q^i(i+1) rho_(n-1-i)! theta^i thetabar^i",
-                      lambda n=n:
-                      weight_of(n).expr - closed_form_weight(n).expr)
-        r.discrepancy(f"resolution/n={n}/weight-plain-factorial",
-                      "c_ii = rho_i! q^i(i+1)",
-                      lambda n=n: weight_of(n).expr - mirror_weight(n).expr)
-        if n == 3:
-            r.discrepancy("resolution/n=3/weight-three-level",
-                          "w = rho1 rho2 + rho1/q theta thetabar "
-                          "+ theta^2 thetabar^2",
-                          lambda: weight_of(3).expr - closed_form_weight(3).expr)
+    r.condition(f"resolution/n={n}/solver-diagonal",
+                "derived weight is diagonal and unique",
+                lambda: weight_of(n).is_diagonal(),
+                detail=lambda: str(weight_of(n).expr))
+    r.zero(f"resolution/n={n}/mixed-psi-phi", "int w |theta><theta~| = I",
+           lambda: verify_resolution(weight_of(n), (PSI, PHI)))
+    r.zero(f"resolution/n={n}/mixed-phi-psi", "int w |theta~><theta| = I",
+           lambda: verify_resolution(weight_of(n), (PHI, PSI)))
+    r.nonzero(f"resolution/n={n}/same-psi-psi", "int w |theta><theta| != I",
+              lambda: verify_resolution(weight_of(n), (PSI, PSI)))
+    r.nonzero(f"resolution/n={n}/same-phi-phi", "int w |theta~><theta~| != I",
+              lambda: verify_resolution(weight_of(n), (PHI, PHI)))
+    r.discrepancy(f"resolution/n={n}/weight-reversed-factorial",
+                  "w = sum q^i(i+1) rho_(n-1-i)! theta^i thetabar^i",
+                  lambda: weight_of(n).expr - closed_form_weight(n).expr)
+    r.discrepancy(f"resolution/n={n}/weight-plain-factorial",
+                  "c_ii = rho_i! q^i(i+1)",
+                  lambda: weight_of(n).expr - mirror_weight(n).expr)
+    if n == 3:
+        r.discrepancy("resolution/n=3/weight-three-level",
+                      "w = rho1 rho2 + rho1/q theta thetabar "
+                      "+ theta^2 thetabar^2",
+                      lambda: weight_of(3).expr - closed_form_weight(3).expr)
 
 
 def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
@@ -360,19 +349,19 @@ def run_suite(selector: str, n_range: tuple[int, int] = (2, 4), *,
     if not (2 <= lo <= hi <= max_n):
         raise EngineError(
             f"level range {lo}..{hi} must satisfy 2 <= lo <= hi <= {max_n}")
-    n_values = range(lo, hi + 1)
     problem = problem or default_problem()
     r = _Runner(timings)
     # Each level's weight is solved once per run, by the first check that
     # needs it; a solve that raises is an error of each check that reads it.
     weight_of = _once(solve_weight)
-
-    if selector in ("coherent", "all"):
-        _coherent_checks(r, n_values)
-    if selector in ("dynamics", "all"):
-        _dynamics_checks(r, n_values, weight_of)
-    if selector in ("resolution", "all"):
-        _resolution_checks(r, n_values, weight_of)
+    # one level at a time, so a level's states are read while still cached
+    for n in range(lo, hi + 1):
+        if selector in ("coherent", "all"):
+            _coherent_checks(r, n)
+        if selector in ("dynamics", "all"):
+            _dynamics_checks(r, n, weight_of)
+        if selector in ("resolution", "all"):
+            _resolution_checks(r, n, weight_of)
     if selector in ("suq2", "all"):
         _suq2_checks(r, weight_of)
     if selector in ("biortho", "all"):

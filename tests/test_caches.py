@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 
 import grassq
+from grassq import coherent
 from conftest import (CONSTRUCTION_CACHES, FIELD_TABLES,
                       clear_construction_caches)
 from grassq.suites import run_suite
@@ -34,3 +35,12 @@ def test_every_cache_is_cleared_by_fresh_caches_or_is_a_field_table():
     assert all(c.cache_info().currsize for c in CONSTRUCTION_CACHES)
     clear_construction_caches()
     assert not any(c.cache_info().currsize for c in CONSTRUCTION_CACHES)
+
+
+def test_a_run_over_many_levels_builds_each_state_once(fresh_caches):
+    # counts builds, not time: 19 levels of two families are 38 states,
+    # and the suq2 and biortho checks after the level loop rebuild the 4
+    # states of n = 2 and 3; the cache keeps 32, so a run that walked
+    # suites before levels built 118
+    run_suite("all", (2, 20), max_n=20)
+    assert coherent._build_coherent.cache_info().misses <= 42

@@ -469,11 +469,12 @@ def test_report_matches_the_committed_golden_file(name):
                        "json") == golden.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("n", [*range(2, 17), 24, 32, 64, 127, 128])
+@pytest.mark.parametrize("n", [*range(2, 17), 24, 32, 64, 127, 128, *(
+    pytest.param(n, marks=pytest.mark.slow) for n in (256, 512))])
 def test_high_level_report_matches_its_golden_digest(n):
     # the whole "all" report at one level, numeric biortho residuals
     # included, so the digests also pin this platform's float results;
-    # the file also records n = 256, which is left out here for time
+    # n = 256 and 512 take seconds each and run only under -m slow
     digests = json.loads((Path(__file__).parent / "golden" / "digests.json")
                          .read_text(encoding="utf-8"))["sha256"]
     report = emit_report(run_suite("all", (n, n), max_n=n), "json")

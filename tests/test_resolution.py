@@ -12,7 +12,7 @@ from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
                                closed_form_weight, compare_weights,
                                mirror_weight, resolution_integral,
                                solve_weight, verify_resolution, _blocks,
-                               _column, _complement_index, _integrate,
+                               _column, _complement_pairs, _integrate,
                                _measured_degrees, _pair_outer,
                                _solve_permutation, _weight)
 from grassq.scalars import Scalar, rho_factorial
@@ -153,20 +153,29 @@ def test_pair_outer_files_every_block_pair_once_under_its_complement():
                 ket_blocks = _blocks(ket_body)
                 bra_blocks = _blocks(op_dagger(bra_body))
                 filed = []
-                for ab, pairs in _pair_outer(n, pair, evolved).items():
-                    for ket_block, bra_block in pairs:
-                        cd, ef = _degrees(ket_block), _degrees(bra_block)
-                        assert ket_block == ket_blocks[cd], (n, pair, cd)
-                        assert bra_block == bra_blocks[ef], (n, pair, ef)
-                        filed.append((ab, cd, ef))
+                for ab, ket_block, bra_block in _pair_outer(n, pair, evolved):
+                    cd, ef = _degrees(ket_block), _degrees(bra_block)
+                    assert ket_block == ket_blocks[cd], (n, pair, cd)
+                    assert bra_block == bra_blocks[ef], (n, pair, ef)
+                    filed.append((ab, cd, ef))
                 want = [((n - 1 - c - e, n - 1 - d - f), (c, d), (e, f))
                         for c, d in ket_blocks for e, f in bra_blocks]
                 assert sorted(filed) == sorted(want), (n, pair, evolved)
 
 
+def _by_column(pairs):
+    """The stream's (ket block, bra block) pairs grouped under their
+    weight degrees, as the solve groups them for ``_column``."""
+    columns = {}
+    for ab, ket_block, bra_block in pairs:
+        columns.setdefault(ab, []).append((ket_block, bra_block))
+    return columns
+
+
 def test_column_reads_one_term_pair_and_refuses_any_other_shape():
     n = 2
-    reached = _pair_outer(n, (PSI, PHI))
+    stream = list(_pair_outer(n, (PSI, PHI)))
+    reached = _by_column(stream)
     # c_01: theta^0 thetabar^1 meets the ket block (1, 0) and the bra
     # block (0, 0), and only there
     pair, = reached[(0, 1)]
@@ -174,7 +183,7 @@ def test_column_reads_one_term_pair_and_refuses_any_other_shape():
     assert _column(n, (0, 1), [pair]) == ((0, 1), (1, 0), None)
     # a diagonal column carries the value the exact integral gives
     for k in range(n):
-        integral = _integrate(_weight(n, {(k, k): Scalar.one(n)}), reached)
+        integral = _integrate(_weight(n, {(k, k): Scalar.one(n)}), stream)
         ((_, (ket_side, bra_side)), value), = integral.terms.items()
         got = _column(n, (k, k), reached[(k, k)])
         assert got == ((k, k), (ket_side[1], bra_side[1]), value), k
@@ -265,7 +274,8 @@ def test_weight_blocks_without_a_partner_integrate_to_zero():
         ket_body, bra_body = _pair_bodies(n, (PSI, PHI), False)
         for _ in range(3):
             ket_thin, bra_thin = _thin(rng, ket_body), _thin(rng, bra_body)
-            reached = _complement_index(ket_thin, bra_thin)
+            # a list, not the one-pass stream: three weights read it
+            reached = list(_complement_pairs(ket_thin, bra_thin))
             thinned = _plain_outer(ket_thin, bra_thin)
             for shape in ("dense", "non-diagonal", "single"):
                 weight = _random_weight(rng, n, shape)
@@ -310,8 +320,9 @@ def test_solver_columns_match_the_per_column_integral():
     # the diagonal entries, so it must agree on every row and on every
     # value it forms
     for n in range(2, 17):
-        reached = _pair_outer(n, (PSI, PHI))
-        want = _reference_columns(n, lambda w: _integrate(w, reached))
+        stream = list(_pair_outer(n, (PSI, PHI)))
+        reached = _by_column(stream)
+        want = _reference_columns(n, lambda w: _integrate(w, stream))
         for (k, l), column in want.items():
             assert len(column) == 1, (n, k, l)
             (row, value), = column.items()
@@ -369,3 +380,57 @@ def test_resolution_status_pattern_holds_at_n16():
         "same-psi-psi": "pass", "same-phi-phi": "pass",
         "weight-reversed-factorial": "pass",
         "weight-plain-factorial": "reported-discrepancy"}
+
+
+# ---------------------------------------------------------------------------
+# every resolution pass/fail check can fail
+# ---------------------------------------------------------------------------
+
+def _same_family_sum(plain):
+    """dual_identity_sum with the ket family on both sides: the Gram sum
+    that a same-family integral equals."""
+    def mutant(level, ket_family=PSI):
+        return OpExpr(level, {((), outer(ket_family, i, ket_family, i)):
+                              Scalar.one(level) for i in range(level)})
+    return mutant
+
+
+RESOLUTION_MUTANTS = {
+    "_weight": (
+        lambda plain: lambda level, coefficients: plain(level, {
+            (k, (l + 1) % level): c for (k, l), c in coefficients.items()}),
+        {"resolution/n=3/solver-diagonal", "resolution/n=3/mixed-psi-phi",
+         "resolution/n=3/mixed-phi-psi", "dynamics/n=3/evolved-resolution"}),
+    "dual_identity_sum": (
+        _same_family_sum,
+        {"resolution/n=3/same-psi-psi", "resolution/n=3/same-phi-phi",
+         "resolution/n=3/mixed-psi-phi", "resolution/n=3/mixed-phi-psi",
+         "dynamics/n=3/evolved-resolution"}),
+    "_integrate": (
+        lambda plain: lambda weight, pairs: plain(
+            weight, (triple for triple in pairs if triple[0] != (0, 0))),
+        {"resolution/n=3/mixed-psi-phi", "resolution/n=3/mixed-phi-psi",
+         "dynamics/n=3/evolved-resolution"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_MUTANTS))
+def test_each_resolution_check_fails_under_a_named_mutant(
+        name, monkeypatch, fresh_caches):
+    # every pass/fail check of the resolution identity has a row; the
+    # weight-* comparisons are left out, since a wrong weight makes them
+    # report a discrepancy, never fail.  Other checks may move too
+    def statuses():
+        return {c.id: c.status for selector in ("resolution", "dynamics")
+                for c in run_suite(selector, (3, 3), max_n=3).checks}
+
+    clean = statuses()
+    table = {i for i in clean if i.startswith("resolution/")
+             and "/weight-" not in i} | {"dynamics/n=3/evolved-resolution"}
+    assert set().union(*(flips for _, flips in
+                         RESOLUTION_MUTANTS.values())) == table
+    assert {clean[i] for i in table} == {"pass"}
+    mutant, flips = RESOLUTION_MUTANTS[name]
+    monkeypatch.setattr(resolution, name, mutant(getattr(resolution, name)))
+    mutated = statuses()
+    assert {mutated[i] for i in flips} == {"fail"}
