@@ -16,11 +16,13 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import EngineError, ProblemFormatError
 from .scalars import finite_positive
 from .suites import Problem, SELECTORS, emit_report, run_suite
+
+# numpy after the suites, so that compiling the engine does not peak on
+# top of numpy's heap
+import numpy as np
 
 
 # The exact decimal of any double has at most 1,075 digits.

@@ -43,6 +43,12 @@ element or another power, and for ``coeffs``; ``str`` and ``eval`` read
 the unit's table row with ints.  The constructor and ``Cyclo.scaled``
 refuse float and complex values.
 
+``grassq verify all`` never reaches a dense x dense product, a dense
+inverse or a dense conjugate: its coefficients are units, and only unit x
+dense rotations occur.  Those paths are kept so that ``Scalar`` stays a
+field for any caller; the perfbench ``random-algebra`` workload and the
+sympy oracle in the tests exercise them.
+
 Every symbolic quantity above the field is a sparse formal sum: a
 :class:`Scalar` maps symbol exponents to ``Cyclo`` coefficients, a
 ``galg.GExpr`` maps words to Scalars and an ``opalg.OpExpr`` maps
@@ -322,7 +328,7 @@ class Cyclo:
 
     @classmethod
     def one(cls, level: int) -> "Cyclo":
-        return cls(level, [1])
+        return _unit(_field(level), 0, 1, 1)
 
     @classmethod
     def from_rational(cls, level: int, value: Rational) -> "Cyclo":
@@ -597,7 +603,7 @@ class Scalar(_SparseSum):
         key = [0] * level
         for i in slots:
             key[i] = power
-        return cls(level, {tuple(key): Cyclo.one(level)})
+        return cls._wrap(level, {tuple(key): Cyclo.one(level)})
 
     # -- ring operations ----------------------------------------------------
 

@@ -26,9 +26,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-import numpy as np
-
-from . import biortho as nb
 from .coherent import (check_stability, exponential_form_defect,
                        make_coherent, verify_eigen)
 from .errors import EngineError
@@ -38,6 +35,12 @@ from .resolution import (Weight, closed_form_weight, mirror_weight,
 from .suq2 import (check_closure, make_squeeze, make_squeezed_state,
                    make_suq2, squeeze_defect, squeeze_tilde_exponential_defect,
                    squeezed_state_defect, verify_suq2_relations)
+
+# numpy and the numeric toolkit load last, so that compiling the exact
+# layers does not peak on top of numpy's heap
+import numpy as np
+
+from . import biortho as nb
 
 SELECTORS = ("coherent", "resolution", "suq2", "dynamics", "biortho", "all")
 
