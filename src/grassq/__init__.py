@@ -17,20 +17,18 @@ __version__ = "0.1.0"
 # Each exported name, by the module that defines it.
 _EXPORTS = {
     "scalars": ("Cyclo", "Scalar", "cyclotomic_polynomial", "rho_factorial"),
-    "galg": ("GExpr", "Kind", "berezin", "d_theta", "d_thetabar", "grade",
-             "normal_order", "theta", "thetabar"),
-    "opalg": ("IDENT", "OpExpr", "PHI", "PSI", "bra", "dual_identity_sum",
+    "galg": ("GExpr", "Kind", "berezin", "d_theta", "d_thetabar", "grade"),
+    "opalg": ("IDENT", "OpExpr", "PHI", "PSI", "dual_identity_sum",
               "eta_conjugate", "ket", "ket_op", "make_ladder", "op_dagger",
               "op_term", "outer", "q_commutator", "sharp_adjoint", "theta_op",
               "thetabar_op"),
     "coherent": ("CoherentState", "check_stability", "evolve_state",
                  "exponential_form", "exponential_form_defect",
                  "make_coherent", "q_exponential", "verify_eigen"),
-    "resolution": ("Weight", "closed_form_weight", "compare_weights",
-                   "mirror_weight", "solve_weight", "verify_resolution"),
-    "suq2": ("Suq2System", "check_closure", "make_squeeze",
-             "make_squeezed_state", "make_suq2", "squeeze_defect",
-             "verify_suq2_relations"),
+    "resolution": ("Weight", "closed_form_weight", "mirror_weight",
+                   "solve_weight", "verify_resolution"),
+    "suq2": ("Suq2System", "make_squeezed_state", "make_suq2",
+             "squeeze_defect"),
     "biortho": ("BiorthoDecomp", "biortho_decompose",
                 "check_pseudo_hermiticity", "instantiate_numeric",
                 "numeric_ladder"),

@@ -29,6 +29,10 @@ the order in which it is rewritten.  Integration follows the rule
 `int dtheta theta^k = delta(k, n-1)`, applied innermost first in one
 pass: a measure symbol picks up the exchange phase of each variable
 block before its own, then removes its own block.
+
+A :class:`GExpr` stores a sum of words, such as a weight, normal ordered
+by :meth:`GExpr.from_raw`.  The variables and their product live in the
+operator layer: ``opalg.theta_op``, ``opalg.thetabar_op`` and ``@``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
 from .errors import EngineError, UnspecifiedRelationError
-from .scalars import Rational, Scalar, _SparseSum, _accumulate
+from .scalars import Scalar, _SparseSum, _accumulate
 
 
 class Kind(IntEnum):
@@ -155,16 +159,6 @@ class GExpr(_SparseSum):
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def one(cls, level: int) -> "GExpr":
-        return cls(level, {(): Scalar.one(level)})
-
-    @classmethod
-    def generator(cls, level: int, kind: Kind, index: int = 1,
-                  power: int = 1) -> "GExpr":
-        return cls.from_raw(level,
-                            [(Scalar.one(level), [(kind, index, power)])])
-
-    @classmethod
     def from_raw(cls, level: int,
                  items: Iterable[tuple[Scalar, Iterable[Factor]]]) -> "GExpr":
         """Normal order a sum given as (coefficient, raw factor list) pairs."""
@@ -173,19 +167,6 @@ class GExpr(_SparseSum):
         return cls._wrap(level, _accumulate({}, (
             (w, coeff.mul_q_power(qe))
             for (qe, w), coeff in ordered if w is not None)))
-
-    # -- algebra ---------------------------------------------------------------
-
-    def scale(self, factor: Scalar | Rational) -> "GExpr":
-        return GExpr(self.level, {w: c * factor for w, c in self.terms.items()})
-
-    def __mul__(self, other: "GExpr") -> "GExpr":
-        self._check(other)
-        return GExpr.from_raw(
-            self.level,
-            ((c1 * c2, w1 + w2)
-             for w1, c1 in self.terms.items()
-             for w2, c2 in other.terms.items()))
 
     # -- display ---------------------------------------------------------------
 
@@ -197,16 +178,8 @@ class GExpr(_SparseSum):
 
 
 # ---------------------------------------------------------------------------
-# public constructors
+# measure symbols
 # ---------------------------------------------------------------------------
-
-def theta(level: int, index: int = 1, power: int = 1) -> GExpr:
-    return GExpr.generator(level, Kind.THETA, index, power)
-
-
-def thetabar(level: int, index: int = 1, power: int = 1) -> GExpr:
-    return GExpr.generator(level, Kind.THETABAR, index, power)
-
 
 def d_theta(index: int = 1) -> tuple[int, int]:
     """Measure symbol for integration over theta_index."""
@@ -216,11 +189,6 @@ def d_theta(index: int = 1) -> tuple[int, int]:
 def d_thetabar(index: int = 1) -> tuple[int, int]:
     """Measure symbol for integration over thetabar_index."""
     return (Kind.DTHETABAR, index)
-
-
-def normal_order(e: GExpr) -> GExpr:
-    """Re-canonicalize an expression; idempotent on canonical input."""
-    return GExpr.from_raw(e.level, ((c, w) for w, c in e.terms.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,6 @@ def ket(family: str, index: int) -> Dyad:
     return ((family, index), ())
 
 
-def bra(family: str, index: int) -> Dyad:
-    return ((), (family, index))
-
-
 def outer(ket_family: str, i: int, bra_family: str, j: int) -> Dyad:
     return ((ket_family, i), (bra_family, j))
 

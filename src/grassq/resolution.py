@@ -49,9 +49,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EngineError, SingularSystemError
+from .errors import SingularSystemError
 from .galg import (GExpr, Kind, Word, d_theta, d_thetabar, grade,
-                   integrate_word, normalize_word)
+                   integrate_word)
 from .opalg import (OpExpr, PHI, PSI, _term_pairs, berezin_op,
                     dual_identity_sum, op_dagger)
 from .coherent import evolve_state, make_coherent
@@ -72,10 +72,6 @@ class Weight:
     @property
     def level(self) -> int:
         return self.expr.level
-
-    def coefficient(self, k: int, l: int) -> Scalar:
-        _, word = normalize_word(self.level, _monomial_word(k, l))
-        return self.expr.terms.get(word, Scalar.zero(self.level))
 
     def is_diagonal(self) -> bool:
         return all(dt == db for dt, db in map(grade, self.expr.terms))
@@ -265,17 +261,3 @@ def solve_weight(level: int) -> Weight:
     return _weight(level, _solve_permutation(level, (
         _column(level, (k, l), columns.get((k, l), ()))
         for k in range(level) for l in range(level))))
-
-
-def compare_weights(a: Weight, b: Weight) -> list[tuple[int, bool, Scalar]]:
-    """Per-index comparison of two diagonal weights.
-
-    Returns one row (index, equal, difference) per diagonal slot.
-    """
-    if a.level != b.level:
-        raise EngineError("weights live at different levels")
-    rows = []
-    for i in range(a.level):
-        diff = a.coefficient(i, i) - b.coefficient(i, i)
-        rows.append((i, diff.is_zero, diff))
-    return rows

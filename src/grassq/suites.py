@@ -32,9 +32,8 @@ from .errors import EngineError
 from .opalg import PHI, PSI, eta_conjugate, ket_op, op_dagger
 from .resolution import (Weight, closed_form_weight, mirror_weight,
                          solve_weight, verify_resolution)
-from .suq2 import (check_closure, make_squeeze, make_squeezed_state,
-                   make_suq2, squeeze_defect, squeeze_tilde_exponential_defect,
-                   squeezed_state_defect, verify_suq2_relations)
+from .suq2 import (make_squeezed_state, make_suq2, squeeze_defect,
+                   squeeze_tilde_exponential_defect, squeezed_state_defect)
 
 # numpy and the numeric toolkit load last, so that compiling the exact
 # layers does not peak on top of numpy's heap
@@ -231,24 +230,24 @@ def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
     sys3 = partial(make_suq2, 3)
     r.condition("suq2/closure/cube-root-free-rho",
                 "[b_z,b]_q closes at q = primitive cube root",
-                lambda: check_closure(3).closes)
+                lambda: sys3().closure.closes)
     r.condition("suq2/closure/equal-rho-any-root",
                 "[b_z,b]_q closes when rho_1 = rho_2",
-                lambda: check_closure(4, equal_rho=True).closes)
+                lambda: make_suq2(4, equal_rho=True).closure.closes)
     r.condition("suq2/closure/distinct-rho-other-root-fails",
                 "(1+q+q^2)(rho_1-rho_2) obstruction at a fourth root",
-                lambda: not check_closure(4).closes,
-                detail=lambda: str(check_closure(4).defect_first))
+                lambda: not make_suq2(4).closure.closes,
+                detail=lambda: str(make_suq2(4).closure.defect_first))
     r.zero("suq2/relations/bracket-defines-bz", "[b,b#]_q = b_z",
-           lambda: verify_suq2_relations(sys3()).bracket_defines_bz)
+           lambda: sys3().relations.bracket_defines_bz)
     r.zero("suq2/relations/bz-b", "[b_z,b]_q = (rho1 - q rho2 + q^2 rho1) b",
-           lambda: verify_suq2_relations(sys3()).bz_with_b)
+           lambda: sys3().relations.bz_with_b)
     r.zero("suq2/relations/bsharp-bz",
            "[b#,b_z]_q = (rho1 - q rho2 + q^2 rho1) b#",
-           lambda: verify_suq2_relations(sys3()).bsharp_with_bz)
+           lambda: sys3().relations.bsharp_with_bz)
     r.zero("suq2/relations/prefactor-equality",
            "rho1 - q rho2 + q^2 rho1 = rho2 - q rho1 + q^2 rho2",
-           lambda: verify_suq2_relations(sys3()).prefactor_difference)
+           lambda: sys3().relations.prefactor_difference)
     r.condition("suq2/nilpotency", "b^3 = b#^3 = b~^3 = b~#'^3 = 0",
                 lambda: sys3().b.power(3).is_zero
                 and sys3().b_sharp.power(3).is_zero
@@ -256,7 +255,7 @@ def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
                 and op_dagger(sys3().b).power(3).is_zero)
     r.condition("suq2/squeeze/terminates",
                 "exp[(theta b#^2 - thetabar b^2)/2] terminates",
-                lambda: not make_squeeze(sys3()).is_zero)
+                lambda: not sys3().squeeze.is_zero)
     r.discrepancy("suq2/squeeze/quadratic-closed-form",
                   "S = I + (theta b#^2 - thetabar b^2)/2 "
                   "- qbar/4 theta thetabar (b#^2 b^2 + q b^2 b#^2)",
@@ -271,7 +270,7 @@ def _suq2_checks(r: _Runner, weight_of: Callable[[int], Weight]) -> None:
     r.zero("suq2/squeezed-state/eta-channel",
            "eta (S|psi_0>) = (eta S eta^-1)|phi_0>",
            lambda: eta_conjugate(make_squeezed_state(sys3(), PSI))
-           - (eta_conjugate(make_squeeze(sys3())) @ ket_op(3, PHI, 0)))
+           - (eta_conjugate(sys3().squeeze) @ ket_op(3, PHI, 0)))
     r.zero("suq2/squeeze/tilde-exponential-form",
            "eta S eta^-1 = exp[(theta b~#'^2 - thetabar b~^2)/2]",
            lambda: squeeze_tilde_exponential_defect(sys3()))

@@ -22,15 +22,16 @@ exactly, because metric conjugation is an algebra homomorphism.
 
 :func:`make_suq2` builds each system once per (root order, equal_rho)
 and hands the same object to every caller, and a system is the one owner
-of every value derived from it: the squares (b_sharp^2, b^2), the
-closure verdict, the bracket relations, the squeeze argument, the series
-S and the state S|psi_0>, each formed at most once, on first use.
-:func:`check_closure`, :func:`verify_suq2_relations`,
-:func:`squeeze_closed_form` and the squeeze builders only read them, and
-the relation [b_z, b]_q is the closure verdict's first defect rather
-than a second copy.  Within one ``run_suite("all")`` the suq2 checks
-read S four times and S|psi_0> three times, so the cached values alone
-cut the series sums from eight to three.  Keeping the systems across
+of every value derived from it: rho_i = s_i^2, the squares (b_sharp^2,
+b^2), the closure verdict, the bracket relations, the squeeze argument,
+the series S and the state S|psi_0>, each formed at most once, on first
+use.  The suq2 checks of :mod:`grassq.suites` read these values
+directly; :func:`squeeze_closed_form`, the squeeze builders and the
+defects below only read them; and the relation [b_z, b]_q is the
+closure verdict's first defect rather than a second copy.  Within one
+``run_suite("all")`` the suq2 checks read S four times and S|psi_0>
+three times, so the cached values alone cut the series sums from eight
+to three.  Keeping the systems across
 calls pays only where one process runs the suq2 suite more than once,
 as a test session or a caller that runs one level at a time does; one
 ``grassq verify`` run calls ``run_suite`` once.  Sharing is exact
@@ -68,8 +69,9 @@ class Suq2System:
     b_sharp: OpExpr
     b_z: OpExpr
 
-    @property
+    @cached_property
     def rho(self) -> tuple[Scalar, Scalar]:
+        """(rho_1, rho_2) = (s_1^2, s_2^2)."""
         return (self.sqrt_rho[0] * self.sqrt_rho[0],
                 self.sqrt_rho[1] * self.sqrt_rho[1])
 
@@ -80,7 +82,9 @@ class Suq2System:
 
     @cached_property
     def closure(self) -> ClosureVerdict:
-        """[b_z, b]_q against both candidate prefactors times b."""
+        """[b_z, b]_q against both candidate prefactors times b; the
+        algebra closes when both defects vanish, which happens exactly
+        when (1+q+q^2)(rho_1 - rho_2) is zero."""
         bracket = q_commutator(self.b_z, self.b)
         first, second = (bracket - self.b.scale(pref)
                          for pref in closure_prefactors(self))
@@ -158,28 +162,12 @@ class ClosureVerdict:
     defect_second: OpExpr
 
 
-def check_closure(root_order: int = 3, equal_rho: bool = False) -> ClosureVerdict:
-    """Does [b_z, b]_q reduce to a multiple of b for this (q, rho) choice?
-
-    Both candidate prefactors are tried; the algebra closes when both
-    defects vanish, which happens exactly when (1+q+q^2)(rho_1 - rho_2)
-    is zero.  The verdict is the shared system's own.
-    """
-    return make_suq2(root_order, equal_rho).closure
-
-
 @dataclass(frozen=True)
 class Suq2Relations:
     bracket_defines_bz: OpExpr
     bz_with_b: OpExpr
     bsharp_with_bz: OpExpr
     prefactor_difference: Scalar
-
-    @property
-    def all_hold(self) -> bool:
-        return (self.bracket_defines_bz.is_zero and self.bz_with_b.is_zero
-                and self.bsharp_with_bz.is_zero
-                and self.prefactor_difference.is_zero)
 
 
 def _bz_defining_sum(sys: Suq2System) -> OpExpr:
@@ -190,11 +178,6 @@ def _bz_defining_sum(sys: Suq2System) -> OpExpr:
         ((), outer(PSI, 0, PHI, 0)): r1,
         ((), outer(PSI, 1, PHI, 1)): r2 - r1.mul_q_power(1),
         ((), outer(PSI, 2, PHI, 2)): -r2.mul_q_power(1)})
-
-
-def verify_suq2_relations(sys: Suq2System) -> Suq2Relations:
-    """The system's three closure relation defects; cube root only."""
-    return sys.relations
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +202,6 @@ def _squeeze_term(up: OpExpr, down: OpExpr) -> OpExpr:
     return (theta_op(n) @ up - thetabar_op(n) @ down).scale(Fraction(1, 2))
 
 
-def squeeze_argument(sys: Suq2System) -> OpExpr:
-    """(theta b_sharp^2 - thetabar b^2) / 2."""
-    return sys.squeeze_argument
-
-
-def make_squeeze(sys: Suq2System) -> OpExpr:
-    """The squeezing operator from its exponential series."""
-    return sys.squeeze
-
-
 def squeeze_closed_form(sys: Suq2System) -> OpExpr:
     """The compact quadratic closed form quoted for the squeezing operator:
 
@@ -250,7 +223,7 @@ def squeeze_closed_form(sys: Suq2System) -> OpExpr:
 
 def squeeze_defect(sys: Suq2System) -> OpExpr:
     """Mechanical series minus the quadratic closed form, reported verbatim."""
-    return make_squeeze(sys) - squeeze_closed_form(sys)
+    return sys.squeeze - squeeze_closed_form(sys)
 
 
 def make_squeezed_state(sys: Suq2System, family: str = PSI) -> OpExpr:
@@ -285,7 +258,7 @@ def squeezed_state_defect(sys: Suq2System, family: str = PSI) -> OpExpr:
 
 def squeeze_tilde_exponential_defect(sys: Suq2System) -> OpExpr:
     """eta S eta^-1 against exp[(theta b~'^2 - thetabar b~^2)/2]; exact zero."""
-    conjugated = eta_conjugate(make_squeeze(sys))
+    conjugated = eta_conjugate(sys.squeeze)
     arg = _squeeze_term(op_dagger(sys.b).power(2),
                         eta_conjugate(sys.b).power(2))
     return conjugated - factorial_exponential(arg)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from grassq import coherent, scalars, suq2
-from grassq.galg import GExpr, Kind
-from grassq.opalg import IDENT, OpExpr, PHI, PSI, bra, ket, op_term, outer
+from grassq.galg import GExpr, Kind, normalize_word
+from grassq.opalg import IDENT, OpExpr, PHI, PSI, ket, op_term, outer
 from grassq.scalars import Cyclo, Scalar
 
 # The process-wide caches that ``fresh_caches`` empties, and the two that it
@@ -36,6 +36,11 @@ def fresh_caches():
     clear_construction_caches()
     yield
     clear_construction_caches()
+
+
+def bra(family: str, index: int) -> tuple:
+    """The dyad <F_i|, written out as ``grassq.opalg`` defines a bra."""
+    return ((), (family, index))
 
 
 def random_scalar(rng: random.Random, level: int, max_terms: int = 3) -> Scalar:
@@ -74,6 +79,25 @@ def random_gexpr(rng: random.Random, level: int, max_terms: int = 3) -> GExpr:
             rng.randrange(-2, 3), rng.randrange(1, 3))
         items.append((coeff, random_single_pair_word(rng, level)))
     return GExpr.from_raw(level, items)
+
+
+def diagonal_differences(a, b) -> list:
+    """``(i, c_ii of a - c_ii of b)`` for each diagonal slot i of two weights,
+    read off ``a.expr - b.expr``, which must hold no other word."""
+    level = a.level
+    diff = (a.expr - b.expr).terms
+    words = [normalize_word(level, [(Kind.THETA, 1, i),
+                                    (Kind.THETABAR, 1, i)])[1]
+             for i in range(level)]
+    assert set(diff) <= set(words), f"off-diagonal difference: {diff}"
+    return [(i, diff.get(w, Scalar.zero(level))) for i, w in enumerate(words)]
+
+
+def shifted_weight(plain):
+    """A mutant of ``resolution._weight``: each c_kl filed under
+    (k, l+1 mod n)."""
+    return lambda level, coefficients: plain(level, {
+        (k, (l + 1) % level): c for (k, l), c in coefficients.items()})
 
 
 def random_standard_opexpr(rng: random.Random, level: int,

@@ -16,23 +16,20 @@ from grassq.biortho import (biortho_decompose, check_pseudo_hermiticity,
                             numeric_ladder)
 from grassq.coherent import (check_stability, exponential_form_defect,
                              make_coherent, verify_eigen)
-from grassq.galg import GExpr, Kind, berezin, d_theta, d_thetabar, theta, thetabar
+from grassq.galg import GExpr, Kind, berezin, d_theta
 from grassq.opalg import (OpExpr, PHI, PSI, eta_conjugate, ket, ket_op,
                           make_ladder, op_dagger, op_term, outer,
                           q_commutator, theta_op, thetabar_op)
 from grassq.resolution import (MIXED_PAIRS, SAME_PAIRS, closed_form_weight,
-                               compare_weights, mirror_weight,
-                               resolution_integral, solve_weight,
-                               verify_resolution)
+                               mirror_weight, resolution_integral,
+                               solve_weight, verify_resolution)
 from grassq.scalars import Scalar, rho_factorial
-from grassq.suq2 import (check_closure, make_squeeze, make_squeezed_state,
-                         make_suq2, squeeze_argument, squeeze_defect,
+from grassq.suq2 import (make_squeezed_state, make_suq2, squeeze_defect,
                          squeeze_tilde_exponential_defect,
-                         squeezed_closed_form, squeezed_state_defect,
-                         verify_suq2_relations)
+                         squeezed_closed_form, squeezed_state_defect)
 
-from conftest import (random_gexpr, random_real_spectrum_matrix,
-                      random_single_pair_word)
+from conftest import (diagonal_differences, random_gexpr,
+                      random_real_spectrum_matrix, random_single_pair_word)
 from rewrite_oracle import rewrite_gexpr
 
 
@@ -76,13 +73,14 @@ def test_criterion_3_bi_overcompleteness():
                         for _, d in resolution_integral(weight, pair).terms}
             assert families == {(pair[0], pair[0])}
         # arbitration between the two closed-form candidates
-        reversed_rows = compare_weights(weight, closed_form_weight(n))
-        assert all(eq for _, eq, _ in reversed_rows), (n, reversed_rows)
-        plain_rows = compare_weights(weight, mirror_weight(n))
-        for i, equal, diff in plain_rows:
+        reversed_rows = diagonal_differences(weight, closed_form_weight(n))
+        assert all(diff.is_zero for _, diff in reversed_rows), \
+            (n, [(i, str(diff)) for i, diff in reversed_rows])
+        plain_rows = diagonal_differences(weight, mirror_weight(n))
+        for i, diff in plain_rows:
             expected = rho_factorial(n, i) == rho_factorial(n, n - 1 - i)
-            assert equal == expected, (n, i, str(diff))
-            if not equal:
+            assert diff.is_zero == expected, (n, i, str(diff))
+            if not diff.is_zero:
                 print(f"  n={n} i={i}: plain-factorial candidate off by "
                       f"{diff}")
     elapsed = time.perf_counter() - started
@@ -127,18 +125,21 @@ def test_criterion_5_stability():
 
 def test_criterion_6_suq2_closure_and_relations():
     started = time.perf_counter()
-    assert check_closure(3).closes
-    assert check_closure(4, equal_rho=True).closes
-    assert not check_closure(4).closes
+    assert make_suq2(3).closure.closes
+    assert make_suq2(4, equal_rho=True).closure.closes
     sys4 = make_suq2(4)
+    assert not sys4.closure.closes
     q, q2 = Scalar.q(4), Scalar.q(4, 2)
     r1, r2 = sys4.rho
     obstruction = (Scalar.one(4) + q + q2) * (r2 - r1) * sys4.sqrt_rho[1]
-    assert check_closure(4).defect_first == OpExpr(
+    assert sys4.closure.defect_first == OpExpr(
         4, {((), outer(PSI, 1, PHI, 2)): obstruction})
-    relations = verify_suq2_relations(make_suq2(3))
-    assert relations.all_hold
     sys3 = make_suq2(3)
+    relations = sys3.relations
+    assert relations.bracket_defines_bz.is_zero
+    assert relations.bz_with_b.is_zero
+    assert relations.bsharp_with_bz.is_zero
+    assert relations.prefactor_difference.is_zero
     assert sys3.b.power(3).is_zero and sys3.b_sharp.power(3).is_zero
     _verdict(6, "closure iff cube root or equal rho; all three relations "
                 "hold; b^3 = b#^3 = 0", started)
@@ -148,8 +149,8 @@ def test_criterion_7_squeezing():
     started = time.perf_counter()
     sys3 = make_suq2(3)
     # the factorial series terminates (fifth power vanishes)
-    assert squeeze_argument(sys3).power(5).is_zero
-    squeeze = make_squeeze(sys3)
+    assert sys3.squeeze_argument.power(5).is_zero
+    squeeze = sys3.squeeze
     assert not squeeze.is_zero
     # comparison against the quadratic closed form: recorded exact defect
     sq = sys3.sqrt_rho[0] * sys3.sqrt_rho[1]
@@ -240,13 +241,15 @@ def test_criterion_9_rewriting_soundness():
     rng = random.Random(99)
     for _ in range(200):
         n = rng.choice([2, 3, 4])
-        a, b, c = (random_gexpr(rng, n) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
+        a, b, c = (OpExpr.from_gexpr(random_gexpr(rng, n)) for _ in range(3))
+        assert (a @ b) @ c == a @ (b @ c)
     # integration selects exactly the top degree
     for n in (2, 3, 4, 5):
+        one = GExpr.from_raw(n, [(Scalar.one(n), [])])
         for k in range(n):
-            value = berezin(theta(n, 1, k) if k else GExpr.one(n), [d_theta()])
-            assert value == (GExpr.one(n) if k == n - 1 else GExpr.zero(n))
+            power = GExpr.from_raw(n, [(Scalar.one(n), [(Kind.THETA, 1, k)])])
+            value = berezin(power, [d_theta()])
+            assert value == (one if k == n - 1 else GExpr.zero(n))
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _verdict(9, "3000 normal orderings match randomized rewriting; product "

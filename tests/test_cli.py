@@ -421,20 +421,27 @@ def test_a_raising_state_build_is_an_error_of_the_checks_that_read_it(
 
 def test_a_raising_closure_verdict_is_an_error_of_its_checks(monkeypatch,
                                                              fresh_caches):
-    import grassq.suites as suites
+    # the shared system forms its closure verdict inside the first check
+    # that reads it; the relations read the verdict's first defect, so a
+    # raise there is an error of the closure and relation checks alone
+    from grassq import suq2
 
     clean = _statuses(run_suite("suq2"))
 
-    def broken(root_order, equal_rho=False):
+    def broken(system):
         raise RuntimeError("no closure")
 
-    monkeypatch.setattr(suites, "check_closure", broken)
+    monkeypatch.setattr(suq2.Suq2System, "closure", property(broken))
+    suq2._build_suq2.cache_clear()
     report = run_suite("suq2")
     errors = {c.id for c in report.checks if c.status == "error"}
-    assert errors == {i for i in clean if i.startswith("suq2/closure/")}
-    assert len(errors) == 3
+    assert errors == {i for i in clean
+                      if i.startswith(("suq2/closure/", "suq2/relations/"))}
+    assert len(errors) == 7
     for c in report.checks:
-        if c.id not in errors:
+        if c.id in errors:
+            assert c.defect == "RuntimeError: no closure"
+        else:
             assert c.status == clean[c.id]
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from grassq.errors import EngineError, UnspecifiedRelationError
 from grassq.galg import (GExpr, Kind, berezin, d_theta, d_thetabar, grade,
-                         integrate_word, normal_order, normalize_word, theta,
-                         thetabar)
+                         integrate_word, normalize_word)
+from grassq.opalg import OpExpr
 from grassq.scalars import Scalar
 
 from conftest import random_gexpr, random_single_pair_word, random_two_index_word
@@ -13,46 +13,60 @@ from rewrite_oracle import (has_uncovered_inversion, integrate_by_swaps,
                             rewrite, rewrite_gexpr)
 
 
+def th(index=1, power=1):
+    return (Kind.THETA, index, power)
+
+
+def tb(index=1, power=1):
+    return (Kind.THETABAR, index, power)
+
+
+def g(level, *factors, coeff=None):
+    """``coeff`` (default 1) times the raw product of ``factors``."""
+    one = Scalar.one(level)
+    return GExpr.from_raw(level, [(one if coeff is None else coeff, factors)])
+
+
 def test_exchange_rule_examples():
     n = 3
     # thetabar theta reorders to q theta thetabar (single pair)
-    assert thetabar(n) * theta(n) == (theta(n) * thetabar(n)).scale(Scalar.q(n))
+    assert g(n, tb(), th()) == g(n, th(), tb(), coeff=Scalar.q(n))
     # nilpotency at n=2
-    assert (theta(2) * theta(2)).is_zero
+    assert g(2, th(), th()).is_zero
     # theta_2 theta_1 reorders to qbar theta_1 theta_2
-    assert theta(3, 2) * theta(3, 1) == \
-        (theta(3, 1) * theta(3, 2)).scale(Scalar.q(3, -1))
+    assert g(3, th(2), th(1)) == g(3, th(1), th(2), coeff=Scalar.q(3, -1))
     # mixed-kind exchange applies at any common index
-    assert thetabar(3, 2) * theta(3, 2) == \
-        (theta(3, 2) * thetabar(3, 2)).scale(Scalar.q(3))
+    assert g(3, tb(2), th(2)) == g(3, th(2), tb(2), coeff=Scalar.q(3))
 
 
 def test_mul_examples():
     for n in (2, 3, 4, 5):
-        assert theta(n) * theta(n, 1, n - 2) == theta(n, 1, n - 1)
-        assert (theta(n) * theta(n, 1, n - 1)).is_zero
+        assert g(n, th(), th(power=n - 2)) == g(n, th(power=n - 1))
+        assert g(n, th(), th(power=n - 1)).is_zero
 
 
 def test_square_of_theta_plus_thetabar():
     # exhaustive rule application: (th + thb)^2 = th^2 + (1+q) th thb + thb^2
     n = 3
-    s = theta(n) + thetabar(n)
-    expected = (theta(n, 1, 2)
-                + (theta(n) * thetabar(n)).scale(Scalar.one(n) + Scalar.q(n))
-                + thetabar(n, 1, 2))
-    assert s * s == expected
+    one = Scalar.one(n)
+    square = GExpr.from_raw(n, [(one, [a, b]) for a in (th(), tb())
+                                for b in (th(), tb())])
+    expected = (g(n, th(power=2))
+                + g(n, th(), tb(), coeff=one + Scalar.q(n))
+                + g(n, tb(power=2)))
+    assert square == expected
 
 
 def test_fermionic_limit():
     # n=2 is the ordinary Grassmann algebra: q = -1, anticommuting pair
-    assert theta(2) * thetabar(2) == (thetabar(2) * theta(2)).scale(-1)
-    assert (thetabar(2) * thetabar(2)).is_zero
-    assert berezin(theta(2), [d_theta()]) == GExpr.one(2)
+    assert g(2, th(), tb()) == g(2, tb(), th(), coeff=-Scalar.one(2))
+    assert g(2, tb(), tb()).is_zero
+    assert berezin(g(2, th()), [d_theta()]) == g(2)
 
 
 def test_unspecified_relations_refused():
     with pytest.raises(UnspecifiedRelationError):
-        thetabar(3, 2) * theta(3, 1)
+        g(3, tb(2), th(1))
     with pytest.raises(UnspecifiedRelationError):
         GExpr.from_raw(3, [(Scalar.one(3),
                             [(Kind.DTHETA, 2, 1), (Kind.DTHETA, 1, 1)])])
@@ -60,7 +74,7 @@ def test_unspecified_relations_refused():
         GExpr.from_raw(3, [(Scalar.one(3),
                             [(Kind.THETA, 1, 1), (Kind.DTHETA, 2, 1)])])
     # in-order cross-index products need no rule and stay legal
-    assert not (theta(3, 1) * thetabar(3, 2)).is_zero
+    assert not g(3, th(1), tb(2)).is_zero
 
 
 def test_normal_order_idempotent_and_confluent():
@@ -69,7 +83,9 @@ def test_normal_order_idempotent_and_confluent():
         n = rng.choice([2, 3, 4])
         raw = random_single_pair_word(rng, n, 6)
         reference = GExpr.from_raw(n, [(Scalar.one(n), raw)])
-        assert normal_order(reference) == reference
+        # normal ordering the canonical terms again changes nothing
+        assert GExpr.from_raw(n, ((c, w) for w, c in reference.terms.items())) \
+            == reference
         shuffled = rewrite_gexpr(n, raw, random.Random(trial))
         assert shuffled == reference, raw
 
@@ -166,38 +182,39 @@ def test_closed_form_integration_matches_the_swap_oracle():
 
 
 def test_mul_associative():
+    # the graded product of word sums is the operator product on the
+    # identity dyad
     rng = random.Random(17)
     for _ in range(150):
         n = rng.choice([2, 3, 4])
-        a, b, c = (random_gexpr(rng, n) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
+        a, b, c = (OpExpr.from_gexpr(random_gexpr(rng, n)) for _ in range(3))
+        assert (a @ b) @ c == a @ (b @ c)
 
 
 def test_berezin_degree_selection():
     for n in (2, 3, 4, 5):
-        assert berezin(theta(n, 1, n - 1), [d_theta()]) == GExpr.one(n)
+        assert berezin(g(n, th(power=n - 1)), [d_theta()]) == g(n)
         for k in range(1, n - 1):
-            assert berezin(theta(n, 1, k), [d_theta()]).is_zero
-        assert berezin(GExpr.one(n), [d_theta()]).is_zero
-        assert berezin(thetabar(n, 1, n - 1), [d_thetabar()]) == GExpr.one(n)
+            assert berezin(g(n, th(power=k)), [d_theta()]).is_zero
+        assert berezin(g(n), [d_theta()]).is_zero
+        assert berezin(g(n, tb(power=n - 1)), [d_thetabar()]) == g(n)
 
 
 def test_berezin_double_integral_regression_constant():
     # the fixed strategy leaves no residual phase: the value is 1 per n
     for n in (2, 3, 4, 5, 6):
-        top = theta(n, 1, n - 1) * thetabar(n, 1, n - 1)
-        assert berezin(top, [d_thetabar(), d_theta()]) == GExpr.one(n)
+        top = g(n, th(power=n - 1), tb(power=n - 1))
+        assert berezin(top, [d_thetabar(), d_theta()]) == g(n)
 
 
 def test_berezin_full_delta_law():
     for n in (2, 3, 4):
         for a in range(n):
             for b in range(n):
-                word = theta(n, 1, a) * thetabar(n, 1, b) \
-                    if (a or b) else GExpr.one(n)
+                word = g(n, th(power=a), tb(power=b))
                 result = berezin(word, [d_thetabar(), d_theta()])
                 if a == n - 1 and b == n - 1:
-                    assert result == GExpr.one(n)
+                    assert result == g(n)
                 else:
                     assert result.is_zero, (n, a, b)
 
@@ -210,29 +227,32 @@ def test_berezin_is_linear():
         measure = [d_thetabar(), d_theta()]
         assert berezin(a + b, measure) == berezin(a, measure) + berezin(b, measure)
         c = Scalar.q(n) * Scalar.s(n, 1)
-        assert berezin(a.scale(c), measure) == berezin(a, measure).scale(c)
+        scaled = [(x * c, w) for w, x in a.terms.items()]
+        assert berezin(GExpr.from_raw(n, scaled), measure) == \
+            GExpr.from_raw(n, [(x * c, w) for w, x in
+                               berezin(a, measure).terms.items()])
 
 
 def test_berezin_input_validation():
     with pytest.raises(EngineError):
-        berezin(theta(3), [d_theta(), d_theta()])
+        berezin(g(3, th()), [d_theta(), d_theta()])
     with pytest.raises(EngineError):
-        berezin(theta(3), [(Kind.THETA, 1)])
+        berezin(g(3, th()), [(Kind.THETA, 1)])
     integrand = GExpr.from_raw(3, [(Scalar.one(3), [(Kind.DTHETA, 1, 1)])])
     with pytest.raises(EngineError):
         berezin(integrand, [d_thetabar()])
 
 
 def test_grade():
-    word = list((theta(3, 1, 2) * thetabar(3)).terms)[0]
+    word = list(g(3, th(power=2), tb()).terms)[0]
     assert grade(word) == (2, 1)
     assert grade(()) == (0, 0)
     for n in (2, 3, 4):
-        word = list(thetabar(n, 1, n - 1).terms)[0]
+        word = list(g(n, tb(power=n - 1)).terms)[0]
         assert grade(word) == (0, n - 1)
 
 
 def test_nilpotency_every_generator():
     for n in (2, 3, 4):
-        for build in (theta, thetabar):
-            assert (build(n, 1, n - 1) * build(n)).is_zero
+        for build in (th, tb):
+            assert g(n, build(power=n - 1), build()).is_zero

@@ -16,19 +16,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXPORTED = [
     "BiorthoDecomp", "CoherentState", "Cyclo", "GExpr", "IDENT", "Kind",
-    "OpExpr", "PHI", "PSI", "Problem", "Scalar", "SuiteReport", "Suq2System",
-    "Weight", "berezin", "biortho_decompose", "bra", "check_closure",
+    "OpExpr", "PHI", "PSI", "Problem", "Scalar", "SuiteReport",
+    "Suq2System", "Weight", "berezin", "biortho_decompose",
     "check_pseudo_hermiticity", "check_stability", "closed_form_weight",
-    "compare_weights", "cyclotomic_polynomial", "d_theta", "d_thetabar",
-    "dual_identity_sum", "emit_report", "eta_conjugate", "evolve_state",
-    "exponential_form", "exponential_form_defect", "grade",
-    "instantiate_numeric", "ket", "ket_op", "make_coherent", "make_ladder",
-    "make_squeeze", "make_squeezed_state", "make_suq2", "mirror_weight",
-    "normal_order", "numeric_ladder", "op_dagger", "op_term", "outer",
-    "q_commutator", "q_exponential", "rho_factorial", "run_suite",
-    "sharp_adjoint", "solve_weight", "squeeze_defect", "theta", "theta_op",
-    "thetabar", "thetabar_op", "verify_eigen", "verify_resolution",
-    "verify_suq2_relations"]
+    "cyclotomic_polynomial", "d_theta", "d_thetabar", "dual_identity_sum",
+    "emit_report", "eta_conjugate", "evolve_state", "exponential_form",
+    "exponential_form_defect", "grade", "instantiate_numeric", "ket",
+    "ket_op", "make_coherent", "make_ladder", "make_squeezed_state",
+    "make_suq2", "mirror_weight", "numeric_ladder", "op_dagger", "op_term",
+    "outer", "q_commutator", "q_exponential", "rho_factorial", "run_suite",
+    "sharp_adjoint", "solve_weight", "squeeze_defect", "theta_op",
+    "thetabar_op", "verify_eigen", "verify_resolution"]
 
 # What the exact algebra must not pull in.
 HEAVY = ["numpy", "grassq.biortho", "grassq.suites", "grassq.coherent",

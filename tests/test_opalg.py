@@ -6,14 +6,14 @@ import pytest
 from grassq.errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
                            GramUnknownError)
 from grassq.galg import Kind, d_theta, d_thetabar
-from grassq.opalg import (IDENT, OpExpr, PHI, PSI, berezin_op, bra,
+from grassq.opalg import (IDENT, OpExpr, PHI, PSI, berezin_op,
                           dual_identity_sum,
                           eta_conjugate, ket, ket_op, make_ladder, op_dagger,
                           op_term, outer, q_commutator, sharp_adjoint,
                           theta_op, thetabar_op)
 from grassq.scalars import Scalar
 
-from conftest import (random_any_dyad_opexpr, random_gexpr,
+from conftest import (bra, random_any_dyad_opexpr, random_gexpr,
                       random_standard_opexpr)
 
 TH = (Kind.THETA, 1, 1)
@@ -328,7 +328,8 @@ def test_rational_scale_matches_the_lifted_scalar(factor):
     for n in (2, 3, 5, 6):
         lifted = Scalar.from_rational(n, factor)
         for _ in range(5):
-            for e in (random_any_dyad_opexpr(rng, n), random_gexpr(rng, n)):
+            for e in (random_any_dyad_opexpr(rng, n),
+                      OpExpr.from_gexpr(random_gexpr(rng, n))):
                 if e.is_zero:
                     continue
                 seen += 1

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from conftest import random_scalar
+from conftest import diagonal_differences, random_scalar, shifted_weight
 from grassq import resolution
 from grassq.coherent import evolve_state, make_coherent
 from grassq.errors import SingularSystemError
 from grassq.galg import GExpr, Kind
 from grassq.opalg import PHI, PSI, OpExpr, berezin_op, op_dagger, outer
 from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
-                               closed_form_weight, compare_weights,
-                               mirror_weight, resolution_integral,
+                               closed_form_weight, mirror_weight, resolution_integral,
                                solve_weight, verify_resolution, _blocks,
                                _column, _complement_pairs, _integrate,
                                _measured_degrees, _pair_outer,
@@ -19,33 +18,37 @@ from grassq.scalars import Scalar, rho_factorial
 from grassq.suites import run_suite
 
 
+def _monomial(k, l):
+    """theta^k thetabar^l as raw factors."""
+    return [(Kind.THETA, 1, k), (Kind.THETABAR, 1, l)]
+
+
 def test_closed_form_weight_values():
     # n=3: rho1 rho2 + q^2 rho1 th thb + th^2 thb^2  (q^2 = 1/q at n=3)
-    w = closed_form_weight(3)
-    assert w.coefficient(0, 0) == rho_factorial(3, 2)
-    assert w.coefficient(1, 1) == rho_factorial(3, 1).mul_q_power(2)
-    assert w.coefficient(2, 2) == Scalar.one(3)  # q^6 rho_0! = 1
+    assert closed_form_weight(3).expr == GExpr.from_raw(3, [
+        (rho_factorial(3, 2), []),
+        (rho_factorial(3, 1).mul_q_power(2), _monomial(1, 1)),
+        (Scalar.one(3), _monomial(2, 2))])  # q^6 rho_0! = 1
     # n=2: rho_1 + q^2 th thb with q^2 = 1
-    w2 = closed_form_weight(2)
-    assert w2.coefficient(0, 0) == rho_factorial(2, 1)
-    assert w2.coefficient(1, 1) == Scalar.one(2)
+    assert closed_form_weight(2).expr == GExpr.from_raw(2, [
+        (rho_factorial(2, 1), []), (Scalar.one(2), _monomial(1, 1))])
 
 
 def test_solver_matches_reversed_factorial_form():
     for n in range(2, 9):
         solved = solve_weight(n)
         assert solved.is_diagonal()
-        rows = compare_weights(solved, closed_form_weight(n))
-        assert all(equal for _, equal, _ in rows), (n, rows)
+        difference = solved.expr - closed_form_weight(n).expr
+        assert difference.is_zero, (n, str(difference))
 
 
 def test_solver_disagrees_with_plain_factorial_form():
     # rho_i! vs rho_{n-1-i}!: indices match only where the two coincide
     for n in (2, 3, 4):
-        rows = compare_weights(solve_weight(n), mirror_weight(n))
-        for i, equal, diff in rows:
+        rows = diagonal_differences(solve_weight(n), mirror_weight(n))
+        for i, diff in rows:
             factorials_agree = rho_factorial(n, i) == rho_factorial(n, n - 1 - i)
-            assert equal == factorials_agree, (n, i, str(diff))
+            assert diff.is_zero == factorials_agree, (n, i, str(diff))
 
 
 def test_mixed_pairs_resolve_exactly():
@@ -397,8 +400,7 @@ def _same_family_sum(plain):
 
 RESOLUTION_MUTANTS = {
     "_weight": (
-        lambda plain: lambda level, coefficients: plain(level, {
-            (k, (l + 1) % level): c for (k, l), c in coefficients.items()}),
+        shifted_weight,
         {"resolution/n=3/solver-diagonal", "resolution/n=3/mixed-psi-phi",
          "resolution/n=3/mixed-phi-psi", "dynamics/n=3/evolved-resolution"}),
     "dual_identity_sum": (

@@ -74,14 +74,17 @@ def test_scalar_conjugation_rules():
         assert x.conj().conj() == x
 
 
+def _gexpr_one(level):
+    return GExpr.from_raw(level, [(Scalar.one(level), [])])
+
+
 def test_level_mismatch_raises():
     cases = [
         (Scalar.one, lambda a, b: a * b),
         (Scalar.one, lambda a, b: a + b),
         (Scalar.one, lambda a, b: a - b),
-        (GExpr.one, lambda a, b: a + b),
-        (GExpr.one, lambda a, b: a - b),
-        (GExpr.one, lambda a, b: a * b),
+        (_gexpr_one, lambda a, b: a + b),
+        (_gexpr_one, lambda a, b: a - b),
         (OpExpr.identity, lambda a, b: a + b),
         (OpExpr.identity, lambda a, b: a - b),
         (OpExpr.identity, lambda a, b: a @ b),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -9,31 +10,30 @@ from grassq.opalg import (IDENT, OpExpr, PHI, PSI, eta_conjugate, ket,
                           ket_op, op_dagger, op_term, outer, q_commutator,
                           sharp_adjoint, theta_op, thetabar_op)
 from grassq.scalars import Scalar
-from grassq.suq2 import (check_closure, closure_prefactors,
-                         factorial_exponential, make_squeeze,
-                         make_squeezed_state, make_suq2, squeeze_argument,
-                         squeeze_closed_form, squeeze_defect,
-                         squeeze_tilde_exponential_defect,
-                         squeezed_closed_form, squeezed_state_defect,
-                         verify_suq2_relations)
+from grassq.suq2 import (closure_prefactors, factorial_exponential,
+                         make_squeezed_state, make_suq2, squeeze_closed_form,
+                         squeeze_defect, squeeze_tilde_exponential_defect,
+                         squeezed_closed_form, squeezed_state_defect)
+
+from conftest import shifted_weight
 
 
 def test_closure_at_cube_root():
-    verdict = check_closure(3)
+    verdict = make_suq2(3).closure
     assert verdict.closes
     assert verdict.defect_first.is_zero and verdict.defect_second.is_zero
 
 
 def test_closure_with_equal_rho_at_other_root():
-    assert check_closure(4, equal_rho=True).closes
-    assert check_closure(5, equal_rho=True).closes
+    assert make_suq2(4, equal_rho=True).closure.closes
+    assert make_suq2(5, equal_rho=True).closure.closes
 
 
 def test_closure_fails_off_the_cube_root():
-    verdict = check_closure(4)
+    sys4 = make_suq2(4)
+    verdict = sys4.closure
     assert not verdict.closes
     # the obstruction is (1+q+q^2)(rho_2-rho_1) sqrt(rho_2) |psi_1><phi_2|
-    sys4 = make_suq2(4)
     q, q2 = Scalar.q(4), Scalar.q(4, 2)
     r1, r2 = sys4.rho
     factor = (Scalar.one(4) + q + q2) * (r2 - r1) * sys4.sqrt_rho[1]
@@ -42,8 +42,11 @@ def test_closure_fails_off_the_cube_root():
 
 
 def test_relations_hold_at_cube_root():
-    relations = verify_suq2_relations(make_suq2(3))
-    assert relations.all_hold
+    relations = make_suq2(3).relations
+    assert relations.bracket_defines_bz.is_zero
+    assert relations.bz_with_b.is_zero
+    assert relations.bsharp_with_bz.is_zero
+    assert relations.prefactor_difference.is_zero
 
 
 def test_bracket_defines_bz_fails_on_a_q_less_commutator(monkeypatch,
@@ -51,7 +54,7 @@ def test_bracket_defines_bz_fails_on_a_q_less_commutator(monkeypatch,
     # b_z is checked against its defining sum, not against the commutator
     # it is built from, so a wrong commutator shows in the defect
     monkeypatch.setattr(suq2, "q_commutator", lambda a, b: a @ b - b @ a)
-    assert not verify_suq2_relations(make_suq2(3)).bracket_defines_bz.is_zero
+    assert not make_suq2(3).relations.bracket_defines_bz.is_zero
 
 
 @pytest.mark.parametrize("equal_rho", [False, True])
@@ -63,7 +66,7 @@ def test_bz_is_its_defining_sum(r, equal_rho):
 
 def test_relations_need_cube_root():
     with pytest.raises(EngineError):
-        verify_suq2_relations(make_suq2(4))
+        make_suq2(4).relations
 
 
 def test_prefactor_identity():
@@ -134,7 +137,7 @@ def _argument_powers(sys3):
 
 def test_squeeze_argument_powers_match_hand_expansion():
     sys3 = make_suq2(3)
-    arg = squeeze_argument(sys3)
+    arg = sys3.squeeze_argument
     y2, y3, y4 = _argument_powers(sys3)
     assert arg.power(2) == y2
     assert arg.power(3) == y3
@@ -143,7 +146,7 @@ def test_squeeze_argument_powers_match_hand_expansion():
 
 
 def test_squeeze_series_terminates():
-    assert not make_squeeze(make_suq2(3)).is_zero
+    assert not make_suq2(3).squeeze.is_zero
 
 
 def test_a_system_and_its_squeeze_series_are_built_once(monkeypatch,
@@ -186,9 +189,10 @@ def test_a_system_and_its_squeeze_series_are_built_once(monkeypatch,
     assert len(calls) == 1 and calls[0][0] is not sys3.squeeze_argument
     assert len(products) <= 33
     for root_order, equal_rho in ((3, False), (4, False), (4, True)):
-        assert check_closure(root_order, equal_rho) is make_suq2(
-            root_order, equal_rho).closure
-    relations = verify_suq2_relations(sys3)
+        system = make_suq2(root_order, equal_rho)
+        assert system.closure is system.closure
+        assert system.rho is system.rho
+    relations = sys3.relations
     assert relations is sys3.relations
     assert relations.bz_with_b is sys3.closure.defect_first
     powers.clear()
@@ -204,7 +208,6 @@ def test_a_system_and_its_squeeze_series_are_built_once(monkeypatch,
     assert sys3.squeeze == factorial_exponential(arg)
     assert sys3.squeezed_vacuum == factorial_exponential(
         arg, on=ket_op(3, PSI, 0))
-    assert make_squeeze(sys3) is sys3.squeeze
     assert make_squeezed_state(sys3, PSI) is sys3.squeezed_vacuum
 
 
@@ -222,8 +225,11 @@ class _SameS:
         return self._scalar.s(level, 1, power)
 
 
-# One row per mutant of a suq2 name: the replacement, built from the plain
-# value, and the suq2/closure/* and suq2/relations/* checks it must fail.
+# One row per mutant: the replacement, built from the plain value, and the
+# suq2 checks it must fail.  A bare name is a suq2 name; "module.name"
+# names one in another grassq module, for the checks whose rule lives
+# there.  The reported-discrepancy checks have no row: a wrong engine
+# moves their recorded defect, it never fails them.
 SUQ2_MUTANTS = {
     "_bz_defining_sum": (lambda plain: lambda sys: plain(sys).scale(2),
                          {"relations/bracket-defines-bz"}),
@@ -238,31 +244,61 @@ SUQ2_MUTANTS = {
                       "relations/bracket-defines-bz", "relations/bz-b",
                       "relations/bsharp-bz"}),
     "Scalar": (_SameS, {"closure/distinct-rho-other-root-fails"}),
+    # b# returns b + b#, which is not nilpotent
+    "sharp_adjoint": (lambda plain: lambda e: plain(e) + e, {"nilpotency"}),
+    # the squeeze argument loses its Grassmann factors, so the series of
+    # the ordinary operator (b#^2 - b^2)/2 never ends
+    "_squeeze_term": (
+        lambda plain: lambda up, down: (up - down).scale(Fraction(1, 2)),
+        {"squeeze/terminates"}),
+    # b~#' = b^dag taken for b~ = eta b eta^-1 in the tilde exponential
+    "op_dagger": (lambda plain: eta_conjugate,
+                  {"squeeze/tilde-exponential-form"}),
+    # S applied to |psi_1> in place of the vacuum
+    "ket_op": (lambda plain: lambda level, family, index: plain(
+        level, family, index + 1), {"squeezed-state/eta-channel"}),
+    "resolution._weight": (shifted_weight,
+                           {"weight/three-level-resolution"}),
+    # the evolved state compared without theta -> u theta
+    "coherent.theta_time_shift": (lambda plain: lambda e: e,
+                                  {"stability/three-level"}),
 }
+
+# The squeeze series always holds its identity term, so S is never zero
+# and "terminates" cannot read fail; a series that does not end raises
+# instead, so its mutant turns the check to error, which fails the run.
+RAISES = {"squeeze/terminates": "NonTerminatingSeriesError: "}
 
 
 @pytest.mark.parametrize("name", sorted(SUQ2_MUTANTS))
 def test_each_closure_and_relation_check_fails_under_a_named_mutant(
         name, monkeypatch, fresh_caches):
-    # the checks read values the shared system forms once, so each must
-    # still fail when the rule behind it is wrong; other checks may move
+    # every pass/fail suq2 check has a row; the checks read values the
+    # shared system forms once, so each must still fail when the rule
+    # behind it is wrong; other checks may move
     from grassq.suites import run_suite
 
-    def statuses():
-        return {c.id: c.status
-                for c in run_suite("suq2", (3, 3), max_n=3).checks}
+    def checks():
+        return {c.id: c for c in run_suite("suq2", (3, 3), max_n=3).checks}
 
-    clean = statuses()
-    table = {i for i in clean
-             if i.startswith(("suq2/closure/", "suq2/relations/"))}
+    clean = {i: c.status for i, c in checks().items()}
+    table = {i for i in clean if clean[i] != "reported-discrepancy"}
     assert {f"suq2/{i}" for _, flips in SUQ2_MUTANTS.values()
             for i in flips} == table
     assert {clean[i] for i in table} == {"pass"}
     mutant, flips = SUQ2_MUTANTS[name]
-    monkeypatch.setattr(suq2, name, mutant(getattr(suq2, name)))
+    module, _, attr = name.rpartition(".")
+    owner = import_module(f"grassq.{module or 'suq2'}")
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
     suq2._build_suq2.cache_clear()
-    mutated = statuses()
-    assert {mutated[f"suq2/{i}"] for i in flips} == {"fail"}
+    mutated = checks()
+    for i in flips:
+        check = mutated[f"suq2/{i}"]
+        if i in RAISES:
+            assert check.status == "error", check
+            assert check.defect.startswith(RAISES[i]), check
+        else:
+            assert check.status == "fail", check
 
 
 def test_factorial_exponential_guard_and_zero():
@@ -277,7 +313,7 @@ def test_factorial_exponential_on_a_state_matches_the_operator_applied():
     for root_order in (3, 4, 5):
         for equal_rho in (False, True):
             sys = make_suq2(root_order, equal_rho)
-            arg = squeeze_argument(sys)
+            arg = sys.squeeze_argument
             squeeze = factorial_exponential(arg)
             assert factorial_exponential(
                 arg, on=OpExpr.identity(root_order)) == squeeze
@@ -359,7 +395,7 @@ def test_eta_channel_consistency():
     # eta (S |psi_0>) equals (eta S eta^-1) |phi_0> exactly
     sys3 = make_suq2(3)
     left = eta_conjugate(make_squeezed_state(sys3, PSI))
-    right = eta_conjugate(make_squeeze(sys3)) @ ket_op(3, PHI, 0)
+    right = eta_conjugate(sys3.squeeze) @ ket_op(3, PHI, 0)
     assert left == right
 
 
