@@ -20,13 +20,28 @@ Moving a variable across a ket or bra picks up the quantization phases
     theta <F_j|  = qbar^(j-1) <F_j| theta      thetabar <F_j|  = q^(j-1)  <F_j| thetabar
 
 with the same phase for both families, so the canonical form keeps every
-word to the left of its dyad.  One rule places a word: a word right of a
-dyad crosses it with these phases, then the whole word is normal
-ordered.  Products, ``op_term`` and the dagger all place their words by
-that one rule.  Composition contracts dyads through the dual pairings
+word to the left of its dyad.  A word w crossing |F_i><G_j| leftward thus
+picks up q^((theta degree - thetabar degree) of w * ((j-1) - (i-1))), an
+absent side counting 0.  One rule places a word: a word right of a dyad
+crosses it with these phases, then the whole word is normal ordered.
+Products, ``op_term`` and the dagger all place their words by that one
+rule.  Composition contracts dyads through the dual pairings
 <phi_i|psi_j> = <psi_i|phi_j> = delta_ij only; same-family overlaps
 raise :class:`GramUnknownError` because biorthonormality does not
 determine them.
+
+A product visits only the term pairs whose dyads contract.  The operand
+with fewer terms is walked; each of its non-identity terms looks up, in
+the other operand's terms filed by ket side (or by bra side), the
+identity terms and the other family's side of the same index.  The
+filing is built at most once per operator, on first use, and kept on it,
+which is sound because an operator never changes after construction.  A
+product too small to repay the filing walks every pair instead (see
+``_joined``).  Either way the surviving pairs come out in (left term,
+right term) order, so every result keeps its term order, and a product
+that must be refused raises the error of its first refused pair in that
+order, as the plain walk over all pairs would.  Each surviving pair
+takes one coefficient step, c1 * c2 * q**e (``Scalar._mul_q``).
 
 The distinguished ladder operators are
 
@@ -87,21 +102,26 @@ def _dyad_str(d: Dyad) -> str:
 # crossing phases and contraction
 # ---------------------------------------------------------------------------
 
-def _cross_single(kind: int, d: Dyad) -> int:
-    """q exponent for moving one unit generator from right of d to left."""
-    if d == IDENT:
-        return 0
-    if kind not in (Kind.THETA, Kind.THETABAR):
-        raise EngineError("measure symbols cannot cross kets or bras")
-    sign = 1 if kind == Kind.THETA else -1
-    k, b = d
-    return sign * ((b[1] - 1 if b else 0) - (k[1] - 1 if k else 0))
-
-
 def _cross_word(word: Word, d: Dyad) -> int:
+    """q exponent for moving ``word`` from right of d to its left.
+
+    By the phase table a theta picks up q^(j-1) crossing <G_j| and
+    qbar^(i-1) crossing |F_i>, and a thetabar the inverse phases, so the
+    word picks up (theta degree - thetabar degree) * ((j-1) - (i-1)),
+    with an absent side counting 0.
+    """
     if d == IDENT or not word:
         return 0
-    return sum(_cross_single(k, d) * e for k, _, e in word)
+    degree = 0
+    for kind, _, e in word:
+        if kind == Kind.THETA:
+            degree += e
+        elif kind == Kind.THETABAR:
+            degree -= e
+        else:
+            raise EngineError("measure symbols cannot cross kets or bras")
+    k, b = d
+    return degree * ((b[1] - 1 if b else 0) - (k[1] - 1 if k else 0))
 
 
 def _contract(d1: Dyad, d2: Dyad) -> Dyad | None:
@@ -138,23 +158,147 @@ def _place(level: int, left, dyad: Dyad, right) -> tuple[int, Word | None]:
     return cross + qe, w
 
 
-def _term_pairs(level: int, left: dict, right: dict):
-    """The surviving term pairs of a product, before any coefficient product.
+def _file_terms(terms: dict, side: int) -> tuple[dict, dict]:
+    """The terms of an operator filed by one side of their dyads.
 
-    For each term of ``left`` times each term of ``right`` whose dyads
-    contract and whose word does not vanish, yields
-    ``((word, dyad), e, c1, c2)``: the pair contributes
-    c1 c2 q**e word dyad.  ``OpExpr.__matmul__`` evaluates these tuples;
-    the weight solver only inspects them.
+    ``side`` is 0 (ket sides, which a left factor's bras meet) or 1 (bra
+    sides, which a right factor's kets meet).  Each entry is
+    ``(position, (key, coefficient))``.  Returns ``(buckets, first)``:
+    ``buckets`` maps IDENT, for the identity terms, and otherwise the
+    side, () or (family, index), to its entries in position order;
+    ``first`` maps each family on that side, and () for a non-identity
+    term without that side, to its first entry.
     """
-    for (w1, d1), c1 in left.items():
-        for (w2, d2), c2 in right.items():
-            dyad = _contract(d1, d2)
-            if dyad is None:
-                continue
-            qe, w = _place(level, w1, d1, w2)
-            if w is not None:
-                yield (w, dyad), qe, c1, c2
+    buckets: dict = {}
+    first: dict = {}
+    for entry in enumerate(terms.items()):
+        d = entry[1][0][1]
+        if d == IDENT:
+            key = IDENT
+        else:
+            key = d[side]
+            first.setdefault(key[0] if key else (), entry)
+        buckets.setdefault(key, []).append(entry)
+    return buckets, first
+
+
+def _meeting(index: tuple[dict, dict], facing) -> tuple[list, tuple | None]:
+    """The buckets of a filed operator (:func:`_file_terms`) whose terms
+    contract with a non-identity dyad whose side ``facing`` them is () or
+    (family, index), and the first entry whose pairing with it is
+    refused, or None.
+
+    A present side meets the identity terms and the other families' sides
+    of the same index; a same-family side or an absent one is refused.
+    An absent side meets the identity terms and the absent sides; any
+    present side is refused.
+    """
+    buckets, first = index
+    hits = [buckets[IDENT]] if IDENT in buckets else []
+    if facing:
+        family, i = facing
+        bad = first.get(family)
+        shape = first.get(())
+        if shape is not None and (bad is None or shape < bad):
+            bad = shape
+        for g in first:
+            if g != family and (g, i) in buckets:
+                hits.append(buckets[g, i])
+    else:
+        bad = None
+        for g, entry in first.items():
+            if g != () and (bad is None or entry < bad):
+                bad = entry
+        if () in buckets:
+            hits.append(buckets[()])
+    return hits, bad
+
+
+def _joined(left: "OpExpr", right: "OpExpr"):
+    """``(left item, right item)`` for each pair of terms whose dyads
+    contract, in (left position, right position) order.
+
+    An identity term meets every term.  The operand with fewer terms is
+    walked, and each of its other terms probes the other operand's filed
+    side (``OpExpr._index``), which files that operand once.  Filing
+    writes each term to a bucket and a family slot, and a probe reads the
+    identity bucket and the matching one: about two steps per term filed
+    or probed, where a plain walk spends one ``_contract`` per pair.  So
+    the pairs are walked plainly unless they outnumber twice the terms
+    the join would touch: the walked ones, and the probed ones when not
+    yet filed.  At the first refused pair, in the same order,
+    ``_contract`` raises its error, after the pairs before it.
+    """
+    lt, rt = left.terms, right.terms
+    side = int(len(rt) < len(lt))
+    w, p = (len(rt), len(lt)) if side else (len(lt), len(rt))
+    if w * p > 2 * (w + p):
+        return _walk(left, right, side)
+    if p > 2:
+        # a side filed already costs nothing more: the 2w probe steps remain
+        indexes = getattr(left if side else right, "_indexes", None)
+        if indexes is not None and indexes[side] is not None:
+            return _walk(left, right, side)
+    return _all_pairs(lt, rt)
+
+
+def _all_pairs(lt: dict, rt: dict):
+    """:func:`_joined` by the plain walk over every pair of terms."""
+    for a in lt.items():
+        d1 = a[0][1]
+        for b in rt.items():
+            d2 = b[0][1]
+            if d1 == IDENT or d2 == IDENT or _contract(d1, d2) is not None:
+                yield a, b
+
+
+def _walk(left: "OpExpr", right: "OpExpr", side: int):
+    """:func:`_joined` walking the terms of ``left`` (side 0), each probing
+    the kets of ``right``, or of ``right`` (side 1), each probing the bras
+    of ``left``; the pairs are gathered, then put in position order."""
+    walked, probed = (right, left) if side else (left, right)
+    found, stop = [], None
+    for at, item in enumerate(walked.terms.items()):
+        d = item[0][1]
+        if d == IDENT:
+            hits, bad = (enumerate(probed.terms.items()),), None
+        else:
+            hits, bad = _meeting(probed._index(side), d[1 - side])
+        for hit in hits:
+            found += ([(o, at, other, item) for o, other in hit] if side else
+                      [(at, o, item, other) for o, other in hit])
+        if bad is not None:
+            refused = ((bad[0], at, bad[1], item) if side else
+                       (at, bad[0], item, bad[1]))
+            if stop is None or refused[:2] < stop[:2]:
+                stop = refused
+    # a (left, right) position pair is never repeated, so tuple order is
+    # pair order and never compares two terms
+    found.sort()
+    for pair in found:
+        if stop is not None and pair[:2] > stop[:2]:
+            break
+        yield pair[2], pair[3]
+    if stop is not None:
+        _contract(stop[2][0][1], stop[3][0][1])
+
+
+def _term_pairs(level: int, left: "OpExpr", right: "OpExpr"):
+    """The surviving term pairs of ``left @ right``, before any
+    coefficient product.
+
+    For each term of ``left`` and term of ``right`` whose dyads contract
+    (:func:`_joined`) and whose word does not vanish, yields
+    ``((word, dyad), e, c1, c2)`` in (left position, right position)
+    order: the pair contributes c1 c2 q**e word dyad.
+    ``OpExpr.__matmul__`` evaluates these tuples; the weight solver only
+    inspects them.
+    """
+    for ((w1, d1), c1), ((w2, d2), c2) in _joined(left, right):
+        qe, w = _place(level, w1, d1, w2)
+        if w is not None:
+            dyad = d2 if d1 == IDENT else d1 if d2 == IDENT else (d1[0], d2[1])
+            yield (w, dyad), qe, c1, c2
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +308,9 @@ def _term_pairs(level: int, left: dict, right: dict):
 class OpExpr(_SparseSum):
     """Formal sum of (word, dyad) terms with Scalar coefficients."""
 
-    __slots__ = ()
+    # ``_indexes``, unset until ``_index`` first files the terms, keeps
+    # them filed by ket and by bra side
+    __slots__ = ("_indexes",)
 
     # -- constructors ---------------------------------------------------------
 
@@ -186,8 +332,19 @@ class OpExpr(_SparseSum):
     def __matmul__(self, other: "OpExpr") -> "OpExpr":
         self._check(other)
         return OpExpr._wrap(self.level, _accumulate({}, (
-            (key, (c1 * c2).mul_q_power(qe)) for key, qe, c1, c2
-            in _term_pairs(self.level, self.terms, other.terms))))
+            (key, c1._mul_q(c2, qe)) for key, qe, c1, c2
+            in _term_pairs(self.level, self, other))))
+
+    def _index(self, side: int) -> tuple[dict, dict]:
+        """The terms filed by their ket (0) or bra (1) sides
+        (:func:`_file_terms`), built on first use and kept on the
+        instance, which never changes after construction."""
+        indexes = getattr(self, "_indexes", None)
+        if indexes is None:
+            indexes = self._indexes = [None, None]
+        if indexes[side] is None:
+            indexes[side] = _file_terms(self.terms, side)
+        return indexes[side]
 
     def power(self, k: int) -> "OpExpr":
         if k < 0:
@@ -296,6 +453,7 @@ def _nilpotent_series(arg: OpExpr, bound: int,
     a term arg^k on past ``bound`` that is still nonzero raises.
     """
     acc = power = OpExpr.identity(arg.level) if on is None else on
+    arg._index(1)  # a power with fewer terms probes arg's bras: file once
     for k in range(1, bound + 2):
         power = arg @ power
         if power.is_zero:

@@ -218,21 +218,23 @@ def _column(level: int, kl: tuple[int, int], block_pairs) -> tuple:
     """Column c_kl of the weight system, ``(kl, row, entry)``.
 
     For each (ket block, bra block) pair filed under (k, l), ``_term_pairs``
-    contracts the dyads and normal orders (ket word) (bra word), and
-    ``integrate_word`` integrates theta^k thetabar^l times that word.
+    visits the term pairs whose dyads contract (each block is one term for
+    the coherent states, so it contracts the two directly) and normal
+    orders (ket word) (bra word), and ``integrate_word`` integrates
+    theta^k thetabar^l times that word.
     Exactly one term pair must survive, as the empty word on an outer
     product, with two single-term coefficients; any other shape raises
     :class:`SingularSystemError` (no cancellation is assumed).  The entry,
     a phase times their product, is then a nonzero monomial; it is formed
-    only when k == l, the columns the solution reads, and is ``None``
-    otherwise.
+    only when k == l, the columns the solution reads, in one coefficient
+    step (``Scalar._mul_q``), and is ``None`` otherwise.
     """
     k, l = kl
     monomial = _monomial_word(k, l)
     survivors = []
     for ket_block, bra_block in block_pairs:
         for (word, dyad), qe, c_ket, c_bra in _term_pairs(
-                level, ket_block.terms, bra_block.terms):
+                level, ket_block, bra_block):
             qi, rest = integrate_word(level, monomial + list(word), MEASURE)
             if rest is not None:
                 survivors.append((_row(rest, dyad), qe + qi, c_ket, c_bra))
@@ -242,7 +244,7 @@ def _column(level: int, kl: tuple[int, int], block_pairs) -> tuple:
     (row, qe, c_ket, c_bra), = survivors
     if len(c_ket.terms) != 1 or len(c_bra.terms) != 1:
         raise SingularSystemError(f"c_{k}{l} has a non-monomial factor")
-    return kl, row, (c_ket * c_bra).mul_q_power(qe) if k == l else None
+    return kl, row, c_ket._mul_q(c_bra, qe) if k == l else None
 
 
 def solve_weight(level: int) -> Weight:

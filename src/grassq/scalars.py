@@ -66,7 +66,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
-from operator import add
+from operator import add, neg
 from typing import Iterable, Sequence, Union
 
 from .errors import EngineError, LevelMismatchError
@@ -626,6 +626,30 @@ class Scalar(_SparseSum):
 
     __rmul__ = __mul__
 
+    def _mul_q(self, other: "Scalar", k: int) -> "Scalar":
+        """self * other * q**k, the coefficient of a term pair of an
+        operator product.
+
+        Two single-term factors, the common case, take one key sum and
+        one Scalar: two units make one ``_unit``, and any other pair is
+        the Cyclo product turned by q**k, as ``mul_q_power`` turns it.
+        Longer factors take ``self * other`` then ``mul_q_power(k)``.
+        """
+        self._check(other)
+        if len(self.terms) != 1 or len(other.terms) != 1:
+            return (self * other).mul_q_power(k)
+        (k1, c1), = self.terms.items()
+        (k2, c2), = other.terms.items()
+        if c1._k is None or c2._k is None:
+            # Q(q) has no zero divisors, so the product stays nonzero
+            c = c1 * c2
+            if k % self.level:
+                c = c._times_q(k % self.level)
+        else:
+            c = _unit(c1._t, c1._k + c2._k + k, c1._num * c2._num,
+                      c1._den * c2._den)
+        return Scalar._wrap(self.level, {tuple(map(add, k1, k2)): c})
+
     def mul_q_power(self, k: int) -> "Scalar":
         """Multiply by q**k; the common fast path for exchange phases."""
         k %= self.level
@@ -648,7 +672,7 @@ class Scalar(_SparseSum):
         if len(self.terms) != 1:
             raise EngineError("only single-term scalars are invertible here")
         (key, c), = self.terms.items()
-        return Scalar(self.level, {tuple(-e for e in key): c.inverse()})
+        return Scalar(self.level, {tuple(map(neg, key)): c.inverse()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -1,5 +1,6 @@
 """Step-by-step rewrite systems for normal ordering and Berezin
-integration, kept as test oracles.
+integration, and the plain pair walk of an operator product, kept as test
+oracles.
 
 Each step of :func:`rewrite` applies one rule to one adjacent pair: merge
 two factors of the same generator, or swap an out-of-order pair of
@@ -12,6 +13,10 @@ different orders of rewriting can be compared with each other and with
 :func:`integrate_by_swaps` moves each measure symbol rightward one
 adjacent swap at a time until it meets its own variable block; it is
 compared with the one-pass ``galg.integrate_word``.
+
+:func:`compose_by_pairs` forms ``left @ right`` by testing every one of
+the |left| * |right| term pairs with ``opalg._contract``; it is compared
+with ``OpExpr.__matmul__``, which visits only the pairs that contract.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from typing import Optional
 from grassq.errors import EngineError, UnspecifiedRelationError
 from grassq.galg import (GExpr, Kind, _swap_qexp, _variable_kind,
                          normalize_word)
-from grassq.scalars import Scalar
+from grassq import opalg
+from grassq.opalg import OpExpr
+from grassq.scalars import Scalar, _accumulate
 
 
 def rewrite(level: int, factors, rng: Optional[random.Random] = None):
@@ -113,3 +120,21 @@ def integrate_by_swaps(level: int, word, measure):
         if fs[p + 1][2] != level - 1:
             return 0, None
         del fs[p:p + 2]
+
+
+def compose_by_pairs(left: OpExpr, right: OpExpr) -> OpExpr:
+    """``left @ right`` by the plain |left| x |right| loop: each pair of
+    terms is contracted, and a surviving one is placed and multiplied.
+    ``opalg._contract`` and ``opalg._place`` are read at each call, so a
+    test that wraps them counts the oracle's calls too."""
+    left._check(right)
+    acc: dict = {}
+    for (w1, d1), c1 in left.terms.items():
+        for (w2, d2), c2 in right.terms.items():
+            dyad = opalg._contract(d1, d2)
+            if dyad is None:
+                continue
+            qe, w = opalg._place(left.level, w1, d1, w2)
+            if w is not None:
+                _accumulate(acc, [((w, dyad), (c1 * c2).mul_q_power(qe))])
+    return OpExpr._wrap(left.level, acc)

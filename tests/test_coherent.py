@@ -1,8 +1,13 @@
 import random
+from collections import Counter
+from importlib import import_module
 
 import pytest
 
-from conftest import random_scalar, random_single_pair_word
+from conftest import (clear_construction_caches, random_scalar,
+                      random_single_pair_word)
+from rewrite_oracle import compose_by_pairs
+from grassq import opalg
 from grassq.coherent import (CoherentState, check_stability, evolve_state,
                              exponential_form, exponential_form_defect,
                              make_coherent, q_exponential, theta_time_shift,
@@ -181,3 +186,92 @@ def test_exponential_form_uses_the_right_vacuum():
     form = exponential_form(state)
     assert ((), ket(PHI, 0)) in form.terms
     assert all(d[0][0] == PHI for (_, d) in form.terms)
+
+
+def test_coherent_products_contract_only_the_pairs_that_survive(
+        monkeypatch, fresh_caches):
+    # counts, not times: the plain pair walk contracts about n^2 pairs in
+    # each check, the join at most n, and both place the same survivors
+    n = 64
+    counts = Counter()
+    for name in ("_contract", "_place"):
+        def counted(*args, plain=getattr(opalg, name), name=name):
+            counts[name] += 1
+            return plain(*args)
+        monkeypatch.setattr(opalg, name, counted)
+    state = make_coherent(n, PSI)
+    for check in (verify_eigen, exponential_form_defect):
+        counts.clear()
+        defect = check(state)
+        joined = dict(counts)
+        with monkeypatch.context() as plain_walk:
+            plain_walk.setattr(OpExpr, "__matmul__", compose_by_pairs)
+            counts.clear()
+            assert check(state) == defect
+        assert joined.get("_contract", 0) <= n, (check, joined)
+        assert counts["_contract"] >= (n - 1) ** 2, (check, counts)
+        assert joined["_place"] == counts["_place"], (check, joined, counts)
+
+
+def _contract_ignoring_the_index(plain):
+    """<F_j|G_i> read as 1 for any i, j of two families."""
+    def contract(d1, d2):
+        b, k = d1[1], d2[0]
+        if b and k and b[0] != k[0]:
+            return d1[0], d2[1]
+        return plain(d1, d2)
+    return contract
+
+
+EIGEN_AND_EXP = {f"coherent/n=3/{c}" for c in (
+    "eigen-psi", "eigen-phi", "exp-form-psi", "exp-form-phi")}
+
+# One named engine mutant per rule, keyed "module.name" (a class attribute
+# as "module.Class.name"), with the checks at n = 3 it must turn to fail.
+COHERENT_MUTANTS = {
+    # the crossing phase with its sign flipped
+    "opalg._cross_word": (lambda plain: lambda word, d: -plain(word, d),
+                          EIGEN_AND_EXP),
+    # a contraction that ignores the index, so <phi_j|psi_i> = 1 for i != j
+    "opalg._contract": (_contract_ignoring_the_index, EIGEN_AND_EXP),
+    # the fused coefficient step of a term pair without its q^e
+    "scalars.Scalar._mul_q": (
+        lambda plain: lambda self, other, k: plain(self, other, 0),
+        EIGEN_AND_EXP),
+    # the metric maps each family to itself
+    "opalg._dual": (lambda plain: lambda family: family,
+                    {"coherent/n=3/eta-map"}),
+    # the spectrum one level off, E_k - E: a global u^-1 the check pins
+    "coherent.evolve_state": (
+        lambda plain: lambda state: plain(state).scale(
+            Scalar.u(state.level, -1)),
+        {"dynamics/n=3/stability-psi", "dynamics/n=3/stability-phi"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHERENT_MUTANTS))
+def test_each_coherent_check_fails_under_a_named_mutant(
+        name, monkeypatch, fresh_caches):
+    # every coherent check and both stability checks have a row; other
+    # checks may move.  fresh_caches keeps a state, and the terms it has
+    # filed, from crossing between engines
+    from grassq.suites import run_suite
+
+    def statuses():
+        return {c.id: c.status for selector in ("coherent", "dynamics")
+                for c in run_suite(selector, (3, 3), max_n=3).checks}
+
+    clean = statuses()
+    table = {i for i in clean if not i.endswith("evolved-resolution")}
+    assert set().union(*(flips for _, flips in
+                         COHERENT_MUTANTS.values())) == table
+    assert {clean[i] for i in table} == {"pass"}
+    mutant, flips = COHERENT_MUTANTS[name]
+    module, *path, attr = name.split(".")
+    owner = import_module(f"grassq.{module}")
+    for part in path:
+        owner = getattr(owner, part)
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
+    clear_construction_caches()
+    mutated = statuses()
+    assert {i: mutated[i] for i in flips} == {i: "fail" for i in flips}

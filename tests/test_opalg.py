@@ -11,10 +11,13 @@ from grassq.opalg import (IDENT, OpExpr, PHI, PSI, berezin_op,
                           eta_conjugate, ket, ket_op, make_ladder, op_dagger,
                           op_term, outer, q_commutator, sharp_adjoint,
                           theta_op, thetabar_op)
+from grassq import opalg
 from grassq.scalars import Scalar
 
 from conftest import (bra, random_any_dyad_opexpr, random_gexpr,
+                      random_scalar, random_single_pair_word,
                       random_standard_opexpr)
+from rewrite_oracle import compose_by_pairs
 
 TH = (Kind.THETA, 1, 1)
 TB = (Kind.THETABAR, 1, 1)
@@ -123,6 +126,94 @@ def test_composition_table_of_every_shape_pair():
                 assert (a @ b).is_zero, case
             else:
                 assert a @ b == OpExpr(n, {((), expected): _one(n)}), case
+
+
+# Shapes of one operand's dyads: "1" identity, "K" ket, "B" bra, "O" outer.
+# Left bras meet right kets, and left kets meet right bras, so the first
+# two mixes give products that mostly survive; the last, any shape on
+# either side, mostly refuses.
+PRODUCT_MIXES = (("1BO", "1KO"), ("1K", "1B"), ("1KBO", "1KBO"))
+
+
+def _random_operand(rng, n, shapes):
+    """1-12 terms over ``shapes``, each side of either family, with a
+    theta/thetabar word and a unit or dense coefficient.  Half the
+    operands keep their indices below 2, so that sides often meet."""
+    acc = OpExpr.zero(n)
+    indices = n if rng.random() < 0.5 else min(n, 2)
+    for _ in range(rng.randrange(1, 13)):
+        shape = rng.choice(shapes)
+        k = ((rng.choice((PSI, PHI)), rng.randrange(indices))
+             if shape in "KO" else ())
+        b = ((rng.choice((PSI, PHI)), rng.randrange(indices))
+             if shape in "BO" else ())
+        coeff = (Scalar.q(n, rng.randrange(n)) * Fraction(rng.choice((1, -2)))
+                 if rng.random() < 0.7 else random_scalar(rng, n) + _one(n))
+        acc = acc + op_term(n, coeff, (k, b),
+                            left=random_single_pair_word(rng, n, 3))
+    return acc
+
+
+def _outcome(product):
+    """(result, its term order) or (error type, message) of a product."""
+    try:
+        result = product()
+    except (DyadShapeError, GramUnknownError) as exc:
+        return type(exc), str(exc)
+    return result, list(result.terms)
+
+
+def test_product_matches_the_plain_pair_walk(monkeypatch):
+    # the join visits only contracting pairs; its result, term order and
+    # first refusal are those of the |L| x |R| loop, on every walk
+    last = {}
+    plain_all_pairs, plain_walk = opalg._all_pairs, opalg._walk
+
+    def all_pairs(*args):
+        last["walk"] = "all pairs"
+        return plain_all_pairs(*args)
+
+    def walk(left, right, side):
+        last["walk"] = ("walk left", "walk right")[side]
+        return plain_walk(left, right, side)
+    monkeypatch.setattr(opalg, "_all_pairs", all_pairs)
+    monkeypatch.setattr(opalg, "_walk", walk)
+    seen = set()
+    rng = random.Random(20261019)
+    for _ in range(600):
+        n = rng.randrange(2, 9)
+        left_shapes, right_shapes = rng.choice(PRODUCT_MIXES)
+        a = _random_operand(rng, n, left_shapes)
+        b = _random_operand(rng, n, right_shapes)
+        last["walk"] = None
+        got = _outcome(lambda: a @ b)
+        assert got == _outcome(lambda: compose_by_pairs(a, b)), (a, b)
+        seen.add((last["walk"], isinstance(got[0], OpExpr)))
+    assert seen == {(walk, ok) for walk in ("all pairs", "walk left",
+                                           "walk right")
+                    for ok in (True, False)}
+
+
+def test_product_matches_the_plain_pair_walk_on_the_series_shapes():
+    # the exponential form's one-term state against its n-1 term argument,
+    # with the argument filed or not, and the one-term x many-term shapes
+    for n in range(2, 9):
+        arg = make_ladder("b_sharp", n) @ theta_op(n)
+        plain = compose_by_pairs(make_ladder("b_sharp", n), theta_op(n))
+        assert arg == plain and list(arg.terms) == list(plain.terms)
+        vacuum = ket_op(n, PSI, 0)
+        one_term = (vacuum, theta_op(n), op_dagger(ket_op(n, PHI, n - 1)))
+        for filed in (False, True):
+            if filed:
+                arg._index(0)
+                arg._index(1)
+            power = vacuum
+            for _ in range(n):
+                for x, y in [(arg, power)] + [(t, arg) for t in one_term] + [
+                        (arg, t) for t in one_term]:
+                    assert _outcome(lambda: x @ y) == _outcome(
+                        lambda: compose_by_pairs(x, y)), (n, x, y)
+                power = arg @ power
 
 
 def test_display_order_of_mixed_shapes():
