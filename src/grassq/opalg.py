@@ -37,11 +37,11 @@ identity terms and the other family's side of the same index.  The
 filing is built at most once per operator, on first use, and kept on it,
 which is sound because an operator never changes after construction.  A
 product too small to repay the filing walks every pair instead (see
-``_joined``).  Either way the surviving pairs come out in (left term,
-right term) order, so every result keeps its term order, and a product
-that must be refused raises the error of its first refused pair in that
-order, as the plain walk over all pairs would.  Each surviving pair
-takes one coefficient step, c1 * c2 * q**e (``Scalar._mul_q``).
+``_joined``), and so does a product holding a refused pair: the plain
+walk raises the error of its first refused pair, as ``_contract`` finds
+it.  Either way the surviving pairs come out in (left term, right term)
+order, so every result keeps its term order.  Each surviving pair takes
+one coefficient step, c1 * c2 * q**e (``Scalar._mul_q``).
 
 The distinguished ladder operators are
 
@@ -158,60 +158,41 @@ def _place(level: int, left, dyad: Dyad, right) -> tuple[int, Word | None]:
     return cross + qe, w
 
 
-def _file_terms(terms: dict, side: int) -> tuple[dict, dict]:
+def _file_terms(terms: dict, side: int) -> tuple[dict, set]:
     """The terms of an operator filed by one side of their dyads.
 
     ``side`` is 0 (ket sides, which a left factor's bras meet) or 1 (bra
     sides, which a right factor's kets meet).  Each entry is
-    ``(position, (key, coefficient))``.  Returns ``(buckets, first)``:
-    ``buckets`` maps IDENT, for the identity terms, and otherwise the
-    side, () or (family, index), to its entries in position order;
-    ``first`` maps each family on that side, and () for a non-identity
-    term without that side, to its first entry.
+    ``(position, (key, coefficient))``.  Returns ``(buckets, meets)``:
+    ``buckets`` maps IDENT to the identity terms, and otherwise the side
+    that contracts with a term's side, (dual family, i) for (family, i)
+    and () for (), to its entries in position order; ``meets`` holds the
+    families, () for an absent side, that no filed side refuses
+    (:func:`_refuses`), and none if a filed family is outside psi/phi,
+    which has no dual to be filed under.
     """
     buckets: dict = {}
-    first: dict = {}
+    families = set()
     for entry in enumerate(terms.items()):
         d = entry[1][0][1]
         if d == IDENT:
             key = IDENT
         else:
             key = d[side]
-            first.setdefault(key[0] if key else (), entry)
+            families.add(key[0] if key else ())
+            key = (_dual(key[0]), key[1]) if key else ()
         buckets.setdefault(key, []).append(entry)
-    return buckets, first
+    known = {(), PSI, PHI}
+    meets = ({f for f in known if not any(_refuses(f, g) for g in families)}
+             if families <= known else set())
+    return buckets, meets
 
 
-def _meeting(index: tuple[dict, dict], facing) -> tuple[list, tuple | None]:
-    """The buckets of a filed operator (:func:`_file_terms`) whose terms
-    contract with a non-identity dyad whose side ``facing`` them is () or
-    (family, index), and the first entry whose pairing with it is
-    refused, or None.
-
-    A present side meets the identity terms and the other families' sides
-    of the same index; a same-family side or an absent one is refused.
-    An absent side meets the identity terms and the absent sides; any
-    present side is refused.
-    """
-    buckets, first = index
-    hits = [buckets[IDENT]] if IDENT in buckets else []
-    if facing:
-        family, i = facing
-        bad = first.get(family)
-        shape = first.get(())
-        if shape is not None and (bad is None or shape < bad):
-            bad = shape
-        for g in first:
-            if g != family and (g, i) in buckets:
-                hits.append(buckets[g, i])
-    else:
-        bad = None
-        for g, entry in first.items():
-            if g != () and (bad is None or entry < bad):
-                bad = entry
-        if () in buckets:
-            hits.append(buckets[()])
-    return hits, bad
+def _refuses(facing, filed) -> bool:
+    """Whether ``_contract`` refuses a side of family ``facing`` meeting
+    one of family ``filed``, () standing for an absent side: a present
+    side against an absent one, or two sides of one family."""
+    return facing == filed if facing and filed else facing != filed
 
 
 def _joined(left: "OpExpr", right: "OpExpr"):
@@ -221,24 +202,30 @@ def _joined(left: "OpExpr", right: "OpExpr"):
     An identity term meets every term.  The operand with fewer terms is
     walked, and each of its other terms probes the other operand's filed
     side (``OpExpr._index``), which files that operand once.  Filing
-    writes each term to a bucket and a family slot, and a probe reads the
-    identity bucket and the matching one: about two steps per term filed
-    or probed, where a plain walk spends one ``_contract`` per pair.  So
-    the pairs are walked plainly unless they outnumber twice the terms
-    the join would touch: the walked ones, and the probed ones when not
-    yet filed.  At the first refused pair, in the same order,
-    ``_contract`` raises its error, after the pairs before it.
+    writes each term to a bucket, and a probe reads the identity bucket
+    and the matching one: about two steps per term filed or probed, where
+    a plain walk spends one ``_contract`` per pair.  So the pairs are
+    walked plainly unless they outnumber twice the terms the join would
+    touch: the walked ones, and the probed ones when not yet filed.
+
+    A product holding a refused pair takes the plain walk, where
+    ``_contract`` raises at the first refused pair, after the pairs
+    before it: the join stops at the first walked term whose facing
+    family the filed families refuse, or that lies outside psi/phi.
     """
     lt, rt = left.terms, right.terms
     side = int(len(rt) < len(lt))
-    w, p = (len(rt), len(lt)) if side else (len(lt), len(rt))
-    if w * p > 2 * (w + p):
-        return _walk(left, right, side)
-    if p > 2:
+    walked, probed = (right, left) if side else (left, right)
+    w, p = len(walked.terms), len(probed.terms)
+    join = w * p > 2 * (w + p)
+    if not join and p > 2:
         # a side filed already costs nothing more: the 2w probe steps remain
-        indexes = getattr(left if side else right, "_indexes", None)
-        if indexes is not None and indexes[side] is not None:
-            return _walk(left, right, side)
+        indexes = getattr(probed, "_indexes", None)
+        join = indexes is not None and indexes[side] is not None
+    if join:
+        found = _walk(walked, probed, side)
+        if found is not None:
+            return found
     return _all_pairs(lt, rt)
 
 
@@ -252,35 +239,29 @@ def _all_pairs(lt: dict, rt: dict):
                 yield a, b
 
 
-def _walk(left: "OpExpr", right: "OpExpr", side: int):
-    """:func:`_joined` walking the terms of ``left`` (side 0), each probing
-    the kets of ``right``, or of ``right`` (side 1), each probing the bras
-    of ``left``; the pairs are gathered, then put in position order."""
-    walked, probed = (right, left) if side else (left, right)
-    found, stop = [], None
+def _walk(walked: "OpExpr", probed: "OpExpr", side: int) -> list | None:
+    """:func:`_joined` walking the terms of ``walked``, the left operand
+    (side 0) or the right one (side 1), each probing the other operand
+    filed (:func:`_file_terms`); the pairs are gathered, then put in
+    position order.  None if a walked side meets a filed one refused."""
+    buckets, meets = probed._index(side)
+    found = []
+    ident = buckets.get(IDENT, [])
     for at, item in enumerate(walked.terms.items()):
         d = item[0][1]
         if d == IDENT:
-            hits, bad = (enumerate(probed.terms.items()),), None
+            hit = enumerate(probed.terms.items())
         else:
-            hits, bad = _meeting(probed._index(side), d[1 - side])
-        for hit in hits:
-            found += ([(o, at, other, item) for o, other in hit] if side else
-                      [(at, o, item, other) for o, other in hit])
-        if bad is not None:
-            refused = ((bad[0], at, bad[1], item) if side else
-                       (at, bad[0], item, bad[1]))
-            if stop is None or refused[:2] < stop[:2]:
-                stop = refused
+            facing = d[1 - side]
+            if (facing[0] if facing else ()) not in meets:
+                return None
+            hit = buckets.get(facing, []) + ident
+        found += ([(o, at, other, item) for o, other in hit] if side else
+                  [(at, o, item, other) for o, other in hit])
     # a (left, right) position pair is never repeated, so tuple order is
     # pair order and never compares two terms
     found.sort()
-    for pair in found:
-        if stop is not None and pair[:2] > stop[:2]:
-            break
-        yield pair[2], pair[3]
-    if stop is not None:
-        _contract(stop[2][0][1], stop[3][0][1])
+    return [pair[2:] for pair in found]
 
 
 def _term_pairs(level: int, left: "OpExpr", right: "OpExpr"):
@@ -335,7 +316,7 @@ class OpExpr(_SparseSum):
             (key, c1._mul_q(c2, qe)) for key, qe, c1, c2
             in _term_pairs(self.level, self, other))))
 
-    def _index(self, side: int) -> tuple[dict, dict]:
+    def _index(self, side: int) -> tuple[dict, set]:
         """The terms filed by their ket (0) or bra (1) sides
         (:func:`_file_terms`), built on first use and kept on the
         instance, which never changes after construction."""

@@ -24,9 +24,10 @@ refused.  Every column is built the same way: its (ket term, bra term)
 pairs are contracted and integrated word by word, and exactly one pair
 may survive, on one dyad with two single-term coefficients, which makes
 the entry a nonzero monomial.  Only the n diagonal entries, which the
-solution reads, are multiplied out, and each column streams into the
-solver as it is built.  The solver, not any closed formula, is the
-source of truth; the closed-form candidates below are compared with it.
+solution reads, are multiplied out, and each surviving pair streams into
+the solver as it is integrated.  The solver, not any closed formula, is
+the source of truth; the closed-form candidates below are compared with
+it.
 
 Every integral is formed by degree complement.  The measure keeps a word
 only when it holds theta_1^(n-1) thetabar_1^(n-1) (int dtheta theta^k =
@@ -40,9 +41,11 @@ with each bra block (e, f) under the weight degrees (n-1-c-e, n-1-d-f)
 that read them.  The check composes a weight block only with the pairs
 that arrive under its degrees, so a diagonal weight reads n of the n^2
 ket-bra products and nothing is filed.  The solve, the one reader of
-every pair, files the stream by (k, l) and integrates the pairs under
-(k, l), term by term, as column c_kl, with no operator product at all.
-Every product left out integrates to exactly 0, so no result changes.
+every pair, integrates each pair against theta^k thetabar^l, term by
+term, as it arrives under (k, l), with no operator product at all, and
+hands each surviving term pair straight to the solver; it files nothing
+either.  Every product left out integrates to exactly 0, so no result
+changes.
 """
 
 from __future__ import annotations
@@ -182,28 +185,40 @@ def verify_resolution(weight: Weight, pair: tuple[str, str],
 # the weight system and its permutation structure
 # ---------------------------------------------------------------------------
 
-def _solve_permutation(level: int, columns) -> dict:
+def _solve_permutation(level: int, entries) -> dict:
     """Solve  sum_kl column_kl c_kl = sum_i |psi_i><phi_i|  as it streams.
 
-    ``columns`` yields ``((k, l), row, entry)`` from :func:`_column` once
-    per (k, l) in range(level)^2.  The system must be a generalized
-    permutation matrix: no row hit twice, hence, with level^2 columns,
-    none missed.  An entry may be None, which is never read.  The unique
-    solution is c_kl = 1/entry on the diagonal rows, zero elsewhere.  A
-    row hit twice or out of range, or a surviving off-diagonal c_kl,
-    raises :class:`SingularSystemError`.
+    ``entries`` yields ``((k, l), row, c_ket, c_bra, qe)`` for each term
+    pair that survives integration (:func:`_entries`): column c_kl holds
+    c_ket c_bra q^qe on row (i, j).  The system must be a generalized
+    permutation matrix: each column reached once, each row hit once, and
+    each entry a nonzero monomial, which is the product of two single-term
+    factors (no cancellation is assumed).  With level^2 rows, every row
+    hit means every column reached.  The unique solution is c_kl =
+    1/entry on the diagonal rows, zero elsewhere; only those entries are
+    formed, in one coefficient step (``Scalar._mul_q``).  Any other shape,
+    or a surviving off-diagonal c_kl, raises :class:`SingularSystemError`
+    at the first entry that shows it.  The solution is in (k, l) order.
     """
     rows = {(i, j) for i in range(level) for j in range(level)}
+    reached = set()
     solution = {}
-    for (k, l), row, entry in columns:
+    for (k, l), row, c_ket, c_bra, qe in entries:
+        if (k, l) in reached:
+            raise SingularSystemError(f"column c_{k}{l} is reached twice")
+        reached.add((k, l))
         if row not in rows:
             raise SingularSystemError(f"row {row} is hit twice or does not exist")
         rows.remove(row)
+        if len(c_ket.terms) != 1 or len(c_bra.terms) != 1:
+            raise SingularSystemError(f"c_{k}{l} has a non-monomial factor")
         if row[0] == row[1]:
             if k != l:
                 raise SingularSystemError(f"off-diagonal c_{k}{l} survived")
-            solution[(k, l)] = entry.monomial_inverse()
-    return solution
+            solution[(k, l)] = c_ket._mul_q(c_bra, qe).monomial_inverse()
+    if rows:
+        raise SingularSystemError(f"row {min(rows)} is never hit")
+    return dict(sorted(solution.items()))
 
 
 def _row(word: Word, dyad: tuple) -> tuple[int, int]:
@@ -214,52 +229,34 @@ def _row(word: Word, dyad: tuple) -> tuple[int, int]:
     return ket_side[1], bra_side[1]
 
 
-def _column(level: int, kl: tuple[int, int], block_pairs) -> tuple:
-    """Column c_kl of the weight system, ``(kl, row, entry)``.
+def _entries(level: int):
+    """The weight system as it streams, for :func:`_solve_permutation`.
 
-    For each (ket block, bra block) pair filed under (k, l), ``_term_pairs``
-    visits the term pairs whose dyads contract (each block is one term for
-    the coherent states, so it contracts the two directly) and normal
-    orders (ket word) (bra word), and ``integrate_word`` integrates
-    theta^k thetabar^l times that word.
-    Exactly one term pair must survive, as the empty word on an outer
-    product, with two single-term coefficients; any other shape raises
-    :class:`SingularSystemError` (no cancellation is assumed).  The entry,
-    a phase times their product, is then a nonzero monomial; it is formed
-    only when k == l, the columns the solution reads, in one coefficient
-    step (``Scalar._mul_q``), and is ``None`` otherwise.
+    For each (ket block, bra block) pair the complement stream of
+    |theta><theta~| yields under (k, l), ``_term_pairs`` visits the term
+    pairs whose dyads contract (each block is one term for the coherent
+    states, so it contracts the two directly) and normal orders (ket word)
+    (bra word), and ``integrate_word`` integrates theta^k thetabar^l
+    times that word.  A pair that survives, which must leave the empty
+    word on an outer product, yields ``((k, l), row, c_ket, c_bra, qe)``.
     """
-    k, l = kl
-    monomial = _monomial_word(k, l)
-    survivors = []
-    for ket_block, bra_block in block_pairs:
+    for (k, l), ket_block, bra_block in _pair_outer(level, (PSI, PHI)):
+        monomial = _monomial_word(k, l)
         for (word, dyad), qe, c_ket, c_bra in _term_pairs(
                 level, ket_block, bra_block):
             qi, rest = integrate_word(level, monomial + list(word), MEASURE)
             if rest is not None:
-                survivors.append((_row(rest, dyad), qe + qi, c_ket, c_bra))
-    if len(survivors) != 1:
-        raise SingularSystemError(
-            f"column c_{k}{l} is reached by {len(survivors)} term pairs")
-    (row, qe, c_ket, c_bra), = survivors
-    if len(c_ket.terms) != 1 or len(c_bra.terms) != 1:
-        raise SingularSystemError(f"c_{k}{l} has a non-monomial factor")
-    return kl, row, c_ket._mul_q(c_bra, qe) if k == l else None
+                yield (k, l), _row(rest, dyad), c_ket, c_bra, qe + qi
 
 
 def solve_weight(level: int) -> Weight:
     """Derive the weight coefficients from the resolution condition.
 
-    Equates int w |theta><theta~| with sum_i |psi_i><phi_i|.  Column c_kl
-    is one walk over the pairs the complement stream of |theta><theta~|
-    yields under (k, l) (:func:`_column`); the solve files them by column,
-    the only table of complement pairs, and the solver reads each column
-    as it is built.  The system must be a generalized permutation matrix,
-    which proves the solution unique, and the solution must be diagonal.
+    Equates int w |theta><theta~| with sum_i |psi_i><phi_i|.  Each pair
+    of the complement stream of |theta><theta~| is integrated as it
+    arrives (:func:`_entries`), and each surviving term pair goes straight
+    into the solver, so no table of pairs or columns is kept.  The system
+    must be a generalized permutation matrix, which proves the solution
+    unique, and the solution must be diagonal.
     """
-    columns: dict = {}
-    for kl, ket_block, bra_block in _pair_outer(level, (PSI, PHI)):
-        columns.setdefault(kl, []).append((ket_block, bra_block))
-    return _weight(level, _solve_permutation(level, (
-        _column(level, (k, l), columns.get((k, l), ()))
-        for k in range(level) for l in range(level))))
+    return _weight(level, _solve_permutation(level, _entries(level)))

@@ -133,19 +133,25 @@ def test_composition_table_of_every_shape_pair():
 # two mixes give products that mostly survive; the last, any shape on
 # either side, mostly refuses.
 PRODUCT_MIXES = (("1BO", "1KO"), ("1K", "1B"), ("1KBO", "1KBO"))
+# a family outside psi/phi, which _contract pairs like any other family
+CHI = "chi"
+FAMILIES = ((PSI,), (PHI,)) * 3 + ((PSI, PHI), (CHI,), (PSI, CHI))
 
 
 def _random_operand(rng, n, shapes):
-    """1-12 terms over ``shapes``, each side of either family, with a
-    theta/thetabar word and a unit or dense coefficient.  Half the
-    operands keep their indices below 2, so that sides often meet."""
+    """1-12 terms over ``shapes``, with a theta/thetabar word and a unit or
+    dense coefficient.  The ket sides draw their families from one of
+    ``FAMILIES``, and so do the bra sides, so that the sides that meet
+    often share one family and the product survives.  Half the operands
+    keep their indices below 2, so that sides often meet."""
     acc = OpExpr.zero(n)
     indices = n if rng.random() < 0.5 else min(n, 2)
+    ket_families, bra_families = rng.choice(FAMILIES), rng.choice(FAMILIES)
     for _ in range(rng.randrange(1, 13)):
         shape = rng.choice(shapes)
-        k = ((rng.choice((PSI, PHI)), rng.randrange(indices))
+        k = ((rng.choice(ket_families), rng.randrange(indices))
              if shape in "KO" else ())
-        b = ((rng.choice((PSI, PHI)), rng.randrange(indices))
+        b = ((rng.choice(bra_families), rng.randrange(indices))
              if shape in "BO" else ())
         coeff = (Scalar.q(n, rng.randrange(n)) * Fraction(rng.choice((1, -2)))
                  if rng.random() < 0.7 else random_scalar(rng, n) + _one(n))
@@ -165,7 +171,8 @@ def _outcome(product):
 
 def test_product_matches_the_plain_pair_walk(monkeypatch):
     # the join visits only contracting pairs; its result, term order and
-    # first refusal are those of the |L| x |R| loop, on every walk
+    # refusal are those of the |L| x |R| loop, on every walk, and a
+    # refused product, however large, is left to the plain walk
     last = {}
     plain_all_pairs, plain_walk = opalg._all_pairs, opalg._walk
 
@@ -173,9 +180,9 @@ def test_product_matches_the_plain_pair_walk(monkeypatch):
         last["walk"] = "all pairs"
         return plain_all_pairs(*args)
 
-    def walk(left, right, side):
-        last["walk"] = ("walk left", "walk right")[side]
-        return plain_walk(left, right, side)
+    def walk(*args):
+        last["walk"] = ("walk left", "walk right")[args[-1]]
+        return plain_walk(*args)
     monkeypatch.setattr(opalg, "_all_pairs", all_pairs)
     monkeypatch.setattr(opalg, "_walk", walk)
     seen = set()
@@ -188,10 +195,43 @@ def test_product_matches_the_plain_pair_walk(monkeypatch):
         last["walk"] = None
         got = _outcome(lambda: a @ b)
         assert got == _outcome(lambda: compose_by_pairs(a, b)), (a, b)
-        seen.add((last["walk"], isinstance(got[0], OpExpr)))
-    assert seen == {(walk, ok) for walk in ("all pairs", "walk left",
-                                           "walk right")
-                    for ok in (True, False)}
+        if isinstance(got[0], OpExpr):
+            seen.add(last["walk"])
+        else:
+            assert last["walk"] == "all pairs", (a, b)
+            w, p = sorted((len(a.terms), len(b.terms)))
+            seen.add(("refused", w * p > 2 * (w + p)))
+        if CHI in str(a) + str(b):
+            seen.add((CHI, isinstance(got[0], OpExpr)))
+    assert seen == {"all pairs", "walk left", "walk right", ("refused", True),
+                    ("refused", False), (CHI, True), (CHI, False)}
+
+
+def test_join_refuses_exactly_the_pairs_contract_refuses():
+    # every facing side against every filed side, either way round: a
+    # left bra facing a right ket, or a right ket facing a left bra; the
+    # join walks on only past the sides that contract, of psi/phi
+    n = 3
+    categories = ((), PSI, PHI, CHI)
+    for filed in categories:
+        for side in (0, 1):
+            filed_side = (filed, 1) if filed else ()
+            dyad = ((filed_side, (PSI, 2)) if side == 0 else
+                    ((PSI, 0), filed_side))
+            _, meets = opalg._file_terms({((), dyad): _one(n)}, side)
+            for facing in categories:
+                facing_side = (facing, 1) if facing else ()
+                left, right = (((PSI, 0), facing_side), dyad) if side == 0 \
+                    else (dyad, (facing_side, (PSI, 2)))
+                try:
+                    opalg._contract(left, right)
+                    raises = False
+                except (DyadShapeError, GramUnknownError):
+                    raises = True
+                case = (facing, filed, side)
+                assert opalg._refuses(facing, filed) == raises, case
+                assert (facing in meets) == (
+                    not raises and CHI not in (facing, filed)), case
 
 
 def test_product_matches_the_plain_pair_walk_on_the_series_shapes():

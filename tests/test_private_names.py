@@ -1,9 +1,10 @@
-"""Every module-level private helper in the package has a caller.
+"""Every private helper in the package has a caller.
 
 A private name (one leading underscore, not a dunder) defined at module
-level in ``src/grassq`` must be read somewhere in the package outside
-its own definition: as a name, as an attribute, or in an import.  A
-helper whose last caller was folded into another one fails here.
+level in ``src/grassq``, or as a method of a module-level class, must be
+read somewhere in the package outside its own definition: as a name, as
+an attribute, or in an import.  A helper whose last caller was folded
+into another one fails here.
 """
 
 import ast
@@ -27,6 +28,26 @@ def _defined(node):
             if isinstance(n, ast.Name)]
 
 
+def _scopes(node):
+    """``(part, names it binds)`` for a module-level statement, or, for a
+    class, for each part of its header and each statement of its body,
+    each of which also binds the class name."""
+    if not isinstance(node, ast.ClassDef):
+        return [(node, _defined(node))]
+    header = node.bases + node.keywords + node.decorator_list
+    return [(part, [node.name]) for part in header] + [
+        (stmt, _defined(stmt) + [node.name]) for stmt in node.body]
+
+
+def _methods(node):
+    """``(Class.name, name)`` for each private method of a class."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [(f"{node.name}.{stmt.name}", stmt.name) for stmt in node.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _private(stmt.name)]
+
+
 def _read(tree):
     """The names a tree reads: loaded names, attributes and imports."""
     for n in ast.walk(tree):
@@ -40,16 +61,19 @@ def _read(tree):
 
 
 def test_every_private_helper_is_used():
-    definitions, reads = [], {}
+    definitions, methods, reads = [], [], {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            own = [name for name in _defined(node) if _private(name)]
-            definitions += [(path.name, name) for name in own]
-            for name in _read(node):
-                if name not in own:
-                    reads.setdefault(name, set()).add(path.name)
+            definitions += [(path.name, name, name) for name in _defined(node)
+                            if _private(name)]
+            methods += [(path.name, *method) for method in _methods(node)]
+            for part, own in _scopes(node):
+                for name in _read(part):
+                    if name not in own:
+                        reads.setdefault(name, set()).add(path.name)
     assert definitions, "no private helpers found; is SRC right?"
-    unused = [f"{module}: {name}" for module, name in definitions
-              if name not in reads]
+    assert methods, "no private methods found; is SRC right?"
+    unused = [f"{module}: {label}" for module, label, name
+              in definitions + methods if name not in reads]
     assert not unused, unused

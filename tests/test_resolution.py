@@ -11,7 +11,7 @@ from grassq.opalg import PHI, PSI, OpExpr, berezin_op, op_dagger, outer
 from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
                                closed_form_weight, mirror_weight, resolution_integral,
                                solve_weight, verify_resolution, _blocks,
-                               _column, _complement_pairs, _integrate,
+                               _complement_pairs, _entries, _integrate,
                                _measured_degrees, _pair_outer,
                                _solve_permutation, _weight)
 from grassq.scalars import Scalar, rho_factorial
@@ -112,34 +112,56 @@ def test_evolved_pair_resolves_with_static_weight():
             assert defect.is_zero, (n, pair)
 
 
-def test_permutation_solver():
+def test_permutation_solver(monkeypatch):
     n = 2
     one, q, s1 = Scalar.one(n), Scalar.q(n), Scalar.s(n, 1)
-    # the n=2 shape: c_kl reaches row (1-k, 1-l) with a monomial entry
-    columns = {(0, 0): ((1, 1), s1), (0, 1): ((1, 0), q),
-               (1, 0): ((0, 1), one), (1, 1): ((0, 0), s1 * q)}
+    # the n=2 shape: c_kl reaches row (1-k, 1-l) with a monomial entry,
+    # c_ket c_bra q^qe
+    entries = {(0, 0): ((1, 1), s1, one, 0), (0, 1): ((1, 0), q, one, 0),
+               (1, 0): ((0, 1), one, one, 0), (1, 1): ((0, 0), s1, q, 0)}
 
-    def solve(changes):
-        return _solve_permutation(n, (
-            (kl, row, entry)
-            for kl, (row, entry) in {**columns, **changes}.items()))
+    def solve(changes, extra=()):
+        return _solve_permutation(n, [
+            (kl, *entry) for kl, entry in {**entries, **changes}.items()
+            if entry is not None] + list(extra))
 
-    x = solve({})
-    assert set(x) == {(0, 0), (1, 1)}
+    formed = []
+    plain_mul_q = Scalar._mul_q
+
+    def mul_q(self, other, k):
+        formed.append((self, other, k))
+        return plain_mul_q(self, other, k)
+    with monkeypatch.context() as counting:
+        counting.setattr(Scalar, "_mul_q", mul_q)
+        x = solve({})
+    assert list(x) == [(0, 0), (1, 1)]
     assert x[(0, 0)] * s1 == one
     assert x[(1, 1)] * s1 * q == one
+    # only the diagonal entries, the ones the solution reads, are formed
+    assert formed == [(s1, one, 0), (s1, q, 0)]
+    # entries in any order give the solution in (k, l) order
+    assert list(_solve_permutation(n, [
+        ((1, 1), (0, 0), s1, q, 0), ((1, 0), (0, 1), one, one, 0),
+        ((0, 1), (1, 0), q, one, 0), ((0, 0), (1, 1), s1, one, 0)])) == [
+            (0, 0), (1, 1)]
 
-    def refused(changes, reason):
+    def refused(changes, reason, extra=()):
         with pytest.raises(SingularSystemError, match=reason):
-            solve(changes)
+            solve(changes, extra)
 
-    refused({(0, 1): ((0, 1), q)}, "hit twice")
-    refused({(0, 1): ((2, 0), q)}, "does not exist")
-    refused({(0, 1): ((1, 1), q), (0, 0): ((1, 0), s1)}, "off-diagonal")
-    # None marks an off-diagonal column's entry, never read
-    proven = {(0, 1): ((1, 0), None), (1, 0): ((0, 1), None)}
-    assert solve(proven) == x
-    refused({(0, 1): ((1, 1), None), (0, 0): ((1, 0), s1)}, "off-diagonal")
+    refused({(0, 1): ((0, 1), q, one, 0)}, r"row \(0, 1\) is hit twice")
+    refused({(0, 1): ((2, 0), q, one, 0)}, "does not exist")
+    refused({(0, 1): ((1, 1), q, one, 0), (0, 0): ((1, 0), s1, one, 0)},
+            "off-diagonal c_01 survived")
+    refused({(0, 1): ((1, 0), q + one, one, 0)},
+            "c_01 has a non-monomial factor")
+    refused({(0, 1): ((1, 0), q, one + s1, 0)},
+            "c_01 has a non-monomial factor")
+    # two survivors on one column, even on distinct rows, are not summed
+    refused({(0, 1): None}, "column c_00 is reached twice",
+            [((0, 0), (1, 0), q, one, 0)])
+    # a column no pair survives on leaves its row unhit
+    refused({(0, 1): None}, r"row \(1, 0\) is never hit")
 
 
 def _degrees(block):
@@ -166,47 +188,65 @@ def test_pair_outer_files_every_block_pair_once_under_its_complement():
                 assert sorted(filed) == sorted(want), (n, pair, evolved)
 
 
-def _by_column(pairs):
-    """The stream's (ket block, bra block) pairs grouped under their
-    weight degrees, as the solve groups them for ``_column``."""
-    columns = {}
-    for ab, ket_block, bra_block in pairs:
-        columns.setdefault(ab, []).append((ket_block, bra_block))
-    return columns
-
-
-def test_column_reads_one_term_pair_and_refuses_any_other_shape():
+def test_column_reads_one_term_pair_and_refuses_any_other_shape(monkeypatch):
     n = 2
     stream = list(_pair_outer(n, (PSI, PHI)))
-    reached = _by_column(stream)
+    entries = list(_entries(n))
     # c_01: theta^0 thetabar^1 meets the ket block (1, 0) and the bra
     # block (0, 0), and only there
-    pair, = reached[(0, 1)]
-    assert (_degrees(pair[0]), _degrees(pair[1])) == ((1, 0), (0, 0))
-    assert _column(n, (0, 1), [pair]) == ((0, 1), (1, 0), None)
+    (_, ket_block, bra_block), = [t for t in stream if t[0] == (0, 1)]
+    assert (_degrees(ket_block), _degrees(bra_block)) == ((1, 0), (0, 0))
+    (row, *_), = [e[1:] for e in entries if e[0] == (0, 1)]
+    assert row == (1, 0)
     # a diagonal column carries the value the exact integral gives
     for k in range(n):
         integral = _integrate(_weight(n, {(k, k): Scalar.one(n)}), stream)
         ((_, (ket_side, bra_side)), value), = integral.terms.items()
-        got = _column(n, (k, k), reached[(k, k)])
-        assert got == ((k, k), (ket_side[1], bra_side[1]), value), k
+        (row, c_ket, c_bra, qe), = [e[1:] for e in entries if e[0] == (k, k)]
+        assert row == (ket_side[1], bra_side[1]), k
+        assert c_ket._mul_q(c_bra, qe) == value, k
 
-    def refused(kl, pairs, reason):
-        with pytest.raises(SingularSystemError, match=reason):
-            _column(n, kl, pairs)
+    def refused(triples, reason):
+        with monkeypatch.context() as mutant:
+            mutant.setattr(resolution, "_pair_outer", lambda *_: triples)
+            with pytest.raises(SingularSystemError, match=reason):
+                solve_weight(n)
 
-    refused((0, 1), [], "c_01 is reached by 0 term pairs")
-    refused((0, 1), [pair, pair], "c_01 is reached by 2 term pairs")
+    def replaced(kl, *blocks):
+        return [(kl, *blocks) if t[0] == kl else t for t in stream]
+
     s1 = Scalar.s(n, 1)
-    ket_block, bra_block = pair
-    refused((0, 1), [(ket_block.scale(Scalar.one(n) + s1), bra_block)],
+    refused(replaced((0, 1), ket_block.scale(Scalar.one(n) + s1), bra_block),
             "c_01 has a non-monomial factor")
-    refused((0, 1), [(ket_block, bra_block.scale(Scalar.one(n) + s1))],
+    refused(replaced((0, 1), ket_block, bra_block.scale(Scalar.one(n) + s1)),
             "c_01 has a non-monomial factor")
     # a pair filed under another column leaves a word behind
-    refused((0, 1), reached[(1, 1)], "c_01 is reached by 0 term pairs")
+    (_, *blocks_11), = [t for t in stream if t[0] == (1, 1)]
+    refused(replaced((0, 1), *blocks_11), r"row \(1, 0\) is never hit")
     # two surviving pairs on a diagonal column are refused, not summed
-    refused((0, 0), 2 * reached[(0, 0)], "c_00 is reached by 2 term pairs")
+    refused(stream + [t for t in stream if t[0] == (0, 0)],
+            "column c_00 is reached twice")
+
+
+def test_solve_raises_at_the_first_bad_entry_without_reading_on(
+        monkeypatch):
+    # the solve pulls the complement stream one pair at a time: a bad
+    # second pair stops it before the other n^2 - 2 are built
+    n = 6
+    plain_pair_outer = resolution._pair_outer
+    pulled = []
+
+    def pair_outer(*args):
+        for at, (kl, ket_block, bra_block) in enumerate(
+                plain_pair_outer(*args)):
+            pulled.append(kl)
+            if at == 1:
+                bra_block = bra_block.scale(Scalar.one(n) + Scalar.s(n, 1))
+            yield kl, ket_block, bra_block
+    monkeypatch.setattr(resolution, "_pair_outer", pair_outer)
+    with pytest.raises(SingularSystemError, match="non-monomial factor"):
+        solve_weight(n)
+    assert len(pulled) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +345,11 @@ def _reference_solve(n):
     outer_product = _plain_outer(*_pair_bodies(n, (PSI, PHI), False))
     reference = _reference_columns(
         n, lambda weight: _reference_integral(weight, outer_product))
-    columns = []
+    entries = []
     for kl, column in reference.items():
         (row, entry), = column.items()
-        columns.append((kl, row, entry))
-    return _weight(n, _solve_permutation(n, columns))
+        entries.append((kl, row, entry, Scalar.one(n), 0))
+    return _weight(n, _solve_permutation(n, entries))
 
 
 def test_solver_matches_a_solve_on_the_plain_integral():
@@ -319,18 +359,17 @@ def test_solver_matches_a_solve_on_the_plain_integral():
 
 def test_solver_columns_match_the_per_column_integral():
     # the reference integrates every monomial exactly, one column at a
-    # time; the solver walks each column's term pairs once and forms only
-    # the diagonal entries, so it must agree on every row and on every
-    # value it forms
+    # time; the solve integrates each pair of the stream once, term by
+    # term, so its entries must agree on every column, row and value
     for n in range(2, 17):
         stream = list(_pair_outer(n, (PSI, PHI)))
-        reached = _by_column(stream)
         want = _reference_columns(n, lambda w: _integrate(w, stream))
-        for (k, l), column in want.items():
-            assert len(column) == 1, (n, k, l)
-            (row, value), = column.items()
-            got = _column(n, (k, l), reached.get((k, l), ()))
-            assert got == ((k, l), row, value if k == l else None), (n, k, l)
+        got = {}
+        for kl, row, c_ket, c_bra, qe in _entries(n):
+            assert kl not in got, (n, kl)
+            got[kl] = {row: c_ket._mul_q(c_bra, qe)}
+        assert got == want, n
+        assert all(len(column) == 1 for column in want.values()), n
 
 
 def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch,
