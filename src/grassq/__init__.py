@@ -25,8 +25,8 @@ _EXPORTS = {
     "coherent": ("CoherentState", "check_stability", "evolve_state",
                  "exponential_form", "exponential_form_defect",
                  "make_coherent", "q_exponential", "verify_eigen"),
-    "resolution": ("Weight", "closed_form_weight", "mirror_weight",
-                   "solve_weight", "verify_resolution"),
+    "resolution": ("closed_form_weight", "mirror_weight", "solve_weight",
+                   "verify_resolution"),
     "suq2": ("Suq2System", "make_squeezed_state", "make_suq2",
              "squeeze_defect"),
     "biortho": ("BiorthoDecomp", "biortho_decompose",

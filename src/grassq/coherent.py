@@ -10,7 +10,11 @@ equation with Grassmann eigenvalue theta, coincide with the q-exponential
 of (raising operator * theta) applied to the vacuum, and evolve stably
 under the equally spaced spectrum E_k = -(n-k-2) E: the evolved state is
 a global phase times the original state with theta replaced by u theta,
-where u is the unimodular symbol standing for exp(-i E t).
+where u is the unimodular symbol standing for exp(-i E t).  The
+ladders are b from ``make_ladder`` and the three defined from it: the
+psi state is lowered by b and raised by b# = ``sharp_adjoint(b)``, the
+phi state lowered by b~ = ``eta_conjugate(b)`` and raised by
+b~#' = ``op_dagger(b)``.
 
 The exponential form is built on the vacuum: by linearity
 e_q^A |F_0> = sum_k (A^k |F_0>) / rho_k!, so :func:`q_exponential` with
@@ -37,9 +41,10 @@ from functools import lru_cache
 
 from .errors import EngineError
 from .galg import Kind, grade
-from .opalg import (OpExpr, PSI, _known_family, _nilpotent_series, ket,
-                    ket_op, make_ladder, op_term, theta_op)
-from .scalars import Scalar, rho_factorial_inverse
+from .opalg import (OpExpr, PSI, _known_family, _nilpotent_series,
+                    eta_conjugate, ket, ket_op, make_ladder, op_dagger,
+                    op_term, sharp_adjoint, theta_op)
+from .scalars import Scalar, rho_factorial
 
 
 @dataclass(frozen=True)
@@ -77,15 +82,13 @@ def _build_coherent(level: int, family: str) -> CoherentState:
     return CoherentState(level, family, body)
 
 
-def ladder_for(state: CoherentState) -> OpExpr:
-    """The operator the state is an eigenstate of."""
-    kind = "b" if state.family == PSI else "b_tilde"
-    return make_ladder(kind, state.level)
-
-
 def verify_eigen(state: CoherentState) -> OpExpr:
-    """Defect of the eigenvalue equation; the zero expression certifies it."""
-    lowered = ladder_for(state) @ state.body
+    """Defect of the eigenvalue equation; the zero expression certifies it.
+
+    The psi state is an eigenstate of b, the phi state of b~ = eta b eta^-1.
+    """
+    b = make_ladder(state.level)
+    lowered = (b if state.family == PSI else eta_conjugate(b)) @ state.body
     scaled = theta_op(state.level) @ state.body
     return lowered - scaled
 
@@ -101,8 +104,9 @@ def q_exponential(arg: OpExpr, on: OpExpr | None = None) -> OpExpr:
     reported as non-terminating.
     """
     level = arg.level
-    return _nilpotent_series(arg, level - 1, (rho_factorial_inverse(level, k)
-                                              for k in range(1, level)), on)
+    inverses = (rho_factorial(level, k).monomial_inverse()
+                for k in range(1, level))
+    return _nilpotent_series(arg, level - 1, inverses, on)
 
 
 def exponential_form(state: CoherentState) -> OpExpr:
@@ -111,8 +115,9 @@ def exponential_form(state: CoherentState) -> OpExpr:
     The series acts on the vacuum term by term, so only the n states
     arg^k |F_0> are formed, never the operator e_q^arg itself.
     """
-    kind = "b_sharp" if state.family == PSI else "b_tilde_sharp_prime"
-    arg = make_ladder(kind, state.level) @ theta_op(state.level)
+    b = make_ladder(state.level)
+    raising = sharp_adjoint(b) if state.family == PSI else op_dagger(b)
+    arg = raising @ theta_op(state.level)
     return q_exponential(arg, on=ket_op(state.level, state.family, 0))
 
 

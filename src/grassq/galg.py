@@ -181,14 +181,14 @@ class GExpr(_SparseSum):
 # measure symbols
 # ---------------------------------------------------------------------------
 
-def d_theta(index: int = 1) -> tuple[int, int]:
-    """Measure symbol for integration over theta_index."""
-    return (Kind.DTHETA, index)
+def d_theta() -> tuple[int, int]:
+    """Measure symbol for integration over theta_1."""
+    return (Kind.DTHETA, 1)
 
 
-def d_thetabar(index: int = 1) -> tuple[int, int]:
-    """Measure symbol for integration over thetabar_index."""
-    return (Kind.DTHETABAR, index)
+def d_thetabar() -> tuple[int, int]:
+    """Measure symbol for integration over thetabar_1."""
+    return (Kind.DTHETABAR, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,11 @@ The distinguished ladder operators are
     b_tilde      = eta b eta^-1     = sum_i sqrt(rho_{i+1}) |phi_i><psi_{i+1}|
     b_tilde_sharp_prime = b^dag     = sum_i sqrt(rho_{i+1}) |phi_{i+1}><psi_i|
 
-and the metric eta acts purely by relabeling families (it commutes with
-the Grassmann variables).
+:func:`make_ladder` builds b from its defining sum; the other three are
+defined from it, and are written as those definitions:
+``sharp_adjoint(b)``, ``eta_conjugate(b)`` and ``op_dagger(b)``.  The
+metric eta acts purely by relabeling families (it commutes with the
+Grassmann variables).
 """
 
 from __future__ import annotations
@@ -357,13 +360,13 @@ class OpExpr(_SparseSum):
 # ---------------------------------------------------------------------------
 
 def op_term(level: int, coeff: Scalar, dyad: Dyad = IDENT,
-            left: Sequence = (), right: Sequence = ()) -> OpExpr:
-    """Canonicalize ``coeff * left * dyad * right``.
+            left: Sequence = ()) -> OpExpr:
+    """Canonicalize ``coeff * left * dyad``; ``left`` is a raw factor list.
 
-    ``left`` and ``right`` are raw factor lists; the right word crosses
-    the dyad leftward and picks up the quantization phases.
+    A word right of a dyad is placed by a product with it, ``@``, which
+    crosses it leftward with the quantization phases.
     """
-    qe, w = _place(level, left, dyad, right)
+    qe, w = _place(level, left, dyad, ())
     if w is None or coeff.is_zero:
         return OpExpr.zero(level)
     return OpExpr(level, {(w, dyad): coeff.mul_q_power(qe)})
@@ -450,40 +453,25 @@ def _nilpotent_series(arg: OpExpr, bound: int,
 # distinguished operators and states
 # ---------------------------------------------------------------------------
 
-LADDER_KINDS = ("b", "b_sharp", "b_tilde", "b_tilde_sharp_prime")
-
-
-def make_ladder(kind: str, level: int) -> OpExpr:
-    """One of the four ladder operators as an operator expression.
+def make_ladder(level: int) -> OpExpr:
+    """The lowering operator b from its defining sum.
 
     The ladder connects all ``level`` levels with the symbols s_i as its
-    sqrt(rho_i) coefficients.  The lowering operator is built from its
-    defining sum; the other three are derived through dagger and the
-    metric, which is exactly how they are defined.
+    sqrt(rho_i) coefficients.  The other three ladder operators are
+    defined from b (see the module docstring).
     """
     if level < 2:
         raise EngineError("need at least two levels")
-    if kind not in LADDER_KINDS:
-        raise EngineError(f"unknown ladder kind {kind!r}")
-    b = OpExpr(level, {((), outer(PSI, i, PHI, i + 1)): Scalar.s(level, i + 1)
-                       for i in range(level - 1)})
-    if kind == "b":
-        return b
-    if kind == "b_sharp":
-        return sharp_adjoint(b)
-    if kind == "b_tilde":
-        return eta_conjugate(b)
-    return op_dagger(b)
+    return OpExpr(level, {((), outer(PSI, i, PHI, i + 1)):
+                          Scalar.s(level, i + 1) for i in range(level - 1)})
 
 
-def theta_op(level: int, power: int = 1) -> OpExpr:
-    return op_term(level, Scalar.one(level), IDENT,
-                   left=[(Kind.THETA, 1, power)])
+def theta_op(level: int) -> OpExpr:
+    return op_term(level, Scalar.one(level), left=[(Kind.THETA, 1, 1)])
 
 
-def thetabar_op(level: int, power: int = 1) -> OpExpr:
-    return op_term(level, Scalar.one(level), IDENT,
-                   left=[(Kind.THETABAR, 1, power)])
+def thetabar_op(level: int) -> OpExpr:
+    return op_term(level, Scalar.one(level), left=[(Kind.THETABAR, 1, 1)])
 
 
 def ket_op(level: int, family: str, index: int) -> OpExpr:

@@ -1,7 +1,9 @@
-"""Weight functions and resolutions of the identity.
+"""Weights and resolutions of the identity.
 
-A weight is a polynomial w(theta, thetabar) = sum c_kl theta^k thetabar^l.
-The engine checks integrals of the form
+A weight is a polynomial w(theta, thetabar) = sum c_kl theta^k thetabar^l,
+held as the :class:`~grassq.galg.GExpr` of that sum; it is diagonal
+(:func:`is_diagonal`) when only k = l terms occur.  The engine checks
+integrals of the form
 
     int dthetabar dtheta  w(theta, thetabar) |A><B|
 
@@ -50,8 +52,6 @@ changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SingularSystemError
 from .galg import (GExpr, Kind, Word, d_theta, d_thetabar, grade,
                    integrate_word)
@@ -66,43 +66,34 @@ MIXED_PAIRS = ((PSI, PHI), (PHI, PSI))
 SAME_PAIRS = ((PSI, PSI), (PHI, PHI))
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Diagonal-or-not weight polynomial, stored as a graded expression."""
-
-    expr: GExpr
-
-    @property
-    def level(self) -> int:
-        return self.expr.level
-
-    def is_diagonal(self) -> bool:
-        return all(dt == db for dt, db in map(grade, self.expr.terms))
+def is_diagonal(weight: GExpr) -> bool:
+    """Whether every term of the weight has equal theta and thetabar degree."""
+    return all(dt == db for dt, db in map(grade, weight.terms))
 
 
 def _monomial_word(k: int, l: int) -> list:
     return [(Kind.THETA, 1, k), (Kind.THETABAR, 1, l)]
 
 
-def _weight(level: int, coefficients: dict[tuple[int, int], Scalar]) -> Weight:
+def _weight(level: int, coefficients: dict[tuple[int, int], Scalar]) -> GExpr:
     """sum c_kl theta^k thetabar^l over the given coefficients c_kl."""
-    return Weight(GExpr.from_raw(
-        level, [(c, _monomial_word(k, l)) for (k, l), c in coefficients.items()]))
+    return GExpr.from_raw(
+        level, [(c, _monomial_word(k, l)) for (k, l), c in coefficients.items()])
 
 
-def _factorial_weight(level: int, reverse: bool) -> Weight:
+def _factorial_weight(level: int, reverse: bool) -> GExpr:
     """sum_i q^(i(i+1)) rho_m! theta^i thetabar^i; m = n-1-i if ``reverse`` else i."""
     return _weight(level, {
         (i, i): rho_factorial(level, level - 1 - i if reverse else i)
         .mul_q_power(i * (i + 1)) for i in range(level)})
 
 
-def closed_form_weight(level: int) -> Weight:
+def closed_form_weight(level: int) -> GExpr:
     """The candidate  sum_i q^(i(i+1)) rho_{n-1-i}! theta^i thetabar^i."""
     return _factorial_weight(level, reverse=True)
 
 
-def mirror_weight(level: int) -> Weight:
+def mirror_weight(level: int) -> GExpr:
     """The competing candidate with the factorial index unreversed,
     sum_i q^(i(i+1)) rho_i! theta^i thetabar^i."""
     return _factorial_weight(level, reverse=False)
@@ -143,7 +134,7 @@ def _blocks(e: OpExpr) -> dict[tuple[int, int], OpExpr]:
     return {d: OpExpr._wrap(e.level, terms) for d, terms in blocks.items()}
 
 
-def _integrate(weight: Weight, pairs) -> OpExpr:
+def _integrate(weight: GExpr, pairs) -> OpExpr:
     """int dthetabar dtheta w |A><B|, ``pairs`` any iterable of the
     triples ``_pair_outer(...)`` yields.
 
@@ -154,7 +145,7 @@ def _integrate(weight: Weight, pairs) -> OpExpr:
     exchange rule inside it goes unreported: its value is 0 however that
     missing rule would read.
     """
-    blocks = _blocks(OpExpr.from_gexpr(weight.expr))
+    blocks = _blocks(OpExpr.from_gexpr(weight))
     integrand = OpExpr.zero(weight.level)
     for ab, ket_block, bra_block in pairs:
         if ab in blocks:
@@ -162,7 +153,7 @@ def _integrate(weight: Weight, pairs) -> OpExpr:
     return berezin_op(integrand, MEASURE)
 
 
-def resolution_integral(weight: Weight, pair: tuple[str, str],
+def resolution_integral(weight: GExpr, pair: tuple[str, str],
                         evolved: bool = False) -> OpExpr:
     """int dthetabar dtheta w |A><B| for the requested state pair.
 
@@ -173,7 +164,7 @@ def resolution_integral(weight: Weight, pair: tuple[str, str],
     return _integrate(weight, _pair_outer(weight.level, pair, evolved))
 
 
-def verify_resolution(weight: Weight, pair: tuple[str, str],
+def verify_resolution(weight: GExpr, pair: tuple[str, str],
                       evolved: bool = False) -> OpExpr:
     """Defect of the resolution of identity for the given pair, against
     the resolved sum whose ket family matches the pair's ket state."""
@@ -249,7 +240,7 @@ def _entries(level: int):
                 yield (k, l), _row(rest, dyad), c_ket, c_bra, qe + qi
 
 
-def solve_weight(level: int) -> Weight:
+def solve_weight(level: int) -> GExpr:
     """Derive the weight coefficients from the resolution condition.
 
     Equates int w |theta><theta~| with sum_i |psi_i><phi_i|.  Each pair

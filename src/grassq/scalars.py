@@ -755,7 +755,3 @@ def rho_factorial(level: int, k: int) -> Scalar:
     if k < 0 or k > level - 1:
         raise ValueError(f"rho_{k}! is outside the symbol range of level {level}")
     return Scalar._monomial(level, range(k), 2)
-
-
-def rho_factorial_inverse(level: int, k: int) -> Scalar:
-    return rho_factorial(level, k).monomial_inverse()

@@ -24,8 +24,8 @@ exactly, because metric conjugation is an algebra homomorphism.
 and hands the same object to every caller, and a system is the one owner
 of every value derived from it: rho_i = s_i^2, the squares (b_sharp^2,
 b^2), the closure verdict, the bracket relations, the squeeze argument,
-the series S and the state S|psi_0>, each formed at most once, on first
-use.  The suq2 checks of :mod:`grassq.suites` read these values
+the series S, the verdict that it terminates and the state S|psi_0>,
+each formed at most once, on first use.  The suq2 checks of :mod:`grassq.suites` read these values
 directly; :func:`squeeze_closed_form`, the squeeze builders and the
 defects below only read them; and the relation [b_z, b]_q is the
 closure verdict's first defect rather than a second copy.  Within one
@@ -116,6 +116,13 @@ class Suq2System:
         return factorial_exponential(self.squeeze_argument)
 
     @cached_property
+    def squeeze_terminates(self) -> bool:
+        """Whether the nilpotency that ends the series S holds: the
+        squeeze argument's power just past the series bound vanishes."""
+        bound = _series_bound(self.root_order)
+        return self.squeeze_argument.power(bound + 1).is_zero
+
+    @cached_property
     def squeezed_vacuum(self) -> OpExpr:
         """S|psi_0>, the series applied to the vacuum term by term."""
         return factorial_exponential(self.squeeze_argument,
@@ -184,14 +191,20 @@ def _bz_defining_sum(sys: Suq2System) -> OpExpr:
 # squeezing
 # ---------------------------------------------------------------------------
 
+def _series_bound(level: int) -> int:
+    """The last power of an argument that :func:`factorial_exponential`
+    sums: 2 level + 1."""
+    return 2 * level + 1
+
+
 def factorial_exponential(arg: OpExpr, on: OpExpr | None = None) -> OpExpr:
     """exp(arg) on = sum_k (arg^k on) / k!, exact, for nilpotent arguments.
 
     ``on`` defaults to the identity (the operator exp(arg) itself).  A
-    term arg^k on still nonzero past k = 2 level + 1 is reported as
-    non-terminating.
+    term arg^k on still nonzero past k = ``_series_bound(level)`` is
+    reported as non-terminating.
     """
-    return _nilpotent_series(arg, 2 * arg.level + 1,
+    return _nilpotent_series(arg, _series_bound(arg.level),
                              (Fraction(1, math.factorial(k))
                               for k in count(1)), on)
 

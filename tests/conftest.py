@@ -83,9 +83,9 @@ def random_gexpr(rng: random.Random, level: int, max_terms: int = 3) -> GExpr:
 
 def diagonal_differences(a, b) -> list:
     """``(i, c_ii of a - c_ii of b)`` for each diagonal slot i of two weights,
-    read off ``a.expr - b.expr``, which must hold no other word."""
+    read off ``a - b``, which must hold no other word."""
     level = a.level
-    diff = (a.expr - b.expr).terms
+    diff = (a - b).terms
     words = [normalize_word(level, [(Kind.THETA, 1, i),
                                     (Kind.THETABAR, 1, i)])[1]
              for i in range(level)]

@@ -1,5 +1,7 @@
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from grassq.errors import (ComplexSpectrumError, DecompositionError,
 from grassq.opalg import PHI, PSI
 from grassq.resolution import MIXED_PAIRS, solve_weight, verify_resolution
 
-from conftest import random_real_spectrum_matrix
+from conftest import (clear_construction_caches, random_real_spectrum_matrix,
+                      shifted_weight)
 
 H_REF = np.array([[1.0, 4.0], [1.0, 1.0]])
 
@@ -143,3 +146,88 @@ def test_a_problem_short_of_rho_values_is_refused_by_the_suite():
     # numeric_ladder refuses it before any check can be reported
     with pytest.raises(EngineError, match="need one rho value per ladder step"):
         run_suite("biortho", problem=Problem(n=3, rho=(Fraction(2),)))
+
+
+def _decomposed(**changes):
+    """A mutant of ``biortho.BiorthoDecomp``: the decomposition stores each
+    named field changed, before its own residual guard reads it."""
+    def mutant(plain):
+        def build(**fields):
+            for name, change in changes.items():
+                fields[name] = change(fields[name])
+            return plain(**fields)
+        return build
+    return mutant
+
+
+# Above every residual tolerance the suite judges (1e-9 and below), and
+# far enough under biortho_decompose's own guard, 1e3 * tol = 1e-7, that a
+# decomposition mutant still reaches the checks: the guard would raise out
+# of run_suite instead.
+EPS = 1e-8
+
+# One row per mutant: the grassq name it replaces, the replacement built
+# from the plain value, and the biortho checks at n = 3 it must fail;
+# other checks may move.
+BIORTHO_MUTANTS = {
+    # every energy off by EPS of the largest
+    "energies": (
+        "biortho.BiorthoDecomp",
+        _decomposed(E=lambda E: E + EPS * np.abs(E).max()),
+        {"decomp/right_eigen", "decomp/left_eigen"}),
+    # each left vector leans by EPS towards its neighbour
+    "left-vectors": (
+        "biortho.BiorthoDecomp",
+        _decomposed(Phi=lambda Phi: Phi + EPS * np.roll(Phi, 1, axis=1)),
+        {"decomp/left_eigen", "decomp/pairing", "decomp/completeness",
+         "ladder/nilpotency", "ladder/sharp-form"}),
+    # the metric gains the anti-Hermitian part i EPS
+    "metric-phase": (
+        "biortho.BiorthoDecomp",
+        _decomposed(eta=lambda eta: eta + 1j * EPS * np.eye(len(eta))),
+        {"decomp/eta_hermitian", "decomp/eta_inverse", "pseudo-hermiticity",
+         "ladder/sharp-form", "ladder/dagger"}),
+    # the metric and its inverse with the wrong sign: every identity that
+    # holds eta against eta^-1 still holds, only positivity fails
+    "metric-sign": (
+        "biortho.BiorthoDecomp",
+        _decomposed(eta=lambda eta: -eta, eta_inv=lambda inv: -inv),
+        {"metric-positive"}),
+    # the phi family instantiated with psi's vectors, as for a Hermitian H
+    "one-family": (
+        "biortho._dyad_matrix",
+        lambda plain: lambda d, dyad: plain(replace(d, Phi=d.Psi), dyad),
+        {"instantiate/same-family-gap"}),
+    # the lowering operator with 2 s_i in place of s_i
+    "ladder-scale": (
+        "coherent.make_ladder",
+        lambda plain: lambda level: plain(level).scale(2),
+        {"instantiate/eigen-defect"}),
+    "weight-shift": ("resolution._weight", shifted_weight,
+                     {"instantiate/mixed-resolution"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIORTHO_MUTANTS))
+def test_each_biortho_check_fails_under_a_named_mutant(
+        name, monkeypatch, fresh_caches):
+    # every biortho check at n = 3 (rho 2, 3; the seeded non-Hermitian
+    # fallback matrix) has a row
+    problem = Problem(n=3, rho=(Fraction(2), Fraction(3)))
+
+    def statuses():
+        return {c.id: c.status
+                for c in run_suite("biortho", problem=problem).checks}
+
+    clean = statuses()
+    assert {f"biortho/{i}" for _, _, flips in BIORTHO_MUTANTS.values()
+            for i in flips} == set(clean)
+    assert set(clean.values()) == {"pass"}
+    target, mutant, flips = BIORTHO_MUTANTS[name]
+    module, attr = target.split(".")
+    owner = import_module(f"grassq.{module}")
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
+    clear_construction_caches()
+    mutated = statuses()
+    assert {i: mutated[f"biortho/{i}"] for i in flips} == {
+        i: "fail" for i in flips}

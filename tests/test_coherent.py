@@ -15,7 +15,8 @@ from grassq.coherent import (CoherentState, check_stability, evolve_state,
 from grassq.errors import NonTerminatingSeriesError
 from grassq.galg import Kind, grade
 from grassq.opalg import (OpExpr, PHI, PSI, eta_conjugate, ket, ket_op,
-                          make_ladder, op_term, theta_op)
+                          make_ladder, op_dagger, op_term, sharp_adjoint,
+                          theta_op)
 from grassq.scalars import Scalar
 
 TH = (Kind.THETA, 1, 1)
@@ -112,8 +113,8 @@ def test_q_exponential_on_a_state_matches_the_operator_applied():
     # e_q^arg on == (e_q^arg) @ on, to the byte; the identity is the default
     rng = random.Random(8)
     for n in range(2, 11):
-        for family, kind in ((PSI, "b_sharp"), (PHI, "b_tilde_sharp_prime")):
-            arg = make_ladder(kind, n) @ theta_op(n)
+        for family, raising in ((PSI, sharp_adjoint), (PHI, op_dagger)):
+            arg = raising(make_ladder(n)) @ theta_op(n)
             series = q_exponential(arg)
             on_identity = q_exponential(arg, on=OpExpr.identity(n))
             assert on_identity == series

@@ -22,7 +22,10 @@ of it, crosses it leftward with the quantization phases written out
 below from the ``opalg`` module docstring, and the label becomes the
 dyad composed with the old label.  So ``left * dyad * right`` and
 single-term products, which carry every crossing, are checked against
-phases the engine does not supply.
+phases the engine does not supply.  The engine places a word right of a
+dyad by a product, so ``left * dyad`` times ``right`` is a single-term
+``@`` product; it normal orders each factor on its own first, so a
+factor that vanishes or is refused alone decides the product.
 """
 
 import random
@@ -31,7 +34,7 @@ import pytest
 
 from grassq.errors import EngineError, UnspecifiedRelationError
 from grassq.galg import Kind, normalize_word
-from grassq.opalg import OpExpr, op_dagger, op_term
+from grassq.opalg import IDENT, OpExpr, op_dagger, op_term
 from grassq.scalars import Scalar
 
 # The canonical order: all dthetabar, then all dtheta, then all theta,
@@ -241,8 +244,8 @@ def _dagger_of(level, phase, word, label):
 
 
 def test_fock_model_matches_ket_and_bra_crossings():
-    # left * dyad * right through op_term, and its dagger, which reverses
-    # the word to the right of the flipped dyad
+    # (left * dyad) @ right, and its dagger, which reverses the word to
+    # the right of the flipped dyad
     rng = random.Random(20261019)
     for n in range(2, 9):
         one = Scalar.one(n)
@@ -253,12 +256,22 @@ def test_fock_model_matches_ket_and_bra_crossings():
             phase, word, uncovered, rows, label = fock_apply(
                 n, left + [dyad] + right)
             assert label == dyad
-            if uncovered:
+
+            def product():
+                return (op_term(n, one, dyad, _engine(left))
+                        @ op_term(n, one, IDENT, _engine(right)))
+
+            # each factor is normal ordered on its own before the product
+            alone = [fock_apply(n, part)[1:3] for part in (left, right)]
+            factor_vanishes = any(w is None for w, _ in alone)
+            if any(u for _, u in alone) or (uncovered and not factor_vanishes):
                 with pytest.raises(UnspecifiedRelationError):
-                    op_term(n, one, dyad, _engine(left), _engine(right))
+                    product()
                 refused += 1
                 continue
-            got = op_term(n, one, dyad, _engine(left), iter(_engine(right)))
+            if factor_vanishes:
+                word = None
+            got = product()
             assert got == _expected(n, phase, word, label), (
                 n, left, dyad, right)
             if word is None:
@@ -282,8 +295,8 @@ def test_fock_model_matches_ket_and_bra_crossings():
         assert daggers >= 100, (n, daggers)
     # measure symbols cannot cross a ket or bra
     with pytest.raises(EngineError, match="measure"):
-        op_term(3, Scalar.one(3), ((), ("psi", 1)),
-                right=[(Kind.DTHETA, 1, 1)])
+        op_term(3, Scalar.one(3), ((), ("psi", 1))) @ op_term(
+            3, Scalar.one(3), IDENT, [(Kind.DTHETA, 1, 1)])
 
 
 def test_fock_model_matches_single_term_products():

@@ -17,10 +17,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 EXPORTED = [
     "BiorthoDecomp", "CoherentState", "Cyclo", "GExpr", "IDENT", "Kind",
     "OpExpr", "PHI", "PSI", "Problem", "Scalar", "SuiteReport",
-    "Suq2System", "Weight", "berezin", "biortho_decompose",
-    "check_pseudo_hermiticity", "check_stability", "closed_form_weight",
-    "cyclotomic_polynomial", "d_theta", "d_thetabar", "dual_identity_sum",
-    "emit_report", "eta_conjugate", "evolve_state", "exponential_form",
+    "Suq2System", "berezin", "biortho_decompose", "check_pseudo_hermiticity",
+    "check_stability", "closed_form_weight", "cyclotomic_polynomial",
+    "d_theta", "d_thetabar", "dual_identity_sum", "emit_report",
+    "eta_conjugate", "evolve_state", "exponential_form",
     "exponential_form_defect", "grade", "instantiate_numeric", "ket",
     "ket_op", "make_coherent", "make_ladder", "make_squeezed_state",
     "make_suq2", "mirror_weight", "numeric_ladder", "op_dagger", "op_term",

@@ -28,32 +28,32 @@ def _one(n):
 
 
 def test_quantization_phase_examples():
+    # a variable right of a ket or bra, placed by a single-term product
     n = 3
     # |psi_0> theta = q theta |psi_0>
-    assert op_term(n, _one(n), ket(PSI, 0), right=[TH]) == \
+    assert ket_op(n, PSI, 0) @ theta_op(n) == \
         op_term(n, Scalar.q(n), ket(PSI, 0), left=[TH])
     # |psi_1> theta = theta |psi_1>
-    assert op_term(n, _one(n), ket(PSI, 1), right=[TH]) == \
+    assert ket_op(n, PSI, 1) @ theta_op(n) == \
         op_term(n, _one(n), ket(PSI, 1), left=[TH])
     # <phi_2| thetabar = qbar thetabar <phi_2|
-    assert op_term(n, _one(n), bra(PHI, 2), right=[TB]) == \
+    assert op_term(n, _one(n), bra(PHI, 2)) @ thetabar_op(n) == \
         op_term(n, Scalar.q(n, -1), bra(PHI, 2), left=[TB])
 
 
 def test_three_level_table():
     # the full three-level quantization table, both variables, kets and bras
     n = 3
+    th, tb = theta_op(n), thetabar_op(n)
     phases_ket_theta = {0: -1, 1: 0, 2: 1}
     for i, e in phases_ket_theta.items():
         for fam in (PSI, PHI):
-            assert op_term(n, _one(n), ket(fam, i), right=[TH]) == \
-                op_term(n, Scalar.q(n, -e), ket(fam, i), left=[TH])
-            assert op_term(n, _one(n), ket(fam, i), right=[TB]) == \
-                op_term(n, Scalar.q(n, e), ket(fam, i), left=[TB])
-            assert op_term(n, _one(n), bra(fam, i), right=[TH]) == \
-                op_term(n, Scalar.q(n, e), bra(fam, i), left=[TH])
-            assert op_term(n, _one(n), bra(fam, i), right=[TB]) == \
-                op_term(n, Scalar.q(n, -e), bra(fam, i), left=[TB])
+            k, b = ket(fam, i), bra(fam, i)
+            ket_i, bra_i = op_term(n, _one(n), k), op_term(n, _one(n), b)
+            assert ket_i @ th == op_term(n, Scalar.q(n, -e), k, left=[TH])
+            assert ket_i @ tb == op_term(n, Scalar.q(n, e), k, left=[TB])
+            assert bra_i @ th == op_term(n, Scalar.q(n, e), b, left=[TH])
+            assert bra_i @ tb == op_term(n, Scalar.q(n, -e), b, left=[TB])
 
 
 def test_dyad_contraction():
@@ -238,8 +238,8 @@ def test_product_matches_the_plain_pair_walk_on_the_series_shapes():
     # the exponential form's one-term state against its n-1 term argument,
     # with the argument filed or not, and the one-term x many-term shapes
     for n in range(2, 9):
-        arg = make_ladder("b_sharp", n) @ theta_op(n)
-        plain = compose_by_pairs(make_ladder("b_sharp", n), theta_op(n))
+        arg = sharp_adjoint(make_ladder(n)) @ theta_op(n)
+        plain = compose_by_pairs(sharp_adjoint(make_ladder(n)), theta_op(n))
         assert arg == plain and list(arg.terms) == list(plain.terms)
         vacuum = ket_op(n, PSI, 0)
         one_term = (vacuum, theta_op(n), op_dagger(ket_op(n, PHI, n - 1)))
@@ -268,24 +268,27 @@ def test_display_order_of_mixed_shapes():
 
 
 def test_ladder_forms():
+    # b and the three ladders defined from it, against their written sums
     n = 3
     s1, s2 = Scalar.s(n, 1), Scalar.s(n, 2)
-    assert make_ladder("b", n) == OpExpr(n, {
+    b = make_ladder(n)
+    assert b == OpExpr(n, {
         ((), outer(PSI, 0, PHI, 1)): s1, ((), outer(PSI, 1, PHI, 2)): s2})
-    assert make_ladder("b_sharp", n) == OpExpr(n, {
+    assert sharp_adjoint(b) == OpExpr(n, {
         ((), outer(PSI, 1, PHI, 0)): s1, ((), outer(PSI, 2, PHI, 1)): s2})
-    assert make_ladder("b_tilde", n) == OpExpr(n, {
+    assert eta_conjugate(b) == OpExpr(n, {
         ((), outer(PHI, 0, PSI, 1)): s1, ((), outer(PHI, 1, PSI, 2)): s2})
-    assert make_ladder("b_tilde_sharp_prime", n) == op_dagger(make_ladder("b", n))
+    assert op_dagger(b) == OpExpr(n, {
+        ((), outer(PHI, 1, PSI, 0)): s1, ((), outer(PHI, 2, PSI, 1)): s2})
     # two-level truncation keeps the single surviving term
-    assert make_ladder("b", 2) == OpExpr(2, {((), outer(PSI, 0, PHI, 1)):
-                                             Scalar.s(2, 1)})
+    assert make_ladder(2) == OpExpr(2, {((), outer(PSI, 0, PHI, 1)):
+                                        Scalar.s(2, 1)})
 
 
 def test_ladder_action_laws():
     for n in (2, 3, 4):
-        b = make_ladder("b", n)
-        bs = make_ladder("b_sharp", n)
+        b = make_ladder(n)
+        bs = sharp_adjoint(b)
         assert (b @ ket_op(n, PSI, 0)).is_zero  # the vacuum
         for i in range(1, n):
             assert b @ ket_op(n, PSI, i) == OpExpr(
@@ -297,16 +300,16 @@ def test_ladder_action_laws():
 
 def test_ladder_nilpotency():
     for n in (2, 3, 4, 5):
-        assert make_ladder("b", n).power(n).is_zero
-        assert make_ladder("b_sharp", n).power(n).is_zero
-        assert not make_ladder("b", n).power(n - 1).is_zero
+        assert make_ladder(n).power(n).is_zero
+        assert sharp_adjoint(make_ladder(n)).power(n).is_zero
+        assert not make_ladder(n).power(n - 1).is_zero
 
 
 def test_power_makes_one_product_fewer_than_its_exponent(monkeypatch):
     # counts products, not time: A^k takes k - 1 products of A, and A^0
     # is the identity without any
     n = 4
-    a = make_ladder("b", n) + theta_op(n)
+    a = make_ladder(n) + theta_op(n)
     plain, calls = OpExpr.__matmul__, []
 
     def counting(self, other):
@@ -327,9 +330,9 @@ def test_power_makes_one_product_fewer_than_its_exponent(monkeypatch):
 def test_q_commutator_relations():
     # all four single-variable relations plus the tilde-primed one
     for n in range(2, 7):
-        b = make_ladder("b", n)
-        bs = make_ladder("b_sharp", n)
-        btsp = make_ladder("b_tilde_sharp_prime", n)
+        b = make_ladder(n)
+        bs = sharp_adjoint(b)
+        btsp = op_dagger(b)
         th, tb = theta_op(n), thetabar_op(n)
         assert q_commutator(th, bs).is_zero
         assert q_commutator(b, th).is_zero
@@ -341,7 +344,8 @@ def test_q_commutator_relations():
 def test_compose_bracket_example():
     # b b# - q b# b at n=3, written out in dyads
     n = 3
-    b, bs = make_ladder("b", n), make_ladder("b_sharp", n)
+    b = make_ladder(n)
+    bs = sharp_adjoint(b)
     r1 = Scalar.s(n, 1) * Scalar.s(n, 1)
     r2 = Scalar.s(n, 2) * Scalar.s(n, 2)
     expected = OpExpr(n, {
@@ -353,7 +357,7 @@ def test_compose_bracket_example():
 
 def test_nilpotent_chain():
     n = 4
-    b = make_ladder("b", n)
+    b = make_ladder(n)
     chain = OpExpr.identity(n)
     for _ in range(n):
         chain = chain @ b
@@ -361,7 +365,7 @@ def test_nilpotent_chain():
 
 
 def test_dagger_examples_and_involution():
-    assert op_dagger(make_ladder("b", 2)) == OpExpr(
+    assert op_dagger(make_ladder(2)) == OpExpr(
         2, {((), outer(PHI, 1, PSI, 0)): Scalar.s(2, 1)})
     # dagger(theta |psi_1>) = <psi_1| thetabar, already canonical
     n = 3
@@ -376,7 +380,6 @@ def test_dagger_examples_and_involution():
 
 def test_eta_examples_and_roundtrip():
     n = 3
-    assert eta_conjugate(make_ladder("b", n)) == make_ladder("b_tilde", n)
     x = op_term(n, _one(n), ket(PSI, 0), left=[TH])
     assert eta_conjugate(x) == op_term(n, _one(n), ket(PHI, 0), left=[TH])
     rng = random.Random(9)
@@ -406,8 +409,10 @@ def test_eta_unexpressible():
 
 def test_sharp_adjoint():
     for n in (2, 3, 4):
-        b = make_ladder("b", n)
-        assert sharp_adjoint(b) == make_ladder("b_sharp", n)
+        b = make_ladder(n)
+        assert sharp_adjoint(b) == OpExpr(n, {
+            ((), outer(PSI, i + 1, PHI, i)): Scalar.s(n, i + 1)
+            for i in range(n - 1)})
         assert sharp_adjoint(sharp_adjoint(b)) == b
         assert sharp_adjoint(OpExpr.identity(n)) == OpExpr.identity(n)
     rng = random.Random(31)
@@ -442,12 +447,12 @@ def test_berezin_op_validates_its_measure():
     # the same measure rules as galg.berezin: only distinct dtheta and
     # dthetabar symbols, checked before any term is integrated
     with pytest.raises(EngineError, match="dtheta or dthetabar"):
-        berezin_op(theta_op(3, 2), [(Kind.THETA, 1)])
+        berezin_op(theta_op(3).power(2), [(Kind.THETA, 1)])
     with pytest.raises(EngineError, match="distinct"):
-        berezin_op(theta_op(3, 2), [d_theta(), d_theta()])
+        berezin_op(theta_op(3).power(2), [d_theta(), d_theta()])
     with pytest.raises(EngineError, match="distinct"):
         berezin_op(OpExpr.zero(3), [d_thetabar(), d_thetabar()])
-    assert berezin_op(theta_op(3, 2), [d_theta()]) == OpExpr.identity(3)
+    assert berezin_op(theta_op(3).power(2), [d_theta()]) == OpExpr.identity(3)
 
 
 @pytest.mark.parametrize("factor", [3, -1, Fraction(-2, 5), 0])

@@ -8,9 +8,10 @@ from grassq.coherent import evolve_state, make_coherent
 from grassq.errors import SingularSystemError
 from grassq.galg import GExpr, Kind
 from grassq.opalg import PHI, PSI, OpExpr, berezin_op, op_dagger, outer
-from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS, Weight,
-                               closed_form_weight, mirror_weight, resolution_integral,
-                               solve_weight, verify_resolution, _blocks,
+from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS,
+                               closed_form_weight, is_diagonal, mirror_weight,
+                               resolution_integral, solve_weight,
+                               verify_resolution, _blocks,
                                _complement_pairs, _entries, _integrate,
                                _measured_degrees, _pair_outer,
                                _solve_permutation, _weight)
@@ -25,20 +26,20 @@ def _monomial(k, l):
 
 def test_closed_form_weight_values():
     # n=3: rho1 rho2 + q^2 rho1 th thb + th^2 thb^2  (q^2 = 1/q at n=3)
-    assert closed_form_weight(3).expr == GExpr.from_raw(3, [
+    assert closed_form_weight(3) == GExpr.from_raw(3, [
         (rho_factorial(3, 2), []),
         (rho_factorial(3, 1).mul_q_power(2), _monomial(1, 1)),
         (Scalar.one(3), _monomial(2, 2))])  # q^6 rho_0! = 1
     # n=2: rho_1 + q^2 th thb with q^2 = 1
-    assert closed_form_weight(2).expr == GExpr.from_raw(2, [
+    assert closed_form_weight(2) == GExpr.from_raw(2, [
         (rho_factorial(2, 1), []), (Scalar.one(2), _monomial(1, 1))])
 
 
 def test_solver_matches_reversed_factorial_form():
     for n in range(2, 9):
         solved = solve_weight(n)
-        assert solved.is_diagonal()
-        difference = solved.expr - closed_form_weight(n).expr
+        assert is_diagonal(solved)
+        difference = solved - closed_form_weight(n)
         assert difference.is_zero, (n, str(difference))
 
 
@@ -87,9 +88,9 @@ def test_resolution_phase_bookkeeping():
     for n in (2, 3, 4):
         for k in range(n):
             for l in range(n):
-                weight = Weight(GExpr.from_raw(
+                weight = GExpr.from_raw(
                     n, [(Scalar.one(n), [(Kind.THETA, 1, k),
-                                         (Kind.THETABAR, 1, l)])]))
+                                         (Kind.THETABAR, 1, l)])])
                 integral = resolution_integral(weight, (PSI, PHI))
                 i, j = n - 1 - k, n - 1 - l
                 inv_fact = Scalar.one(n)
@@ -266,7 +267,7 @@ def _plain_outer(ket_body, bra_body):
 
 def _reference_integral(weight, outer_product):
     """Every weight term times every outer-product term, then integrated."""
-    return berezin_op(OpExpr.from_gexpr(weight.expr) @ outer_product, MEASURE)
+    return berezin_op(OpExpr.from_gexpr(weight) @ outer_product, MEASURE)
 
 
 def _random_weight(rng, n, shape):
@@ -354,7 +355,7 @@ def _reference_solve(n):
 
 def test_solver_matches_a_solve_on_the_plain_integral():
     for n in range(2, 9):
-        _assert_same(solve_weight(n).expr, _reference_solve(n).expr, n)
+        _assert_same(solve_weight(n), _reference_solve(n), n)
 
 
 def test_solver_columns_match_the_per_column_integral():
@@ -409,7 +410,7 @@ def test_weight_solve_makes_no_operator_product(monkeypatch, fresh_caches):
     for name in ("berezin_op", "integrate_word"):
         monkeypatch.setattr(resolution, name,
                             counted(name, getattr(resolution, name)))
-    assert solve_weight(n).expr == closed_form_weight(n).expr
+    assert solve_weight(n) == closed_form_weight(n)
     assert calls == {"matmul": 0, "berezin_op": 0, "integrate_word": n * n}
 
 
