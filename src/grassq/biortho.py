@@ -171,7 +171,10 @@ def numeric_ladder(d: BiorthoDecomp, rho_values: Sequence[float]) -> LadderMatri
 
     b = sum_i sqrt(rho_{i+1}) Psi_i Phi_{i+1}^dag; the sharp partner is
     conjugated through the metric, the tilde partner through its inverse
-    ordering, and b~' must coincide with the plain adjoint of b.
+    ordering, and b~' must coincide with the plain adjoint of b.  That
+    last residual is zero by algebra whenever eta is Hermitian and
+    eta eta^-1 = I (eta (eta b eta^-1)^dag eta^-1 = b^dag), so it
+    re-reads those two properties of the decomposition.
     """
     n = d.size
     if len(rho_values) < n - 1:
@@ -220,7 +223,9 @@ def instantiate_numeric(expr: OpExpr, d: BiorthoDecomp,
     Words stay formal: the expression is grouped by word, every dyad is
     replaced by its matrix under the decomposition, coefficients are
     evaluated at the given rho and u, and the max word norm is returned.
-    Zero symbolic expressions instantiate to zero up to rounding.
+    The zero expression has no words and returns 0.0 without reading the
+    decomposition, so a check that instantiates an exact defect re-reads
+    the exact verdict and grounds nothing when that defect is zero.
     """
     if expr.level != d.size:
         raise EngineError(

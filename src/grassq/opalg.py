@@ -24,11 +24,11 @@ word to the left of its dyad.  A word w crossing |F_i><G_j| leftward thus
 picks up q^((theta degree - thetabar degree) of w * ((j-1) - (i-1))), an
 absent side counting 0.  One rule places a word: a word right of a dyad
 crosses it with these phases, then the whole word is normal ordered.
-Products, ``op_term`` and the dagger all place their words by that one
-rule.  Composition contracts dyads through the dual pairings
-<phi_i|psi_j> = <psi_i|phi_j> = delta_ij only; same-family overlaps
-raise :class:`GramUnknownError` because biorthonormality does not
-determine them.
+Products, ``op_term``, the dagger and the resolution walk all place
+their words by that one rule.  Composition contracts dyads through the
+dual pairings <phi_i|psi_j> = <psi_i|phi_j> = delta_ij only; same-family
+overlaps raise :class:`GramUnknownError` because biorthonormality does
+not determine them.
 
 A product visits only the term pairs whose dyads contract.  The operand
 with fewer terms is walked; each of its non-identity terms looks up, in
@@ -64,7 +64,7 @@ from typing import Iterator, Sequence
 
 from .errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
                      GramUnknownError, NonTerminatingSeriesError)
-from .galg import (GExpr, Kind, Word, _integrate_terms, _word_str,
+from .galg import (Kind, Word, _integrate_terms, _word_str,
                    normalize_word)
 from .scalars import Scalar, _SparseSum, _accumulate
 
@@ -267,24 +267,6 @@ def _walk(walked: "OpExpr", probed: "OpExpr", side: int) -> list | None:
     return [pair[2:] for pair in found]
 
 
-def _term_pairs(level: int, left: "OpExpr", right: "OpExpr"):
-    """The surviving term pairs of ``left @ right``, before any
-    coefficient product.
-
-    For each term of ``left`` and term of ``right`` whose dyads contract
-    (:func:`_joined`) and whose word does not vanish, yields
-    ``((word, dyad), e, c1, c2)`` in (left position, right position)
-    order: the pair contributes c1 c2 q**e word dyad.
-    ``OpExpr.__matmul__`` evaluates these tuples; the weight solver only
-    inspects them.
-    """
-    for ((w1, d1), c1), ((w2, d2), c2) in _joined(left, right):
-        qe, w = _place(level, w1, d1, w2)
-        if w is not None:
-            dyad = d2 if d1 == IDENT else d1 if d2 == IDENT else (d1[0], d2[1])
-            yield (w, dyad), qe, c1, c2
-
-
 # ---------------------------------------------------------------------------
 # operator expressions
 # ---------------------------------------------------------------------------
@@ -302,10 +284,6 @@ class OpExpr(_SparseSum):
     def identity(cls, level: int) -> "OpExpr":
         return cls(level, {((), IDENT): Scalar.one(level)})
 
-    @classmethod
-    def from_gexpr(cls, g: GExpr) -> "OpExpr":
-        return cls(g.level, {(w, IDENT): c for w, c in g.terms.items()})
-
     # -- linear structure -------------------------------------------------------
 
     def scale(self, factor: Scalar | int | Fraction) -> "OpExpr":
@@ -314,10 +292,19 @@ class OpExpr(_SparseSum):
     # -- composition -------------------------------------------------------------
 
     def __matmul__(self, other: "OpExpr") -> "OpExpr":
+        """The product: each pair of terms whose dyads contract
+        (:func:`_joined`) and whose word does not vanish adds
+        c1 c2 q**e word dyad, in (left term, right term) order."""
         self._check(other)
-        return OpExpr._wrap(self.level, _accumulate({}, (
-            (key, c1._mul_q(c2, qe)) for key, qe, c1, c2
-            in _term_pairs(self.level, self, other))))
+
+        def products():
+            for ((w1, d1), c1), ((w2, d2), c2) in _joined(self, other):
+                qe, w = _place(self.level, w1, d1, w2)
+                if w is not None:
+                    dyad = (d2 if d1 == IDENT else d1 if d2 == IDENT
+                            else (d1[0], d2[1]))
+                    yield (w, dyad), c1._mul_q(c2, qe)
+        return OpExpr._wrap(self.level, _accumulate({}, products()))
 
     def _index(self, side: int) -> tuple[dict, set]:
         """The terms filed by their ket (0) or bra (1) sides
@@ -488,7 +475,10 @@ def berezin_op(e: OpExpr, measure: Sequence[tuple[int, int]]) -> OpExpr:
     """Berezin integration term by term; dyads ride along unchanged.
 
     Valid because every canonical term keeps its word strictly left of
-    the dyad, so the measure never has to cross a ket or bra.
+    the dyad, so the measure never has to cross a ket or bra.  A
+    resolution check adds every term pair its weight reads into one
+    integrand and integrates it here in one call; the weight solve
+    integrates its placed words one at a time with ``integrate_word``.
     """
     return OpExpr._wrap(e.level, _accumulate(
         {}, _integrate_terms(e.level, e.terms.items(), measure)))

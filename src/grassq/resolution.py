@@ -23,42 +23,42 @@ one invertible monomial entry and every dyad |psi_i><phi_j| is hit
 exactly once.  Such a system has exactly one solution, read off by
 inverting the entries on the diagonal dyads; any other shape is
 refused.  Every column is built the same way: its (ket term, bra term)
-pairs are contracted and integrated word by word, and exactly one pair
-may survive, on one dyad with two single-term coefficients, which makes
-the entry a nonzero monomial.  Only the n diagonal entries, which the
+pairs are placed and integrated word by word, and exactly one pair may
+survive, on one dyad with two single-term coefficients, which makes the
+entry a nonzero monomial.  Only the n diagonal entries, which the
 solution reads, are multiplied out, and each surviving pair streams into
 the solver as it is integrated.  The solver, not any closed formula, is
 the source of truth; the closed-form candidates below are compared with
 it.
 
-Every integral is formed by degree complement.  The measure keeps a word
-only when it holds theta_1^(n-1) thetabar_1^(n-1) (int dtheta theta^k =
-delta(k, n-1)).  Normal ordering merges equal generators by adding their
-exponents, returns zero at an exponent >= n, and a phase never changes
-an exponent; so a product's theta_1 and thetabar_1 exponents are the
-sums of its factors'.  So |A><B| is never formed whole: one complement
-stream (:func:`_complement_pairs`) splits its ket factor and the dagger
-of its bra factor by those exponents and yields each ket block (c, d)
-with each bra block (e, f) under the weight degrees (n-1-c-e, n-1-d-f)
-that read them.  The check composes a weight block only with the pairs
-that arrive under its degrees, so a diagonal weight reads n of the n^2
-ket-bra products and nothing is filed.  The solve, the one reader of
-every pair, integrates each pair against theta^k thetabar^l, term by
-term, as it arrives under (k, l), with no operator product at all, and
-hands each surviving term pair straight to the solver; it files nothing
-either.  Every product left out integrates to exactly 0, so no result
-changes.
+One walk (:func:`_read_pairs`) forms every integral, the solve's and the
+checks'.  The measure keeps a word only when it holds theta_1^(n-1)
+thetabar_1^(n-1): int dtheta theta^k = delta(k, n-1), the paragrassmann
+rule of Filippov, Isaev and Kurdikov (1992).  Normal ordering merges
+equal generators by adding their exponents, returns zero at an exponent
+>= n, and a phase never changes an exponent; so a product's theta_1 and
+thetabar_1 exponents are the sums of its factors'.  A ket term of
+degrees (c, d) and a term (e, f) of the dagger of the bra are therefore
+read by exactly one weight degree, (a, b) = (n-1-c-e, n-1-d-f).  The
+walk skips a pair unless its reader wants (a, b), and places theta^a
+thetabar^b (ket word) (bra word) once for each pair it keeps: |A><B| is
+never formed and no operator is composed.  A check reads the degrees
+its weight holds, so a diagonal weight places n of the n^2 pairs; it
+adds c_ab c_ket c_bra q^qe over them into one integrand and integrates
+that once (``berezin_op``).  The solve reads every degree and integrates
+each placed word on its own as it arrives; it files nothing.  Every
+pair left out integrates to exactly 0, so no result changes.
 """
 
 from __future__ import annotations
 
-from .errors import SingularSystemError
+from .errors import EngineError, SingularSystemError
 from .galg import (GExpr, Kind, Word, d_theta, d_thetabar, grade,
                    integrate_word)
-from .opalg import (OpExpr, PHI, PSI, _term_pairs, berezin_op,
+from .opalg import (OpExpr, PHI, PSI, _contract, _place, berezin_op,
                     dual_identity_sum, op_dagger)
 from .coherent import evolve_state, make_coherent
-from .scalars import Scalar, rho_factorial
+from .scalars import Scalar, _accumulate, rho_factorial
 
 MEASURE = (d_thetabar(), d_theta())
 
@@ -99,58 +99,43 @@ def mirror_weight(level: int) -> GExpr:
     return _factorial_weight(level, reverse=False)
 
 
-def _pair_outer(level: int, pair: tuple[str, str], evolved: bool = False):
-    """The degree-complement stream of |A><B| for the pair's coherent
-    states (:func:`_complement_pairs`)."""
-    states = [make_coherent(level, family) for family in pair]
-    return _complement_pairs(*[evolve_state(s) if evolved else s.body
-                               for s in states])
+def _coefficients(weight: GExpr) -> dict[tuple[int, int], Scalar]:
+    """``{(k, l): c_kl}`` of the weight; a word holding anything but
+    theta_1 and thetabar_1 is refused."""
+    if any(i != 1 or k < Kind.THETA for w in weight.terms for k, i, _ in w):
+        raise EngineError("a weight is a sum of theta^k thetabar^l terms")
+    return {grade(word): c for word, c in weight.terms.items()}
 
 
-def _complement_pairs(ket_body: OpExpr, bra_body: OpExpr):
-    """Yield ``((a, b), ket block, bra block)`` for |A><B|: each ket block
-    (c, d) of ``ket_body`` with each bra block (e, f) of
-    dagger(``bra_body``) (see ``_blocks``), under the only weight degrees
-    (a, b) = (n-1-c-e, n-1-d-f) that read it."""
-    top = ket_body.level - 1
-    bra_blocks = _blocks(op_dagger(bra_body))
-    for (c, d), ket_block in _blocks(ket_body).items():
-        for (e, f), bra_block in bra_blocks.items():
-            yield (top - c - e, top - d - f), ket_block, bra_block
+def _read_pairs(ket_body: OpExpr, bra_body: OpExpr, reads):
+    """The term pairs of |A><B| that the weight degrees in ``reads`` (None
+    for every degree) read, for ket body A and bra body B.
 
-
-def _measured_degrees(word: Word) -> tuple[int, int]:
-    """Exponents of theta_1 and thetabar_1, the two variables MEASURE
-    integrates (a canonical word holds each generator at most once)."""
-    exps = {(kind, index): exp for kind, index, exp in word}
-    return exps.get((Kind.THETA, 1), 0), exps.get((Kind.THETABAR, 1), 0)
-
-
-def _blocks(e: OpExpr) -> dict[tuple[int, int], OpExpr]:
-    """``e`` split into one OpExpr per measured degrees of its words."""
-    blocks: dict = {}
-    for key, c in e.terms.items():
-        blocks.setdefault(_measured_degrees(key[0]), {})[key] = c
-    return {d: OpExpr._wrap(e.level, terms) for d, terms in blocks.items()}
-
-
-def _integrate(weight: GExpr, pairs) -> OpExpr:
-    """int dthetabar dtheta w |A><B|, ``pairs`` any iterable of the
-    triples ``_pair_outer(...)`` yields.
-
-    A weight block (a, b) is composed only with the (ket block, bra
-    block) pairs that arrive under (a, b) (see the module docstring);
-    every other product, which would integrate to 0, is never formed.  Nor
-    is such a product normal ordered, so a generator pair without an
-    exchange rule inside it goes unreported: its value is 0 however that
-    missing rule would read.
+    Each term (c, d) of ``ket_body`` meets each term (e, f) of
+    dagger(``bra_body``), in that order, under the one weight degree
+    (a, b) = (n-1-c-e, n-1-d-f) that reads it (see the module docstring;
+    the bodies' words, like the weight's, hold theta_1 and thetabar_1
+    alone, so the degrees are their ``grade``).  A pair under a degree not
+    in ``reads`` is skipped before anything is formed; otherwise its dyads
+    are contracted (``_contract``, which refuses a same-family pairing)
+    and theta^a thetabar^b (ket word) (bra word) is placed once.  Yields
+    ``((a, b), (word, dyad), qe, c_ket, c_bra)`` for each pair that
+    neither contraction nor ordering makes zero: the pair contributes
+    c_ab c_ket c_bra q^qe word dyad.
     """
-    blocks = _blocks(OpExpr.from_gexpr(weight))
-    integrand = OpExpr.zero(weight.level)
-    for ab, ket_block, bra_block in pairs:
-        if ab in blocks:
-            integrand = integrand + blocks[ab] @ ket_block @ bra_block
-    return berezin_op(integrand, MEASURE)
+    level = ket_body.level
+    bra_terms = [(grade(w), w, d, c)
+                 for (w, d), c in op_dagger(bra_body).terms.items()]
+    for (w1, d1), c_ket in ket_body.terms.items():
+        c, d = grade(w1)
+        for (e, f), w2, d2, c_bra in bra_terms:
+            ab = (level - 1 - c - e, level - 1 - d - f)
+            if reads is None or ab in reads:
+                dyad = _contract(d1, d2)
+                qe, word = _place(level, _monomial_word(*ab) + list(w1),
+                                  d1, w2)
+                if dyad is not None and word is not None:
+                    yield ab, (word, dyad), qe, c_ket, c_bra
 
 
 def resolution_integral(weight: GExpr, pair: tuple[str, str],
@@ -159,9 +144,17 @@ def resolution_integral(weight: GExpr, pair: tuple[str, str],
 
     ``pair`` names the families of the ket state and of the state whose
     dagger provides the bra.  With ``evolved`` both states carry their
-    time evolution factors first.
+    time evolution factors first.  Only the term pairs that the weight's
+    degrees read are placed (:func:`_read_pairs`); they are added into one
+    integrand, which is integrated once.
     """
-    return _integrate(weight, _pair_outer(weight.level, pair, evolved))
+    states = [make_coherent(weight.level, family) for family in pair]
+    bodies = [evolve_state(s) if evolved else s.body for s in states]
+    coefficients = _coefficients(weight)
+    integrand = _accumulate({}, (
+        (key, coefficients[ab]._mul_q(c_ket, 0)._mul_q(c_bra, qe))
+        for ab, key, qe, c_ket, c_bra in _read_pairs(*bodies, coefficients)))
+    return berezin_op(OpExpr._wrap(weight.level, integrand), MEASURE)
 
 
 def verify_resolution(weight: GExpr, pair: tuple[str, str],
@@ -223,30 +216,26 @@ def _row(word: Word, dyad: tuple) -> tuple[int, int]:
 def _entries(level: int):
     """The weight system as it streams, for :func:`_solve_permutation`.
 
-    For each (ket block, bra block) pair the complement stream of
-    |theta><theta~| yields under (k, l), ``_term_pairs`` visits the term
-    pairs whose dyads contract (each block is one term for the coherent
-    states, so it contracts the two directly) and normal orders (ket word)
-    (bra word), and ``integrate_word`` integrates theta^k thetabar^l
-    times that word.  A pair that survives, which must leave the empty
-    word on an outer product, yields ``((k, l), row, c_ket, c_bra, qe)``.
+    Every term pair of |theta><theta~| (:func:`_read_pairs`, reading every
+    degree) is placed under its column (k, l) as theta^k thetabar^l (ket
+    word) (bra word), and ``integrate_word`` integrates that word.  A pair
+    that survives, which must leave the empty word on an outer product,
+    yields ``((k, l), row, c_ket, c_bra, qe)``.
     """
-    for (k, l), ket_block, bra_block in _pair_outer(level, (PSI, PHI)):
-        monomial = _monomial_word(k, l)
-        for (word, dyad), qe, c_ket, c_bra in _term_pairs(
-                level, ket_block, bra_block):
-            qi, rest = integrate_word(level, monomial + list(word), MEASURE)
-            if rest is not None:
-                yield (k, l), _row(rest, dyad), c_ket, c_bra, qe + qi
+    bodies = [make_coherent(level, family).body for family in (PSI, PHI)]
+    for kl, (word, dyad), qe, c_ket, c_bra in _read_pairs(*bodies, None):
+        qi, rest = integrate_word(level, word, MEASURE)
+        if rest is not None:
+            yield kl, _row(rest, dyad), c_ket, c_bra, qe + qi
 
 
 def solve_weight(level: int) -> GExpr:
     """Derive the weight coefficients from the resolution condition.
 
-    Equates int w |theta><theta~| with sum_i |psi_i><phi_i|.  Each pair
-    of the complement stream of |theta><theta~| is integrated as it
-    arrives (:func:`_entries`), and each surviving term pair goes straight
-    into the solver, so no table of pairs or columns is kept.  The system
+    Equates int w |theta><theta~| with sum_i |psi_i><phi_i|.  Each term
+    pair of |theta><theta~| is integrated as the walk reaches it
+    (:func:`_entries`), and each surviving pair goes straight into the
+    solver, so no table of pairs or columns is kept.  The system
     must be a generalized permutation matrix, which proves the solution
     unique, and the solution must be diagonal.
     """

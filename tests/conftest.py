@@ -81,6 +81,11 @@ def random_gexpr(rng: random.Random, level: int, max_terms: int = 3) -> GExpr:
     return GExpr.from_raw(level, items)
 
 
+def word_operator(g: GExpr) -> OpExpr:
+    """The word sum ``g`` as an operator: each word on the identity dyad."""
+    return OpExpr(g.level, {(w, IDENT): c for w, c in g.terms.items()})
+
+
 def diagonal_differences(a, b) -> list:
     """``(i, c_ii of a - c_ii of b)`` for each diagonal slot i of two weights,
     read off ``a - b``, which must hold no other word."""

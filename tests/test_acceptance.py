@@ -30,7 +30,8 @@ from grassq.suq2 import (make_squeezed_state, make_suq2, squeeze_defect,
                          squeezed_closed_form, squeezed_state_defect)
 
 from conftest import (diagonal_differences, random_gexpr,
-                      random_real_spectrum_matrix, random_single_pair_word)
+                      random_real_spectrum_matrix, random_single_pair_word,
+                      word_operator)
 from rewrite_oracle import rewrite_gexpr
 
 
@@ -242,7 +243,7 @@ def test_criterion_9_rewriting_soundness():
     rng = random.Random(99)
     for _ in range(200):
         n = rng.choice([2, 3, 4])
-        a, b, c = (OpExpr.from_gexpr(random_gexpr(rng, n)) for _ in range(3))
+        a, b, c = (word_operator(random_gexpr(rng, n)) for _ in range(3))
         assert (a @ b) @ c == a @ (b @ c)
     # integration selects exactly the top degree
     for n in (2, 3, 4, 5):

@@ -5,10 +5,10 @@ import pytest
 from grassq.errors import EngineError, UnspecifiedRelationError
 from grassq.galg import (GExpr, Kind, berezin, d_theta, d_thetabar, grade,
                          integrate_word, normalize_word)
-from grassq.opalg import OpExpr
 from grassq.scalars import Scalar
 
-from conftest import random_gexpr, random_single_pair_word, random_two_index_word
+from conftest import (random_gexpr, random_single_pair_word,
+                      random_two_index_word, word_operator)
 from rewrite_oracle import (has_uncovered_inversion, integrate_by_swaps,
                             rewrite, rewrite_gexpr)
 
@@ -187,7 +187,7 @@ def test_mul_associative():
     rng = random.Random(17)
     for _ in range(150):
         n = rng.choice([2, 3, 4])
-        a, b, c = (OpExpr.from_gexpr(random_gexpr(rng, n)) for _ in range(3))
+        a, b, c = (word_operator(random_gexpr(rng, n)) for _ in range(3))
         assert (a @ b) @ c == a @ (b @ c)
 
 

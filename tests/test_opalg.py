@@ -16,7 +16,7 @@ from grassq.scalars import Scalar
 
 from conftest import (bra, random_any_dyad_opexpr, random_gexpr,
                       random_scalar, random_single_pair_word,
-                      random_standard_opexpr)
+                      random_standard_opexpr, word_operator)
 from rewrite_oracle import compose_by_pairs
 
 TH = (Kind.THETA, 1, 1)
@@ -465,7 +465,7 @@ def test_rational_scale_matches_the_lifted_scalar(factor):
         lifted = Scalar.from_rational(n, factor)
         for _ in range(5):
             for e in (random_any_dyad_opexpr(rng, n),
-                      OpExpr.from_gexpr(random_gexpr(rng, n))):
+                      word_operator(random_gexpr(rng, n))):
                 if e.is_zero:
                     continue
                 seen += 1

@@ -26,6 +26,13 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "grassq"
 MODULES = ("galg", "opalg", "coherent", "resolution", "suq2")
 
+# The benchmark's workload table.
+WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"
+# The benchmark traces a constructor as ``new`` and a product dunder by
+# its operator's name.
+TRACED_ALIASES = {"new": "__init__", "mul": "__mul__",
+                  "matmul": "__matmul__"}
+
 ALLOWED = {
     # The Berezin integral of a word sum.  The checker integrates
     # operators with opalg.berezin_op; berezin stays as the word-level
@@ -39,7 +46,7 @@ ALLOWED = {
 # qualified name and keeps the function's defaults; every call then
 # records the defaulted parameters whose value is not the default (an
 # equal value of the same type counts as the default).
-PROFILE = """\
+HOOK = """\
 import inspect, json, sys
 entered, options, defaults = set(), set(), {}
 
@@ -73,13 +80,28 @@ def hook(frame, event, arg):
         if not (value is default or (type(value) is type(default)
                                      and value == default)):
             options.add(key + (name,))
-
+"""
+REPORT = """
+print(json.dumps({"entered": sorted(entered), "options": sorted(options)}))
+"""
+PROFILE = HOOK + """
 sys.setprofile(hook)
 from grassq.suites import emit_report, run_suite
 emit_report(run_suite("all", (2, 4), max_n=4), "json")
 sys.setprofile(None)
-print(json.dumps({"entered": sorted(entered), "options": sorted(options)}))
-"""
+""" + REPORT
+# One pass of the benchmark workload named by argv[2], from the workload
+# table in the directory argv[1], profiled as the benchmark traces it:
+# after set-up, over the operations alone, in a fresh interpreter.
+BENCHMARK_PASS = HOOK + """
+sys.path.insert(0, sys.argv[1])
+import workloads
+work = workloads.setup(sys.argv[2], 1)
+sys.setprofile(hook)
+for _, fn in work.ops:
+    fn()
+sys.setprofile(None)
+""" + REPORT
 
 
 def _public(name):
@@ -118,19 +140,24 @@ def _defined(module):
     return found
 
 
-@pytest.fixture(scope="module")
-def profile():
-    """``(entered, options)`` of the profiled run: ``{(module, first
+def _profiled(script, *args):
+    """``(entered, options)`` of a profiled run: ``{(module, first
     line)}`` of every grassq code object entered, and ``{(module, first
     line, parameter)}`` of every defaulted parameter given another value."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = json.loads(subprocess.run(
-        [sys.executable, "-c", PROFILE], env=env, check=True,
-        capture_output=True, text=True).stdout)
+        [sys.executable, "-c", script, *args], env=env, check=True,
+        capture_output=True, text=True).stdout.splitlines()[-1])
     ours = [(Path(name).stem, *rest) for name, *rest in
             out["entered"] + out["options"]
             if Path(name).resolve().parent == PACKAGE]
     return ({k for k in ours if len(k) == 2}, {k for k in ours if len(k) == 3})
+
+
+@pytest.fixture(scope="module")
+def profile():
+    """:func:`_profiled` for the run behind ``grassq verify all``."""
+    return _profiled(PROFILE)
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +188,29 @@ def test_every_engine_option_is_set_by_the_checker(profile, defined):
                 never.append(f"{name}.{param}")
     assert seen > 10, "too few defaulted parameters found"
     assert not never, f"options the checker never sets: {sorted(never)}"
+
+
+def _must_hit():
+    """``{workload: names}`` of the benchmark's ``MUST_HIT``, read from
+    the source of ``perfbench/workloads.py`` without importing it."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "MUST_HIT" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no MUST_HIT table in perfbench/workloads.py")
+
+
+@pytest.mark.parametrize("workload", sorted(_must_hit()))
+def test_a_benchmark_pass_enters_every_name_it_pins(workload):
+    # a traced benchmark pass fails on a pinned name it never enters; this
+    # catches a name the engine stops entering before a benchmark run does
+    entered, _ = _profiled(BENCHMARK_PASS, str(WORKLOADS.parent), workload)
+    missing = []
+    for name in _must_hit()[workload]:
+        module, *owner, attr = name.split(".")
+        if owner:
+            attr = TRACED_ALIASES.get(attr, attr)
+        line, _ = _defined(module)[".".join([module, *owner, attr])]
+        if (module, line) not in entered:
+            missing.append(name)
+    assert not missing, missing

@@ -2,18 +2,18 @@ import random
 
 import pytest
 
-from conftest import diagonal_differences, random_scalar, shifted_weight
+from conftest import (diagonal_differences, random_scalar, shifted_weight,
+                      word_operator)
 from grassq import resolution
-from grassq.coherent import evolve_state, make_coherent
-from grassq.errors import SingularSystemError
-from grassq.galg import GExpr, Kind
-from grassq.opalg import PHI, PSI, OpExpr, berezin_op, op_dagger, outer
+from grassq.coherent import CoherentState, evolve_state, make_coherent
+from grassq.errors import EngineError, SingularSystemError
+from grassq.galg import GExpr, Kind, grade
+from grassq.opalg import (PHI, PSI, OpExpr, berezin_op, op_dagger, op_term,
+                          outer)
 from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS,
                                closed_form_weight, is_diagonal, mirror_weight,
                                resolution_integral, solve_weight,
-                               verify_resolution, _blocks,
-                               _complement_pairs, _entries, _integrate,
-                               _measured_degrees, _pair_outer,
+                               verify_resolution, _entries, _read_pairs,
                                _solve_permutation, _weight)
 from grassq.scalars import Scalar, rho_factorial
 from grassq.suites import run_suite
@@ -165,65 +165,77 @@ def test_permutation_solver(monkeypatch):
     refused({(0, 1): None}, r"row \(1, 0\) is never hit")
 
 
-def _degrees(block):
-    """The one (theta_1, thetabar_1) degree pair of every word in ``block``."""
-    (degrees,) = {_measured_degrees(word) for word, _ in block.terms}
-    return degrees
-
-
-def test_pair_outer_files_every_block_pair_once_under_its_complement():
+def test_walk_places_every_term_pair_once_under_its_complement():
+    # each (ket term, bra term) pair, in ket-term-major order, under the
+    # one weight degree that reads it, placed as the plain product of
+    # theta^a thetabar^b, the ket term and the bra term; a reader gets
+    # exactly the pairs under the degrees it holds
+    rng = random.Random(26)
     for n in range(2, 9):
+        one = Scalar.one(n)
+        degrees = [(a, b) for a in range(n) for b in range(n)]
         for pair in MIXED_PAIRS + SAME_PAIRS:
             for evolved in (False, True):
                 ket_body, bra_body = _pair_bodies(n, pair, evolved)
-                ket_blocks = _blocks(ket_body)
-                bra_blocks = _blocks(op_dagger(bra_body))
-                filed = []
-                for ab, ket_block, bra_block in _pair_outer(n, pair, evolved):
-                    cd, ef = _degrees(ket_block), _degrees(bra_block)
-                    assert ket_block == ket_blocks[cd], (n, pair, cd)
-                    assert bra_block == bra_blocks[ef], (n, pair, ef)
-                    filed.append((ab, cd, ef))
-                want = [((n - 1 - c - e, n - 1 - d - f), (c, d), (e, f))
-                        for c, d in ket_blocks for e, f in bra_blocks]
-                assert sorted(filed) == sorted(want), (n, pair, evolved)
+                walked = list(_read_pairs(ket_body, bra_body, None))
+                want = []
+                for ket_key, c_ket in ket_body.terms.items():
+                    for bra_key, c_bra in op_dagger(bra_body).terms.items():
+                        (c, d), (e, f) = grade(ket_key[0]), grade(bra_key[0])
+                        ab = (n - 1 - c - e, n - 1 - d - f)
+                        product = (op_term(n, one, left=_monomial(*ab))
+                                   @ OpExpr(n, {ket_key: c_ket})
+                                   @ OpExpr(n, {bra_key: c_bra}))
+                        want.append((ab, product.terms))
+                assert [(ab, {key: c_ket._mul_q(c_bra, qe)})
+                        for ab, key, qe, c_ket, c_bra in walked] == want, (
+                            n, pair, evolved)
+                reads = set(rng.sample(degrees, rng.randrange(n * n)))
+                assert list(_read_pairs(ket_body, bra_body, reads)) == [
+                    t for t in walked if t[0] in reads], (n, pair, evolved)
 
 
 def test_column_reads_one_term_pair_and_refuses_any_other_shape(monkeypatch):
     n = 2
-    stream = list(_pair_outer(n, (PSI, PHI)))
+    stream = list(_read_pairs(*_pair_bodies(n, (PSI, PHI), False), None))
     entries = list(_entries(n))
-    # c_01: theta^0 thetabar^1 meets the ket block (1, 0) and the bra
-    # block (0, 0), and only there
-    (_, ket_block, bra_block), = [t for t in stream if t[0] == (0, 1)]
-    assert (_degrees(ket_block), _degrees(bra_block)) == ((1, 0), (0, 0))
+    # c_01: theta^0 thetabar^1 meets the ket term theta |psi_1> and the
+    # bra term <phi_0|, and only there
+    (_, (word, dyad), *_), = [t for t in stream if t[0] == (0, 1)]
+    assert dyad == outer(PSI, 1, PHI, 0)
+    assert word == ((Kind.THETA, 1, 1), (Kind.THETABAR, 1, 1))
     (row, *_), = [e[1:] for e in entries if e[0] == (0, 1)]
     assert row == (1, 0)
     # a diagonal column carries the value the exact integral gives
     for k in range(n):
-        integral = _integrate(_weight(n, {(k, k): Scalar.one(n)}), stream)
+        integral = resolution_integral(_weight(n, {(k, k): Scalar.one(n)}),
+                                       (PSI, PHI))
         ((_, (ket_side, bra_side)), value), = integral.terms.items()
         (row, c_ket, c_bra, qe), = [e[1:] for e in entries if e[0] == (k, k)]
         assert row == (ket_side[1], bra_side[1]), k
         assert c_ket._mul_q(c_bra, qe) == value, k
 
-    def refused(triples, reason):
+    def refused(pairs, reason):
         with monkeypatch.context() as mutant:
-            mutant.setattr(resolution, "_pair_outer", lambda *_: triples)
+            mutant.setattr(resolution, "_read_pairs", lambda *_: iter(pairs))
             with pytest.raises(SingularSystemError, match=reason):
                 solve_weight(n)
 
-    def replaced(kl, *blocks):
-        return [(kl, *blocks) if t[0] == kl else t for t in stream]
+    def replaced(kl, at, value):
+        """The stream with field ``at`` of the pair under ``kl`` replaced."""
+        return [t[:at] + (value,) + t[at + 1:] if t[0] == kl else t
+                for t in stream]
 
+    (_, key, _, c_ket, c_bra), = [t for t in stream if t[0] == (0, 1)]
     s1 = Scalar.s(n, 1)
-    refused(replaced((0, 1), ket_block.scale(Scalar.one(n) + s1), bra_block),
+    refused(replaced((0, 1), 3, c_ket * (Scalar.one(n) + s1)),
             "c_01 has a non-monomial factor")
-    refused(replaced((0, 1), ket_block, bra_block.scale(Scalar.one(n) + s1)),
+    refused(replaced((0, 1), 4, c_bra * (Scalar.one(n) + s1)),
             "c_01 has a non-monomial factor")
-    # a pair filed under another column leaves a word behind
-    (_, *blocks_11), = [t for t in stream if t[0] == (1, 1)]
-    refused(replaced((0, 1), *blocks_11), r"row \(1, 0\) is never hit")
+    # a pair that lost its weight monomial leaves a word behind: the ket
+    # and bra words alone, theta, miss the thetabar the measure needs
+    refused(replaced((0, 1), 1, (((Kind.THETA, 1, 1),), key[1])),
+            r"row \(1, 0\) is never hit")
     # two surviving pairs on a diagonal column are refused, not summed
     refused(stream + [t for t in stream if t[0] == (0, 0)],
             "column c_00 is reached twice")
@@ -231,23 +243,34 @@ def test_column_reads_one_term_pair_and_refuses_any_other_shape(monkeypatch):
 
 def test_solve_raises_at_the_first_bad_entry_without_reading_on(
         monkeypatch):
-    # the solve pulls the complement stream one pair at a time: a bad
-    # second pair stops it before the other n^2 - 2 are built
+    # the solve pulls the walk one pair at a time: a bad second pair
+    # stops it before the other n^2 - 2 are placed
     n = 6
-    plain_pair_outer = resolution._pair_outer
+    plain_read_pairs = resolution._read_pairs
     pulled = []
 
-    def pair_outer(*args):
-        for at, (kl, ket_block, bra_block) in enumerate(
-                plain_pair_outer(*args)):
+    def read_pairs(*args):
+        for at, (kl, key, qe, c_ket, c_bra) in enumerate(
+                plain_read_pairs(*args)):
             pulled.append(kl)
             if at == 1:
-                bra_block = bra_block.scale(Scalar.one(n) + Scalar.s(n, 1))
-            yield kl, ket_block, bra_block
-    monkeypatch.setattr(resolution, "_pair_outer", pair_outer)
+                c_bra = c_bra * (Scalar.one(n) + Scalar.s(n, 1))
+            yield kl, key, qe, c_ket, c_bra
+    monkeypatch.setattr(resolution, "_read_pairs", read_pairs)
     with pytest.raises(SingularSystemError, match="non-monomial factor"):
         solve_weight(n)
     assert len(pulled) == 2
+
+
+def test_integral_refuses_a_word_outside_the_weight_polynomials():
+    # a weight is sum c_kl theta^k thetabar^l; a word of another index is
+    # refused, not read under its total degrees
+    n = 3
+    for raw in ([(Kind.THETA, 2, 1)],
+                [(Kind.THETA, 1, 1), (Kind.THETABAR, 2, 1)]):
+        weight = GExpr.from_raw(n, [(Scalar.one(n), raw)])
+        with pytest.raises(EngineError, match="a weight is a sum of theta"):
+            resolution_integral(weight, (PSI, PHI))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +290,7 @@ def _plain_outer(ket_body, bra_body):
 
 def _reference_integral(weight, outer_product):
     """Every weight term times every outer-product term, then integrated."""
-    return berezin_op(OpExpr.from_gexpr(weight) @ outer_product, MEASURE)
+    return berezin_op(word_operator(weight) @ outer_product, MEASURE)
 
 
 def _random_weight(rng, n, shape):
@@ -310,20 +333,29 @@ def _thin(rng, e):
     return OpExpr(e.level, {key: e.terms[key] for key in keys})
 
 
-def test_weight_blocks_without_a_partner_integrate_to_zero():
-    # thin the ket and bra bodies so that some weight blocks find no
-    # partner block
+def _integral_on_bodies(monkeypatch, weight, ket_body, bra_body):
+    """``resolution_integral(weight, (PSI, PHI))`` with the psi and phi
+    coherent states' bodies replaced by the given ones."""
+    bodies = {PSI: ket_body, PHI: bra_body}
+    with monkeypatch.context() as replaced:
+        replaced.setattr(resolution, "make_coherent", lambda level, family:
+                         CoherentState(level, family, bodies[family]))
+        return resolution_integral(weight, (PSI, PHI))
+
+
+def test_weight_blocks_without_a_partner_integrate_to_zero(monkeypatch):
+    # thin the ket and bra bodies so that some weight degrees find no
+    # partner pair
     rng = random.Random(7)
     for n in range(2, 9):
         ket_body, bra_body = _pair_bodies(n, (PSI, PHI), False)
         for _ in range(3):
             ket_thin, bra_thin = _thin(rng, ket_body), _thin(rng, bra_body)
-            # a list, not the one-pass stream: three weights read it
-            reached = list(_complement_pairs(ket_thin, bra_thin))
             thinned = _plain_outer(ket_thin, bra_thin)
             for shape in ("dense", "non-diagonal", "single"):
                 weight = _random_weight(rng, n, shape)
-                _assert_same(_integrate(weight, reached),
+                _assert_same(_integral_on_bodies(monkeypatch, weight,
+                                                 ket_thin, bra_thin),
                              _reference_integral(weight, thinned),
                              (n, len(ket_thin.terms), len(bra_thin.terms),
                               shape))
@@ -360,11 +392,12 @@ def test_solver_matches_a_solve_on_the_plain_integral():
 
 def test_solver_columns_match_the_per_column_integral():
     # the reference integrates every monomial exactly, one column at a
-    # time; the solve integrates each pair of the stream once, term by
-    # term, so its entries must agree on every column, row and value
+    # time, as a check does; the solve integrates each pair of the walk
+    # once, word by word, so its entries must agree on every column, row
+    # and value
     for n in range(2, 17):
-        stream = list(_pair_outer(n, (PSI, PHI)))
-        want = _reference_columns(n, lambda w: _integrate(w, stream))
+        want = _reference_columns(
+            n, lambda w: resolution_integral(w, (PSI, PHI)))
         got = {}
         for kl, row, c_ket, c_bra, qe in _entries(n):
             assert kl not in got, (n, kl)
@@ -373,31 +406,10 @@ def test_solver_columns_match_the_per_column_integral():
         assert all(len(column) == 1 for column in want.values()), n
 
 
-def test_diagonal_integral_composes_only_the_blocks_it_reads(monkeypatch,
-                                                             fresh_caches):
-    # counts term pairs, not time: the whole |A><B| alone is n^2 pairs
-    pairs = []
-    plain_matmul = OpExpr.__matmul__
-
-    def counting_matmul(a, b):
-        pairs.append(len(a.terms) * len(b.terms))
-        return plain_matmul(a, b)
-
-    n = 12
-    weight = solve_weight(n)
-    monkeypatch.setattr(OpExpr, "__matmul__", counting_matmul)
-    for pair in MIXED_PAIRS + SAME_PAIRS:
-        for evolved in (False, True):
-            pairs.clear()
-            resolution_integral(weight, pair, evolved=evolved)
-            assert 0 < sum(pairs) <= 2 * n, (pair, evolved, sum(pairs))
-
-
-def test_weight_solve_makes_no_operator_product(monkeypatch, fresh_caches):
-    # counts calls, not time: every column is one integrated term pair
-    n = 12
-    solve_weight(n)  # the default coherent states are built once
-    calls = {"matmul": 0, "berezin_op": 0, "integrate_word": 0}
+def _counting(monkeypatch, names):
+    """Count the calls of ``OpExpr.__matmul__`` ("matmul") and of the
+    named functions as ``resolution`` reads them."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, plain):
         def wrapper(*args):
@@ -405,13 +417,40 @@ def test_weight_solve_makes_no_operator_product(monkeypatch, fresh_caches):
             return plain(*args)
         return wrapper
 
-    monkeypatch.setattr(OpExpr, "__matmul__",
-                        counted("matmul", OpExpr.__matmul__))
-    for name in ("berezin_op", "integrate_word"):
-        monkeypatch.setattr(resolution, name,
-                            counted(name, getattr(resolution, name)))
+    for name in names:
+        if name == "matmul":
+            monkeypatch.setattr(OpExpr, "__matmul__",
+                                counted(name, OpExpr.__matmul__))
+        else:
+            monkeypatch.setattr(resolution, name,
+                                counted(name, getattr(resolution, name)))
+    return calls
+
+
+def test_each_check_places_only_the_pairs_it_reads(monkeypatch,
+                                                   fresh_caches):
+    # counts calls, not time: a diagonal weight reads n of the n^2 pairs,
+    # and the check composes no operator and integrates once
+    n = 12
+    weight = solve_weight(n)
+    calls = _counting(monkeypatch, ("matmul", "berezin_op", "_place"))
+    for pair in MIXED_PAIRS + SAME_PAIRS:
+        for evolved in (False, True):
+            calls.update(dict.fromkeys(calls, 0))
+            resolution_integral(weight, pair, evolved=evolved)
+            assert calls == {"matmul": 0, "berezin_op": 1, "_place": n}, (
+                pair, evolved)
+
+
+def test_weight_solve_makes_no_operator_product(monkeypatch, fresh_caches):
+    # counts calls, not time: every column is one placed, integrated pair
+    n = 12
+    solve_weight(n)  # the default coherent states are built once
+    calls = _counting(monkeypatch, ("matmul", "berezin_op", "_place",
+                                    "integrate_word"))
     assert solve_weight(n) == closed_form_weight(n)
-    assert calls == {"matmul": 0, "berezin_op": 0, "integrate_word": n * n}
+    assert calls == {"matmul": 0, "berezin_op": 0, "_place": n * n,
+                     "integrate_word": n * n}
 
 
 def test_resolution_status_pattern_holds_at_n16():
@@ -448,9 +487,12 @@ RESOLUTION_MUTANTS = {
         {"resolution/n=3/same-psi-psi", "resolution/n=3/same-phi-phi",
          "resolution/n=3/mixed-psi-phi", "resolution/n=3/mixed-phi-psi",
          "dynamics/n=3/evolved-resolution"}),
-    "_integrate": (
-        lambda plain: lambda weight, pairs: plain(
-            weight, (triple for triple in pairs if triple[0] != (0, 0))),
+    # the walk loses the pairs under (0, 0) wherever a weight reads them;
+    # the solve, which reads every degree (None), keeps them
+    "_read_pairs": (
+        lambda plain: lambda ket_body, bra_body, reads: (
+            t for t in plain(ket_body, bra_body, reads)
+            if reads is None or t[0] != (0, 0)),
         {"resolution/n=3/mixed-psi-phi", "resolution/n=3/mixed-phi-psi",
          "dynamics/n=3/evolved-resolution"}),
 }
