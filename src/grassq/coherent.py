@@ -44,7 +44,7 @@ from .galg import Kind, grade
 from .opalg import (OpExpr, PSI, _known_family, _nilpotent_series,
                     eta_conjugate, ket, ket_op, make_ladder, op_dagger,
                     op_term, sharp_adjoint, theta_op)
-from .scalars import Scalar, rho_factorial
+from .scalars import Scalar, _accumulate, rho_factorial
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,15 @@ def make_coherent(level: int, family: str = PSI) -> CoherentState:
 def _build_coherent(level: int, family: str) -> CoherentState:
     if level < 2:
         raise EngineError("need at least two levels")
-    body = OpExpr.zero(level)
+    terms: dict = {}
     inv_fact = Scalar.one(level)
     for i in range(level):
         if i:
             inv_fact = inv_fact * Scalar.s(level, i, -1)
         coeff = inv_fact.mul_q_power(-(i * (i + 1)) // 2)
-        body = body + op_term(level, coeff, ket(family, i),
-                              left=[(Kind.THETA, 1, i)])
-    return CoherentState(level, family, body)
+        _accumulate(terms, op_term(level, coeff, ket(family, i),
+                                   left=[(Kind.THETA, 1, i)]).terms.items())
+    return CoherentState(level, family, OpExpr._wrap(level, terms))
 
 
 def verify_eigen(state: CoherentState) -> OpExpr:

@@ -421,19 +421,22 @@ def _nilpotent_series(arg: OpExpr, bound: int,
     any other ``on`` (a state, say) gets the same sum applied to it term
     by term, sum_k w_k (arg^k on), without forming the operator.
     ``weights`` yields w_1, w_2, ... and is read only for nonzero terms;
-    a term arg^k on past ``bound`` that is still nonzero raises.
+    a term arg^k on past ``bound`` that is still nonzero raises.  Each
+    term is merged into one dict (``_accumulate``), which is wrapped once
+    at the end, so no partial sum is copied.
     """
-    acc = power = OpExpr.identity(arg.level) if on is None else on
+    power = OpExpr.identity(arg.level) if on is None else on
+    acc = dict(power.terms)
     arg._index(1)  # a power with fewer terms probes arg's bras: file once
     for k in range(1, bound + 2):
         power = arg @ power
         if power.is_zero:
-            return acc
+            break
         if k > bound:
             raise NonTerminatingSeriesError(
                 f"argument power {k} is still nonzero")
-        acc = acc + power.scale(next(weights))
-    return acc
+        _accumulate(acc, power.scale(next(weights)).terms.items())
+    return OpExpr._wrap(arg.level, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -181,27 +181,39 @@ def _solve_permutation(level: int, entries) -> dict:
     hit means every column reached.  The unique solution is c_kl =
     1/entry on the diagonal rows, zero elsewhere; only those entries are
     formed, in one coefficient step (``Scalar._mul_q``).  Any other shape,
-    or a surviving off-diagonal c_kl, raises :class:`SingularSystemError`
-    at the first entry that shows it.  The solution is in (k, l) order.
+    a column or row outside 0..level-1, or a surviving off-diagonal c_kl,
+    raises :class:`SingularSystemError` at the first entry that shows it.
+    The solution is in (k, l) order.
+
+    The columns reached and the rows hit are two tables of level^2 bytes,
+    (i, j) at i * level + j, with a count of the rows left.  Each
+    coordinate is bounds-checked before it indexes, since a negative
+    index would wrap round to another cell.
     """
-    rows = {(i, j) for i in range(level) for j in range(level)}
-    reached = set()
+    size = level * level
+    reached, hit, left = bytearray(size), bytearray(size), size
     solution = {}
     for (k, l), row, c_ket, c_bra, qe in entries:
-        if (k, l) in reached:
+        if not (0 <= k < level and 0 <= l < level):
+            raise SingularSystemError(f"column c_{k}{l} does not exist")
+        column = k * level + l
+        if reached[column]:
             raise SingularSystemError(f"column c_{k}{l} is reached twice")
-        reached.add((k, l))
-        if row not in rows:
+        reached[column] = 1
+        i, j = row
+        if not (0 <= i < level and 0 <= j < level) or hit[i * level + j]:
             raise SingularSystemError(f"row {row} is hit twice or does not exist")
-        rows.remove(row)
+        hit[i * level + j] = 1
+        left -= 1
         if len(c_ket.terms) != 1 or len(c_bra.terms) != 1:
             raise SingularSystemError(f"c_{k}{l} has a non-monomial factor")
-        if row[0] == row[1]:
+        if i == j:
             if k != l:
                 raise SingularSystemError(f"off-diagonal c_{k}{l} survived")
             solution[(k, l)] = c_ket._mul_q(c_bra, qe).monomial_inverse()
-    if rows:
-        raise SingularSystemError(f"row {min(rows)} is never hit")
+    if left:
+        raise SingularSystemError(
+            f"row {divmod(hit.index(0), level)} is never hit")
     return dict(sorted(solution.items()))
 
 

@@ -57,7 +57,12 @@ constructor that drops zero values (and a private one, ``_wrap``, for
 dicts already known to hold none), the level check, ``+``, ``-``,
 ``is_zero`` and ``==``, and one merge that adds (key, value) pairs into a
 dict and drops each sum that vanishes.  Every product and integral in
-the engine accumulates its terms through that merge.
+the engine, and the coherent-state and series builders, which grow a
+sum term by term, accumulate their terms through that merge.  ``-`` is
+its own merge: the values are canonical, so a key on both sides with
+equal values is dropped by one comparison, and only a key whose values
+differ forms a difference.  An exact check of ``lhs - rhs`` that holds
+thus compares each term once and builds nothing.
 """
 
 from __future__ import annotations
@@ -534,7 +539,21 @@ class _SparseSum:
                           _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-other)
+        """``self + (-other)`` in one pass, in its term order.  Both sides
+        are canonical, so a key whose two values are equal cancels
+        exactly: it is dropped after one comparison, and no difference
+        or negation is formed for it."""
+        self._check(other)
+        acc = dict(self.terms)
+        for key, value in other.terms.items():
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = -value
+            elif prev == value:
+                del acc[key]
+            else:
+                acc[key] = prev - value
+        return self._wrap(self.level, acc)
 
     def __neg__(self):
         return self._wrap(self.level, {k: -v for k, v in self.terms.items()})

@@ -7,7 +7,7 @@ import pytest
 from conftest import (clear_construction_caches, random_scalar,
                       random_single_pair_word)
 from rewrite_oracle import compose_by_pairs
-from grassq import opalg
+from grassq import coherent, opalg
 from grassq.coherent import (CoherentState, check_stability, evolve_state,
                              exponential_form, exponential_form_defect,
                              make_coherent, q_exponential, theta_time_shift,
@@ -17,7 +17,7 @@ from grassq.galg import Kind, grade
 from grassq.opalg import (OpExpr, PHI, PSI, eta_conjugate, ket, ket_op,
                           make_ladder, op_dagger, op_term, sharp_adjoint,
                           theta_op)
-from grassq.scalars import Scalar
+from grassq.scalars import Cyclo, Scalar, _SparseSum
 
 TH = (Kind.THETA, 1, 1)
 
@@ -212,6 +212,62 @@ def test_coherent_products_contract_only_the_pairs_that_survive(
         assert joined.get("_contract", 0) <= n, (check, joined)
         assert counts["_contract"] >= (n - 1) ** 2, (check, counts)
         assert joined["_place"] == counts["_place"], (check, joined, counts)
+
+
+def _counting_calls(monkeypatch, targets):
+    """Count the calls of each ``(owner, attribute)`` in ``targets``."""
+    calls = Counter()
+    for owner, attr in targets:
+        def counted(*args, plain=getattr(owner, attr), attr=attr):
+            calls[attr] += 1
+            return plain(*args)
+        monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_a_defect_that_holds_cancels_by_comparison_alone(
+        monkeypatch, fresh_caches):
+    # both sides of each exact check are formed first; the subtraction
+    # then meets every term on both sides with equal values, so it forms
+    # no Cyclo sum and negates no coefficient
+    n = 8
+    psi, phi = make_coherent(n, PSI), make_coherent(n, PHI)
+    b, theta = make_ladder(n), theta_op(n)
+    sides = {"eigen-psi": (b @ psi.body, theta @ psi.body),
+             "eigen-phi": (eta_conjugate(b) @ phi.body, theta @ phi.body),
+             "eta-map": (eta_conjugate(psi.body), phi.body)}
+    for state in (psi, phi):
+        sides[f"exp-form-{state.family}"] = (state.body,
+                                             exponential_form(state))
+        sides[f"stability-{state.family}"] = (
+            evolve_state(state),
+            theta_time_shift(state.body).scale(Scalar.u(n, -(n - 2))))
+    calls = _counting_calls(monkeypatch, [(Cyclo, "_sum"),
+                                          (_SparseSum, "__neg__")])
+    for name, (lhs, rhs) in sides.items():
+        assert (lhs - rhs).is_zero, name
+        assert not calls, (name, calls)
+    # the counters see a subtraction that does form sums and negations
+    lhs, rhs = sides["eigen-psi"]
+    assert not (lhs - rhs.scale(2)).is_zero
+    assert calls["_sum"] == len(lhs.terms) > 0
+    assert (OpExpr.zero(n) - rhs).terms
+    assert calls["__neg__"] == len(rhs.terms)
+
+
+def test_the_builders_merge_into_one_sum(monkeypatch, fresh_caches):
+    # a state and an exponential series grow one dict term by term; no
+    # partial sum is added, so none is copied
+    n = 8
+    adds = _counting_calls(monkeypatch, [(OpExpr, "__add__")])
+    body = coherent._build_coherent.__wrapped__(n, PSI).body
+    series = exponential_form(make_coherent(n, PHI))
+    assert not adds
+    # the terms in the order they were built, theta^i |psi_i> by i
+    assert [(grade(w)[0], d) for w, d in body.terms] == [
+        (i, ket(PSI, i)) for i in range(n)]
+    assert body == make_coherent(n, PSI).body
+    assert series == make_coherent(n, PHI).body
 
 
 def _contract_ignoring_the_index(plain):

@@ -152,6 +152,13 @@ def test_permutation_solver(monkeypatch):
 
     refused({(0, 1): ((0, 1), q, one, 0)}, r"row \(0, 1\) is hit twice")
     refused({(0, 1): ((2, 0), q, one, 0)}, "does not exist")
+    # each coordinate is bounded before it indexes the row table, where
+    # (-1, 0) would wrap round to the unhit row (1, 0), and (0, 2) too
+    for row in ((-1, 0), (0, -1), (0, 2)):
+        refused({(0, 1): (row, q, one, 0)},
+                rf"row \({row[0]}, {row[1]}\) is hit twice or does not exist")
+    refused({(0, 1): None}, "column c_-10 does not exist",
+            [((-1, 0), (1, 0), q, one, 0)])
     refused({(0, 1): ((1, 1), q, one, 0), (0, 0): ((1, 0), s1, one, 0)},
             "off-diagonal c_01 survived")
     refused({(0, 1): ((1, 0), q + one, one, 0)},

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from grassq.errors import EngineError, LevelMismatchError
 from grassq.galg import GExpr
 from grassq.opalg import OpExpr
-from grassq.scalars import (Cyclo, Scalar, cyclotomic_polynomial,
+from grassq.scalars import (Cyclo, Scalar, _SparseSum, cyclotomic_polynomial,
                             rho_factorial)
 
-from conftest import random_scalar
+from conftest import (random_any_dyad_opexpr, random_gexpr, random_scalar,
+                      random_standard_opexpr)
 
 
 def test_cyclotomic_polynomials():
@@ -157,6 +158,45 @@ def test_eval_is_ring_homomorphism(triple, angle):
     rhs = a.eval(rho, u) + b.eval(rho, u)
     scale = max(abs(lhs), abs(rhs), 1.0)
     assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def _ordered(x):
+    """The terms of a sum in their order, nested sums in theirs too."""
+    if not isinstance(x, _SparseSum):
+        return x
+    return [(key, _ordered(value)) for key, value in x.terms.items()]
+
+
+def _assert_subtraction_laws(a, b):
+    # ``-`` is a merge of its own: it must give what adding the negation
+    # gives, down to the term order of every nested sum
+    difference, negated = a - b, a + (-b)
+    assert difference == negated
+    assert _ordered(difference) == _ordered(negated)
+    assert all(difference.terms.values())
+    assert (a - a).is_zero
+    assert difference + b == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalar_triples())
+def test_scalar_subtraction_adds_the_negation(triple):
+    # c added to both sides gives keys whose two values are equal, and
+    # a + b against a gives keys whose values differ
+    a, b, c = triple
+    for x, y in ((a, b), (a + c, b + c), (a + b, a), (a, a + b)):
+        _assert_subtraction_laws(x, y)
+
+
+def test_word_and_operator_subtraction_adds_the_negation():
+    rng = random.Random(27)
+    for _ in range(150):
+        level = rng.choice((2, 3, 4, 5))
+        for build in (random_gexpr, random_standard_opexpr,
+                      random_any_dyad_opexpr):
+            a, b, c = (build(rng, level) for _ in range(3))
+            for x, y in ((a, b), (a + c, b + c), (a + b, a), (a, a + b)):
+                _assert_subtraction_laws(x, y)
 
 
 def test_eval_examples():
