@@ -216,13 +216,13 @@ def _dyad_matrix(d: BiorthoDecomp, dyad) -> tuple[str, np.ndarray]:
 
 
 def instantiate_numeric(expr: OpExpr, d: BiorthoDecomp,
-                        rho_values: Sequence[float],
-                        u_value: complex = 1.0) -> float:
+                        rho_values: Sequence[float]) -> float:
     """Largest matrix norm over the Grassmann words of a symbolic expression.
 
     Words stay formal: the expression is grouped by word, every dyad is
     replaced by its matrix under the decomposition, coefficients are
-    evaluated at the given rho and u, and the max word norm is returned.
+    evaluated at the given rho, and the max word norm is returned.  A
+    coefficient holding u has no value and is refused (``Scalar.eval``).
     The zero expression has no words and returns 0.0 without reading the
     decomposition, so a check that instantiates an exact defect re-reads
     the exact verdict and grounds nothing when that defect is zero.
@@ -237,7 +237,7 @@ def instantiate_numeric(expr: OpExpr, d: BiorthoDecomp,
         prev_shape = shapes.setdefault(word, shape)
         if prev_shape != shape:
             raise EngineError("cannot mix operator, ket and bra terms per word")
-        value = coeff.eval(rho_values, u_value)
+        value = coeff.eval(rho_values)
         if word in buckets:
             buckets[word] = buckets[word] + value * mat
         else:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EngineError
-from .galg import Kind, grade
+from .galg import _monomial, grade
 from .opalg import (OpExpr, PSI, _known_family, _nilpotent_series,
                     eta_conjugate, ket, ket_op, make_ladder, op_dagger,
                     op_term, sharp_adjoint, theta_op)
@@ -78,7 +78,7 @@ def _build_coherent(level: int, family: str) -> CoherentState:
             inv_fact = inv_fact * Scalar.s(level, i, -1)
         coeff = inv_fact.mul_q_power(-(i * (i + 1)) // 2)
         _accumulate(terms, op_term(level, coeff, ket(family, i),
-                                   left=[(Kind.THETA, 1, i)]).terms.items())
+                                   left=_monomial(i, 0)).terms.items())
     return CoherentState(level, family, OpExpr._wrap(level, terms))
 
 

@@ -30,6 +30,13 @@ the order in which it is rewritten.  Integration follows the rule
 pass: a measure symbol picks up the exchange phase of each variable
 block before its own, then removes its own block.
 
+This module is the one owner of the word's layout, a tuple of
+(kind, index, exponent) factors: no other module names a kind or writes
+a factor.  The other layers read and build words through it:
+:func:`grade` reads a word's degrees, ``_monomial`` builds the raw word
+theta^k thetabar^l, ``_dagger_word`` reverses a word for the dagger, and
+:func:`normalize_word` and :func:`integrate_word` order and integrate it.
+
 A :class:`GExpr` stores a sum of words, such as a weight, normal ordered
 by :meth:`GExpr.from_raw`.  The variables and their product live in the
 operator layer: ``opalg.theta_op``, ``opalg.thetabar_op`` and ``@``.
@@ -60,9 +67,16 @@ _KIND_NAMES = {
     Kind.THETABAR: "thb",
 }
 
+# The kinds as plain ints, which the loops over factors compare faster.
+_DTHETABAR, _DTHETA, _THETA, _THETABAR = map(int, Kind)
+
 # A factor is (kind, index, exponent); a word is a tuple of factors.
 Factor = tuple[int, int, int]
 Word = tuple[Factor, ...]
+
+# The dagger's swap: theta <-> thetabar and dtheta <-> dthetabar.
+_DAGGER_KIND = {_THETA: _THETABAR, _THETABAR: _THETA,
+                _DTHETA: _DTHETABAR, _DTHETABAR: _DTHETA}
 
 # q exponent for swapping an out-of-order adjacent pair of distinct kinds
 # at a common index: left*right -> q**e * right*left, keyed by the kinds.
@@ -129,10 +143,29 @@ def normalize_word(level: int, factors: Iterable[Factor]) -> tuple[int, Optional
 
 
 def grade(word: Word) -> tuple[int, int]:
-    """Total theta degree and thetabar degree of a word."""
-    dt = sum(e for k, _, e in word if k == Kind.THETA)
-    db = sum(e for k, _, e in word if k == Kind.THETABAR)
+    """Total theta degree and thetabar degree of a word; a measure
+    symbol, which has neither, is refused."""
+    dt = db = 0
+    for kind, _, e in word:
+        if kind == _THETA:
+            dt += e
+        elif kind == _THETABAR:
+            db += e
+        else:
+            raise EngineError("a measure symbol has no theta or thetabar degree")
     return dt, db
+
+
+def _monomial(k: int, l: int) -> Word:
+    """The raw word theta^k thetabar^l; a zero exponent is left for
+    :func:`normalize_word` to drop."""
+    return ((_THETA, 1, k), (_THETABAR, 1, l))
+
+
+def _dagger_word(word: Word) -> Word:
+    """The raw word of the dagger: reversed, with theta <-> thetabar and
+    dtheta <-> dthetabar."""
+    return tuple((_DAGGER_KIND[k], i, e) for k, i, e in reversed(word))
 
 
 def _word_str(word: Word) -> str:

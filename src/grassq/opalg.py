@@ -22,13 +22,15 @@ Moving a variable across a ket or bra picks up the quantization phases
 with the same phase for both families, so the canonical form keeps every
 word to the left of its dyad.  A word w crossing |F_i><G_j| leftward thus
 picks up q^((theta degree - thetabar degree) of w * ((j-1) - (i-1))), an
-absent side counting 0.  One rule places a word: a word right of a dyad
-crosses it with these phases, then the whole word is normal ordered.
-Products, ``op_term``, the dagger and the resolution walk all place
-their words by that one rule.  Composition contracts dyads through the
-dual pairings <phi_i|psi_j> = <psi_i|phi_j> = delta_ij only; same-family
-overlaps raise :class:`GramUnknownError` because biorthonormality does
-not determine them.
+absent side counting 0.  One rule, ``_place``, places a word: a word
+right of a dyad crosses it with these phases, its degrees read by
+``galg.grade``, then the whole word is normal ordered.  Products,
+``op_term``, the dagger and the resolution walk all place their words by
+that one rule, and build and read words only through ``galg``.
+Composition contracts dyads through the dual pairings
+<phi_i|psi_j> = <psi_i|phi_j> = delta_ij only; same-family overlaps raise
+:class:`GramUnknownError` because biorthonormality does not determine
+them.
 
 A product visits only the term pairs whose dyads contract.  The operand
 with fewer terms is walked; each of its non-identity terms looks up, in
@@ -64,8 +66,8 @@ from typing import Iterator, Sequence
 
 from .errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
                      GramUnknownError, NonTerminatingSeriesError)
-from .galg import (Kind, Word, _integrate_terms, _word_str,
-                   normalize_word)
+from .galg import (Word, _dagger_word, _integrate_terms, _monomial, _word_str,
+                   grade, normalize_word)
 from .scalars import Scalar, _SparseSum, _accumulate
 
 PSI = "psi"
@@ -105,28 +107,6 @@ def _dyad_str(d: Dyad) -> str:
 # crossing phases and contraction
 # ---------------------------------------------------------------------------
 
-def _cross_word(word: Word, d: Dyad) -> int:
-    """q exponent for moving ``word`` from right of d to its left.
-
-    By the phase table a theta picks up q^(j-1) crossing <G_j| and
-    qbar^(i-1) crossing |F_i>, and a thetabar the inverse phases, so the
-    word picks up (theta degree - thetabar degree) * ((j-1) - (i-1)),
-    with an absent side counting 0.
-    """
-    if d == IDENT or not word:
-        return 0
-    degree = 0
-    for kind, _, e in word:
-        if kind == Kind.THETA:
-            degree += e
-        elif kind == Kind.THETABAR:
-            degree -= e
-        else:
-            raise EngineError("measure symbols cannot cross kets or bras")
-    k, b = d
-    return degree * ((b[1] - 1 if b else 0) - (k[1] - 1 if k else 0))
-
-
 def _contract(d1: Dyad, d2: Dyad) -> Dyad | None:
     """Compose two dyads; None when the pairing <d1 bra|d2 ket> vanishes.
 
@@ -152,11 +132,18 @@ def _place(level: int, left, dyad: Dyad, right) -> tuple[int, Word | None]:
     """``left * dyad * right`` as (q exponent, canonical word or None).
 
     The one crossing rule: the right word crosses the dyad leftward,
-    picking up the quantization phases, and then the whole word is
-    normal ordered.  Each of ``left`` and ``right`` is read once.
+    picking up (theta degree - thetabar degree) * ((j-1) - (i-1)) for a
+    dyad |F_i><G_j|, an absent side counting 0 (a theta picks up q^(j-1)
+    crossing <G_j| and qbar^(i-1) crossing |F_i>, a thetabar the inverse
+    phases), and then the whole word is normal ordered.  A measure
+    symbol in a right word that crosses a side is refused (``grade``).
     """
     right = tuple(right)
-    cross = _cross_word(right, dyad)
+    cross = 0
+    if right and dyad != IDENT:
+        dt, db = grade(right)
+        k, b = dyad
+        cross = (dt - db) * ((b[1] - 1 if b else 0) - (k[1] - 1 if k else 0))
     qe, w = normalize_word(level, tuple(left) + right)
     return cross + qe, w
 
@@ -363,17 +350,14 @@ def op_dagger(e: OpExpr) -> OpExpr:
     """Hermitian conjugate: anti-linear, reverses products, swaps bars.
 
     Dyads flip ket/bra roles keeping family tags, words reverse with
-    theta <-> thetabar, and the result is re-canonicalized.
+    theta <-> thetabar (``galg._dagger_word``), and the result is
+    re-canonicalized.
     """
-    swap = {Kind.THETA: Kind.THETABAR, Kind.THETABAR: Kind.THETA,
-            Kind.DTHETA: Kind.DTHETABAR, Kind.DTHETABAR: Kind.DTHETA}
-
     def flipped():
         for (w, d), c in e.terms.items():
             nd = (d[1], d[0])
             # the reversed word stands right of the new dyad and crosses it
-            nw = tuple((swap[Kind(k)], i, x) for k, i, x in reversed(w))
-            qe, nw = _place(e.level, (), nd, nw)
+            qe, nw = _place(e.level, (), nd, _dagger_word(w))
             if nw is not None:
                 yield (nw, nd), c.conj().mul_q_power(qe)
     return OpExpr._wrap(e.level, _accumulate({}, flipped()))
@@ -457,11 +441,11 @@ def make_ladder(level: int) -> OpExpr:
 
 
 def theta_op(level: int) -> OpExpr:
-    return op_term(level, Scalar.one(level), left=[(Kind.THETA, 1, 1)])
+    return op_term(level, Scalar.one(level), left=_monomial(1, 0))
 
 
 def thetabar_op(level: int) -> OpExpr:
-    return op_term(level, Scalar.one(level), left=[(Kind.THETABAR, 1, 1)])
+    return op_term(level, Scalar.one(level), left=_monomial(0, 1))
 
 
 def ket_op(level: int, family: str, index: int) -> OpExpr:

@@ -53,8 +53,8 @@ pair left out integrates to exactly 0, so no result changes.
 from __future__ import annotations
 
 from .errors import EngineError, SingularSystemError
-from .galg import (GExpr, Kind, Word, d_theta, d_thetabar, grade,
-                   integrate_word)
+from .galg import (GExpr, Word, _monomial, d_theta, d_thetabar, grade,
+                   integrate_word, normalize_word)
 from .opalg import (OpExpr, PHI, PSI, _contract, _place, berezin_op,
                     dual_identity_sum, op_dagger)
 from .coherent import evolve_state, make_coherent
@@ -71,14 +71,10 @@ def is_diagonal(weight: GExpr) -> bool:
     return all(dt == db for dt, db in map(grade, weight.terms))
 
 
-def _monomial_word(k: int, l: int) -> list:
-    return [(Kind.THETA, 1, k), (Kind.THETABAR, 1, l)]
-
-
 def _weight(level: int, coefficients: dict[tuple[int, int], Scalar]) -> GExpr:
     """sum c_kl theta^k thetabar^l over the given coefficients c_kl."""
     return GExpr.from_raw(
-        level, [(c, _monomial_word(k, l)) for (k, l), c in coefficients.items()])
+        level, [(c, _monomial(k, l)) for (k, l), c in coefficients.items()])
 
 
 def _factorial_weight(level: int, reverse: bool) -> GExpr:
@@ -100,9 +96,12 @@ def mirror_weight(level: int) -> GExpr:
 
 
 def _coefficients(weight: GExpr) -> dict[tuple[int, int], Scalar]:
-    """``{(k, l): c_kl}`` of the weight; a word holding anything but
-    theta_1 and thetabar_1 is refused."""
-    if any(i != 1 or k < Kind.THETA for w in weight.terms for k, i, _ in w):
+    """``{(k, l): c_kl}`` of the weight, read by ``grade``, which refuses
+    a measure symbol.  A word holding another variable, such as theta_2,
+    is refused too: it is not the word theta^k thetabar^l of its degrees."""
+    level = weight.level
+    if any(normalize_word(level, _monomial(*grade(w)))[1] != w
+           for w in weight.terms):
         raise EngineError("a weight is a sum of theta^k thetabar^l terms")
     return {grade(word): c for word, c in weight.terms.items()}
 
@@ -132,8 +131,7 @@ def _read_pairs(ket_body: OpExpr, bra_body: OpExpr, reads):
             ab = (level - 1 - c - e, level - 1 - d - f)
             if reads is None or ab in reads:
                 dyad = _contract(d1, d2)
-                qe, word = _place(level, _monomial_word(*ab) + list(w1),
-                                  d1, w2)
+                qe, word = _place(level, _monomial(*ab) + w1, d1, w2)
                 if dyad is not None and word is not None:
                     yield ab, (word, dyad), qe, c_ket, c_bra
 

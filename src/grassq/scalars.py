@@ -505,7 +505,7 @@ class _SparseSum:
 
     The empty map is zero.  Operations return new values; instances are
     never mutated after construction.  Sums of different types never
-    compare equal.
+    compare equal, and ``+`` and ``-`` refuse them (``TypeError``).
     """
 
     __slots__ = ("level", "terms")
@@ -534,6 +534,8 @@ class _SparseSum:
                 f"cannot mix levels {self.level} and {other.level}")
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         return self._wrap(self.level,
                           _accumulate(dict(self.terms), other.terms.items()))
@@ -543,6 +545,8 @@ class _SparseSum:
         are canonical, so a key whose two values are equal cancels
         exactly: it is dropped after one comparison, and no difference
         or negation is formed for it."""
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         acc = dict(self.terms)
         for key, value in other.terms.items():
@@ -698,19 +702,16 @@ class Scalar(_SparseSum):
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval(self, rho_values: Sequence[Rational | float],
-             u_value: complex = 1.0) -> complex:
-        """Numeric value with s_i = sqrt(rho_values[i-1]) and u = u_value.
+    def eval(self, rho_values: Sequence[Rational | float]) -> complex:
+        """Numeric value with s_i = sqrt(rho_values[i-1]).
 
-        Each rho value must convert to a finite float > 0, and u must sit
-        on the unit circle to within 1e-9 (so a NaN or infinite u is refused).
+        Each rho value must convert to a finite float > 0.  No value is
+        supplied for u, so a term holding u is refused, as a term holding
+        an s_i without a rho value is.
         """
         for i, r in enumerate(rho_values, start=1):
             if not finite_positive(r):
                 raise ValueError(f"rho_{i} must be a finite float > 0, got {r}")
-        u = complex(u_value)
-        if not cmath.isfinite(u) or abs(abs(u) - 1.0) > 1e-9:
-            raise ValueError(f"u must be unimodular, got |u| = {abs(u)}")
         sqrt_rho = [float(r) ** 0.5 for r in rho_values]
         acc = 0j
         for key, c in self.terms.items():
@@ -721,7 +722,7 @@ class Scalar(_SparseSum):
                         raise ValueError(f"no value supplied for rho_{i + 1}")
                     val *= sqrt_rho[i] ** e
             if key[-1]:
-                val *= u ** key[-1]
+                raise ValueError("no value supplied for u")
             acc += val
         return acc
 

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 from itertools import count
 
 from .errors import EngineError
-from .galg import Kind
+from .galg import _monomial
 from .opalg import (OpExpr, PHI, PSI, _known_family, _nilpotent_series,
                     eta_conjugate, ket, ket_op, op_dagger, op_term, outer,
                     q_commutator, sharp_adjoint, theta_op, thetabar_op)
@@ -227,8 +227,7 @@ def squeeze_closed_form(sys: Suq2System) -> OpExpr:
     n = sys.root_order
     bs2, b2 = sys.squares
     cross = bs2 @ b2 + (b2 @ bs2).scale(Scalar.q(n))
-    theta_thetabar = op_term(n, Scalar.one(n), left=[(Kind.THETA, 1, 1),
-                                                     (Kind.THETABAR, 1, 1)])
+    theta_thetabar = op_term(n, Scalar.one(n), left=_monomial(1, 1))
     second = (theta_thetabar @ cross).scale(
         Scalar.q(n, -1) * Fraction(-1, 4))
     return OpExpr.identity(n) + sys.squeeze_argument + second
@@ -259,9 +258,9 @@ def squeezed_closed_form(sys: Suq2System, family: str = PSI) -> OpExpr:
     sqrt_r1r2 = sys.sqrt_rho[0] * sys.sqrt_rho[1]
     head = ket_op(n, family, 0)
     cross = op_term(n, r1 * r2 * Fraction(-1, 4), ket(family, 0),
-                    left=[(Kind.THETA, 1, 1), (Kind.THETABAR, 1, 1)])
+                    left=_monomial(1, 1))
     tail = op_term(n, sqrt_r1r2 * Fraction(1, 2), ket(family, 2),
-                   left=[(Kind.THETA, 1, 1)])
+                   left=_monomial(1, 0))
     return head + cross + tail
 
 

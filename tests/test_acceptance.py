@@ -215,10 +215,8 @@ def test_criterion_8_numeric_grounding():
         ladders = numeric_ladder(decomp, rho)
         assert ladders.dagger_residual < 1e-12
         defects = symbolic[n]
-        u = np.exp(-0.61j)
         assert instantiate_numeric(defects["eigen"], decomp, rho) < 1e-10
-        assert instantiate_numeric(defects["stability"], decomp, rho,
-                                   u_value=u) < 1e-10
+        assert instantiate_numeric(defects["stability"], decomp, rho) < 1e-10
         assert instantiate_numeric(defects["mixed"], decomp, rho) < 1e-10
         gap = instantiate_numeric(defects["same"], decomp, rho)
         assert gap > 0.01, (n, gap)

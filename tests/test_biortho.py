@@ -10,7 +10,8 @@ from grassq.biortho import (biortho_decompose, check_pseudo_hermiticity,
                             decomposition_residuals, instantiate_numeric,
                             numeric_ladder)
 from grassq.suites import Problem, _default_matrix, run_suite
-from grassq.coherent import check_stability, make_coherent, verify_eigen
+from grassq.coherent import (check_stability, evolve_state, make_coherent,
+                             verify_eigen)
 from grassq.errors import (ComplexSpectrumError, DecompositionError,
                            DefectiveMatrixError, DegenerateSpectrumError,
                            EngineError)
@@ -115,12 +116,22 @@ def test_instantiate_symbolic_zero_defects():
     rho = [2.0]
     assert instantiate_numeric(verify_eigen(make_coherent(2, PSI)),
                                d, rho) < 1e-12
-    assert instantiate_numeric(check_stability(2, PSI), d, rho,
-                               u_value=np.exp(-0.37j)) < 1e-12
+    assert instantiate_numeric(check_stability(2, PSI), d, rho) < 1e-12
     weight = solve_weight(2)
     for pair in MIXED_PAIRS:
         defect = verify_resolution(weight, pair)
         assert instantiate_numeric(defect, d, rho) < 1e-12
+
+
+def test_instantiate_refuses_a_term_holding_u():
+    # u, the evolution phase, has no value, as a rho without a value has
+    # none: the evolved state's second term carries u
+    d = biortho_decompose(H_REF)
+    evolved = evolve_state(make_coherent(2, PSI))
+    with pytest.raises(ValueError, match="no value supplied for u"):
+        instantiate_numeric(evolved, d, [2.0])
+    with pytest.raises(ValueError, match="no value supplied for rho_1"):
+        instantiate_numeric(make_coherent(2, PSI).body, d, [])
 
 
 def test_instantiate_same_family_gap():

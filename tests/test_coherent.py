@@ -154,13 +154,15 @@ def test_evolution_two_levels():
 
 
 def test_evolution_at_time_zero():
-    # u = 1 recovers the original state numerically, term by term
+    # u = 1 recovers the original state exactly, term by term: each
+    # coefficient is one term, whose u exponent is dropped
     state = make_coherent(3, PSI)
     evolved = evolve_state(state)
-    rho = [2.0, 3.0]
+    assert evolved.terms.keys() == state.body.terms.keys()
     for key, c in evolved.terms.items():
-        assert abs(c.eval(rho, u_value=1.0)
-                   - state.body.terms[key].eval(rho, u_value=1.0)) < 1e-12
+        (exponents, value), = c.terms.items()
+        at_u_one = Scalar(3, {exponents[:-1] + (0,): value})
+        assert at_u_one == state.body.terms[key]
 
 
 def test_stability():
@@ -286,9 +288,10 @@ EIGEN_AND_EXP = {f"coherent/n=3/{c}" for c in (
 # One named engine mutant per rule, keyed "module.name" (a class attribute
 # as "module.Class.name"), with the checks at n = 3 it must turn to fail.
 COHERENT_MUTANTS = {
-    # the crossing phase with its sign flipped
-    "opalg._cross_word": (lambda plain: lambda word, d: -plain(word, d),
-                          EIGEN_AND_EXP),
+    # the crossing phase with its sign flipped: the placed word's theta
+    # and thetabar degrees read the other way round
+    "opalg.grade": (lambda plain: lambda word: plain(word)[::-1],
+                    EIGEN_AND_EXP),
     # a contraction that ignores the index, so <phi_j|psi_i> = 1 for i != j
     "opalg._contract": (_contract_ignoring_the_index, EIGEN_AND_EXP),
     # the fused coefficient step of a term pair without its q^e

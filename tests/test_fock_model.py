@@ -26,6 +26,15 @@ phases the engine does not supply.  The engine places a word right of a
 dyad by a product, so ``left * dyad`` times ``right`` is a single-term
 ``@`` product; it normal orders each factor on its own first, so a
 factor that vanishes or is refused alone decides the product.
+
+The model also integrates.  The measure symbols, written before the
+word, are applied to the vacuum with it, which files them first.
+Innermost first, each symbol then moves right past the blocks before
+its variable's block, by the model's own exchange table, and keeps the
+term only when that block is x^(n-1): int dx x^k = delta(k, n-1).  So
+int dthetabar dtheta reads the coefficient of theta^(n-1) thetabar^(n-1),
+and ``galg.integrate_word`` must give the same phase and remaining word
+on single-index words under each measure order.
 """
 
 import random
@@ -33,7 +42,7 @@ import random
 import pytest
 
 from grassq.errors import EngineError, UnspecifiedRelationError
-from grassq.galg import Kind, normalize_word
+from grassq.galg import Kind, integrate_word, normalize_word
 from grassq.opalg import IDENT, OpExpr, op_dagger, op_term
 from grassq.scalars import Scalar
 
@@ -86,6 +95,14 @@ IDENTITY = ((), ())
 DAGGER_NAME = {ENGINE_KIND[a]: b for a, b in (
     ("th", "thb"), ("thb", "th"), ("dth", "dthb"), ("dthb", "dth"))}
 FAMILIES = ("psi", "phi")
+# engine kind -> model name, to read an engine word back into the model
+MODEL_NAME = {int(kind): name for name, kind in ENGINE_KIND.items()}
+# the variable a measure symbol integrates out
+VARIABLE_OF = {"dth": "th", "dthb": "thb"}
+# int dthetabar dtheta, int dtheta dthetabar, int dtheta, int dthetabar:
+# the measure orders, outermost first, that the benchmark's Berezin
+# cases draw
+MEASURES = (("dthb", "dth"), ("dth", "dthb"), ("dth",), ("dthb",))
 
 
 def compose(d1, d2):
@@ -297,6 +314,69 @@ def test_fock_model_matches_ket_and_bra_crossings():
     with pytest.raises(EngineError, match="measure"):
         op_term(3, Scalar.one(3), ((), ("psi", 1))) @ op_term(
             3, Scalar.one(3), IDENT, [(Kind.DTHETA, 1, 1)])
+
+
+def fock_integrate(level, measure, factors):
+    """int measure * factors in the model, every symbol at index 1:
+    (phase, remaining word) or None when the integral vanishes."""
+    phase, word, uncovered, _, _ = fock_apply(
+        level, [(symbol, 1, 1) for symbol in measure] + factors)
+    assert not uncovered
+    if word is None:
+        return None
+    k = {(MODEL_NAME[kind], i): e for kind, i, e in word}
+    # the innermost symbol is the one filed last
+    for symbol in sorted(measure, key=KINDS.index, reverse=True):
+        own, variable = (symbol, 1), (VARIABLE_OF[symbol], 1)
+        for g in GENERATORS[GENERATORS.index(own) + 1:
+                            GENERATORS.index(variable)]:
+            # g own = q^e own g, so own g^k = q^(-e k) g^k own
+            if k.get(g):
+                phase -= M[(g, own)][0] * k[g]
+        if k.get(variable) != level - 1:
+            return None
+        del k[own], k[variable]
+    rest = tuple((int(ENGINE_KIND[g[0]]), g[1], k[g])
+                 for g in GENERATORS if k.get(g))
+    return phase % level, rest
+
+
+def _single_index_word(rng, level):
+    """theta_1 and thetabar_1 factors in random order.  Most total
+    degrees are level - 1, so that integrals survive; a total of level
+    makes the word vanish."""
+    factors = []
+    for name in ("th", "thb"):
+        total = (level - 1 if rng.random() < 0.7
+                 else rng.randrange(level + 1))
+        while total:
+            e = rng.randint(1, total)
+            factors.append((name, 1, e))
+            total -= e
+    rng.shuffle(factors)
+    return factors
+
+
+def test_fock_model_matches_integration():
+    rng = random.Random(20261021)
+    for n in range(2, 9):
+        for measure in MEASURES:
+            survived = phased = 0
+            for _ in range(150):
+                factors = _single_index_word(rng, n)
+                want = fock_integrate(n, measure, factors)
+                qe, rest = integrate_word(
+                    n, _engine(factors),
+                    [(ENGINE_KIND[symbol], 1) for symbol in measure])
+                if want is None:
+                    assert rest is None, (n, measure, factors)
+                    continue
+                assert (qe % n, rest) == want, (n, measure, factors)
+                survived += 1
+                phased += bool(want[0])
+            # every order keeps terms, and most of them carry a phase
+            assert survived >= 40 and phased >= 20, (
+                n, measure, survived, phased)
 
 
 def test_fock_model_matches_single_term_products():

@@ -250,6 +250,15 @@ def test_grade():
     for n in (2, 3, 4):
         word = list(g(n, tb(power=n - 1)).terms)[0]
         assert grade(word) == (0, n - 1)
+    # degrees add over indices
+    word = list(g(4, th(1, 2), th(2), tb(2)).terms)[0]
+    assert grade(word) == (3, 1)
+    # a measure symbol has no degree, wherever it stands
+    for raw in ([(Kind.DTHETA, 1, 1)], [th(), (Kind.DTHETABAR, 1, 1)],
+                [(Kind.DTHETA, 2, 1), tb(power=2)]):
+        word = list(g(3, *raw).terms)[0]
+        with pytest.raises(EngineError, match="measure symbol"):
+            grade(word)
 
 
 def test_nilpotency_every_generator():

@@ -5,6 +5,10 @@ level in ``src/grassq``, or as a method of a module-level class, must be
 read somewhere in the package outside its own definition: as a name, as
 an attribute, or in an import.  A helper whose last caller was folded
 into another one fails here.
+
+The same reading pins the owner of the Grassmann word: only ``galg``
+reads ``Kind``, so no other module builds a (kind, index, exponent)
+factor by hand.
 """
 
 import ast
@@ -77,3 +81,9 @@ def test_every_private_helper_is_used():
     unused = [f"{module}: {label}" for module, label, name
               in definitions + methods if name not in reads]
     assert not unused, unused
+
+
+def test_only_galg_reads_the_generator_kinds():
+    readers = {path.name for path in SRC.glob("*.py")
+               if "Kind" in set(_read(ast.parse(path.read_text())))}
+    assert readers == {"galg.py"}, sorted(readers - {"galg.py"})

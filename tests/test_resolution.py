@@ -13,8 +13,8 @@ from grassq.opalg import (PHI, PSI, OpExpr, berezin_op, op_dagger, op_term,
 from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS,
                                closed_form_weight, is_diagonal, mirror_weight,
                                resolution_integral, solve_weight,
-                               verify_resolution, _entries, _read_pairs,
-                               _solve_permutation, _weight)
+                               verify_resolution, _coefficients, _entries,
+                               _read_pairs, _solve_permutation, _weight)
 from grassq.scalars import Scalar, rho_factorial
 from grassq.suites import run_suite
 
@@ -270,13 +270,26 @@ def test_solve_raises_at_the_first_bad_entry_without_reading_on(
 
 
 def test_integral_refuses_a_word_outside_the_weight_polynomials():
-    # a weight is sum c_kl theta^k thetabar^l; a word of another index is
-    # refused, not read under its total degrees
-    n = 3
-    for raw in ([(Kind.THETA, 2, 1)],
-                [(Kind.THETA, 1, 1), (Kind.THETABAR, 2, 1)]):
-        weight = GExpr.from_raw(n, [(Scalar.one(n), raw)])
-        with pytest.raises(EngineError, match="a weight is a sum of theta"):
+    # a weight is sum c_kl theta^k thetabar^l, read as {(k, l): c_kl}; a
+    # word of another index is refused, not read under its total
+    # degrees, and so is a word holding a measure symbol
+    n = 4
+    assert _coefficients(closed_form_weight(n)) == {
+        (i, i): rho_factorial(n, n - 1 - i).mul_q_power(i * (i + 1))
+        for i in range(n)}
+    for raw, message in (
+            ([(Kind.THETA, 2, 1)], "a weight is a sum of theta"),
+            ([(Kind.THETA, 2, 1)] + _monomial(1, 2),
+             "a weight is a sum of theta"),
+            ([(Kind.THETA, 1, 1), (Kind.THETABAR, 2, 1)],
+             "a weight is a sum of theta"),
+            ([(Kind.DTHETA, 1, 1)], "measure symbol"),
+            (_monomial(2, 2) + [(Kind.DTHETABAR, 1, 1)], "measure symbol")):
+        weight = closed_form_weight(n) + GExpr.from_raw(
+            n, [(Scalar.one(n), raw)])
+        with pytest.raises(EngineError, match=message):
+            _coefficients(weight)
+        with pytest.raises(EngineError, match=message):
             resolution_integral(weight, (PSI, PHI))
 
 
