@@ -11,11 +11,20 @@ The module also maps symbolic operator expressions onto matrices so that
 identities proved symbolically can be checked on concrete systems, and
 same-family integrals, which the symbolic layer refuses to evaluate, get
 their concrete gap measured.
+
+Every residual of the decomposition and the ladders is a spectral
+norm, the largest singular value, read from one
+``np.linalg.svd(x, compute_uv=False)`` call (``_spectral_norm``);
+:func:`instantiate_numeric` reads the Frobenius norm of each word.  A
+decomposition's scale (the norm of H) and its residuals are computed
+once each: :func:`biortho_decompose` measures the scale, and its own
+guard and the numeric suite read the one :attr:`BiorthoDecomp.residuals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,13 +38,19 @@ from .scalars import finite_positive
 DEFAULT_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiorthoDecomp:
     """Eigendata of a real-spectrum diagonalizable matrix.
 
     Psi columns are unit-norm right eigenvectors with the phase gauge
     that their largest component is real positive; Phi columns are the
-    left-conjugate partners scaled for exact pairing.
+    left-conjugate partners scaled for exact pairing.  ``scale`` is the
+    spectral norm of H (floored at 1e-300), which
+    :func:`biortho_decompose` measures once, before the eigendata exist,
+    and every relative residual divides by.  :attr:`residuals` is
+    computed once, on first read, from the instance as constructed; the
+    fields cannot be reassigned, so the kept residuals stay those of the
+    fields.
     """
 
     H: np.ndarray
@@ -45,14 +60,22 @@ class BiorthoDecomp:
     eta: np.ndarray
     eta_inv: np.ndarray
     tol: float
+    scale: float
 
     @property
     def size(self) -> int:
         return self.H.shape[0]
 
+    @cached_property
+    def residuals(self) -> dict[str, float]:
+        """:func:`decomposition_residuals` of this decomposition."""
+        return decomposition_residuals(self)
 
-def _matrix_scale(H: np.ndarray) -> float:
-    return max(np.linalg.norm(H, 2), 1e-300)
+
+def _spectral_norm(x: np.ndarray) -> float:
+    """The largest singular value of x, as ``np.linalg.norm(x, 2)``: the
+    same LAPACK call, bit for bit, without that function's dispatch."""
+    return np.linalg.svd(x, compute_uv=False).max()
 
 
 def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
@@ -68,7 +91,7 @@ def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
     n = H.shape[0]
     if n < 2:
         raise DecompositionError("need at least a two-level system")
-    scale = _matrix_scale(H)
+    scale = max(_spectral_norm(H), 1e-300)
     w, V = np.linalg.eig(H)
     if np.max(np.abs(w.imag)) > tol * scale:
         raise ComplexSpectrumError(
@@ -108,8 +131,8 @@ def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
     eta = Phi @ Phi.conj().T
     eta_inv = V @ V.conj().T
     decomp = BiorthoDecomp(H=H, E=energies, Psi=V, Phi=Phi,
-                           eta=eta, eta_inv=eta_inv, tol=tol)
-    residual = max(decomposition_residuals(decomp).values())
+                           eta=eta, eta_inv=eta_inv, tol=tol, scale=scale)
+    residual = max(decomp.residuals.values())
     if residual > 1e3 * tol:
         raise DecompositionError(
             f"decomposition residual {residual:.3e} exceeds tolerance")
@@ -117,16 +140,18 @@ def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
 
 
 def decomposition_residuals(d: BiorthoDecomp) -> dict[str, float]:
-    """Relative residuals of every defining property of the eigendata."""
-    scale = _matrix_scale(d.H)
-    n = d.size
-    eye = np.eye(n)
-    right = np.linalg.norm(d.H @ d.Psi - d.Psi * d.E, 2) / scale
-    left = np.linalg.norm(d.H.conj().T @ d.Phi - d.Phi * d.E, 2) / scale
-    pairing = np.linalg.norm(d.Phi.conj().T @ d.Psi - eye, 2)
-    completeness = np.linalg.norm(d.Psi @ d.Phi.conj().T - eye, 2)
-    eta_herm = np.linalg.norm(d.eta - d.eta.conj().T, 2) / np.linalg.norm(d.eta, 2)
-    eta_pair = np.linalg.norm(d.eta @ d.eta_inv - eye, 2)
+    """Relative residuals of every defining property of the eigendata.
+
+    Each is a spectral norm; ``d.residuals`` keeps the one computation.
+    """
+    scale = d.scale
+    eye = np.eye(d.size)
+    right = _spectral_norm(d.H @ d.Psi - d.Psi * d.E) / scale
+    left = _spectral_norm(d.H.conj().T @ d.Phi - d.Phi * d.E) / scale
+    pairing = _spectral_norm(d.Phi.conj().T @ d.Psi - eye)
+    completeness = _spectral_norm(d.Psi @ d.Phi.conj().T - eye)
+    eta_herm = _spectral_norm(d.eta - d.eta.conj().T) / _spectral_norm(d.eta)
+    eta_pair = _spectral_norm(d.eta @ d.eta_inv - eye)
     return {
         "right_eigen": right,
         "left_eigen": left,
@@ -147,8 +172,7 @@ class PseudoHermReport:
 def check_pseudo_hermiticity(d: BiorthoDecomp) -> PseudoHermReport:
     """Residual of eta H eta^-1 = H^dagger and positivity of the metric,
     judged against the decomposition's own tolerance."""
-    scale = _matrix_scale(d.H)
-    residual = np.linalg.norm(d.eta @ d.H @ d.eta_inv - d.H.conj().T, 2) / scale
+    residual = _spectral_norm(d.eta @ d.H @ d.eta_inv - d.H.conj().T) / d.scale
     min_eig = float(np.min(np.linalg.eigvalsh((d.eta + d.eta.conj().T) / 2)))
     return PseudoHermReport(residual=float(residual),
                             eta_min_eigenvalue=min_eig,
@@ -190,15 +214,14 @@ def numeric_ladder(d: BiorthoDecomp, rho_values: Sequence[float]) -> LadderMatri
     b_sharp = d.eta_inv @ b.conj().T @ d.eta
     b_tilde = d.eta @ b @ d.eta_inv
     btsp = d.eta @ b_tilde.conj().T @ d.eta_inv
-    bnorm = max(np.linalg.norm(b, 2), 1e-300)
+    bnorm = max(_spectral_norm(b), 1e-300)
     bn = np.linalg.matrix_power(b / bnorm, n)
     return LadderMatrices(
         b=b, b_sharp=b_sharp, b_tilde=b_tilde, b_tilde_sharp_prime=btsp,
-        nilpotency_residual=float(np.linalg.norm(bn, 2)),
+        nilpotency_residual=float(_spectral_norm(bn)),
         sharp_form_residual=float(
-            np.linalg.norm(b_sharp - b_sharp_direct, 2) / bnorm),
-        dagger_residual=float(
-            np.linalg.norm(btsp - b.conj().T, 2) / bnorm),
+            _spectral_norm(b_sharp - b_sharp_direct) / bnorm),
+        dagger_residual=float(_spectral_norm(btsp - b.conj().T) / bnorm),
     )
 
 
@@ -217,7 +240,7 @@ def _dyad_matrix(d: BiorthoDecomp, dyad) -> tuple[str, np.ndarray]:
 
 def instantiate_numeric(expr: OpExpr, d: BiorthoDecomp,
                         rho_values: Sequence[float]) -> float:
-    """Largest matrix norm over the Grassmann words of a symbolic expression.
+    """Largest Frobenius norm over the Grassmann words of a symbolic expression.
 
     Words stay formal: the expression is grouped by word, every dyad is
     replaced by its matrix under the decomposition, coefficients are

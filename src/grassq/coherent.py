@@ -44,7 +44,7 @@ from .galg import _monomial, grade
 from .opalg import (OpExpr, PSI, _known_family, _nilpotent_series,
                     eta_conjugate, ket, ket_op, make_ladder, op_dagger,
                     op_term, sharp_adjoint, theta_op)
-from .scalars import Scalar, _accumulate, rho_factorial
+from .scalars import Scalar, _accumulate
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,16 @@ def q_exponential(arg: OpExpr, on: OpExpr | None = None) -> OpExpr:
     reported as non-terminating.
     """
     level = arg.level
-    inverses = (rho_factorial(level, k).monomial_inverse()
-                for k in range(1, level))
-    return _nilpotent_series(arg, level - 1, inverses, on)
+    return _nilpotent_series(arg, level - 1, _inverse_factorials(level), on)
+
+
+def _inverse_factorials(level: int):
+    """1/rho_1!, 1/rho_2!, ..., 1/rho_(level-1)!, each the one before
+    times s_k^-2, so no factorial is built and inverted."""
+    weight = Scalar.one(level)
+    for k in range(1, level):
+        weight = weight * Scalar.s(level, k, -2)
+        yield weight
 
 
 def exponential_form(state: CoherentState) -> OpExpr:

@@ -36,6 +36,11 @@ a factor.  The other layers read and build words through it:
 :func:`grade` reads a word's degrees, ``_monomial`` builds the raw word
 theta^k thetabar^l, ``_dagger_word`` reverses a word for the dagger, and
 :func:`normalize_word` and :func:`integrate_word` order and integrate it.
+A word stores its kinds as plain ints, and every loop over factors
+compares them with the module ints ``_DTHETABAR`` .. ``_THETABAR`` and
+reads the int-keyed exchange table: an IntEnum member lookup costs
+several times a module int, so a kind becomes a :class:`Kind` member
+again only to be named in a refusal.
 
 A :class:`GExpr` stores a sum of words, such as a weight, normal ordered
 by :meth:`GExpr.from_raw`.  The variables and their product live in the
@@ -44,6 +49,7 @@ operator layer: ``opalg.theta_op``, ``opalg.thetabar_op`` and ``@``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
@@ -67,7 +73,7 @@ _KIND_NAMES = {
     Kind.THETABAR: "thb",
 }
 
-# The kinds as plain ints, which the loops over factors compare faster.
+# The kinds as plain ints, which the loops over factors compare.
 _DTHETABAR, _DTHETA, _THETA, _THETABAR = map(int, Kind)
 
 # A factor is (kind, index, exponent); a word is a tuple of factors.
@@ -81,12 +87,12 @@ _DAGGER_KIND = {_THETA: _THETABAR, _THETABAR: _THETA,
 # q exponent for swapping an out-of-order adjacent pair of distinct kinds
 # at a common index: left*right -> q**e * right*left, keyed by the kinds.
 _MIXED_SWAP = {
-    (Kind.THETABAR, Kind.THETA): 1,
-    (Kind.THETA, Kind.DTHETA): -1,
-    (Kind.THETA, Kind.DTHETABAR): 1,
-    (Kind.THETABAR, Kind.DTHETA): 1,
-    (Kind.THETABAR, Kind.DTHETABAR): -1,
-    (Kind.DTHETA, Kind.DTHETABAR): -1,
+    (_THETABAR, _THETA): 1,
+    (_THETA, _DTHETA): -1,
+    (_THETA, _DTHETABAR): 1,
+    (_THETABAR, _DTHETA): 1,
+    (_THETABAR, _DTHETABAR): -1,
+    (_DTHETA, _DTHETABAR): -1,
 }
 
 
@@ -97,7 +103,7 @@ def _swap_qexp(left: tuple[int, int], right: tuple[int, int]) -> int:
     """
     (lk, li), (rk, ri) = left, right
     if lk == rk:
-        if lk in (Kind.THETA, Kind.THETABAR):
+        if lk == _THETA or lk == _THETABAR:
             return -1
     elif li == ri and (lk, rk) in _MIXED_SWAP:
         return _MIXED_SWAP[(lk, rk)]
@@ -173,7 +179,7 @@ def _word_str(word: Word) -> str:
         return "1"
     bits = []
     for kind, index, exp in word:
-        name = _KIND_NAMES[Kind(kind)]
+        name = _KIND_NAMES[kind]
         if index != 1:
             name += str(index)
         bits.append(name if exp == 1 else f"{name}^{exp}")
@@ -216,12 +222,12 @@ class GExpr(_SparseSum):
 
 def d_theta() -> tuple[int, int]:
     """Measure symbol for integration over theta_1."""
-    return (Kind.DTHETA, 1)
+    return (_DTHETA, 1)
 
 
 def d_thetabar() -> tuple[int, int]:
     """Measure symbol for integration over thetabar_1."""
-    return (Kind.DTHETABAR, 1)
+    return (_DTHETABAR, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,7 @@ def d_thetabar() -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def _variable_kind(measure_kind: int) -> int:
-    return Kind.THETA if measure_kind == Kind.DTHETA else Kind.THETABAR
+    return _THETA if measure_kind == _DTHETA else _THETABAR
 
 
 def integrate_word(level: int, word: Word,
@@ -246,18 +252,20 @@ def integrate_word(level: int, word: Word,
     level - 1 for the term to survive; it is then dropped.  Returns
     (q exponent, remaining word or None).
     """
-    raw = [(k, i, 1) for k, i in measure] + list(word)
+    raw = [(k, i, 1) for k, i in measure]
+    raw += word
     qexp, fs = normalize_word(level, raw)
     if fs is None:
         return 0, None
-    split = sum(1 for f in fs if f[0] <= Kind.DTHETA)
+    # the measure blocks, the kinds below THETA, lead the canonical word
+    split = bisect_left(fs, (_THETA,))
     rest = list(fs[split:])
     for dkind, didx, dexp in reversed(fs[:split]):
         if dexp != 1:
             raise EngineError("repeated measure symbol")
-        want = (_variable_kind(dkind), didx)
+        want = _variable_kind(dkind)
         for p, (k, i, e) in enumerate(rest):
-            if (k, i) == want:
+            if k == want and i == didx:
                 break
             qexp -= _swap_qexp((k, i), (dkind, didx)) * e
         else:
@@ -280,13 +288,13 @@ def _integrate_terms(level: int,
     """
     seen = set()
     for k, i in measure:
-        if k not in (Kind.DTHETA, Kind.DTHETABAR):
+        if k != _DTHETA and k != _DTHETABAR:
             raise EngineError("measure entries must be dtheta or dthetabar symbols")
         if (k, i) in seen:
             raise EngineError("measure symbols must be distinct")
         seen.add((k, i))
     for (w, tag), c in terms:
-        if any(f[0] in (Kind.DTHETA, Kind.DTHETABAR) for f in w):
+        if any(f[0] < _THETA for f in w):
             raise EngineError("integrand already contains measure symbols")
         qe, rest = integrate_word(level, w, measure)
         if rest is not None:

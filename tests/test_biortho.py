@@ -1,12 +1,14 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import import_module
 
 import numpy as np
 import pytest
 
-from grassq.biortho import (biortho_decompose, check_pseudo_hermiticity,
+from grassq import biortho as nb
+from grassq.biortho import (_spectral_norm, biortho_decompose,
+                            check_pseudo_hermiticity,
                             decomposition_residuals, instantiate_numeric,
                             numeric_ladder)
 from grassq.suites import Problem, _default_matrix, run_suite
@@ -15,8 +17,11 @@ from grassq.coherent import (check_stability, evolve_state, make_coherent,
 from grassq.errors import (ComplexSpectrumError, DecompositionError,
                            DefectiveMatrixError, DegenerateSpectrumError,
                            EngineError)
-from grassq.opalg import PHI, PSI
-from grassq.resolution import MIXED_PAIRS, solve_weight, verify_resolution
+from grassq.galg import grade
+from grassq.opalg import PHI, PSI, dual_identity_sum, theta_op
+from grassq.resolution import (MIXED_PAIRS, resolution_integral, solve_weight,
+                               verify_resolution)
+from grassq.scalars import Scalar
 
 from conftest import (clear_construction_caches, random_real_spectrum_matrix,
                       shifted_weight)
@@ -242,3 +247,182 @@ def test_each_biortho_check_fails_under_a_named_mutant(
     mutated = statuses()
     assert {i: mutated[f"biortho/{i}"] for i in flips} == {
         i: "fail" for i in flips}
+
+
+def _decomposition_mutants():
+    return sorted(name for name, (target, _, _) in BIORTHO_MUTANTS.items()
+                  if target == "biortho.BiorthoDecomp")
+
+
+def _mutated(name, d):
+    """The decomposition d as the named BIORTHO_MUTANTS row stores it."""
+    _, mutant, _ = BIORTHO_MUTANTS[name]
+    build = mutant(type(d))
+    return build(**{f.name: getattr(d, f.name) for f in fields(d)})
+
+
+def test_spectral_norm_is_numpy_norm_2_bit_for_bit():
+    rng = np.random.default_rng(29)
+    matrices = [np.zeros((3, 3), dtype=complex), np.zeros((2, 2))]
+    for n in range(2, 9):
+        for _ in range(4):
+            matrices.append(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+    # the EPS-perturbed eigendata of each decomposition mutant and the
+    # residual matrices read from it
+    d = biortho_decompose(_default_matrix(3))
+    eye = np.eye(3)
+    for name in _decomposition_mutants():
+        m = _mutated(name, d)
+        matrices += [m.H, m.Psi, m.Phi, m.eta, m.eta_inv,
+                     m.H @ m.Psi - m.Psi * m.E,
+                     m.H.conj().T @ m.Phi - m.Phi * m.E,
+                     m.Phi.conj().T @ m.Psi - eye, m.Psi @ m.Phi.conj().T - eye,
+                     m.eta - m.eta.conj().T, m.eta @ m.eta_inv - eye]
+    for x in matrices:
+        assert float(_spectral_norm(x)).hex() == \
+            float(np.linalg.norm(x, 2)).hex()
+
+
+def test_one_biortho_run_makes_one_residual_pass_and_no_numpy_norm_2(
+        monkeypatch):
+    passes, norm_2, spectral = [], [], []
+    plain_residuals = nb.decomposition_residuals
+    plain_norm = np.linalg.norm
+    plain_spectral = nb._spectral_norm
+
+    def residuals(d):
+        passes.append(d)
+        return plain_residuals(d)
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            norm_2.append(x)
+        return plain_norm(x, ord, *args, **kwargs)
+
+    def counted(x):
+        spectral.append(x)
+        return plain_spectral(x)
+
+    monkeypatch.setattr(nb, "decomposition_residuals", residuals)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    monkeypatch.setattr(nb, "_spectral_norm", counted)
+    report = run_suite("biortho",
+                       problem=Problem(n=3, rho=(Fraction(2), Fraction(3))))
+    assert {c.status for c in report.checks} == {"pass"}
+    # read by biortho_decompose's guard and by the six decomp checks
+    assert len(passes) == 1
+    assert norm_2 == []
+    # the scale of H, 7 in the residual pass, 1 for pseudo-hermiticity, 4
+    # in numeric_ladder and the suite's Hermitian test: each norm once
+    assert len(spectral) == 14
+
+
+# The two-sided numeric grounding of the eigen equation and of the
+# resolution of identity: each side is instantiated on its own, word by
+# word, so the decomposition is read where the symbolic engine contracts
+# <phi_i|psi_j> = delta_ij or resolves sum_i |psi_i><phi_i| = I.  The
+# report's instantiate checks ground the exact defect, which is the zero
+# expression on a working engine, so they read no decomposition at all.
+
+GROUNDING_TOL = 1e-10
+
+
+def _dyad_as_matrix(d, dyad):
+    """|F_i> is column i of Psi or Phi, <G_j| its conjugate row, and the
+    identity dyad the identity matrix."""
+    cols = {PSI: d.Psi, PHI: d.Phi}
+    ket, bra = dyad
+    if not (ket or bra):
+        return np.eye(d.size)
+    column = cols[ket[0]][:, [ket[1]]] if ket else None
+    row = cols[bra[0]][:, [bra[1]]].conj().T if bra else None
+    if ket and bra:
+        return column @ row
+    return column if ket else row
+
+
+def _word_matrices(expr, d, rho):
+    out = {}
+    for (word, dyad), coeff in expr.terms.items():
+        out[word] = out.get(word, 0) + coeff.eval(rho) * _dyad_as_matrix(d, dyad)
+    return out
+
+
+def _gap(left, right):
+    """Largest norm over the words of the difference of two word-to-matrix
+    maps, a word missing on one side counting as zero there."""
+    return max(float(np.linalg.norm(left.get(w, 0) - right.get(w, 0)))
+               for w in left.keys() | right.keys())
+
+
+def _eigen_gap(d, family, rho):
+    """b|theta> against theta|theta> for the psi family, b~|theta~>
+    against theta|theta~> for the phi family, with b and b~ the matrices of
+    ``numeric_ladder``.  Every dyad of a lowering ladder, |F_i><G_(i+1)|,
+    gives a word crossing it the phase q^(theta degree - thetabar degree)
+    (the opalg crossing rule), so the lowered side of word w is that phase
+    times the ladder matrix applied to the state's vector at w."""
+    n = d.size
+    ladders = numeric_ladder(d, rho)
+    lowering = ladders.b if family == PSI else ladders.b_tilde
+    state = make_coherent(n, family).body
+    lowered = {w: Scalar.q(n, grade(w)[0] - grade(w)[1]).eval(rho)
+               * (lowering @ v) for w, v in _word_matrices(state, d, rho).items()}
+    scaled = _word_matrices(theta_op(n) @ state, d, rho)
+    return _gap(lowered, scaled)
+
+
+def _resolution_gap(d, pair, rho):
+    """int w |A><B| word by word against the identity matrix that
+    dual_identity_sum resolves; its own matrix, sum_i |F_i><F'_i|, is
+    also the integral's, exactly."""
+    n = d.size
+    integral = _word_matrices(resolution_integral(solve_weight(n), pair),
+                              d, rho)
+    assert _gap(integral, _word_matrices(dual_identity_sum(n, pair[0]),
+                                         d, rho)) < 1e-12
+    return _gap(integral, {(): np.eye(n)})
+
+
+def _grounding_gaps(d, rho):
+    return {"eigen-psi": _eigen_gap(d, PSI, rho),
+            "eigen-phi": _eigen_gap(d, PHI, rho),
+            **{f"resolution-{ket}-{bra}": _resolution_gap(d, (ket, bra), rho)
+               for ket, bra in MIXED_PAIRS}}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_two_sided_grounding_on_the_default_matrices(n):
+    d = biortho_decompose(_default_matrix(n))
+    for first in (2.0, 3.0):
+        rho = [(first, 5.0 - first)[i % 2] for i in range(n - 1)]
+        gaps = _grounding_gaps(d, rho)
+        assert max(gaps.values()) < GROUNDING_TOL, (rho, gaps)
+
+
+# Each decomposition mutant of BIORTHO_MUTANTS with the two-sided residuals
+# it moves past tolerance.  Neither identity reads the energies, and both
+# hold eta against eta^-1, so the energies and metric-sign rows move none:
+# decomp/right_eigen and metric-positive catch those two.
+GROUNDING_MUTANTS = {
+    "energies": set(),
+    "left-vectors": {"eigen-psi", "eigen-phi", "resolution-psi-phi",
+                     "resolution-phi-psi"},
+    "metric-phase": {"eigen-phi"},
+    "metric-sign": set(),
+}
+
+
+def test_grounding_mutants_cover_the_decomposition_mutants():
+    assert sorted(GROUNDING_MUTANTS) == _decomposition_mutants()
+
+
+@pytest.mark.parametrize("name", sorted(GROUNDING_MUTANTS))
+def test_two_sided_grounding_under_a_decomposition_mutant(name, monkeypatch):
+    plain = nb.BiorthoDecomp
+    monkeypatch.setattr(nb, "BiorthoDecomp",
+                        lambda **fields: _mutated(name, plain(**fields)))
+    gaps = _grounding_gaps(biortho_decompose(_default_matrix(3)), [2.0, 3.0])
+    assert {k for k, gap in gaps.items() if gap > GROUNDING_TOL} \
+        == GROUNDING_MUTANTS[name], gaps

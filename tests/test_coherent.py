@@ -17,7 +17,7 @@ from grassq.galg import Kind, grade
 from grassq.opalg import (OpExpr, PHI, PSI, eta_conjugate, ket, ket_op,
                           make_ladder, op_dagger, op_term, sharp_adjoint,
                           theta_op)
-from grassq.scalars import Cyclo, Scalar, _SparseSum
+from grassq.scalars import Cyclo, Scalar, _SparseSum, rho_factorial
 
 TH = (Kind.THETA, 1, 1)
 
@@ -98,6 +98,15 @@ def test_q_exponential_nontermination_guard():
     # on a state the rule is the same: arg^k |psi_0> never vanishes
     with pytest.raises(NonTerminatingSeriesError):
         q_exponential(OpExpr.identity(3), on=ket_op(3, PSI, 0))
+
+
+def test_q_exponential_weights_are_the_inverse_factorials():
+    # each weight is the one before times s_k^-2: 1/rho_k! to the byte
+    for n in range(2, 13):
+        weights = list(coherent._inverse_factorials(n))
+        expected = [rho_factorial(n, k).monomial_inverse() for k in range(1, n)]
+        assert weights == expected
+        assert [str(w) for w in weights] == [str(w) for w in expected]
 
 
 def _random_ket_sum(rng: random.Random, n: int, family: str) -> OpExpr:

@@ -265,3 +265,120 @@ def test_nilpotency_every_generator():
     for n in (2, 3, 4):
         for build in (th, tb):
             assert g(n, build(power=n - 1), build()).is_zero
+
+
+# The exchange rules as the galg module docstring states them, written
+# here as data and not read from the engine: (A, B, r) is A B = q^r B A at
+# a common index.  Two variables of one kind at indices i < j follow
+# theta_i theta_j = q theta_j theta_i (thetabar alike); nothing else has a
+# rule.
+_DOC_RULES = [(Kind.THETA, Kind.THETABAR, -1), (Kind.THETA, Kind.DTHETABAR, 1),
+              (Kind.THETABAR, Kind.DTHETA, 1), (Kind.THETA, Kind.DTHETA, -1),
+              (Kind.THETABAR, Kind.DTHETABAR, -1),
+              (Kind.DTHETA, Kind.DTHETABAR, -1)]
+
+
+def _doc_exponent(left, right):
+    """The q exponent of left*right = q^e right*left for unit generators
+    (kind, index) with right canonically first; None when no rule applies."""
+    (lk, li), (rk, ri) = left, right
+    if lk == rk:
+        return -1 if lk in (Kind.THETA, Kind.THETABAR) else None
+    if li != ri:
+        return None
+    for a, b, r in _DOC_RULES:
+        if (lk, rk) == (a, b):
+            return r
+        if (lk, rk) == (b, a):
+            return -r
+    return None
+
+
+def _normal_outcome(normalize, level, raw):
+    try:
+        return normalize(level, raw)
+    except UnspecifiedRelationError as exc:
+        return "raise", str(exc)
+
+
+def test_every_ordered_kind_pair_against_the_rules_and_the_oracle():
+    # each ordered pair of kinds, at one index and at two, in both index
+    # orders: the phase (or refusal) follows the docstring's rules, and the
+    # refusal text is the step-by-step oracle's
+    n = 5
+    seen = {"ordered": 0, "swap": 0, "merge": 0, "raise": 0}
+    for lk in Kind:
+        for rk in Kind:
+            for li, ri in ((1, 1), (1, 2), (2, 1)):
+                for e1, e2 in ((1, 1), (2, 3), (3, 1)):
+                    raw = [(lk, li, e1), (rk, ri, e2)]
+                    got = _normal_outcome(normalize_word, n, raw)
+                    assert got == _normal_outcome(rewrite, n, raw), raw
+                    if (lk, li) == (rk, ri):
+                        want = ((0, None) if e1 + e2 >= n
+                                else (0, ((int(lk), li, e1 + e2),)))
+                        seen["merge"] += 1
+                    elif (lk, li) < (rk, ri):
+                        want = (0, ((int(lk), li, e1), (int(rk), ri, e2)))
+                        seen["ordered"] += 1
+                    elif (e := _doc_exponent((lk, li), (rk, ri))) is None:
+                        assert got[0] == "raise", raw
+                        seen["raise"] += 1
+                        continue
+                    else:
+                        want = (e * e1 * e2,
+                                ((int(rk), ri, e2), (int(lk), li, e1)))
+                        seen["swap"] += 1
+                    assert got == want, raw
+                    # the word stores plain ints, whatever the input held
+                    assert all(type(k) is int for k, _, _ in got[1] or ())
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_vanishing_word_holding_an_uncovered_pair_still_raises():
+    # an uncovered out-of-order pair raises, naming that pair, even when
+    # either of its factors already reaches the level
+    n = 3
+    generators = [(kind, index) for kind in Kind for index in (1, 2)]
+    uncovered = [(left, right) for left in generators for right in generators
+                 if left > right and _doc_exponent(left, right) is None]
+    assert len(uncovered) > 10
+    for (lk, li), (rk, ri) in uncovered:
+        for raw in ([(lk, li, n), (rk, ri, 1)], [(lk, li, 1), (rk, ri, n)]):
+            want = _normal_outcome(rewrite, n, raw)
+            assert want[0] == "raise" or want == (0, None)
+            got = _normal_outcome(normalize_word, n, raw)
+            assert got[0] == "raise", raw
+            assert got[1] == f"no exchange rule for {_name(lk, li)} and " \
+                f"{_name(rk, ri)}"
+
+
+def _name(kind, index):
+    return {Kind.DTHETABAR: "dthb", Kind.DTHETA: "dth", Kind.THETA: "th",
+            Kind.THETABAR: "thb"}[kind] + str(index)
+
+
+# The four measure orders of the random-algebra benchmark workload.
+_BENCH_MEASURES = (((Kind.DTHETABAR, 1), (Kind.DTHETA, 1)),
+                   ((Kind.DTHETA, 1), (Kind.DTHETABAR, 1)),
+                   ((Kind.DTHETA, 1),), ((Kind.DTHETABAR, 1),))
+
+
+def test_integrate_word_matches_the_oracle_under_the_benchmark_measures():
+    # every single-index word theta^a thetabar^b, in both orders and with a
+    # theta split around the thetabar block, under each measure order
+    survived = 0
+    for n in range(2, 7):
+        for a in range(n):
+            for b in range(n):
+                words = [[th(power=a), tb(power=b)], [tb(power=b), th(power=a)],
+                         [th(power=a), tb(power=b), th()]]
+                for word in words:
+                    for measure in _BENCH_MEASURES:
+                        want = _outcome(integrate_by_swaps, n, word, measure)
+                        got = _outcome(integrate_word, n, word, measure)
+                        assert got == want, (n, word, measure)
+                        survived += isinstance(got[1], tuple)
+    assert survived > 100
+    # the measure symbols are plain ints, as the words are
+    assert [type(k) for k, _ in (d_theta(), d_thetabar())] == [int, int]
