@@ -17,8 +17,10 @@ norm, the largest singular value, read from one
 ``np.linalg.svd(x, compute_uv=False)`` call (``_spectral_norm``);
 :func:`instantiate_numeric` reads the Frobenius norm of each word.  A
 decomposition's scale (the norm of H) and its residuals are computed
-once each: :func:`biortho_decompose` measures the scale, and its own
-guard and the numeric suite read the one :attr:`BiorthoDecomp.residuals`.
+once each, lazily, from the decomposition as constructed
+(:attr:`BiorthoDecomp.scale`, :attr:`BiorthoDecomp.residuals`):
+:func:`biortho_decompose`'s own guard and the numeric suite read the one
+copy.
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ class BiorthoDecomp:
 
     Psi columns are unit-norm right eigenvectors with the phase gauge
     that their largest component is real positive; Phi columns are the
-    left-conjugate partners scaled for exact pairing.  ``scale`` is the
-    spectral norm of H (floored at 1e-300), which
-    :func:`biortho_decompose` measures once, before the eigendata exist,
-    and every relative residual divides by.  :attr:`residuals` is
-    computed once, on first read, from the instance as constructed; the
-    fields cannot be reassigned, so the kept residuals stay those of the
-    fields.
+    left-conjugate partners scaled for exact pairing.  :attr:`scale` and
+    :attr:`residuals` are computed once, on first read, from the instance
+    as constructed; the fields cannot be reassigned, so both stay those
+    of the fields, and ``dataclasses.replace`` builds an instance that
+    computes its own.
     """
 
     H: np.ndarray
@@ -60,11 +60,16 @@ class BiorthoDecomp:
     eta: np.ndarray
     eta_inv: np.ndarray
     tol: float
-    scale: float
 
     @property
     def size(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def scale(self) -> float:
+        """Spectral norm of H, floored at 1e-300: every relative residual
+        divides by it."""
+        return _matrix_scale(self.H)
 
     @cached_property
     def residuals(self) -> dict[str, float]:
@@ -76,6 +81,10 @@ def _spectral_norm(x: np.ndarray) -> float:
     """The largest singular value of x, as ``np.linalg.norm(x, 2)``: the
     same LAPACK call, bit for bit, without that function's dispatch."""
     return np.linalg.svd(x, compute_uv=False).max()
+
+
+def _matrix_scale(H: np.ndarray) -> float:
+    return max(_spectral_norm(H), 1e-300)
 
 
 def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
@@ -91,7 +100,7 @@ def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
     n = H.shape[0]
     if n < 2:
         raise DecompositionError("need at least a two-level system")
-    scale = max(_spectral_norm(H), 1e-300)
+    scale = _matrix_scale(H)
     w, V = np.linalg.eig(H)
     if np.max(np.abs(w.imag)) > tol * scale:
         raise ComplexSpectrumError(
@@ -131,7 +140,7 @@ def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
     eta = Phi @ Phi.conj().T
     eta_inv = V @ V.conj().T
     decomp = BiorthoDecomp(H=H, E=energies, Psi=V, Phi=Phi,
-                           eta=eta, eta_inv=eta_inv, tol=tol, scale=scale)
+                           eta=eta, eta_inv=eta_inv, tol=tol)
     residual = max(decomp.residuals.values())
     if residual > 1e3 * tol:
         raise DecompositionError(

@@ -36,11 +36,13 @@ a factor.  The other layers read and build words through it:
 :func:`grade` reads a word's degrees, ``_monomial`` builds the raw word
 theta^k thetabar^l, ``_dagger_word`` reverses a word for the dagger, and
 :func:`normalize_word` and :func:`integrate_word` order and integrate it.
-A word stores its kinds as plain ints, and every loop over factors
-compares them with the module ints ``_DTHETABAR`` .. ``_THETABAR`` and
-reads the int-keyed exchange table: an IntEnum member lookup costs
-several times a module int, so a kind becomes a :class:`Kind` member
-again only to be named in a refusal.
+A word stores its kinds as plain ints (:func:`normalize_word` stores
+``int(kind)``, so a :class:`Kind` member such as a measure symbol's
+leaves no trace), and every loop over factors compares them with the
+module ints ``_DTHETABAR`` .. ``_THETABAR`` and reads the int-keyed
+exchange table: an IntEnum member lookup costs several times a module
+int.  A refusal names a kind through ``_KIND_NAMES``, which an int looks
+up as its member does.
 
 A :class:`GExpr` stores a sum of words, such as a weight, normal ordered
 by :meth:`GExpr.from_raw`.  The variables and their product live in the
@@ -108,8 +110,8 @@ def _swap_qexp(left: tuple[int, int], right: tuple[int, int]) -> int:
     elif li == ri and (lk, rk) in _MIXED_SWAP:
         return _MIXED_SWAP[(lk, rk)]
     raise UnspecifiedRelationError(
-        f"no exchange rule for {_KIND_NAMES[Kind(lk)]}{li} and "
-        f"{_KIND_NAMES[Kind(rk)]}{ri}")
+        f"no exchange rule for {_KIND_NAMES[lk]}{li} and "
+        f"{_KIND_NAMES[rk]}{ri}")
 
 
 def normalize_word(level: int, factors: Iterable[Factor]) -> tuple[int, Optional[Word]]:
@@ -222,12 +224,12 @@ class GExpr(_SparseSum):
 
 def d_theta() -> tuple[int, int]:
     """Measure symbol for integration over theta_1."""
-    return (_DTHETA, 1)
+    return (Kind.DTHETA, 1)
 
 
 def d_thetabar() -> tuple[int, int]:
     """Measure symbol for integration over thetabar_1."""
-    return (_DTHETABAR, 1)
+    return (Kind.DTHETABAR, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,16 @@ def test_spectral_norm_is_numpy_norm_2_bit_for_bit():
             float(np.linalg.norm(x, 2)).hex()
 
 
+def test_scale_and_residuals_are_those_of_the_fields():
+    d = biortho_decompose(H_REF)
+    assert d.scale == np.linalg.norm(H_REF, 2)
+    assert d.residuals == decomposition_residuals(d)
+    # a replaced H carries its own scale and residuals, not the kept ones
+    moved = replace(d, H=3 * H_REF)
+    assert moved.scale == np.linalg.norm(3 * H_REF, 2) != d.scale
+    assert moved.residuals["right_eigen"] > 0.1
+
+
 def test_one_biortho_run_makes_one_residual_pass_and_no_numpy_norm_2(
         monkeypatch):
     passes, norm_2, spectral = [], [], []
@@ -313,9 +323,10 @@ def test_one_biortho_run_makes_one_residual_pass_and_no_numpy_norm_2(
     # read by biortho_decompose's guard and by the six decomp checks
     assert len(passes) == 1
     assert norm_2 == []
-    # the scale of H, 7 in the residual pass, 1 for pseudo-hermiticity, 4
-    # in numeric_ladder and the suite's Hermitian test: each norm once
-    assert len(spectral) == 14
+    # the spectrum guard's scale of H, the decomposition's own lazy scale,
+    # 7 in the residual pass, 1 for pseudo-hermiticity, 4 in numeric_ladder
+    # and the suite's Hermitian test
+    assert len(spectral) == 15
 
 
 # The two-sided numeric grounding of the eigen equation and of the
