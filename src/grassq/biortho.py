@@ -92,7 +92,9 @@ def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
 
     Rejects complex spectra (beyond tol), near-degenerate spectra
     (relative gap below 1e3 * tol) and defective matrices, since the
-    ladder constructions assume a complete nondegenerate real spectrum.
+    ladder constructions assume a complete nondegenerate real spectrum,
+    and a matrix whose norm, eigenvalues or eigenvectors overflow to a
+    non-finite value, whose residuals could only read NaN.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -102,6 +104,10 @@ def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
         raise DecompositionError("need at least a two-level system")
     scale = _matrix_scale(H)
     w, V = np.linalg.eig(H)
+    if not (np.isfinite(scale) and np.isfinite(w).all()
+            and np.isfinite(V).all()):
+        raise DecompositionError(
+            "H overflows: its norm, eigenvalues or eigenvectors are not finite")
     if np.max(np.abs(w.imag)) > tol * scale:
         raise ComplexSpectrumError(
             f"imaginary eigenvalue parts up to {np.max(np.abs(w.imag)):.3e}")
@@ -142,7 +148,8 @@ def biortho_decompose(H, tol: float = DEFAULT_TOL) -> BiorthoDecomp:
     decomp = BiorthoDecomp(H=H, E=energies, Psi=V, Phi=Phi,
                            eta=eta, eta_inv=eta_inv, tol=tol)
     residual = max(decomp.residuals.values())
-    if residual > 1e3 * tol:
+    # NaN compares false, so only this form refuses a NaN residual
+    if not residual <= 1e3 * tol:
         raise DecompositionError(
             f"decomposition residual {residual:.3e} exceeds tolerance")
     return decomp

@@ -63,6 +63,12 @@ its own merge: the values are canonical, so a key on both sides with
 equal values is dropped by one comparison, and only a key whose values
 differ forms a difference.  An exact check of ``lhs - rhs`` that holds
 thus compares each term once and builds nothing.
+
+Every product of two single-term Scalars, the commonest step of the
+engine, goes through ``Scalar._mul_q`` (``*`` is its case q**0), which
+adds the keys and multiplies the two coefficients with ``Cyclo``'s own
+product.  So every unit product goes through ``Cyclo``: only ``Cyclo``
+and the field helpers above it read a unit's stored form or build one.
 """
 
 from __future__ import annotations
@@ -634,14 +640,9 @@ class Scalar(_SparseSum):
         if type(other) is not Scalar and isinstance(other, (int, Fraction)):
             return Scalar(self.level,
                           {k: v.scaled(other) for k, v in self.terms.items()})
-        self._check(other)
         if len(self.terms) == 1 == len(other.terms):
-            # monomial times monomial, the commonest product, since every
-            # ladder, state and weight coefficient is one term; Q(q) has
-            # no zero divisors, so the one coefficient product is nonzero
-            (k1, c1), = self.terms.items()
-            (k2, c2), = other.terms.items()
-            return Scalar._wrap(self.level, {tuple(map(add, k1, k2)): c1 * c2})
+            return self._mul_q(other, 0)
+        self._check(other)
         return Scalar._wrap(self.level, _accumulate({}, (
             (tuple(map(add, k1, k2)), c1 * c2)
             for k1, c1 in self.terms.items()
@@ -653,24 +654,21 @@ class Scalar(_SparseSum):
         """self * other * q**k, the coefficient of a term pair of an
         operator product.
 
-        Two single-term factors, the common case, take one key sum and
-        one Scalar: two units make one ``_unit``, and any other pair is
-        the Cyclo product turned by q**k, as ``mul_q_power`` turns it.
-        Longer factors take ``self * other`` then ``mul_q_power(k)``.
+        Two single-term factors take one key sum and one Scalar: the
+        Cyclo product, turned by q**k as ``mul_q_power`` turns it.  That
+        is the commonest product, since every ladder, state and weight
+        coefficient is one term, and ``*`` takes it with k = 0.  Longer
+        factors take ``self * other`` then ``mul_q_power(k)``.
         """
-        self._check(other)
         if len(self.terms) != 1 or len(other.terms) != 1:
             return (self * other).mul_q_power(k)
+        self._check(other)
         (k1, c1), = self.terms.items()
         (k2, c2), = other.terms.items()
-        if c1._k is None or c2._k is None:
-            # Q(q) has no zero divisors, so the product stays nonzero
-            c = c1 * c2
-            if k % self.level:
-                c = c._times_q(k % self.level)
-        else:
-            c = _unit(c1._t, c1._k + c2._k + k, c1._num * c2._num,
-                      c1._den * c2._den)
+        # Q(q) has no zero divisors, so the product stays nonzero
+        c = c1 * c2
+        if k % self.level:
+            c = c._times_q(k % self.level)
         return Scalar._wrap(self.level, {tuple(map(add, k1, k2)): c})
 
     def mul_q_power(self, k: int) -> "Scalar":

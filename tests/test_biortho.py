@@ -49,7 +49,7 @@ def test_hermitian_reduces_to_orthonormal():
     assert report.residual < 1e-12
 
 
-def test_rejections():
+def test_rejections(monkeypatch):
     with pytest.raises(DefectiveMatrixError):
         biortho_decompose([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DegenerateSpectrumError):
@@ -60,6 +60,16 @@ def test_rejections():
         biortho_decompose(np.ones((2, 3)))
     with pytest.raises(DecompositionError):
         biortho_decompose([[1.0]])
+    # every entry is finite, but the norm overflows and the residuals
+    # would read NaN
+    with pytest.raises(DecompositionError, match="not finite"):
+        biortho_decompose(np.full((2, 2), 1e308))
+    # a NaN residual is refused, though it compares false with the bound
+    with monkeypatch.context() as mutant:
+        mutant.setattr(nb, "decomposition_residuals",
+                       lambda d: {"right_eigen": float("nan")})
+        with pytest.raises(DecompositionError, match="residual nan"):
+            biortho_decompose(H_REF)
 
 
 def test_randomized_invariants():

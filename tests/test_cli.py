@@ -236,6 +236,19 @@ def test_non_finite_matrix_entries_are_input_errors(tmp_path, capsys):
         load_problem(str(path))
 
 
+def test_a_matrix_that_overflows_is_an_input_error(tmp_path, capsys):
+    # each entry is finite, so the file loads, but the matrix's norm and
+    # an eigenvalue overflow: the run refuses it rather than report NaN
+    path = write(tmp_path, "overflow.json", {
+        "n": 2, "rho": ["2"], "H": [[[1e308, 0]] * 2] * 2})
+    for fmt in ("text", "json"):
+        assert main(["verify", "biortho", "--input", path,
+                     "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err, err
+
+
 def test_rho_outside_the_float_range_is_a_usage_error(capsys):
     # the numeric suite reads rho as a float: 1e400 overflows it and
     # 1e-400 rounds to zero, though both are positive rationals

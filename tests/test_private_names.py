@@ -8,7 +8,10 @@ into another one fails here.
 
 The same reading pins the owner of the Grassmann word: only ``galg``
 reads ``Kind``, so no other module builds a (kind, index, exponent)
-factor by hand.
+factor by hand.  It pins the owner of the unit form too: in
+``scalars``, only ``Cyclo`` and the field helpers defined above it read
+a coefficient's stored form or build one unchecked, so ``Scalar`` and
+the sparse sums multiply coefficients through ``Cyclo``'s own product.
 """
 
 import ast
@@ -87,3 +90,19 @@ def test_only_galg_reads_the_generator_kinds():
     readers = {path.name for path in SRC.glob("*.py")
                if "Kind" in set(_read(ast.parse(path.read_text())))}
     assert readers == {"galg.py"}, sorted(readers - {"galg.py"})
+
+
+# A Cyclo's stored form and its two unchecked constructors.
+UNIT_FORM = {"_k", "_t", "_num", "_den", "_unit", "_new"}
+
+
+def test_only_cyclo_and_the_field_helpers_read_the_unit_form():
+    body = ast.parse((SRC / "scalars.py").read_text()).body
+    at = next(i for i, node in enumerate(body)
+              if isinstance(node, ast.ClassDef) and node.name == "Cyclo")
+    owners = {"Cyclo"} | {node.name for node in body[:at]
+                          if isinstance(node, ast.FunctionDef)}
+    readers = {name for node in body for name in _defined(node)
+               if UNIT_FORM & set(_read(node))}
+    assert "Cyclo" in readers and "_unit" in owners
+    assert readers <= owners, sorted(readers - owners)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS,
                                resolution_integral, solve_weight,
                                verify_resolution, _coefficients, _entries,
                                _read_pairs, _solve_permutation, _weight)
-from grassq.scalars import Scalar, rho_factorial
+from grassq.scalars import Cyclo, Scalar, rho_factorial
 from grassq.suites import run_suite
 
 
@@ -243,6 +244,9 @@ def test_column_reads_one_term_pair_and_refuses_any_other_shape(monkeypatch):
     # and bra words alone, theta, miss the thetabar the measure needs
     refused(replaced((0, 1), 1, (((Kind.THETA, 1, 1),), key[1])),
             r"row \(1, 0\) is never hit")
+    # a surviving pair on a bare ket, not an outer product, has no row
+    refused(replaced((0, 1), 1, (key[0], (key[1][0], ()))),
+            "unexpected term shape in weight system")
     # two surviving pairs on a diagonal column are refused, not summed
     refused(stream + [t for t in stream if t[0] == (0, 0)],
             "column c_00 is reached twice")
@@ -408,6 +412,54 @@ def _reference_solve(n):
 def test_solver_matches_a_solve_on_the_plain_integral():
     for n in range(2, 9):
         _assert_same(solve_weight(n), _reference_solve(n), n)
+
+
+def _at_rational_s(x, n):
+    """The Scalar x, which holds no u, at s_i = i + 1: a Cyclo."""
+    value = Cyclo.zero(n)
+    for key, c in x.terms.items():
+        assert not key[-1], key
+        factor = Fraction(1)
+        for i, e in enumerate(key[:-1], start=1):
+            factor *= Fraction(i + 1) ** e
+        value += c.scaled(factor)
+    return value
+
+
+def _eliminate(matrix, rhs):
+    """The one x with matrix x = rhs over Cyclo, by Gauss-Jordan
+    elimination; any singular matrix fails."""
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        assert pivot is not None, f"singular at column {col}"
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inverse = rows[col][col].inverse()
+        rows[col] = [x * inverse for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                f = row[col]
+                rows[r] = [x - f * y for x, y in zip(row, rows[col])]
+    return [row[-1] for row in rows]
+
+
+def test_solver_matches_a_dense_solve_without_the_permutation_argument():
+    # the plain integral gives every column of the system in full; at
+    # s_i = i + 1 each entry is a Cyclo, and elimination assumes nothing
+    # of the system's shape, so the solve's reading of one entry per
+    # column, its phase and its inverse are checked, not reused
+    for n in range(2, 6):
+        outer_product = _plain_outer(*_pair_bodies(n, (PSI, PHI), False))
+        columns = _reference_columns(
+            n, lambda weight: _reference_integral(weight, outer_product))
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        zero = Scalar.zero(n)
+        matrix = [[_at_rational_s(columns[kl].get(row, zero), n)
+                   for kl in cells] for row in cells]
+        identity = [Cyclo.from_rational(n, int(i == j)) for i, j in cells]
+        solved = _coefficients(solve_weight(n))
+        assert _eliminate(matrix, identity) == [
+            _at_rational_s(solved.get(kl, zero), n) for kl in cells], n
 
 
 def test_solver_columns_match_the_per_column_integral():
