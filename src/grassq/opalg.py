@@ -32,18 +32,19 @@ Composition contracts dyads through the dual pairings
 :class:`GramUnknownError` because biorthonormality does not determine
 them.
 
-A product visits only the term pairs whose dyads contract.  The operand
-with fewer terms is walked; each of its non-identity terms looks up, in
-the other operand's terms filed by ket side (or by bra side), the
-identity terms and the other family's side of the same index.  The
-filing is built at most once per operator, on first use, and kept on it,
-which is sound because an operator never changes after construction.  A
-product too small to repay the filing walks every pair instead (see
-``_joined``), and so does a product holding a refused pair: the plain
-walk raises the error of its first refused pair, as ``_contract`` finds
-it.  Either way the surviving pairs come out in (left term, right term)
-order, so every result keeps its term order.  Each surviving pair takes
-one coefficient step, c1 * c2 * q**e (``Scalar._mul_q``).
+A product visits only the term pairs whose dyads contract.  Its right
+operand's terms are walked, and each probes the left operand's terms
+filed by bra side: the identity terms, and the bras of its ket's index
+(``_meets_at``, which ``_contract`` reads too), or the terms without a
+bra for a term without a ket.  The filing is built once per operator,
+when it is first a left factor, and kept on it, which is sound because
+an operator never changes after construction; a series ``arg @ power``
+thus files ``arg`` once and probes it once per term of each power.  A
+product holding a refused pair raises the error of its first refused
+pair in (left term, right term) order, as ``_contract`` finds it, and
+the surviving pairs come out in that order too, so every result keeps
+its term order.  Each surviving pair takes one coefficient step,
+c1 * c2 * q**e (``Scalar._mul_q``).
 
 The distinguished ladder operators are
 
@@ -107,6 +108,13 @@ def _dyad_str(d: Dyad) -> str:
 # crossing phases and contraction
 # ---------------------------------------------------------------------------
 
+def _meets_at(side) -> int:
+    """The index under which a present ket or bra side meets the other
+    side: a bra meets a ket of its own index.  ``_contract`` and the
+    product's filing (``_file_bras``) both read it."""
+    return side[1]
+
+
 def _contract(d1: Dyad, d2: Dyad) -> Dyad | None:
     """Compose two dyads; None when the pairing <d1 bra|d2 ket> vanishes.
 
@@ -123,7 +131,7 @@ def _contract(d1: Dyad, d2: Dyad) -> Dyad | None:
     if b and b[0] == k[0]:
         raise GramUnknownError(
             f"<{b[0]}|{k[0]}> overlaps are not determined by biorthonormality")
-    if b and b[1] != k[1]:
+    if b and _meets_at(b) != _meets_at(k):
         return None
     return (d1[0], d2[1])
 
@@ -148,106 +156,65 @@ def _place(level: int, left, dyad: Dyad, right) -> tuple[int, Word | None]:
     return cross + qe, w
 
 
-def _file_terms(terms: dict, side: int) -> tuple[dict, set]:
-    """The terms of an operator filed by one side of their dyads.
-
-    ``side`` is 0 (ket sides, which a left factor's bras meet) or 1 (bra
-    sides, which a right factor's kets meet).  Each entry is
-    ``(position, (key, coefficient))``.  Returns ``(buckets, meets)``:
-    ``buckets`` maps IDENT to the identity terms, and otherwise the side
-    that contracts with a term's side, (dual family, i) for (family, i)
-    and () for (), to its entries in position order; ``meets`` holds the
-    families, () for an absent side, that no filed side refuses
-    (:func:`_refuses`), and none if a filed family is outside psi/phi,
-    which has no dual to be filed under.
-    """
+def _file_bras(terms: dict) -> tuple[dict, dict]:
+    """An operator's terms filed by bra side, each entry
+    ``(position, (key, coefficient))``.  Returns ``(buckets, firsts)``:
+    ``buckets`` maps IDENT to the identity terms, () to the terms without
+    a bra, and a bra's index (``_meets_at``) to the terms with a bra of
+    that index, each in position order; ``firsts`` maps each bra family,
+    () for an absent bra, to the position and dyad of its first term."""
     buckets: dict = {}
-    families = set()
+    firsts: dict = {}
     for entry in enumerate(terms.items()):
         d = entry[1][0][1]
         if d == IDENT:
             key = IDENT
         else:
-            key = d[side]
-            families.add(key[0] if key else ())
-            key = (_dual(key[0]), key[1]) if key else ()
+            b = d[1]
+            key = _meets_at(b) if b else ()
+            firsts.setdefault(b[0] if b else (), (entry[0], d))
         buckets.setdefault(key, []).append(entry)
-    known = {(), PSI, PHI}
-    meets = ({f for f in known if not any(_refuses(f, g) for g in families)}
-             if families <= known else set())
-    return buckets, meets
+    return buckets, firsts
 
 
-def _refuses(facing, filed) -> bool:
-    """Whether ``_contract`` refuses a side of family ``facing`` meeting
-    one of family ``filed``, () standing for an absent side: a present
-    side against an absent one, or two sides of one family."""
-    return facing == filed if facing and filed else facing != filed
-
-
-def _joined(left: "OpExpr", right: "OpExpr"):
+def _joined(left: "OpExpr", right: "OpExpr") -> list:
     """``(left item, right item)`` for each pair of terms whose dyads
     contract, in (left position, right position) order.
 
-    An identity term meets every term.  The operand with fewer terms is
-    walked, and each of its other terms probes the other operand's filed
-    side (``OpExpr._index``), which files that operand once.  Filing
-    writes each term to a bucket, and a probe reads the identity bucket
-    and the matching one: about two steps per term filed or probed, where
-    a plain walk spends one ``_contract`` per pair.  So the pairs are
-    walked plainly unless they outnumber twice the terms the join would
-    touch: the walked ones, and the probed ones when not yet filed.
-
-    A product holding a refused pair takes the plain walk, where
-    ``_contract`` raises at the first refused pair, after the pairs
-    before it: the join stops at the first walked term whose facing
-    family the filed families refuse, or that lies outside psi/phi.
+    Each right term probes ``left``'s terms filed by bra side
+    (:func:`_file_bras`, built on first use and kept on ``left``, which
+    never changes after construction): an identity term on either side
+    meets every term; a ket side meets the bras of its index, and an
+    absent ket side the terms without a bra.  Before probing, a right
+    term is contracted with the first left term of each bra family; the
+    first refused pair in (left, right) order, the one the |L|·|R| loop
+    meets first, raises through ``_contract`` before any pair is placed.
+    Without a refused pair no left bra shares a family with a right ket
+    and no side meets an absent one, so every probed pair contracts.
     """
-    lt, rt = left.terms, right.terms
-    side = int(len(rt) < len(lt))
-    walked, probed = (right, left) if side else (left, right)
-    w, p = len(walked.terms), len(probed.terms)
-    join = w * p > 2 * (w + p)
-    if not join and p > 2:
-        # a side filed already costs nothing more: the 2w probe steps remain
-        indexes = getattr(probed, "_indexes", None)
-        join = indexes is not None and indexes[side] is not None
-    if join:
-        found = _walk(walked, probed, side)
-        if found is not None:
-            return found
-    return _all_pairs(lt, rt)
-
-
-def _all_pairs(lt: dict, rt: dict):
-    """:func:`_joined` by the plain walk over every pair of terms."""
-    for a in lt.items():
-        d1 = a[0][1]
-        for b in rt.items():
-            d2 = b[0][1]
-            if d1 == IDENT or d2 == IDENT or _contract(d1, d2) is not None:
-                yield a, b
-
-
-def _walk(walked: "OpExpr", probed: "OpExpr", side: int) -> list | None:
-    """:func:`_joined` walking the terms of ``walked``, the left operand
-    (side 0) or the right one (side 1), each probing the other operand
-    filed (:func:`_file_terms`); the pairs are gathered, then put in
-    position order.  None if a walked side meets a filed one refused."""
-    buckets, meets = probed._index(side)
-    found = []
+    filed = getattr(left, "_bras", None)
+    if filed is None:
+        filed = left._bras = _file_bras(left.terms)
+    buckets, firsts = filed
     ident = buckets.get(IDENT, [])
-    for at, item in enumerate(walked.terms.items()):
+    found: list = []
+    refused = None
+    for at, item in enumerate(right.terms.items()):
         d = item[0][1]
         if d == IDENT:
-            hit = enumerate(probed.terms.items())
+            hit = enumerate(left.terms.items())
         else:
-            facing = d[1 - side]
-            if (facing[0] if facing else ()) not in meets:
-                return None
-            hit = buckets.get(facing, []) + ident
-        found += ([(o, at, other, item) for o, other in hit] if side else
-                  [(at, o, item, other) for o, other in hit])
+            for o, first in firsts.values():
+                try:
+                    _contract(first, d)
+                except (DyadShapeError, GramUnknownError):
+                    if refused is None or o < refused[0]:
+                        refused = o, first, d
+            k = d[0]
+            hit = buckets.get(_meets_at(k) if k else (), []) + ident
+        found += [(o, at, other, item) for o, other in hit]
+    if refused is not None:
+        _contract(*refused[1:])
     # a (left, right) position pair is never repeated, so tuple order is
     # pair order and never compares two terms
     found.sort()
@@ -261,9 +228,9 @@ def _walk(walked: "OpExpr", probed: "OpExpr", side: int) -> list | None:
 class OpExpr(_SparseSum):
     """Formal sum of (word, dyad) terms with Scalar coefficients."""
 
-    # ``_indexes``, unset until ``_index`` first files the terms, keeps
-    # them filed by ket and by bra side
-    __slots__ = ("_indexes",)
+    # ``_bras``, unset until the operator is first a left factor, keeps
+    # its terms filed by bra side (``_joined``)
+    __slots__ = ("_bras",)
 
     # -- constructors ---------------------------------------------------------
 
@@ -292,17 +259,6 @@ class OpExpr(_SparseSum):
                             else (d1[0], d2[1]))
                     yield (w, dyad), c1._mul_q(c2, qe)
         return OpExpr._wrap(self.level, _accumulate({}, products()))
-
-    def _index(self, side: int) -> tuple[dict, set]:
-        """The terms filed by their ket (0) or bra (1) sides
-        (:func:`_file_terms`), built on first use and kept on the
-        instance, which never changes after construction."""
-        indexes = getattr(self, "_indexes", None)
-        if indexes is None:
-            indexes = self._indexes = [None, None]
-        if indexes[side] is None:
-            indexes[side] = _file_terms(self.terms, side)
-        return indexes[side]
 
     def power(self, k: int) -> "OpExpr":
         if k < 0:
@@ -407,11 +363,13 @@ def _nilpotent_series(arg: OpExpr, bound: int,
     ``weights`` yields w_1, w_2, ... and is read only for nonzero terms;
     a term arg^k on past ``bound`` that is still nonzero raises.  Each
     term is merged into one dict (``_accumulate``), which is wrapped once
-    at the end, so no partial sum is copied.
+    at the end, so no partial sum is copied.  Each step ``arg @ power``
+    walks the terms of ``power``: ``arg`` is filed on the first step and
+    kept filed, so a step costs a probe per term of ``power``, not a
+    pass over ``arg``.
     """
     power = OpExpr.identity(arg.level) if on is None else on
     acc = dict(power.terms)
-    arg._index(1)  # a power with fewer terms probes arg's bras: file once
     for k in range(1, bound + 2):
         power = arg @ power
         if power.is_zero:

@@ -379,17 +379,22 @@ class Cyclo:
             return _new(self._t, None, tuple(-a for a in self._num), self._den)
         return _new(self._t, self._k, -self._num, self._den)
 
-    def __mul__(self, other: "Cyclo") -> "Cyclo":
+    def __mul__(self, other: "Cyclo", phase: int = 0) -> "Cyclo":
+        """self * other, turned by q**phase for 0 <= phase < level: two
+        units make one unit, whatever the phase."""
         self._check(other)
         t, k, j = self._t, self._k, other._k
-        if k is None:
-            if j is None:
-                return _looked_up(t, _product(t, self._num, other._num),
-                                  self._den * other._den)
-            return other._times_dense(self)
-        if j is None:
-            return self._times_dense(other)
-        return _unit(t, k + j, self._num * other._num, self._den * other._den)
+        if k is not None and j is not None:
+            return _unit(t, k + j + phase, self._num * other._num,
+                         self._den * other._den)
+        if k is not None:
+            c = self._times_dense(other)
+        elif j is not None:
+            c = other._times_dense(self)
+        else:
+            c = _looked_up(t, _product(t, self._num, other._num),
+                           self._den * other._den)
+        return c._times_q(phase) if phase else c
 
     def _times_dense(self, x: "Cyclo") -> "Cyclo":
         """The unit self times the dense x: one rotation and a rescale.
@@ -655,20 +660,20 @@ class Scalar(_SparseSum):
         operator product.
 
         Two single-term factors take one key sum and one Scalar: the
-        Cyclo product, turned by q**k as ``mul_q_power`` turns it.  That
-        is the commonest product, since every ladder, state and weight
-        coefficient is one term, and ``*`` takes it with k = 0.  Longer
-        factors take ``self * other`` then ``mul_q_power(k)``.
+        Cyclo product, which takes the phase q**k, so two units build one
+        unit.  That is the commonest product, since every ladder, state
+        and weight coefficient is one term, and ``*`` takes it with
+        k = 0.  Longer factors take ``self * other`` then
+        ``mul_q_power(k)``.
         """
         if len(self.terms) != 1 or len(other.terms) != 1:
             return (self * other).mul_q_power(k)
         self._check(other)
         (k1, c1), = self.terms.items()
         (k2, c2), = other.terms.items()
-        # Q(q) has no zero divisors, so the product stays nonzero
-        c = c1 * c2
-        if k % self.level:
-            c = c._times_q(k % self.level)
+        # Q(q) has no zero divisors, so the product stays nonzero; the
+        # dunder is called by name to pass the phase
+        c = c1.__mul__(c2, k % self.level)
         return Scalar._wrap(self.level, {tuple(map(add, k1, k2)): c})
 
     def mul_q_power(self, k: int) -> "Scalar":

@@ -14,9 +14,9 @@ from grassq.coherent import (CoherentState, check_stability, evolve_state,
                              verify_eigen)
 from grassq.errors import NonTerminatingSeriesError
 from grassq.galg import Kind, grade
-from grassq.opalg import (OpExpr, PHI, PSI, eta_conjugate, ket, ket_op,
-                          make_ladder, op_dagger, op_term, sharp_adjoint,
-                          theta_op)
+from grassq.opalg import (IDENT, OpExpr, PHI, PSI, eta_conjugate, ket,
+                          ket_op, make_ladder, op_dagger, op_term,
+                          sharp_adjoint, theta_op)
 from grassq.scalars import Cyclo, Scalar, _SparseSum, rho_factorial
 
 TH = (Kind.THETA, 1, 1)
@@ -281,16 +281,6 @@ def test_the_builders_merge_into_one_sum(monkeypatch, fresh_caches):
     assert series == make_coherent(n, PHI).body
 
 
-def _contract_ignoring_the_index(plain):
-    """<F_j|G_i> read as 1 for any i, j of two families."""
-    def contract(d1, d2):
-        b, k = d1[1], d2[0]
-        if b and k and b[0] != k[0]:
-            return d1[0], d2[1]
-        return plain(d1, d2)
-    return contract
-
-
 EIGEN_AND_EXP = {f"coherent/n=3/{c}" for c in (
     "eigen-psi", "eigen-phi", "exp-form-psi", "exp-form-phi")}
 
@@ -301,8 +291,9 @@ COHERENT_MUTANTS = {
     # and thetabar degrees read the other way round
     "opalg.grade": (lambda plain: lambda word: plain(word)[::-1],
                     EIGEN_AND_EXP),
-    # a contraction that ignores the index, so <phi_j|psi_i> = 1 for i != j
-    "opalg._contract": (_contract_ignoring_the_index, EIGEN_AND_EXP),
+    # the index rule lost, so <phi_j|psi_i> = 1 for i != j, in the
+    # contraction and in the product's filing alike
+    "opalg._meets_at": (lambda plain: lambda side: 0, EIGEN_AND_EXP),
     # the fused coefficient step of a term pair without its q^e
     "scalars.Scalar._mul_q": (
         lambda plain: lambda self, other, k: plain(self, other, 0),
@@ -344,3 +335,56 @@ def test_each_coherent_check_fails_under_a_named_mutant(
     clear_construction_caches()
     mutated = statuses()
     assert {i: mutated[i] for i in flips} == {i: "fail" for i in flips}
+
+
+def test_the_index_rule_mutant_fails_the_eigen_and_exp_checks_at_every_n(
+        monkeypatch, fresh_caches):
+    # the product files its left operand by the rule _contract reads, so
+    # the mutant reaches every product, not only the small ones
+    from grassq.suites import run_suite
+    mutant, flips = COHERENT_MUTANTS["opalg._meets_at"]
+    monkeypatch.setattr(opalg, "_meets_at", mutant(opalg._meets_at))
+    clear_construction_caches()
+    for n in (3, 8):
+        checks = {c.id: c.status
+                  for c in run_suite("coherent", (n, n), max_n=n).checks}
+        at_n = {i.replace("n=3", f"n={n}") for i in flips}
+        assert {i: checks[i] for i in at_n} == {i: "fail" for i in at_n}
+
+
+def test_the_series_files_its_argument_once_and_probes_once_per_term(
+        monkeypatch, fresh_caches):
+    # counts, not times: each product files its left operand once and
+    # probes it once per non-identity right term, so arg @ power walks
+    # the one term of each power; walking arg's n-1 terms instead would
+    # make about n^2 probes and file every power
+    n = 64
+    filed, lefts = [], []
+    probes = right_terms = 0
+
+    class Probed(dict):
+        def get(self, key, default=None):
+            nonlocal probes
+            probes += key != IDENT
+            return super().get(key, default)
+
+    def file_bras(terms, plain=opalg._file_bras):
+        filed.append(terms)
+        buckets, firsts = plain(terms)
+        return Probed(buckets), firsts
+
+    def matmul(self, other, plain=OpExpr.__matmul__):
+        nonlocal right_terms
+        lefts.append(self)
+        right_terms += sum(d != IDENT for _, d in other.terms)
+        return plain(self, other)
+    state = make_coherent(n, PSI)
+    monkeypatch.setattr(opalg, "_file_bras", file_bras)
+    monkeypatch.setattr(OpExpr, "__matmul__", matmul)
+    assert exponential_form(state) == state.body
+    # raising @ theta, then the n products arg @ power, the last one zero
+    raising, arg = lefts[0], lefts[1]
+    assert len(lefts) == n + 1 and all(x is arg for x in lefts[1:])
+    assert [id(terms) for terms in filed] == [id(raising.terms),
+                                              id(arg.terms)]
+    assert probes == right_terms == n

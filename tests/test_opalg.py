@@ -169,22 +169,10 @@ def _outcome(product):
     return result, list(result.terms)
 
 
-def test_product_matches_the_plain_pair_walk(monkeypatch):
+def test_product_matches_the_plain_pair_walk():
     # the join visits only contracting pairs; its result, term order and
-    # refusal are those of the |L| x |R| loop, on every walk, and a
-    # refused product, however large, is left to the plain walk
-    last = {}
-    plain_all_pairs, plain_walk = opalg._all_pairs, opalg._walk
-
-    def all_pairs(*args):
-        last["walk"] = "all pairs"
-        return plain_all_pairs(*args)
-
-    def walk(*args):
-        last["walk"] = ("walk left", "walk right")[args[-1]]
-        return plain_walk(*args)
-    monkeypatch.setattr(opalg, "_all_pairs", all_pairs)
-    monkeypatch.setattr(opalg, "_walk", walk)
+    # refusal (type and message) are those of the |L| x |R| loop, for
+    # products that survive or refuse, with and without a family chi
     seen = set()
     rng = random.Random(20261019)
     for _ in range(600):
@@ -192,51 +180,46 @@ def test_product_matches_the_plain_pair_walk(monkeypatch):
         left_shapes, right_shapes = rng.choice(PRODUCT_MIXES)
         a = _random_operand(rng, n, left_shapes)
         b = _random_operand(rng, n, right_shapes)
-        last["walk"] = None
         got = _outcome(lambda: a @ b)
         assert got == _outcome(lambda: compose_by_pairs(a, b)), (a, b)
-        if isinstance(got[0], OpExpr):
-            seen.add(last["walk"])
-        else:
-            assert last["walk"] == "all pairs", (a, b)
-            w, p = sorted((len(a.terms), len(b.terms)))
-            seen.add(("refused", w * p > 2 * (w + p)))
-        if CHI in str(a) + str(b):
-            seen.add((CHI, isinstance(got[0], OpExpr)))
-    assert seen == {"all pairs", "walk left", "walk right", ("refused", True),
-                    ("refused", False), (CHI, True), (CHI, False)}
+        seen.add((isinstance(got[0], OpExpr), CHI in str(a) + str(b)))
+    assert seen == {(True, False), (False, False), (True, True),
+                    (False, True)}
 
 
-def test_join_refuses_exactly_the_pairs_contract_refuses():
-    # every facing side against every filed side, either way round: a
-    # left bra facing a right ket, or a right ket facing a left bra; the
-    # join walks on only past the sides that contract, of psi/phi
+def test_product_refuses_exactly_the_pairs_contract_refuses():
+    # every filed category (a left bra) against every facing one (a right
+    # ket), with a term of another index first on the left side or on the
+    # right side, after an identity term on both, so the first refused
+    # pair is not the first pair
     n = 3
     categories = ((), PSI, PHI, CHI)
+
+    def side(category, i):
+        return (category, i) if category else ()
     for filed in categories:
-        for side in (0, 1):
-            filed_side = (filed, 1) if filed else ()
-            dyad = ((filed_side, (PSI, 2)) if side == 0 else
-                    ((PSI, 0), filed_side))
-            _, meets = opalg._file_terms({((), dyad): _one(n)}, side)
-            for facing in categories:
-                facing_side = (facing, 1) if facing else ()
-                left, right = (((PSI, 0), facing_side), dyad) if side == 0 \
-                    else (dyad, (facing_side, (PSI, 2)))
-                try:
-                    opalg._contract(left, right)
-                    raises = False
-                except (DyadShapeError, GramUnknownError):
-                    raises = True
-                case = (facing, filed, side)
-                assert opalg._refuses(facing, filed) == raises, case
-                assert (facing in meets) == (
-                    not raises and CHI not in (facing, filed)), case
+        for facing in categories:
+            try:
+                opalg._contract(((PSI, 0), side(filed, 1)),
+                                (side(facing, 1), (PSI, 2)))
+                raises = False
+            except (DyadShapeError, GramUnknownError):
+                raises = True
+            for bras, kets in (((2, 1), (1,)), ((1,), (2, 1))):
+                a = OpExpr(n, {((), d): _one(n) for d in [IDENT] + [
+                    ((PSI, 0), side(filed, i)) for i in bras]})
+                b = OpExpr(n, {((), d): _one(n) for d in [IDENT] + [
+                    (side(facing, i), (PSI, 2)) for i in kets]})
+                got = _outcome(lambda: a @ b)
+                case = (filed, facing, bras, kets)
+                assert got == _outcome(lambda: compose_by_pairs(a, b)), case
+                assert isinstance(got[0], OpExpr) != raises, case
 
 
 def test_product_matches_the_plain_pair_walk_on_the_series_shapes():
     # the exponential form's one-term state against its n-1 term argument,
-    # with the argument filed or not, and the one-term x many-term shapes
+    # with the argument filed already or not, and the one-term x many-term
+    # shapes
     for n in range(2, 9):
         arg = sharp_adjoint(make_ladder(n)) @ theta_op(n)
         plain = compose_by_pairs(sharp_adjoint(make_ladder(n)), theta_op(n))
@@ -244,13 +227,12 @@ def test_product_matches_the_plain_pair_walk_on_the_series_shapes():
         vacuum = ket_op(n, PSI, 0)
         one_term = (vacuum, theta_op(n), op_dagger(ket_op(n, PHI, n - 1)))
         for filed in (False, True):
-            if filed:
-                arg._index(0)
-                arg._index(1)
             power = vacuum
             for _ in range(n):
                 for x, y in [(arg, power)] + [(t, arg) for t in one_term] + [
                         (arg, t) for t in one_term]:
+                    if not filed:
+                        x, y = OpExpr(n, x.terms), OpExpr(n, y.terms)
                     assert _outcome(lambda: x @ y) == _outcome(
                         lambda: compose_by_pairs(x, y)), (n, x, y)
                 power = arg @ power

@@ -308,6 +308,31 @@ def test_monomial_product_matches_the_general_product():
             rng, 3, dense=False)
 
 
+def test_a_phased_unit_product_builds_one_unit(monkeypatch, fresh_caches):
+    # counts calls: the Cyclo product takes the phase, so a unit times a
+    # unit times q**k builds one unit at every k; every mix of unit and
+    # dense factors gives the product turned by mul_q_power
+    from grassq import scalars
+    rng = random.Random(20261020)
+    built = []
+
+    def counting_unit(*args, plain=scalars._unit):
+        built.append(args)
+        return plain(*args)
+    for level in (3, 5, 6, 8):
+        for k in range(-level, 2 * level):
+            for dense in ((False, False), (False, True), (True, False),
+                          (True, True)):
+                a, b = (_one_term(rng, level, d) for d in dense)
+                expected = (a * b).mul_q_power(k)
+                with monkeypatch.context() as counted:
+                    counted.setattr(scalars, "_unit", counting_unit)
+                    built.clear()
+                    assert a._mul_q(b, k) == expected, (a, b, k)
+                if not any(dense):
+                    assert len(built) == 1, (a, b, k, built)
+
+
 def test_rational_factors_take_the_scaled_path(monkeypatch, fresh_caches):
     rng = random.Random(7)
     operands = (_one_term(rng, 5, dense=False), _one_term(rng, 5, dense=True),
