@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .errors import EngineError, ProblemFormatError
 from .scalars import finite_positive
 from .suites import Problem, SELECTORS, emit_report, run_suite
+from .biortho import DEFAULT_TOL
 
 # numpy after the suites, so that compiling the engine does not peak on
 # top of numpy's heap
@@ -151,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--input", default=None, metavar="PROBLEM.JSON",
                         help="problem file with n, rho and an optional matrix")
     verify.add_argument("--format", default="text", choices=("text", "json"))
-    verify.add_argument("--tol", type=float, default=1e-10)
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("--max-n", type=int, default=8,
                         help="hard cap on the level range and the problem "
                         "size (default 8)")

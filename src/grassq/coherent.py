@@ -72,11 +72,10 @@ def _build_coherent(level: int, family: str) -> CoherentState:
     if level < 2:
         raise EngineError("need at least two levels")
     terms: dict = {}
-    inv_fact = Scalar.one(level)
     for i in range(level):
-        if i:
-            inv_fact = inv_fact * Scalar.s(level, i, -1)
-        coeff = inv_fact.mul_q_power(-(i * (i + 1)) // 2)
+        # 1/(s_1 ... s_i), built whole as rho_factorial builds rho_i!
+        coeff = Scalar._monomial(level, range(i), -1).mul_q_power(
+            -(i * (i + 1)) // 2)
         _accumulate(terms, op_term(level, coeff, ket(family, i),
                                    left=_monomial(i, 0)).terms.items())
     return CoherentState(level, family, OpExpr._wrap(level, terms))
@@ -108,12 +107,10 @@ def q_exponential(arg: OpExpr, on: OpExpr | None = None) -> OpExpr:
 
 
 def _inverse_factorials(level: int):
-    """1/rho_1!, 1/rho_2!, ..., 1/rho_(level-1)!, each the one before
-    times s_k^-2, so no factorial is built and inverted."""
-    weight = Scalar.one(level)
+    """1/rho_1!, 1/rho_2!, ..., 1/rho_(level-1)!, each the monomial
+    s_1^-2 ... s_k^-2, so no factorial is built and inverted."""
     for k in range(1, level):
-        weight = weight * Scalar.s(level, k, -2)
-        yield weight
+        yield Scalar._monomial(level, range(k), -2)
 
 
 def exponential_form(state: CoherentState) -> OpExpr:

@@ -267,7 +267,7 @@ class OpExpr(_SparseSum):
             return OpExpr.identity(self.level)
         out = self
         for _ in range(k - 1):
-            out = out @ self
+            out = self @ out  # self stays the left factor, filed once
         return out
 
     # -- display -----------------------------------------------------------------
@@ -423,7 +423,7 @@ def berezin_op(e: OpExpr, measure: Sequence[tuple[int, int]]) -> OpExpr:
     the dyad, so the measure never has to cross a ket or bra.  A
     resolution check adds every term pair its weight reads into one
     integrand and integrates it here in one call; the weight solve
-    integrates its placed words one at a time with ``integrate_word``.
+    integrates its one placed word per level with ``integrate_word``.
     """
     return OpExpr._wrap(e.level, _accumulate(
         {}, _integrate_terms(e.level, e.terms.items(), measure)))

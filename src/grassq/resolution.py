@@ -23,13 +23,12 @@ one invertible monomial entry and every dyad |psi_i><phi_j| is hit
 exactly once.  Such a system has exactly one solution, read off by
 inverting the entries on the diagonal dyads; any other shape is
 refused.  Every column is built the same way: its (ket term, bra term)
-pairs are placed and integrated word by word, and exactly one pair may
-survive, on one dyad with two single-term coefficients, which makes the
-entry a nonzero monomial.  Only the n diagonal entries, which the
-solution reads, are multiplied out, and each surviving pair streams into
-the solver as it is integrated.  The solver, not any closed formula, is
-the source of truth; the closed-form candidates below are compared with
-it.
+pairs are placed, and exactly one pair may survive integration, on one
+dyad with two single-term coefficients, which makes the entry a nonzero
+monomial.  Only the n diagonal entries, which the solution reads, are
+multiplied out, and each surviving pair streams into the solver as the
+walk reaches it.  The solver, not any closed formula, is the source of
+truth; the closed-form candidates below are compared with it.
 
 One walk (:func:`_read_pairs`) forms every integral, the solve's and the
 checks'.  The measure keeps a word only when it holds theta_1^(n-1)
@@ -45,15 +44,18 @@ thetabar^b (ket word) (bra word) once for each pair it keeps: |A><B| is
 never formed and no operator is composed.  A check reads the degrees
 its weight holds, so a diagonal weight places n of the n^2 pairs; it
 adds c_ab c_ket c_bra q^qe over them into one integrand and integrates
-that once (``berezin_op``).  The solve reads every degree and integrates
-each placed word on its own as it arrives; it files nothing.  Every
-pair left out integrates to exactly 0, so no result changes.
+that once (``berezin_op``).  The complement gives every placed word
+the degrees (n-1, n-1), and the bodies hold theta_1 and thetabar_1
+alone, so every word is theta^(n-1) thetabar^(n-1) itself.  The solve
+reads every degree, integrates that one word once per level, and gives
+every entry its phase; it files nothing.  Every pair left out
+integrates to exactly 0, so no result changes.
 """
 
 from __future__ import annotations
 
 from .errors import EngineError, SingularSystemError
-from .galg import (GExpr, Word, _monomial, d_theta, d_thetabar, grade,
+from .galg import (GExpr, _monomial, d_theta, d_thetabar, grade,
                    integrate_word, normalize_word)
 from .opalg import (OpExpr, PHI, PSI, _contract, _place, berezin_op,
                     dual_identity_sum, op_dagger)
@@ -215,38 +217,39 @@ def _solve_permutation(level: int, entries) -> dict:
     return dict(sorted(solution.items()))
 
 
-def _row(word: Word, dyad: tuple) -> tuple[int, int]:
-    """The row (i, j) of a weight-system term: an empty word on |psi_i><phi_j|."""
-    ket_side, bra_side = dyad
-    if word or not (ket_side and bra_side):
-        raise SingularSystemError("unexpected term shape in weight system")
-    return ket_side[1], bra_side[1]
-
-
 def _entries(level: int):
     """The weight system as it streams, for :func:`_solve_permutation`.
 
     Every term pair of |theta><theta~| (:func:`_read_pairs`, reading every
     degree) is placed under its column (k, l) as theta^k thetabar^l (ket
-    word) (bra word), and ``integrate_word`` integrates that word.  A pair
-    that survives, which must leave the empty word on an outer product,
-    yields ``((k, l), row, c_ket, c_bra, qe)``.
+    word) (bra word).  The complement gives that word the degrees
+    (n-1, n-1), so it is ``top`` = theta^(n-1) thetabar^(n-1), the one
+    word the measure keeps (see the module docstring): ``top`` is
+    integrated once per level, to q^q0, and a pair that placed any other
+    word integrates to 0 and is skipped.  A pair on ``top`` must lie on an
+    outer product |psi_i><phi_j|; it yields
+    ``((k, l), (i, j), c_ket, c_bra, qe + q0)``.
     """
+    top = normalize_word(level, _monomial(level - 1, level - 1))[1]
+    q0 = integrate_word(level, top, MEASURE)[0]
     bodies = [make_coherent(level, family).body for family in (PSI, PHI)]
-    for kl, (word, dyad), qe, c_ket, c_bra in _read_pairs(*bodies, None):
-        qi, rest = integrate_word(level, word, MEASURE)
-        if rest is not None:
-            yield kl, _row(rest, dyad), c_ket, c_bra, qe + qi
+    for kl, (word, (ket_side, bra_side)), qe, c_ket, c_bra in _read_pairs(
+            *bodies, None):
+        if word == top:
+            if not (ket_side and bra_side):
+                raise SingularSystemError("unexpected term shape in weight system")
+            yield kl, (ket_side[1], bra_side[1]), c_ket, c_bra, qe + q0
 
 
 def solve_weight(level: int) -> GExpr:
     """Derive the weight coefficients from the resolution condition.
 
     Equates int w |theta><theta~| with sum_i |psi_i><phi_i|.  Each term
-    pair of |theta><theta~| is integrated as the walk reaches it
-    (:func:`_entries`), and each surviving pair goes straight into the
-    solver, so no table of pairs or columns is kept.  The system
-    must be a generalized permutation matrix, which proves the solution
-    unique, and the solution must be diagonal.
+    pair of |theta><theta~| is placed as the walk reaches it and takes the
+    one integration phase of its level (:func:`_entries`), and each
+    surviving pair goes straight into the solver, so no table of pairs or
+    columns is kept.  The system must be a generalized permutation
+    matrix, which proves the solution unique, and the solution must be
+    diagonal.
     """
     return _weight(level, _solve_permutation(level, _entries(level)))

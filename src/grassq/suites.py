@@ -339,7 +339,7 @@ def _biortho_checks(r: _Runner, problem: Problem, tol: float,
 # ---------------------------------------------------------------------------
 
 def run_suite(selector: str, n_range: tuple[int, int] = (2, 4), *,
-              problem: Problem | None = None, tol: float = 1e-10,
+              problem: Problem | None = None, tol: float = nb.DEFAULT_TOL,
               max_n: int = 8, timings: bool = False) -> SuiteReport:
     """Run one named suite over the requested levels.
 

@@ -309,6 +309,24 @@ def test_power_makes_one_product_fewer_than_its_exponent(monkeypatch):
         expected = expected @ a
 
 
+def test_power_files_its_base_once(monkeypatch):
+    # counts filings, not time: every product of A^k has A on the left,
+    # so A's terms are filed by bra side once, and no partial power is
+    n = 8
+    plain, calls = opalg._file_bras, []
+
+    def counting(terms):
+        calls.append(len(terms))
+        return plain(terms)
+
+    monkeypatch.setattr(opalg, "_file_bras", counting)
+    for k in range(n + 1):
+        a = sharp_adjoint(make_ladder(n))  # a fresh operator, not yet filed
+        calls.clear()
+        a.power(k)
+        assert calls == ([len(a.terms)] if k > 1 else []), k
+
+
 def test_q_commutator_relations():
     # all four single-variable relations plus the tilde-primed one
     for n in range(2, 7):

@@ -8,7 +8,7 @@ from conftest import (diagonal_differences, random_scalar, shifted_weight,
 from grassq import resolution
 from grassq.coherent import CoherentState, evolve_state, make_coherent
 from grassq.errors import EngineError, SingularSystemError
-from grassq.galg import GExpr, Kind, grade
+from grassq.galg import GExpr, Kind, grade, normalize_word
 from grassq.opalg import (PHI, PSI, OpExpr, berezin_op, op_dagger, op_term,
                           outer)
 from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS,
@@ -201,6 +201,16 @@ def test_walk_places_every_term_pair_once_under_its_complement():
                 reads = set(rng.sample(degrees, rng.randrange(n * n)))
                 assert list(_read_pairs(ket_body, bra_body, reads)) == [
                     t for t in walked if t[0] in reads], (n, pair, evolved)
+
+
+def test_every_solve_pair_places_the_one_word_the_measure_keeps():
+    # the premise of integrating once per level: the complement gives
+    # every pair of |theta><theta~| the word theta^(n-1) thetabar^(n-1)
+    for n in range(2, 17):
+        _, top = normalize_word(n, _monomial(n - 1, n - 1))
+        stream = list(_read_pairs(*_pair_bodies(n, (PSI, PHI), False), None))
+        assert len(stream) == n * n, n
+        assert all(word == top for _, (word, _), *_ in stream), n
 
 
 def test_column_reads_one_term_pair_and_refuses_any_other_shape(monkeypatch):
@@ -515,14 +525,15 @@ def test_each_check_places_only_the_pairs_it_reads(monkeypatch,
 
 
 def test_weight_solve_makes_no_operator_product(monkeypatch, fresh_caches):
-    # counts calls, not time: every column is one placed, integrated pair
+    # counts calls, not time: every column is one placed pair, and the
+    # one word they all place is integrated once
     n = 12
     solve_weight(n)  # the default coherent states are built once
     calls = _counting(monkeypatch, ("matmul", "berezin_op", "_place",
                                     "integrate_word"))
     assert solve_weight(n) == closed_form_weight(n)
     assert calls == {"matmul": 0, "berezin_op": 0, "_place": n * n,
-                     "integrate_word": n * n}
+                     "integrate_word": 1}
 
 
 def test_resolution_status_pattern_holds_at_n16():
