@@ -50,7 +50,7 @@ field for any caller; the perfbench ``random-algebra`` workload and the
 sympy oracle in the tests exercise them.
 
 Every symbolic quantity above the field is a sparse formal sum: a
-:class:`Scalar` maps symbol exponents to ``Cyclo`` coefficients, a
+:class:`Scalar` maps packed symbol exponents to ``Cyclo`` coefficients, a
 ``galg.GExpr`` maps words to Scalars and an ``opalg.OpExpr`` maps
 (word, dyad) pairs to Scalars.  All three share one core here: the
 constructor that drops zero values (and a private one, ``_wrap``, for
@@ -64,6 +64,19 @@ equal values is dropped by one comparison, and only a key whose values
 differ forms a difference.  An exact check of ``lhs - rhs`` that holds
 thus compares each term once and builds nothing.
 
+A Scalar key is one non-negative int.  The exponents of s_1, ...,
+s_{n-1} and u sit in 16-bit fields, s_1 most significant, each holding
+e + 2^14 below its top bit, the guard bit, so int order is the order of
+the exponent tuples and ``str`` lists terms as those sort.  A product of
+two keys is their sum less the key of 1: one int addition for all n
+exponents.  A field that leaves [0, 2^15) sets its guard bit, and a
+borrow out of a field sets the guard bit of every field it passes
+through, so one mask test after each product, inverse or conjugation
+refuses an exponent outside [-2^14, 2^14) with ``EngineError`` before a
+carry can reach its neighbour.  The layout lives on the per-level table;
+only ``Scalar`` and the key helpers beside it read it, the constructor
+packs exponent tuples and ``Scalar.monomials`` unpacks them.
+
 Every product of two single-term Scalars, the commonest step of the
 engine, goes through ``Scalar._mul_q`` (``*`` is its case q**0), which
 adds the keys and multiplies the two coefficients with ``Cyclo``'s own
@@ -74,10 +87,10 @@ and the field helpers above it read a unit's stored form or build one.
 from __future__ import annotations
 
 import cmath
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
-from operator import add, neg
 from typing import Iterable, Sequence, Union
 
 from .errors import EngineError, LevelMismatchError
@@ -119,6 +132,12 @@ def _divide_monic(a: list[int], b: list[int]) -> list[int]:
 # the per-level table and the integer kernel
 # ---------------------------------------------------------------------------
 
+# A Scalar key holds one 16-bit field per symbol, the exponent e stored as
+# e + _EXP_LIMIT below the field's top bit, its guard bit.
+_FIELD_BITS = 16
+_EXP_LIMIT = 1 << (_FIELD_BITS - 2)
+
+
 class _Table:
     """x^k mod Phi_n for one level n.
 
@@ -132,7 +151,7 @@ class _Table:
     """
 
     __slots__ = ("n", "degree", "powers", "rows", "period", "fold", "phases",
-                 "zero")
+                 "zero", "key_ones", "key_bias", "key_guard", "key_fields")
 
     def __init__(self, n: int):
         phi = [int(c) for c in cyclotomic_polynomial(n)]
@@ -157,6 +176,13 @@ class _Table:
             self.phases[powers[k]] = (1, k)
             self.phases[tuple(-c for c in powers[k])] = (-1, k)
         self.zero = (0,) * d
+        # the packed layout of a Scalar key at this level (see Scalar):
+        # a 1 in each field, every exponent 0, every field's guard bit,
+        # and the reader of the fields, s_1 first
+        self.key_ones = int.from_bytes(b"\0\1" * n, "big")
+        self.key_bias = self.key_ones * _EXP_LIMIT
+        self.key_guard = self.key_ones * (2 * _EXP_LIMIT)
+        self.key_fields = struct.Struct(f">{n}H")
 
 
 _table = lru_cache(maxsize=None)(_Table)
@@ -592,14 +618,92 @@ class _SparseSum:
 # Laurent ring over Q(q)
 # ---------------------------------------------------------------------------
 
+def _exponent(e) -> int:
+    """``e`` checked as a Scalar exponent: an int in [-_EXP_LIMIT, _EXP_LIMIT)."""
+    if not isinstance(e, int):
+        raise TypeError(f"a Scalar exponent must be an int, got "
+                        f"{type(e).__name__} {e!r}")
+    if not -_EXP_LIMIT <= e < _EXP_LIMIT:
+        raise ValueError(f"a Scalar exponent must lie in [{-_EXP_LIMIT}, "
+                         f"{_EXP_LIMIT}), got {e}")
+    return e
+
+
+def _pack(t: _Table, key) -> int:
+    """The packed form of an exponent tuple (e_1, ..., e_{n-1}, e_u).
+
+    The struct refuses a field that is not an integer in [0, 2^16) and the
+    guard bits one from 2^15 up; ``_exponent`` then names the exponent at
+    fault."""
+    if not isinstance(key, tuple):
+        raise TypeError(f"a Scalar key must be a tuple of exponents, got "
+                        f"{type(key).__name__} {key!r}")
+    if len(key) != t.n:
+        raise ValueError(f"a Scalar key at level {t.n} holds {t.n} "
+                         f"exponents, got {len(key)}: {key!r}")
+    try:
+        packed = int.from_bytes(
+            t.key_fields.pack(*[e + _EXP_LIMIT for e in key]), "big")
+        if not packed & t.key_guard:
+            return packed
+    except (TypeError, struct.error):
+        pass
+    for e in key:
+        _exponent(e)
+    raise TypeError(f"a Scalar key must hold int exponents, got {key!r}")
+
+
+def _unpack(t: _Table, key: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key, read in one pass."""
+    return tuple(f - _EXP_LIMIT for f in t.key_fields.unpack(
+        key.to_bytes(t.key_fields.size, "big")))
+
+
+def _guarded(t: _Table, key: int) -> int:
+    """``key`` after a sum of keys, refused if an exponent left its field.
+
+    A field that overflows sets its guard bit, and one that borrows below
+    zero sets it too, as do the fields the borrow passes through; so no
+    carry or borrow reaches a neighbouring exponent unseen."""
+    if key & t.key_guard:
+        raise EngineError(f"a Scalar exponent left [{-_EXP_LIMIT}, "
+                          f"{_EXP_LIMIT})")
+    return key
+
+
 class Scalar(_SparseSum):
     """Exact coefficient: Laurent polynomial in s_1..s_{n-1}, u over Q(q).
 
-    ``terms`` maps an exponent tuple (e_1, ..., e_{n-1}, e_u) to a nonzero
-    Cyclo coefficient.
+    ``terms`` maps a packed key to a nonzero Cyclo coefficient.  The key
+    of s_1^e_1 ... s_{n-1}^e_{n-1} u^e_u is one non-negative int: a
+    16-bit field per symbol, s_1 most significant and u least, each
+    holding e + 2^14 below its top bit, the guard bit.  Every exponent
+    lies in [-2^14, 2^14), and int order is the order of the exponent
+    tuples.  A product of two keys is their sum less the key of 1, an
+    inverse is twice that key less the key, and ``conj`` negates the u
+    field; each result whose guard bits are not all clear is refused
+    with ``EngineError``.  The constructor takes exponent tuples,
+    checks them and packs them; ``monomials`` reads them back.
     """
 
     __slots__ = ()
+
+    def __init__(self, level: int, terms: dict | None = None):
+        """``terms`` maps exponent tuples (e_1, ..., e_{n-1}, e_u) of ints
+        to Cyclo values at ``level``; zero values are dropped."""
+        t = _field(level)
+        packed = {}
+        for key, c in (terms or {}).items():
+            if not isinstance(c, Cyclo):
+                raise TypeError(f"a Scalar coefficient must be a Cyclo, got "
+                                f"{type(c).__name__} {c!r}")
+            if c.level != level:
+                raise ValueError(f"a Cyclo of level {c.level} in a Scalar of "
+                                 f"level {level}")
+            key = _pack(t, key)
+            if c:
+                packed[key] = c
+        self.level, self.terms = level, packed
 
     # -- constructors ------------------------------------------------------
 
@@ -613,7 +717,7 @@ class Scalar(_SparseSum):
 
     @classmethod
     def from_cyclo(cls, c: Cyclo) -> "Scalar":
-        return cls(c.level, {(0,) * c.level: c})
+        return cls._wrap(c.level, {_table(c.level).key_bias: c} if c else {})
 
     @classmethod
     def q(cls, level: int, power: int = 1) -> "Scalar":
@@ -624,32 +728,37 @@ class Scalar(_SparseSum):
         """The symbol s_index, standing for sqrt(rho_index)."""
         if not 1 <= index <= level - 1:
             raise ValueError(f"s_{index} does not exist at level {level}")
-        return cls._monomial(level, (index - 1,), power)
+        return cls._monomial(level, range(index - 1, index), power)
 
     @classmethod
     def u(cls, level: int, power: int = 1) -> "Scalar":
         """The unimodular evolution phase symbol."""
-        return cls._monomial(level, (level - 1,), power)
+        return cls._monomial(level, range(level - 1, level), power)
 
     @classmethod
-    def _monomial(cls, level: int, slots: Iterable[int], power: int) -> "Scalar":
-        """Each symbol at ``slots`` (s_i at i - 1, u at level - 1) to ``power``."""
-        key = [0] * level
-        for i in slots:
-            key[i] = power
-        return cls._wrap(level, {tuple(key): Cyclo.one(level)})
+    def _monomial(cls, level: int, slots: range, power: int) -> "Scalar":
+        """Each symbol at ``slots`` (s_i at i - 1, u at level - 1), a range
+        of step 1, to ``power``: the key of 1 plus ``power`` in each of
+        those fields."""
+        t = _field(level)
+        fields = (t.key_ones >> _FIELD_BITS * (level - len(slots))
+                  << _FIELD_BITS * (level - slots.stop))
+        return cls._wrap(level, {t.key_bias + _exponent(power) * fields:
+                                 Cyclo.one(level)})
 
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other: "Scalar | Rational") -> "Scalar":
         if type(other) is not Scalar and isinstance(other, (int, Fraction)):
-            return Scalar(self.level,
-                          {k: v.scaled(other) for k, v in self.terms.items()})
+            return Scalar._wrap(self.level, {
+                k: c for k, v in self.terms.items() if (c := v.scaled(other))})
         if len(self.terms) == 1 == len(other.terms):
             return self._mul_q(other, 0)
         self._check(other)
+        t = _table(self.level)
+        one = t.key_bias
         return Scalar._wrap(self.level, _accumulate({}, (
-            (tuple(map(add, k1, k2)), c1 * c2)
+            (_guarded(t, k1 + k2 - one), c1 * c2)
             for k1, c1 in self.terms.items()
             for k2, c2 in other.terms.items())))
 
@@ -674,7 +783,8 @@ class Scalar(_SparseSum):
         # Q(q) has no zero divisors, so the product stays nonzero; the
         # dunder is called by name to pass the phase
         c = c1.__mul__(c2, k % self.level)
-        return Scalar._wrap(self.level, {tuple(map(add, k1, k2)): c})
+        t = _table(self.level)
+        return Scalar._wrap(self.level, {_guarded(t, k1 + k2 - t.key_bias): c})
 
     def mul_q_power(self, k: int) -> "Scalar":
         """Multiply by q**k; the common fast path for exchange phases."""
@@ -686,8 +796,11 @@ class Scalar(_SparseSum):
 
     def conj(self) -> "Scalar":
         """Conjugation: q -> q^(n-1), s_i fixed, u -> 1/u."""
-        return Scalar(self.level, {key[:-1] + (-key[-1],): c.conj()
-                                   for key, c in self.terms.items()})
+        t, low = _table(self.level), (1 << _FIELD_BITS) - 1
+        # the u field f = e_u + _EXP_LIMIT becomes -e_u + _EXP_LIMIT
+        return Scalar._wrap(self.level, {
+            _guarded(t, key + 2 * (_EXP_LIMIT - (key & low))): c.conj()
+            for key, c in self.terms.items()})
 
     def monomial_inverse(self) -> "Scalar":
         """Inverse of a single-term Scalar; raises on anything else.
@@ -698,10 +811,18 @@ class Scalar(_SparseSum):
         if len(self.terms) != 1:
             raise EngineError("only single-term scalars are invertible here")
         (key, c), = self.terms.items()
-        return Scalar(self.level, {tuple(map(neg, key)): c.inverse()})
+        t = _table(self.level)
+        return Scalar._wrap(self.level,
+                            {_guarded(t, 2 * t.key_bias - key): c.inverse()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def monomials(self) -> list[tuple[tuple[int, ...], Cyclo]]:
+        """(exponent tuple (e_1, ..., e_{n-1}, e_u), coefficient) of each
+        term, in term order: what the constructor takes."""
+        t = _table(self.level)
+        return [(_unpack(t, key), c) for key, c in self.terms.items()]
 
     # -- evaluation -----------------------------------------------------------
 
@@ -717,7 +838,7 @@ class Scalar(_SparseSum):
                 raise ValueError(f"rho_{i} must be a finite float > 0, got {r}")
         sqrt_rho = [float(r) ** 0.5 for r in rho_values]
         acc = 0j
-        for key, c in self.terms.items():
+        for key, c in self.monomials():
             val = c.eval()
             for i, e in enumerate(key[:-1]):
                 if e:
@@ -734,9 +855,10 @@ class Scalar(_SparseSum):
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
+        t, parts = _table(self.level), []
+        # packed keys sort as their exponent tuples do
+        for packed in sorted(self.terms):
+            c, key = self.terms[packed], _unpack(t, packed)
             syms = []
             for i, e in enumerate(key[:-1], start=1):
                 if e == 1:

@@ -17,11 +17,18 @@ compared with the one-pass ``galg.integrate_word``.
 :func:`compose_by_pairs` forms ``left @ right`` by testing every one of
 the |left| * |right| term pairs with ``opalg._contract``; it is compared
 with ``OpExpr.__matmul__``, which visits only the pairs that contract.
+
+The ``tuple_*`` functions are ``Scalar`` arithmetic as it was written on
+dense exponent tuples (e_1, ..., e_{n-1}, e_u), one slot per symbol: a
+product adds the two tuples slot by slot.  Each takes and returns terms
+as ``Scalar.monomials`` gives them, a dict from exponent tuple to Cyclo
+in term order, and is compared with the packed-key ``Scalar``.
 """
 
 from __future__ import annotations
 
 import random
+from operator import add, neg
 from typing import Optional
 
 from grassq.errors import EngineError, UnspecifiedRelationError
@@ -29,7 +36,7 @@ from grassq.galg import (GExpr, Kind, _swap_qexp, _variable_kind,
                          normalize_word)
 from grassq import opalg
 from grassq.opalg import OpExpr
-from grassq.scalars import Scalar, _accumulate
+from grassq.scalars import Cyclo, Scalar, _accumulate
 
 
 def rewrite(level: int, factors, rng: Optional[random.Random] = None):
@@ -138,3 +145,85 @@ def compose_by_pairs(left: OpExpr, right: OpExpr) -> OpExpr:
             if w is not None:
                 _accumulate(acc, [((w, dyad), (c1 * c2).mul_q_power(qe))])
     return OpExpr._wrap(left.level, acc)
+
+
+# ---------------------------------------------------------------------------
+# Scalar arithmetic on exponent tuples
+# ---------------------------------------------------------------------------
+
+def tuple_mul(a: dict, b: dict) -> dict:
+    """``a * b``: every pair of terms, keys added slot by slot."""
+    if len(a) == 1 == len(b):
+        return tuple_mul_q(a, b, 0)
+    return _accumulate({}, ((tuple(map(add, k1, k2)), c1 * c2)
+                            for k1, c1 in a.items() for k2, c2 in b.items()))
+
+
+def tuple_mul_q(a: dict, b: dict, k: int) -> dict:
+    """``a * b * q**k``; two single terms make one term."""
+    if len(a) != 1 or len(b) != 1:
+        return {key: c * Cyclo.q_power(c.level, k)
+                for key, c in tuple_mul(a, b).items()}
+    (k1, c1), = a.items()
+    (k2, c2), = b.items()
+    return {tuple(map(add, k1, k2)): c1 * c2 * Cyclo.q_power(c1.level, k)}
+
+
+def tuple_conj(a: dict) -> dict:
+    """q -> q^(n-1), s_i fixed, u -> 1/u."""
+    return {key[:-1] + (-key[-1],): c.conj() for key, c in a.items()}
+
+
+def tuple_monomial_inverse(a: dict) -> dict:
+    """The inverse of one term: every exponent negated."""
+    (key, c), = a.items()
+    return {tuple(map(neg, key)): c.inverse()}
+
+
+def tuple_str(a: dict) -> str:
+    """The rendering of ``Scalar.__str__``, terms in exponent-tuple order."""
+    if not a:
+        return "0"
+    parts = []
+    for key in sorted(a):
+        c = a[key]
+        syms = []
+        for i, e in enumerate(key[:-1], start=1):
+            if e == 1:
+                syms.append(f"s{i}")
+            elif e:
+                syms.append(f"s{i}^{e}")
+        if key[-1] == 1:
+            syms.append("u")
+        elif key[-1]:
+            syms.append(f"u^{key[-1]}")
+        cs = str(c)
+        if syms:
+            if cs == "1":
+                parts.append("*".join(syms))
+                continue
+            if cs == "-1":
+                parts.append("-" + "*".join(syms))
+                continue
+            if "+" in cs or "-" in cs[1:]:
+                cs = f"({cs})"
+        parts.append("*".join([cs] + syms) if syms else cs)
+    return " + ".join(parts)
+
+
+def tuple_eval(a: dict, rho_values) -> complex:
+    """The value at s_i = sqrt(rho_values[i-1]), summed in term order;
+    a term holding u, or an s_i with no rho value, is refused."""
+    sqrt_rho = [float(r) ** 0.5 for r in rho_values]
+    acc = 0j
+    for key, c in a.items():
+        val = c.eval()
+        for i, e in enumerate(key[:-1]):
+            if e:
+                if i >= len(sqrt_rho):
+                    raise ValueError(f"no value supplied for rho_{i + 1}")
+                val *= sqrt_rho[i] ** e
+        if key[-1]:
+            raise ValueError("no value supplied for u")
+        acc += val
+    return acc

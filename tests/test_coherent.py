@@ -169,7 +169,7 @@ def test_evolution_at_time_zero():
     evolved = evolve_state(state)
     assert evolved.terms.keys() == state.body.terms.keys()
     for key, c in evolved.terms.items():
-        (exponents, value), = c.terms.items()
+        (exponents, value), = c.monomials()
         at_u_one = Scalar(3, {exponents[:-1] + (0,): value})
         assert at_u_one == state.body.terms[key]
 

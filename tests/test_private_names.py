@@ -12,6 +12,8 @@ factor by hand.  It pins the owner of the unit form too: in
 ``scalars``, only ``Cyclo`` and the field helpers defined above it read
 a coefficient's stored form or build one unchecked, so ``Scalar`` and
 the sparse sums multiply coefficients through ``Cyclo``'s own product.
+And it pins the owner of the packed ``Scalar`` key: only ``Scalar``,
+the per-level table that holds the layout and the key helpers read it.
 """
 
 import ast
@@ -106,3 +108,24 @@ def test_only_cyclo_and_the_field_helpers_read_the_unit_form():
                if UNIT_FORM & set(_read(node))}
     assert "Cyclo" in readers and "_unit" in owners
     assert readers <= owners, sorted(readers - owners)
+
+
+# The packed Scalar key: its layout on the table, its constants and its
+# helpers.
+KEY_LAYOUT = {"key_ones", "key_bias", "key_guard", "key_fields",
+              "_FIELD_BITS", "_EXP_LIMIT", "_exponent", "_pack", "_unpack",
+              "_guarded"}
+KEY_OWNERS = {"Scalar", "_Table", "_FIELD_BITS", "_EXP_LIMIT", "_exponent",
+              "_pack", "_unpack", "_guarded"}
+
+
+def test_only_scalar_and_the_key_helpers_read_the_packed_key():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "scalars.py":
+            assert not KEY_LAYOUT & set(_read(tree)), path.name
+    body = ast.parse((SRC / "scalars.py").read_text()).body
+    readers = {name for node in body for name in _defined(node)
+               if KEY_LAYOUT & set(_read(node))}
+    assert {"Scalar", "_Table"} <= readers
+    assert readers <= KEY_OWNERS, sorted(readers - KEY_OWNERS)

@@ -427,7 +427,7 @@ def test_solver_matches_a_solve_on_the_plain_integral():
 def _at_rational_s(x, n):
     """The Scalar x, which holds no u, at s_i = i + 1: a Cyclo."""
     value = Cyclo.zero(n)
-    for key, c in x.terms.items():
+    for key, c in x.monomials():
         assert not key[-1], key
         factor = Fraction(1)
         for i, e in enumerate(key[:-1], start=1):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from grassq.errors import EngineError, LevelMismatchError
 from grassq.galg import GExpr
 from grassq.opalg import OpExpr
-from grassq.scalars import (Cyclo, Scalar, _SparseSum, cyclotomic_polynomial,
-                            rho_factorial)
+from grassq.scalars import (_EXP_LIMIT, Cyclo, Scalar, _SparseSum,
+                            cyclotomic_polynomial, rho_factorial)
 
+import rewrite_oracle as oracle
 from conftest import (random_any_dyad_opexpr, random_gexpr, random_scalar,
                       random_standard_opexpr)
 
@@ -162,7 +163,7 @@ def test_conj_is_ring_homomorphism(triple):
 def _at_u_one(a):
     """``a`` with u = 1: each term's u exponent dropped, equal keys added."""
     out = Scalar.zero(a.level)
-    for key, c in a.terms.items():
+    for key, c in a.monomials():
         out = out + Scalar(a.level, {key[:-1] + (0,): c})
     return out
 
@@ -281,8 +282,8 @@ def _one_term(rng, level, dense):
 def _merged_product(a, b):
     """Every term pair multiplied and merged by hand: the general product."""
     acc = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
+    for k1, c1 in a.monomials():
+        for k2, c2 in b.monomials():
             key = tuple(x + y for x, y in zip(k1, k2))
             acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
     return Scalar(a.level, acc)
@@ -352,6 +353,145 @@ def test_rational_factors_take_the_scaled_path(monkeypatch, fresh_caches):
                     x, Scalar.from_rational(5, factor))
         assert len(scaled) == 4 * len(x.terms)
         scaled.clear()
+
+
+# ---------------------------------------------------------------------------
+# the packed key against the tuple-key oracle, its guard and its refusals
+# ---------------------------------------------------------------------------
+
+def _seeded_scalar(rng, level):
+    """0-3 terms; exponents of either sign, u often absent; unit and
+    dense coefficients."""
+    terms = {}
+    for _ in range(rng.randrange(4)):
+        key = [rng.randrange(-3, 4) if rng.random() < 0.6 else 0
+               for _ in range(level - 1)]
+        key.append(rng.choice((0, 0, rng.randrange(-3, 4))))
+        terms[tuple(key)] = Cyclo(level, [Fraction(rng.randrange(-3, 4),
+                                                   rng.randrange(1, 4))
+                                          for _ in range(rng.randrange(1, 3))])
+    return Scalar(level, terms)
+
+
+def _outcome(f, *args):
+    """f's value, or its error's type and message."""
+    try:
+        return f(*args)
+    except (EngineError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("level", list(range(2, 13)) + [64])
+def test_the_packed_key_matches_the_tuple_key_oracle(level):
+    # every result is compared term by term in its term order, and the
+    # floats of eval bit for bit
+    rng = random.Random(20261020 + level)
+    rho = [Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
+           for _ in range(level - 1)]
+    for _ in range(40):
+        x, y = _seeded_scalar(rng, level), _seeded_scalar(rng, level)
+        a, b = dict(x.monomials()), dict(y.monomials())
+        assert Scalar(level, a) == x and str(x) == oracle.tuple_str(a)
+        assert _outcome(x.eval, rho) == _outcome(oracle.tuple_eval, a, rho)
+        assert _outcome(x.eval, rho[:-1]) == _outcome(oracle.tuple_eval, a,
+                                                      rho[:-1])
+        assert x.conj().monomials() == list(oracle.tuple_conj(a).items())
+        assert (x * y).monomials() == list(oracle.tuple_mul(a, b).items())
+        k = rng.randrange(-level, 2 * level)
+        assert x._mul_q(y, k).monomials() == list(
+            oracle.tuple_mul_q(a, b, k).items())
+        if len(a) == 1:
+            assert x.monomial_inverse().monomials() == list(
+                oracle.tuple_monomial_inverse(a).items())
+
+
+LIMIT = _EXP_LIMIT
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_an_exponent_that_leaves_its_field_is_refused(slot):
+    # the neighbours sit at both ends of the range, where a carry or a
+    # borrow that reached them would show
+    n, one = 4, Cyclo.one(4)
+    around = (LIMIT - 1, -LIMIT, LIMIT - 1, -LIMIT)
+
+    def term(e, others=around):
+        return Scalar(n, {others[:slot] + (e,) + others[slot + 1:]: one})
+
+    def step(e):
+        return term(e, (0,) * n)
+
+    # up to each end of the range, no neighbouring exponent changes
+    for x, e, reached in ((term(LIMIT - 2), 1, LIMIT - 1),
+                          (term(-LIMIT + 1), -1, -LIMIT),
+                          (term(0), -LIMIT, -LIMIT)):
+        for product in (x * step(e), step(e) * x, x._mul_q(step(e), 3),
+                        (x + Scalar.q(n)) * step(e)):
+            key, _ = product.monomials()[0]
+            assert key == term(reached).monomials()[0][0]
+    # one past the top overflows its field, one below the bottom borrows
+    for x, e in ((term(LIMIT - 1), 1), (term(LIMIT - 1), LIMIT - 1),
+                 (term(-LIMIT), -1), (term(-LIMIT), -LIMIT)):
+        for product in (lambda: x * step(e), lambda: step(e) * x,
+                        lambda: x._mul_q(step(e), 3),
+                        lambda: (x + Scalar.q(n)) * step(e)):
+            with pytest.raises(EngineError, match="exponent left"):
+                product()
+    # the inverse and conjugation (of u) negate, and -(-LIMIT) is out of
+    # range
+    with pytest.raises(EngineError, match="exponent left"):
+        step(-LIMIT).monomial_inverse()
+    assert step(-LIMIT + 1).monomial_inverse() == step(LIMIT - 1)
+    if slot == n - 1:
+        with pytest.raises(EngineError, match="exponent left"):
+            step(-LIMIT).conj()
+        assert step(-LIMIT + 1).conj() == step(LIMIT - 1)
+    else:
+        assert step(-LIMIT).conj() == step(-LIMIT)
+    # an exponent out of range is refused when it is written
+    for e in (LIMIT, -LIMIT - 1):
+        with pytest.raises(ValueError, match="must lie in"):
+            term(e)
+        with pytest.raises(ValueError, match="must lie in"):
+            Scalar.s(n, 2, e)
+
+
+def test_a_key_of_the_wrong_length_is_refused():
+    # (1,) at level 3 once rendered as u, and its product with s_1 as u^2
+    one = Cyclo.one(3)
+    for key in ((1,), (1, 0), (1, 0, 0, 0), ()):
+        with pytest.raises(ValueError, match="holds 3 exponents"):
+            Scalar(3, {key: one})
+    s1 = Scalar(3, {(1, 0, 0): one})
+    assert str(s1) == "s1" and str(s1 * Scalar.s(3, 1)) == "s1^2"
+
+
+def test_a_key_that_is_not_a_tuple_is_refused():
+    for key in (7, "100", frozenset({1})):
+        with pytest.raises(TypeError, match="must be a tuple"):
+            Scalar(3, {key: Cyclo.one(3)})
+
+
+def test_an_exponent_that_is_not_an_int_is_refused():
+    # a float exponent once rendered as s1^1.5
+    for e in (1.5, 1.0, Fraction(3, 2), "1", None):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            Scalar(3, {(e, 0, 0): Cyclo.one(3)})
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            Scalar.s(3, 1, e)
+
+
+def test_a_coefficient_that_is_not_a_cyclo_is_refused():
+    # an int coefficient was once stored as is; a zero one is refused too
+    for c in (1, 0, Fraction(1, 2), 1.0, Scalar.one(3)):
+        with pytest.raises(TypeError, match="coefficient must be a Cyclo"):
+            Scalar(3, {(0, 0, 0): c})
+
+
+def test_a_coefficient_of_another_level_is_refused():
+    for c in (Cyclo.one(4), Cyclo.zero(2)):
+        with pytest.raises(ValueError, match="level"):
+            Scalar(3, {(0, 0, 0): c})
 
 
 # ---------------------------------------------------------------------------
