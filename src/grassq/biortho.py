@@ -241,17 +241,19 @@ def numeric_ladder(d: BiorthoDecomp, rho_values: Sequence[float]) -> LadderMatri
     )
 
 
-def _dyad_matrix(d: BiorthoDecomp, dyad) -> tuple[str, np.ndarray]:
+def _dyad_matrix(d: BiorthoDecomp, dyad) -> np.ndarray:
+    """The matrix of a dyad, its shape its kind: n x n for an operator,
+    n x 1 for a ket and 1 x n for a bra."""
     n = d.size
     cols = {PSI: d.Psi, PHI: d.Phi}
     k, b = dyad
     if k and b:
-        return "op", np.outer(cols[k[0]][:, k[1]], cols[b[0]][:, b[1]].conj())
+        return np.outer(cols[k[0]][:, k[1]], cols[b[0]][:, b[1]].conj())
     if k:
-        return "ket", cols[k[0]][:, k[1]].reshape(n, 1)
+        return cols[k[0]][:, k[1]].reshape(n, 1)
     if b:
-        return "bra", cols[b[0]][:, b[1]].conj().reshape(1, n)
-    return "op", np.eye(n, dtype=complex)
+        return cols[b[0]][:, b[1]].conj().reshape(1, n)
+    return np.eye(n, dtype=complex)
 
 
 def instantiate_numeric(expr: OpExpr, d: BiorthoDecomp,
@@ -261,7 +263,10 @@ def instantiate_numeric(expr: OpExpr, d: BiorthoDecomp,
     Words stay formal: the expression is grouped by word, every dyad is
     replaced by its matrix under the decomposition, coefficients are
     evaluated at the given rho, and the max word norm is returned.  A
-    coefficient holding u has no value and is refused (``Scalar.eval``).
+    word sums terms of one kind, told by the matrix shape: a term whose
+    shape differs from the word's first is refused with ``EngineError``
+    before its coefficient is read.  A coefficient holding u has no value
+    and is refused (``Scalar.eval``).
     The zero expression has no words and returns 0.0 without reading the
     decomposition, so a check that instantiates an exact defect re-reads
     the exact verdict and grounds nothing when that defect is zero.
@@ -270,17 +275,13 @@ def instantiate_numeric(expr: OpExpr, d: BiorthoDecomp,
         raise EngineError(
             f"expression level {expr.level} does not match matrix size {d.size}")
     buckets: dict = {}
-    shapes: dict = {}
     for (word, dyad), coeff in expr.terms.items():
-        shape, mat = _dyad_matrix(d, dyad)
-        prev_shape = shapes.setdefault(word, shape)
-        if prev_shape != shape:
+        mat = _dyad_matrix(d, dyad)
+        prev = buckets.get(word)
+        if prev is not None and prev.shape != mat.shape:
             raise EngineError("cannot mix operator, ket and bra terms per word")
-        value = coeff.eval(rho_values)
-        if word in buckets:
-            buckets[word] = buckets[word] + value * mat
-        else:
-            buckets[word] = value * mat
+        term = coeff.eval(rho_values) * mat
+        buckets[word] = term if prev is None else prev + term
     if not buckets:
         return 0.0
     return max(float(np.linalg.norm(m)) for m in buckets.values())

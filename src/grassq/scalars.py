@@ -54,7 +54,8 @@ Every symbolic quantity above the field is a sparse formal sum: a
 ``galg.GExpr`` maps words to Scalars and an ``opalg.OpExpr`` maps
 (word, dyad) pairs to Scalars.  All three share one core here: the
 constructor that drops zero values (and a private one, ``_wrap``, for
-dicts already known to hold none), the level check, ``+``, ``-``,
+dicts already known to hold none), the level check (``_same_level``,
+which ``Cyclo`` binds too), ``+``, ``-``,
 ``is_zero`` and ``==``, and one merge that adds (key, value) pairs into a
 dict and drops each sum that vanishes.  Every product and integral in
 the engine, and the coherent-state and series builders, which grow a
@@ -73,9 +74,12 @@ exponents.  A field that leaves [0, 2^15) sets its guard bit, and a
 borrow out of a field sets the guard bit of every field it passes
 through, so one mask test after each product, inverse or conjugation
 refuses an exponent outside [-2^14, 2^14) with ``EngineError`` before a
-carry can reach its neighbour.  The layout lives on the per-level table;
-only ``Scalar`` and the key helpers beside it read it, the constructor
-packs exponent tuples and ``Scalar.monomials`` unpacks them.
+carry can reach its neighbour.  The layout lives on the per-level table,
+which also names each field's symbol, ``s1`` to ``s{n-1}`` and ``u``, so
+``str`` renders every field by one rule and ``eval`` reads every field in
+one loop.  Only ``Scalar`` and the key helpers beside it read the layout;
+the constructor packs exponent tuples and ``Scalar.monomials`` unpacks
+them.
 
 Every product of two single-term Scalars, the commonest step of the
 engine, goes through ``Scalar._mul_q`` (``*`` is its case q**0), which
@@ -148,10 +152,15 @@ class _Table:
     ``phases`` maps the vector of +-q^k, k < period, to (sign, k).  Those
     vectors are primitive (q^k is a unit of Z[q]), so a vector divided by
     the gcd of its entries is a key exactly when it is +-c*q^k.
+
+    The ``key_*`` slots hold the layout of a Scalar key at this level
+    (see :class:`Scalar`), and ``key_names`` names each field's symbol,
+    ``("s1", ..., "s{n-1}", "u")``.
     """
 
     __slots__ = ("n", "degree", "powers", "rows", "period", "fold", "phases",
-                 "zero", "key_ones", "key_bias", "key_guard", "key_fields")
+                 "zero", "key_ones", "key_bias", "key_guard", "key_fields",
+                 "key_names")
 
     def __init__(self, n: int):
         phi = [int(c) for c in cyclotomic_polynomial(n)]
@@ -178,11 +187,12 @@ class _Table:
         self.zero = (0,) * d
         # the packed layout of a Scalar key at this level (see Scalar):
         # a 1 in each field, every exponent 0, every field's guard bit,
-        # and the reader of the fields, s_1 first
+        # the reader of the fields, s_1 first, and each field's symbol
         self.key_ones = int.from_bytes(b"\0\1" * n, "big")
         self.key_bias = self.key_ones * _EXP_LIMIT
         self.key_guard = self.key_ones * (2 * _EXP_LIMIT)
         self.key_fields = struct.Struct(f">{n}H")
+        self.key_names = tuple(f"s{i}" for i in range(1, n)) + ("u",)
 
 
 _table = lru_cache(maxsize=None)(_Table)
@@ -308,6 +318,13 @@ def _exact(c):
     return Fraction(c)
 
 
+def _same_level(a: Cyclo | _SparseSum, b: Cyclo | _SparseSum) -> None:
+    """Refuse two operands of different levels: the one level check of
+    ``Cyclo`` and the sparse sums, each of which binds it as ``_check``."""
+    if a.level != b.level:
+        raise LevelMismatchError(f"cannot mix levels {a.level} and {b.level}")
+
+
 # ---------------------------------------------------------------------------
 # elements of Q(q)
 # ---------------------------------------------------------------------------
@@ -378,10 +395,7 @@ class Cyclo:
 
     # -- ring/field operations ---------------------------------------------
 
-    def _check(self, other: "Cyclo") -> None:
-        if self.level != other.level:
-            raise LevelMismatchError(
-                f"cannot mix levels {self.level} and {other.level}")
+    _check = _same_level
 
     def _sum(self, other: "Cyclo", sign: int) -> "Cyclo":
         self._check(other)
@@ -565,10 +579,7 @@ class _SparseSum:
     def zero(cls, level: int):
         return cls(level)
 
-    def _check(self, other: "_SparseSum") -> None:
-        if self.level != other.level:
-            raise LevelMismatchError(
-                f"cannot mix levels {self.level} and {other.level}")
+    _check = _same_level
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -836,17 +847,17 @@ class Scalar(_SparseSum):
         for i, r in enumerate(rho_values, start=1):
             if not finite_positive(r):
                 raise ValueError(f"rho_{i} must be a finite float > 0, got {r}")
-        sqrt_rho = [float(r) ** 0.5 for r in rho_values]
+        # a value for each s_i supplied, none for u, the last field
+        roots = [float(r) ** 0.5 for r in rho_values[:self.level - 1]]
         acc = 0j
         for key, c in self.monomials():
             val = c.eval()
-            for i, e in enumerate(key[:-1]):
+            for i, e in enumerate(key):
                 if e:
-                    if i >= len(sqrt_rho):
-                        raise ValueError(f"no value supplied for rho_{i + 1}")
-                    val *= sqrt_rho[i] ** e
-            if key[-1]:
-                raise ValueError("no value supplied for u")
+                    if i >= len(roots):
+                        raise ValueError("no value supplied for " + (
+                            f"rho_{i + 1}" if i < self.level - 1 else "u"))
+                    val *= roots[i] ** e
             acc += val
         return acc
 
@@ -858,17 +869,9 @@ class Scalar(_SparseSum):
         t, parts = _table(self.level), []
         # packed keys sort as their exponent tuples do
         for packed in sorted(self.terms):
-            c, key = self.terms[packed], _unpack(t, packed)
-            syms = []
-            for i, e in enumerate(key[:-1], start=1):
-                if e == 1:
-                    syms.append(f"s{i}")
-                elif e:
-                    syms.append(f"s{i}^{e}")
-            if key[-1] == 1:
-                syms.append("u")
-            elif key[-1]:
-                syms.append(f"u^{key[-1]}")
+            c = self.terms[packed]
+            syms = [name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(t.key_names, _unpack(t, packed)) if e]
             cs = str(c)
             if syms:
                 if cs == "1":

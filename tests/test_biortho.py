@@ -18,13 +18,14 @@ from grassq.errors import (ComplexSpectrumError, DecompositionError,
                            DefectiveMatrixError, DegenerateSpectrumError,
                            EngineError)
 from grassq.galg import grade
-from grassq.opalg import PHI, PSI, dual_identity_sum, theta_op
+from grassq.opalg import (PHI, PSI, OpExpr, dual_identity_sum, ket, outer,
+                          theta_op)
 from grassq.resolution import (MIXED_PAIRS, resolution_integral, solve_weight,
                                verify_resolution)
 from grassq.scalars import Scalar
 
-from conftest import (clear_construction_caches, random_real_spectrum_matrix,
-                      shifted_weight)
+from conftest import (bra, clear_construction_caches,
+                      random_real_spectrum_matrix, shifted_weight)
 
 H_REF = np.array([[1.0, 4.0], [1.0, 1.0]])
 
@@ -165,6 +166,29 @@ def test_instantiate_level_mismatch():
     d = biortho_decompose(H_REF)
     with pytest.raises(EngineError):
         instantiate_numeric(verify_eigen(make_coherent(3, PSI)), d, [2.0, 3.0])
+
+
+@pytest.mark.parametrize("other", (outer(PSI, 0, PHI, 1), bra(PHI, 1)))
+def test_instantiate_refuses_a_word_that_mixes_kinds(other):
+    # a word sums matrices of one shape: a ket (n x 1) beside an
+    # operator (n x n) or a bra (1 x n) has no sum
+    d = biortho_decompose(H_REF)
+    mixed = OpExpr(2, {((), ket(PSI, 0)): Scalar.one(2),
+                       ((), other): Scalar.s(2, 1)})
+    with pytest.raises(EngineError, match="cannot mix operator, ket and bra "
+                                          "terms per word"):
+        instantiate_numeric(mixed, d, [2.0])
+
+
+def test_instantiate_sums_the_kets_of_one_word():
+    # two ket terms of the empty word are one n x 1 matrix, whose norm
+    # is that of the summed vector, not the larger of the two
+    d = biortho_decompose(H_REF)
+    kets = OpExpr(2, {((), ket(PSI, 0)): Scalar.from_rational(2, 2),
+                      ((), ket(PHI, 1)): Scalar.s(2, 1)})
+    summed = 2 * d.Psi[:, 0] + 2.0 ** 0.5 * d.Phi[:, 1]
+    assert instantiate_numeric(kets, d, [2.0]) == pytest.approx(
+        np.linalg.norm(summed), abs=1e-12)
 
 
 def test_a_problem_short_of_rho_values_is_refused_by_the_suite():

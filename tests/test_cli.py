@@ -490,11 +490,12 @@ def test_report_matches_the_committed_golden_file(name):
 
 
 @pytest.mark.parametrize("n", [*range(2, 17), 24, 32, 64, 127, 128, *(
-    pytest.param(n, marks=pytest.mark.slow) for n in (256, 512, 1024))])
+    pytest.param(n, marks=pytest.mark.slow) for n in (256, 512, 1024, 2048))])
 def test_high_level_report_matches_its_golden_digest(n):
     # the whole "all" report at one level, numeric biortho residuals
     # included, so the digests also pin this platform's float results;
-    # n = 256, 512 and 1024 take seconds each and run only under -m slow
+    # n = 256 to 2048 take seconds to half a minute each and run only
+    # under -m slow
     digests = json.loads((Path(__file__).parent / "golden" / "digests.json")
                          .read_text(encoding="utf-8"))["sha256"]
     report = emit_report(run_suite("all", (n, n), max_n=n), "json")

@@ -8,8 +8,22 @@ machine's speed.
 
 import pytest
 
-from grassq.scalars import Scalar
+from grassq import opalg
+from grassq.resolution import solve_weight
+from grassq.scalars import Cyclo, Scalar
 from grassq.suites import run_suite
+
+
+def _count(monkeypatch, owner, name):
+    """A list that grows by one on each call of ``owner.name``."""
+    plain, calls = getattr(owner, name), []
+
+    def counting(*args):
+        calls.append(None)
+        return plain(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("n", (16, 32, 64))
@@ -28,3 +42,32 @@ def test_the_coherent_suite_makes_ten_single_term_products_per_symbol(
     report = run_suite("coherent", (n, n), max_n=n)
     assert {c.status for c in report.checks} == {"pass"}
     assert len(calls) == 10 * (n - 1)
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_the_coherent_suite_places_files_and_multiplies_linearly(
+        n, monkeypatch, fresh_caches):
+    # ordering, filing and the coefficient field, each counted over a
+    # fresh coherent run: 12n - 4 words placed, 8 right operands filed
+    # whatever n, and one Cyclo product per Scalar._mul_q
+    placed = _count(monkeypatch, opalg, "_place")
+    filed = _count(monkeypatch, opalg, "_file_bras")
+    products = _count(monkeypatch, Cyclo, "__mul__")
+    report = run_suite("coherent", (n, n), max_n=n)
+    assert {c.status for c in report.checks} == {"pass"}
+    assert len(placed) == 12 * n - 4
+    assert len(filed) == 8
+    assert len(products) == 10 * (n - 1)
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_the_weight_solve_makes_one_product_and_one_inverse_per_entry(
+        n, monkeypatch, fresh_caches):
+    # with the coherent states already built, each of the n diagonal
+    # entries is one Scalar._mul_q and one monomial_inverse
+    solve_weight(n)
+    products = _count(monkeypatch, Scalar, "_mul_q")
+    inverses = _count(monkeypatch, Scalar, "monomial_inverse")
+    solve_weight(n)
+    assert len(products) == n
+    assert len(inverses) == n

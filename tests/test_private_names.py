@@ -13,7 +13,9 @@ factor by hand.  It pins the owner of the unit form too: in
 a coefficient's stored form or build one unchecked, so ``Scalar`` and
 the sparse sums multiply coefficients through ``Cyclo``'s own product.
 And it pins the owner of the packed ``Scalar`` key: only ``Scalar``,
-the per-level table that holds the layout and the key helpers read it.
+the per-level table that holds the layout and the key helpers read it;
+and the owner of the level check: one function raises
+``LevelMismatchError``.
 """
 
 import ast
@@ -113,8 +115,8 @@ def test_only_cyclo_and_the_field_helpers_read_the_unit_form():
 # The packed Scalar key: its layout on the table, its constants and its
 # helpers.
 KEY_LAYOUT = {"key_ones", "key_bias", "key_guard", "key_fields",
-              "_FIELD_BITS", "_EXP_LIMIT", "_exponent", "_pack", "_unpack",
-              "_guarded"}
+              "key_names", "_FIELD_BITS", "_EXP_LIMIT", "_exponent", "_pack",
+              "_unpack", "_guarded"}
 KEY_OWNERS = {"Scalar", "_Table", "_FIELD_BITS", "_EXP_LIMIT", "_exponent",
               "_pack", "_unpack", "_guarded"}
 
@@ -129,3 +131,15 @@ def test_only_scalar_and_the_key_helpers_read_the_packed_key():
                if KEY_LAYOUT & set(_read(node))}
     assert {"Scalar", "_Table"} <= readers
     assert readers <= KEY_OWNERS, sorted(readers - KEY_OWNERS)
+
+
+def test_one_function_raises_the_level_mismatch():
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                raisers += [f"{path.name}: {node.name}"
+                            for n in ast.walk(node)
+                            if isinstance(n, ast.Raise) and n.exc
+                            and "LevelMismatchError" in set(_read(n.exc))]
+    assert raisers == ["scalars.py: _same_level"], raisers
