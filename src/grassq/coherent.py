@@ -31,11 +31,22 @@ state many times, from the coherent checks, the stability checks, the
 weight solve and every resolution integral, and it visits one level at
 a time, so each level's states are read while they are kept.  Sharing
 is exact because a state never changes: the dataclass is frozen and its
-body is never mutated.
+body is never mutated.  The ladder b is kept per level in the same way
+(``make_ladder``): one coherent run at a level reads it in both eigen
+checks and both exponential forms, and ``verify all`` once more in the
+numeric eigen grounding, so b is built and filed by bra once per level.
+Both caches are keyed on ``operator.index(level)``: 3.0 == 3 and both
+hash alike, so a cache keyed on the level as given would hand a float
+level the kept int build instead of refusing it.
+
+Time evolution only moves exponents of u: each term of a state gains a
+power of u, which :meth:`Scalar.mul_u_power` adds to the term's key, so
+no coefficient product is formed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,7 +75,7 @@ def make_coherent(level: int, family: str = PSI) -> CoherentState:
     coefficient is 1.  The 32 most recently built (level, family) states
     are kept and shared (see the module docstring).
     """
-    return _build_coherent(level, family)
+    return _build_coherent(operator.index(level), family)
 
 
 @lru_cache(maxsize=32)
@@ -136,15 +147,20 @@ def evolve_state(state: CoherentState) -> OpExpr:
     makes the evolution stable.
     """
     n = state.level
-    return OpExpr(n, {(w, d): c * Scalar.u(n, -(n - d[0][1] - 2))
-                      for (w, d), c in state.body.terms.items()})
+    return _u_shift(state.body, lambda w, d: -(n - d[0][1] - 2))
 
 
 def theta_time_shift(e: OpExpr) -> OpExpr:
     """Substitute theta -> u theta: each term gains u^(theta degree)."""
-    return OpExpr(e.level, {
-        key: c * Scalar.u(e.level, deg) if (deg := grade(key[0])[0]) else c
-        for key, c in e.terms.items()})
+    return _u_shift(e, lambda w, d: grade(w)[0])
+
+
+def _u_shift(e: OpExpr, power) -> OpExpr:
+    """``e`` with each term (w, d) times u**power(w, d).  A u power moves
+    only the key's u field, so every coefficient stays nonzero and every
+    key distinct."""
+    return OpExpr._wrap(e.level, {(w, d): c.mul_u_power(power(w, d))
+                                  for (w, d), c in e.terms.items()})
 
 
 def check_stability(level: int, family: str = PSI) -> OpExpr:
@@ -155,5 +171,6 @@ def check_stability(level: int, family: str = PSI) -> OpExpr:
     """
     state = make_coherent(level, family)
     evolved = evolve_state(state)
-    target = theta_time_shift(state.body).scale(Scalar.u(level, -(level - 2)))
+    target = _u_shift(theta_time_shift(state.body),
+                      lambda w, d: -(level - 2))
     return evolved - target

@@ -62,7 +62,9 @@ Grassmann variables).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
@@ -390,8 +392,16 @@ def make_ladder(level: int) -> OpExpr:
 
     The ladder connects all ``level`` levels with the symbols s_i as its
     sqrt(rho_i) coefficients.  The other three ladder operators are
-    defined from b (see the module docstring).
+    defined from b (see the module docstring).  The 32 most recently
+    built ladders are kept, one per level, and every caller shares the
+    same operator, with the bra filing its first product kept on it:
+    an operator never changes after construction.
     """
+    return _build_ladder(operator.index(level))
+
+
+@lru_cache(maxsize=32)
+def _build_ladder(level: int) -> OpExpr:
     if level < 2:
         raise EngineError("need at least two levels")
     return OpExpr(level, {((), outer(PSI, i, PHI, i + 1)):

@@ -86,6 +86,10 @@ engine, goes through ``Scalar._mul_q`` (``*`` is its case q**0), which
 adds the keys and multiplies the two coefficients with ``Cyclo``'s own
 product.  So every unit product goes through ``Cyclo``: only ``Cyclo``
 and the field helpers above it read a unit's stored form or build one.
+Two phases take no product at all: ``mul_q_power`` rotates each
+coefficient by q**k, and its twin ``mul_u_power``, the time evolution's
+u**k, adds k to each key, since u is the least significant field, and
+keeps each coefficient as it is.
 """
 
 from __future__ import annotations
@@ -691,10 +695,11 @@ class Scalar(_SparseSum):
     holding e + 2^14 below its top bit, the guard bit.  Every exponent
     lies in [-2^14, 2^14), and int order is the order of the exponent
     tuples.  A product of two keys is their sum less the key of 1, an
-    inverse is twice that key less the key, and ``conj`` negates the u
-    field; each result whose guard bits are not all clear is refused
-    with ``EngineError``.  The constructor takes exponent tuples,
-    checks them and packs them; ``monomials`` reads them back.
+    inverse is twice that key less the key, ``mul_u_power(k)`` adds k
+    and ``conj`` negates the u field; each result whose guard bits are
+    not all clear is refused with ``EngineError``.  The constructor
+    takes exponent tuples, checks them and packs them; ``monomials``
+    reads them back.
     """
 
     __slots__ = ()
@@ -803,6 +808,15 @@ class Scalar(_SparseSum):
         if not k:
             return self
         return Scalar._wrap(self.level, {key: c._times_q(k)
+                                         for key, c in self.terms.items()})
+
+    def mul_u_power(self, k: int) -> "Scalar":
+        """Multiply by u**k: u is the least significant field, so each key
+        gains k and each coefficient is kept, with no product formed."""
+        if not _exponent(k):
+            return self
+        t = _table(self.level)
+        return Scalar._wrap(self.level, {_guarded(t, key + k): c
                                          for key, c in self.terms.items()})
 
     def conj(self) -> "Scalar":

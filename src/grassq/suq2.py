@@ -46,6 +46,7 @@ own right-hand side.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -138,7 +139,7 @@ def make_suq2(root_order: int = 3, equal_rho: bool = False) -> Suq2System:
     The system is built once per (root_order, equal_rho) and shared (see
     the module docstring).
     """
-    return _build_suq2(root_order, equal_rho)
+    return _build_suq2(operator.index(root_order), equal_rho)
 
 
 @lru_cache(maxsize=8)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grassq import coherent, scalars, suq2
+from grassq import coherent, opalg, scalars, suq2
 from grassq.galg import GExpr, Kind, normalize_word
 from grassq.opalg import IDENT, OpExpr, PHI, PSI, ket, op_term, outer
 from grassq.scalars import Cyclo, Scalar
@@ -16,7 +16,8 @@ from grassq.scalars import Cyclo, Scalar
 # The process-wide caches that ``fresh_caches`` empties, and the two that it
 # keeps: the field tables are pure functions of the level, which no engine
 # mutant in the tests reaches.
-CONSTRUCTION_CACHES = (coherent._build_coherent, suq2._build_suq2)
+CONSTRUCTION_CACHES = (coherent._build_coherent, opalg._build_ladder,
+                       suq2._build_suq2)
 FIELD_TABLES = (scalars._table, scalars.cyclotomic_polynomial)
 
 

@@ -6,8 +6,14 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
+import pytest
+
 import grassq
 from grassq import coherent
+from grassq.coherent import make_coherent
+from grassq.opalg import make_ladder
+from grassq.suq2 import make_suq2
 from conftest import (CONSTRUCTION_CACHES, FIELD_TABLES,
                       clear_construction_caches)
 from grassq.suites import run_suite
@@ -31,7 +37,9 @@ def _process_wide_caches() -> dict:
 def test_every_cache_is_cleared_by_fresh_caches_or_is_a_field_table():
     named = {id(c): c for c in CONSTRUCTION_CACHES + FIELD_TABLES}
     assert _process_wide_caches().keys() == named.keys()
-    run_suite("suq2", (3, 3), max_n=3)
+    # the suq2 checks fill the state and system caches, and the coherent
+    # checks the ladder's
+    run_suite("all", (3, 3), max_n=3)
     assert all(c.cache_info().currsize for c in CONSTRUCTION_CACHES)
     clear_construction_caches()
     assert not any(c.cache_info().currsize for c in CONSTRUCTION_CACHES)
@@ -44,3 +52,15 @@ def test_a_run_over_many_levels_builds_each_state_once(fresh_caches):
     # suites before levels built 118
     run_suite("all", (2, 20), max_n=20)
     assert coherent._build_coherent.cache_info().misses <= 42
+
+
+@pytest.mark.parametrize("build", (make_coherent, make_ladder, make_suq2))
+def test_a_level_that_is_not_an_int_is_refused_whether_or_not_it_is_kept(
+        build, fresh_caches):
+    # 3.0 == 3 and both hash alike, so a cache keyed on the level as given
+    # would hand a float the level-3 build once that was kept
+    for _ in range(2):
+        with pytest.raises(TypeError, match="integer"):
+            build(3.0)
+        build(3)
+    assert build(np.int64(3)) is build(3)

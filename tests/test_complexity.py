@@ -9,6 +9,8 @@ machine's speed.
 import pytest
 
 from grassq import opalg
+from grassq.coherent import check_stability, make_coherent
+from grassq.opalg import PHI, PSI
 from grassq.resolution import solve_weight
 from grassq.scalars import Cyclo, Scalar
 from grassq.suites import run_suite
@@ -47,17 +49,36 @@ def test_the_coherent_suite_makes_ten_single_term_products_per_symbol(
 @pytest.mark.parametrize("n", (16, 32, 64))
 def test_the_coherent_suite_places_files_and_multiplies_linearly(
         n, monkeypatch, fresh_caches):
-    # ordering, filing and the coefficient field, each counted over a
-    # fresh coherent run: 12n - 4 words placed, 8 right operands filed
-    # whatever n, and one Cyclo product per Scalar._mul_q
+    # ordering, filing, the coefficient field and the ladder, each counted
+    # over a fresh coherent run: 12n - 4 words placed, 8 right operands
+    # filed whatever n, one Cyclo product per Scalar._mul_q, and b's n - 1
+    # symbols as the only Scalar.s calls, since both eigen checks and both
+    # exponential forms share one ladder per level
     placed = _count(monkeypatch, opalg, "_place")
     filed = _count(monkeypatch, opalg, "_file_bras")
     products = _count(monkeypatch, Cyclo, "__mul__")
+    symbols = _count(monkeypatch, Scalar, "s")
     report = run_suite("coherent", (n, n), max_n=n)
     assert {c.status for c in report.checks} == {"pass"}
     assert len(placed) == 12 * n - 4
     assert len(filed) == 8
     assert len(products) == 10 * (n - 1)
+    assert len(symbols) == n - 1
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_a_stability_check_forms_no_coefficient_product(
+        n, monkeypatch, fresh_caches):
+    # with its state already built, each u phase is a shift of the key's
+    # u field, so neither a Scalar nor a Cyclo product is formed
+    for family in (PSI, PHI):
+        make_coherent(n, family)
+    products = _count(monkeypatch, Scalar, "_mul_q")
+    field_products = _count(monkeypatch, Cyclo, "__mul__")
+    for family in (PSI, PHI):
+        assert check_stability(n, family).is_zero
+    assert len(products) == 0
+    assert len(field_products) == 0
 
 
 @pytest.mark.parametrize("n", (16, 32, 64))

@@ -405,6 +405,19 @@ def test_the_packed_key_matches_the_tuple_key_oracle(level):
                 oracle.tuple_monomial_inverse(a).items())
 
 
+@pytest.mark.parametrize("level", list(range(2, 13)) + [64])
+def test_a_u_power_shift_equals_the_product_with_u(level):
+    # the same terms in the same order as the product, so a u phase needs
+    # no coefficient product
+    rng = random.Random(20261021 + level)
+    for _ in range(40):
+        x = _seeded_scalar(rng, level)
+        for k in (0, 1, -1, rng.randrange(-9, 10)):
+            shifted, product = x.mul_u_power(k), x * Scalar.u(level, k)
+            assert shifted.monomials() == product.monomials()
+    assert x.mul_u_power(0) is x
+
+
 LIMIT = _EXP_LIMIT
 
 
@@ -421,20 +434,28 @@ def test_an_exponent_that_leaves_its_field_is_refused(slot):
     def step(e):
         return term(e, (0,) * n)
 
+    def products(x, e):
+        """x * step(e) by every path that forms it: the u field, the last,
+        also moves by ``mul_u_power``, which adds e to each key."""
+        paths = [lambda: x * step(e), lambda: step(e) * x,
+                 lambda: x._mul_q(step(e), 3),
+                 lambda: (x + Scalar.q(n)) * step(e)]
+        if slot == n - 1:
+            paths += [lambda: x.mul_u_power(e),
+                      lambda: (x + Scalar.q(n)).mul_u_power(e)]
+        return paths
+
     # up to each end of the range, no neighbouring exponent changes
     for x, e, reached in ((term(LIMIT - 2), 1, LIMIT - 1),
                           (term(-LIMIT + 1), -1, -LIMIT),
                           (term(0), -LIMIT, -LIMIT)):
-        for product in (x * step(e), step(e) * x, x._mul_q(step(e), 3),
-                        (x + Scalar.q(n)) * step(e)):
-            key, _ = product.monomials()[0]
+        for product in products(x, e):
+            key, _ = product().monomials()[0]
             assert key == term(reached).monomials()[0][0]
     # one past the top overflows its field, one below the bottom borrows
     for x, e in ((term(LIMIT - 1), 1), (term(LIMIT - 1), LIMIT - 1),
                  (term(-LIMIT), -1), (term(-LIMIT), -LIMIT)):
-        for product in (lambda: x * step(e), lambda: step(e) * x,
-                        lambda: x._mul_q(step(e), 3),
-                        lambda: (x + Scalar.q(n)) * step(e)):
+        for product in products(x, e):
             with pytest.raises(EngineError, match="exponent left"):
                 product()
     # the inverse and conjugation (of u) negate, and -(-LIMIT) is out of
@@ -454,6 +475,8 @@ def test_an_exponent_that_leaves_its_field_is_refused(slot):
             term(e)
         with pytest.raises(ValueError, match="must lie in"):
             Scalar.s(n, 2, e)
+        with pytest.raises(ValueError, match="must lie in"):
+            term(0).mul_u_power(e)
 
 
 def test_a_key_of_the_wrong_length_is_refused():
@@ -479,6 +502,8 @@ def test_an_exponent_that_is_not_an_int_is_refused():
             Scalar(3, {(e, 0, 0): Cyclo.one(3)})
         with pytest.raises(TypeError, match="exponent must be an int"):
             Scalar.s(3, 1, e)
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            (Scalar.s(3, 1) + Scalar.one(3)).mul_u_power(e)
 
 
 def test_a_coefficient_that_is_not_a_cyclo_is_refused():
