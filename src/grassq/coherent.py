@@ -35,9 +35,12 @@ body is never mutated.  The ladder b is kept per level in the same way
 (``make_ladder``): one coherent run at a level reads it in both eigen
 checks and both exponential forms, and ``verify all`` once more in the
 numeric eigen grounding, so b is built and filed by bra once per level.
-Both caches are keyed on ``operator.index(level)``: 3.0 == 3 and both
-hash alike, so a cache keyed on the level as given would hand a float
-level the kept int build instead of refusing it.
+Both caches are keyed on ``scalars._field(level).n``, the one reader
+of a level a caller gives: 3.0 == 3 and both hash alike, so a cache
+keyed on the level as given would hand a float level the kept int build
+instead of refusing it.  ``_field`` refuses the float with ``TypeError``
+and a level below 2 with ``ValueError``, and reads a numpy integer as
+its int.
 
 Time evolution only moves exponents of u: each term of a state gains a
 power of u, which :meth:`Scalar.mul_u_power` adds to the term's key, so
@@ -46,16 +49,14 @@ no coefficient product is formed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EngineError
 from .galg import _monomial, grade
 from .opalg import (OpExpr, PSI, _known_family, _nilpotent_series,
                     eta_conjugate, ket, ket_op, make_ladder, op_dagger,
                     op_term, sharp_adjoint, theta_op)
-from .scalars import Scalar, _accumulate
+from .scalars import Scalar, _accumulate, _field
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,11 @@ def make_coherent(level: int, family: str = PSI) -> CoherentState:
     coefficient is 1.  The 32 most recently built (level, family) states
     are kept and shared (see the module docstring).
     """
-    return _build_coherent(operator.index(level), family)
+    return _build_coherent(_field(level).n, family)
 
 
 @lru_cache(maxsize=32)
 def _build_coherent(level: int, family: str) -> CoherentState:
-    if level < 2:
-        raise EngineError("need at least two levels")
     terms: dict = {}
     for i in range(level):
         # 1/(s_1 ... s_i), built whole as rho_factorial builds rho_i!

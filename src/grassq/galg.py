@@ -56,7 +56,7 @@ from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
 from .errors import EngineError, UnspecifiedRelationError
-from .scalars import Scalar, _SparseSum, _accumulate
+from .scalars import Scalar, _SparseSum, _accumulate, _field
 
 
 class Kind(IntEnum):
@@ -205,7 +205,7 @@ class GExpr(_SparseSum):
         """Normal order a sum given as (coefficient, raw factor list) pairs."""
         ordered = ((normalize_word(level, raw), coeff)
                    for coeff, raw in items if not coeff.is_zero)
-        return cls._wrap(level, _accumulate({}, (
+        return cls._wrap(_field(level).n, _accumulate({}, (
             (w, coeff.mul_q_power(qe))
             for (qe, w), coeff in ordered if w is not None)))
 

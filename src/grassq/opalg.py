@@ -62,7 +62,6 @@ Grassmann variables).
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -71,7 +70,7 @@ from .errors import (DyadShapeError, EngineError, EtaUnexpressibleError,
                      GramUnknownError, NonTerminatingSeriesError)
 from .galg import (Word, _dagger_word, _integrate_terms, _monomial, _word_str,
                    grade, normalize_word)
-from .scalars import Scalar, _SparseSum, _accumulate
+from .scalars import Scalar, _SparseSum, _accumulate, _field
 
 PSI = "psi"
 PHI = "phi"
@@ -397,13 +396,11 @@ def make_ladder(level: int) -> OpExpr:
     same operator, with the bra filing its first product kept on it:
     an operator never changes after construction.
     """
-    return _build_ladder(operator.index(level))
+    return _build_ladder(_field(level).n)
 
 
 @lru_cache(maxsize=32)
 def _build_ladder(level: int) -> OpExpr:
-    if level < 2:
-        raise EngineError("need at least two levels")
     return OpExpr(level, {((), outer(PSI, i, PHI, i + 1)):
                           Scalar.s(level, i + 1) for i in range(level - 1)})
 

@@ -95,6 +95,7 @@ keeps each coefficient as it is.
 from __future__ import annotations
 
 import cmath
+import operator
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -203,6 +204,16 @@ _table = lru_cache(maxsize=None)(_Table)
 
 
 def _field(level: int) -> _Table:
+    """The table of ``level``: the one reader of a level a caller gives.
+
+    Every constructor at a level (``Cyclo``, ``Scalar``, the sparse sums
+    and the per-level caches of ``coherent``, ``opalg`` and ``suq2``)
+    takes its level from here and stores the table's ``n``, a plain int.
+    A numpy integer is read as its int, so it shares the int's table; a
+    float is refused with ``TypeError`` and a level below 2 with
+    ``ValueError``.
+    """
+    level = operator.index(level)
     if level < 2:
         raise ValueError("level must be at least 2")
     return _table(level)
@@ -350,7 +361,7 @@ class Cyclo:
     def __init__(self, level: int, coeffs: Sequence[Rational]):
         t = _field(level)
         cs = [_exact(c) for c in coeffs]
-        self.level, self._t = level, t
+        self.level, self._t = t.n, t
         if len(cs) == 1 and cs[0]:
             # a nonzero rational is c*q^0, and already in lowest terms
             c, = cs
@@ -566,9 +577,7 @@ class _SparseSum:
     __slots__ = ("level", "terms")
 
     def __init__(self, level: int, terms: dict | None = None):
-        if level < 2:
-            raise ValueError("level must be at least 2")
-        self.level = level
+        self.level = _field(level).n
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
@@ -713,13 +722,13 @@ class Scalar(_SparseSum):
             if not isinstance(c, Cyclo):
                 raise TypeError(f"a Scalar coefficient must be a Cyclo, got "
                                 f"{type(c).__name__} {c!r}")
-            if c.level != level:
+            if c.level != t.n:
                 raise ValueError(f"a Cyclo of level {c.level} in a Scalar of "
-                                 f"level {level}")
+                                 f"level {t.n}")
             key = _pack(t, key)
             if c:
                 packed[key] = c
-        self.level, self.terms = level, packed
+        self.level, self.terms = t.n, packed
 
     # -- constructors ------------------------------------------------------
 
@@ -757,10 +766,10 @@ class Scalar(_SparseSum):
         of step 1, to ``power``: the key of 1 plus ``power`` in each of
         those fields."""
         t = _field(level)
-        fields = (t.key_ones >> _FIELD_BITS * (level - len(slots))
-                  << _FIELD_BITS * (level - slots.stop))
-        return cls._wrap(level, {t.key_bias + _exponent(power) * fields:
-                                 Cyclo.one(level)})
+        fields = (t.key_ones >> _FIELD_BITS * (t.n - len(slots))
+                  << _FIELD_BITS * (t.n - slots.stop))
+        return cls._wrap(t.n, {t.key_bias + _exponent(power) * fields:
+                               Cyclo.one(t.n)})
 
     # -- ring operations ----------------------------------------------------
 

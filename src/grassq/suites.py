@@ -375,20 +375,15 @@ def run_suite(selector: str, n_range: tuple[int, int] = (2, 4), *,
 def emit_report(report: SuiteReport, fmt: str = "text") -> str:
     """Serialize a report; json output is stable-keyed and diffable."""
     if fmt == "json":
-        payload = {"checks": [
-            {"id": c.id, "ref": c.ref, "status": c.status,
-             "defect": c.defect, "runtime_ms": c.runtime_ms}
-            for c in report.checks]}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps({"checks": [vars(c) for c in report.checks]},
+                          indent=2, sort_keys=True)
     if fmt != "text":
         raise EngineError(f"unknown report format {fmt!r}")
     lines = []
     for c in report.checks:
         defect = c.defect if isinstance(c.defect, str) else repr(c.defect)
         line = f"{c.status:<22} {c.id}  [{c.ref}]"
-        show = defect not in ("", "0") or not isinstance(c.defect, str) \
-            or c.status != "pass"
-        if show and defect != "":
+        if defect and (c.defect != "0" or c.status != "pass"):
             line += f"  defect={defect}"
         if c.runtime_ms is not None:
             line += f"  ({c.runtime_ms:.1f} ms)"

@@ -46,7 +46,6 @@ own right-hand side.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -57,7 +56,7 @@ from .galg import _monomial
 from .opalg import (OpExpr, PHI, PSI, _known_family, _nilpotent_series,
                     eta_conjugate, ket, ket_op, op_dagger, op_term, outer,
                     q_commutator, sharp_adjoint, theta_op, thetabar_op)
-from .scalars import Scalar
+from .scalars import Scalar, _field
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def make_suq2(root_order: int = 3, equal_rho: bool = False) -> Suq2System:
     The system is built once per (root_order, equal_rho) and shared (see
     the module docstring).
     """
-    return _build_suq2(operator.index(root_order), equal_rho)
+    return _build_suq2(_field(root_order).n, equal_rho)
 
 
 @lru_cache(maxsize=8)

@@ -13,6 +13,7 @@ import grassq
 from grassq import coherent
 from grassq.coherent import make_coherent
 from grassq.opalg import make_ladder
+from grassq.scalars import Cyclo, Scalar
 from grassq.suq2 import make_suq2
 from conftest import (CONSTRUCTION_CACHES, FIELD_TABLES,
                       clear_construction_caches)
@@ -59,8 +60,12 @@ def test_a_level_that_is_not_an_int_is_refused_whether_or_not_it_is_kept(
         build, fresh_caches):
     # 3.0 == 3 and both hash alike, so a cache keyed on the level as given
     # would hand a float the level-3 build once that was kept
+    # the field table is kept per level too, so its constructors are
+    # asked the same
     for _ in range(2):
-        with pytest.raises(TypeError, match="integer"):
-            build(3.0)
+        for refused in (build, lambda level: Cyclo(level, [1]),
+                        lambda level: Scalar.s(level, 1)):
+            with pytest.raises(TypeError, match="integer"):
+                refused(3.0)
         build(3)
     assert build(np.int64(3)) is build(3)

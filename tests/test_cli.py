@@ -475,18 +475,24 @@ def test_each_weight_is_solved_once_per_run(monkeypatch, fresh_caches):
                                                       "json")
 
 
-@pytest.mark.parametrize("name", ["coherent", "dynamics", "resolution",
-                                  "suq2", "dynamics-6-11", "resolution-6-11",
-                                  "coherent-24-32"])
-def test_report_matches_the_committed_golden_file(name):
+GOLDEN_NAMES = ("coherent", "dynamics", "resolution", "suq2",
+                "dynamics-6-11", "resolution-6-11", "coherent-24-32")
+
+
+@pytest.mark.parametrize("name, fmt", [
+    *(pytest.param(name, "json", id=name) for name in GOLDEN_NAMES),
+    *(pytest.param(name, "text", id=f"{name}-text") for name in GOLDEN_NAMES)])
+def test_report_matches_the_committed_golden_file(name, fmt):
     # exact, symbolic suites only: their reports must not change by a byte
     # under a refactor (the numeric biortho residuals may vary by platform);
-    # "<selector>-<lo>-<hi>" names a level range other than 2..5
+    # "<selector>-<lo>-<hi>" names a level range other than 2..5, and the
+    # ".txt" file holds the text report, the CLI's default output
     selector, *levels = name.split("-")
     lo, hi = map(int, levels) if levels else (2, 5)
-    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    golden = Path(__file__).parent / "golden" / (
+        f"{name}.json" if fmt == "json" else f"{name}.txt")
     assert emit_report(run_suite(selector, (lo, hi), max_n=hi),
-                       "json") == golden.read_text(encoding="utf-8")
+                       fmt) == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("n", [*range(2, 17), 24, 32, 64, 127, 128, *(

@@ -15,7 +15,9 @@ the sparse sums multiply coefficients through ``Cyclo``'s own product.
 And it pins the owner of the packed ``Scalar`` key: only ``Scalar``,
 the per-level table that holds the layout and the key helpers read it;
 and the owner of the level check: one function raises
-``LevelMismatchError``.
+``LevelMismatchError``; and the owner of the level itself: one function,
+``scalars._field``, reads a level a caller gives with ``operator.index``
+and refuses one below 2.
 """
 
 import ast
@@ -133,13 +135,31 @@ def test_only_scalar_and_the_key_helpers_read_the_packed_key():
     assert readers <= KEY_OWNERS, sorted(readers - KEY_OWNERS)
 
 
+def _functions_holding(found):
+    """``module: function`` for each function in ``src/grassq`` and each
+    of its nodes for which ``found`` holds."""
+    return [f"{path.name}: {node.name}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for n in ast.walk(node) if found(n)]
+
+
 def test_one_function_raises_the_level_mismatch():
-    raisers = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                raisers += [f"{path.name}: {node.name}"
-                            for n in ast.walk(node)
-                            if isinstance(n, ast.Raise) and n.exc
-                            and "LevelMismatchError" in set(_read(n.exc))]
+    raisers = _functions_holding(
+        lambda n: isinstance(n, ast.Raise) and n.exc
+        and "LevelMismatchError" in set(_read(n.exc)))
     assert raisers == ["scalars.py: _same_level"], raisers
+
+
+def test_one_function_reads_the_level_a_caller_gives():
+    readers = _functions_holding(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "index"
+        and isinstance(n.value, ast.Name) and n.value.id == "operator")
+    refusers = _functions_holding(
+        lambda n: isinstance(n, ast.Raise) and n.exc is not None
+        and any(isinstance(c, ast.Constant)
+                and c.value == "level must be at least 2"
+                for c in ast.walk(n.exc)))
+    assert readers == ["scalars.py: _field"], readers
+    assert refusers == ["scalars.py: _field"], refusers

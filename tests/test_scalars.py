@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassq.coherent import make_coherent
 from grassq.errors import EngineError, LevelMismatchError
 from grassq.galg import GExpr
-from grassq.opalg import OpExpr
+from grassq.opalg import OpExpr, make_ladder
+from grassq.resolution import closed_form_weight
 from grassq.scalars import (_EXP_LIMIT, Cyclo, Scalar, _SparseSum,
                             cyclotomic_polynomial, rho_factorial)
 
@@ -803,9 +806,38 @@ def test_q_power_checks_the_level_like_the_constructor():
     for level in (1, 0, -3):
         for build in (lambda: Cyclo.q_power(level, 1),
                       lambda: Cyclo.q_power(level, 0),
-                      lambda: Cyclo(level, [1])):
+                      lambda: Cyclo(level, [1]),
+                      lambda: OpExpr(level, {}),
+                      lambda: make_coherent(level),
+                      lambda: make_ladder(level)):
             with pytest.raises(ValueError, match="^level must be at least 2$"):
                 build()
+
+
+# Every constructor reads its level through the field table, so a numpy
+# integer level never reaches the key arithmetic, a second table or a
+# stored level.
+
+def test_a_numpy_level_builds_the_key_its_int_builds():
+    s1 = Scalar.s(np.int64(3), 1)
+    assert s1 == Scalar.s(3, 1) and str(s1) == "s1"
+    assert Scalar.s(np.int64(40), 1) == Scalar.s(40, 1)
+
+
+def test_a_numpy_level_shares_its_int_table():
+    from grassq import scalars
+    Cyclo(5, [1, 2])
+    tables = scalars._table.cache_info().currsize
+    assert Cyclo(np.int64(5), [1, 2]) == Cyclo(5, [1, 2])
+    assert scalars._table.cache_info().currsize == tables
+
+
+def test_a_numpy_level_is_stored_as_an_int():
+    three = np.int64(3)
+    for built in (Cyclo(three, [1, 2]), Scalar.s(three, 2),
+                  Scalar(three, {(0, 1, 0): Cyclo.one(3)}),
+                  OpExpr(three, {}), closed_form_weight(three)):
+        assert type(built.level) is int, type(built).__name__
 
 
 def test_floats_are_refused_on_the_symbolic_path():
