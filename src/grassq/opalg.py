@@ -40,11 +40,10 @@ bra for a term without a ket.  The filing is built once per operator,
 when it is first a left factor, and kept on it, which is sound because
 an operator never changes after construction; a series ``arg @ power``
 thus files ``arg`` once and probes it once per term of each power.  A
-product holding a refused pair raises the error of its first refused
-pair in (left term, right term) order, as ``_contract`` finds it, and
-the surviving pairs come out in that order too, so every result keeps
-its term order.  Each surviving pair takes one coefficient step,
-c1 * c2 * q**e (``Scalar._mul_q``).
+product raises the error of its first refused pair in (left term, right
+term) order (``_joined``), and its surviving pairs come out in that
+order too, so every result keeps its term order.  Each surviving pair
+takes one coefficient step, c1 * c2 * q**e (``Scalar._mul_q``).
 
 The distinguished ladder operators are
 
@@ -157,13 +156,14 @@ def _place(level: int, left, dyad: Dyad, right) -> tuple[int, Word | None]:
     return cross + qe, w
 
 
-def _file_bras(terms: dict) -> tuple[dict, dict]:
+def _file_bras(terms: dict) -> tuple[dict, list]:
     """An operator's terms filed by bra side, each entry
     ``(position, (key, coefficient))``.  Returns ``(buckets, firsts)``:
     ``buckets`` maps IDENT to the identity terms, () to the terms without
     a bra, and a bra's index (``_meets_at``) to the terms with a bra of
-    that index, each in position order; ``firsts`` maps each bra family,
-    () for an absent bra, to the position and dyad of its first term."""
+    that index, each in position order; ``firsts`` lists the dyad of the
+    first term of each bra family, an absent bra counting as one, in
+    position order."""
     buckets: dict = {}
     firsts: dict = {}
     for entry in enumerate(terms.items()):
@@ -173,9 +173,9 @@ def _file_bras(terms: dict) -> tuple[dict, dict]:
         else:
             b = d[1]
             key = _meets_at(b) if b else ()
-            firsts.setdefault(b[0] if b else (), (entry[0], d))
+            firsts.setdefault(b[0] if b else (), d)
         buckets.setdefault(key, []).append(entry)
-    return buckets, firsts
+    return buckets, list(firsts.values())
 
 
 def _joined(left: "OpExpr", right: "OpExpr") -> list:
@@ -186,36 +186,31 @@ def _joined(left: "OpExpr", right: "OpExpr") -> list:
     (:func:`_file_bras`, built on first use and kept on ``left``, which
     never changes after construction): an identity term on either side
     meets every term; a ket side meets the bras of its index, and an
-    absent ket side the terms without a bra.  Before probing, a right
-    term is contracted with the first left term of each bra family; the
-    first refused pair in (left, right) order, the one the |L|·|R| loop
-    meets first, raises through ``_contract`` before any pair is placed.
-    Without a refused pair no left bra shares a family with a right ket
-    and no side meets an absent one, so every probed pair contracts.
+    absent ket side the terms without a bra.  A refusal depends only on
+    the two families facing each other, so before probing, the first
+    left term of each bra family is contracted with each right term, in
+    (left, right) order: the first refused pair raises through
+    ``_contract`` before any pair is placed.  Without one, every probed
+    pair contracts.
     """
     filed = getattr(left, "_bras", None)
     if filed is None:
         filed = left._bras = _file_bras(left.terms)
     buckets, firsts = filed
+    for first in firsts:
+        for _, d in right.terms:
+            if d != IDENT:
+                _contract(first, d)
     ident = buckets.get(IDENT, [])
     found: list = []
-    refused = None
     for at, item in enumerate(right.terms.items()):
         d = item[0][1]
         if d == IDENT:
             hit = enumerate(left.terms.items())
         else:
-            for o, first in firsts.values():
-                try:
-                    _contract(first, d)
-                except (DyadShapeError, GramUnknownError):
-                    if refused is None or o < refused[0]:
-                        refused = o, first, d
             k = d[0]
             hit = buckets.get(_meets_at(k) if k else (), []) + ident
         found += [(o, at, other, item) for o, other in hit]
-    if refused is not None:
-        _contract(*refused[1:])
     # a (left, right) position pair is never repeated, so tuple order is
     # pair order and never compares two terms
     found.sort()

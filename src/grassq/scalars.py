@@ -54,12 +54,13 @@ Every symbolic quantity above the field is a sparse formal sum: a
 ``galg.GExpr`` maps words to Scalars and an ``opalg.OpExpr`` maps
 (word, dyad) pairs to Scalars.  All three share one core here: the
 constructor that drops zero values (and a private one, ``_wrap``, for
-dicts already known to hold none), the level check (``_same_level``,
-which ``Cyclo`` binds too), ``+``, ``-``,
-``is_zero`` and ``==``, and one merge that adds (key, value) pairs into a
-dict and drops each sum that vanishes.  Every product and integral in
-the engine, and the coherent-state and series builders, which grow a
-sum term by term, accumulate their terms through that merge.  ``-`` is
+dicts already known to hold none), the operand check (``_same_level``:
+the same type and the same level, which every binary operation of
+``Cyclo`` and the sums runs), ``+``, ``-``, ``is_zero`` and ``==``, and
+one merge that adds (key, value) pairs into a dict and drops each sum
+that vanishes.  Every product and integral in the engine, and the
+coherent-state and series builders, which grow a sum term by term,
+accumulate their terms through that merge.  ``-`` is
 its own merge: the values are canonical, so a key on both sides with
 equal values is dropped by one comparison, and only a key whose values
 differ forms a difference.  An exact check of ``lhs - rhs`` that holds
@@ -333,9 +334,23 @@ def _exact(c):
     return Fraction(c)
 
 
+def _q_exponent(k) -> int:
+    """``k`` checked as a power of q: an int of any size, since a phase
+    such as q**(i(i+1)) grows with the level."""
+    if not isinstance(k, int):
+        raise TypeError(f"a power of q must be an int, got "
+                        f"{type(k).__name__} {k!r}")
+    return k
+
+
 def _same_level(a: Cyclo | _SparseSum, b: Cyclo | _SparseSum) -> None:
-    """Refuse two operands of different levels: the one level check of
-    ``Cyclo`` and the sparse sums, each of which binds it as ``_check``."""
+    """The operand check of every binary operation of ``Cyclo`` and the
+    sparse sums, each of which binds it as ``_check``: an operand of
+    another type is refused with ``TypeError`` and one of another level
+    with ``LevelMismatchError``."""
+    if type(a) is not type(b):
+        raise TypeError(f"unsupported operand types: {type(a).__name__} "
+                        f"and {type(b).__name__}")
     if a.level != b.level:
         raise LevelMismatchError(f"cannot mix levels {a.level} and {b.level}")
 
@@ -406,7 +421,7 @@ class Cyclo:
     @classmethod
     def q_power(cls, level: int, k: int) -> "Cyclo":
         """q**k reduced to canonical form; k may be any integer."""
-        return _unit(_field(level), k, 1, 1)
+        return _unit(_field(level), _q_exponent(k), 1, 1)
 
     # -- ring/field operations ---------------------------------------------
 
@@ -571,7 +586,8 @@ class _SparseSum:
 
     The empty map is zero.  Operations return new values; instances are
     never mutated after construction.  Sums of different types never
-    compare equal, and ``+`` and ``-`` refuse them (``TypeError``).
+    compare equal, and every binary operation refuses them (``TypeError``,
+    from ``_check``).
     """
 
     __slots__ = ("level", "terms")
@@ -595,8 +611,6 @@ class _SparseSum:
     _check = _same_level
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
         self._check(other)
         return self._wrap(self.level,
                           _accumulate(dict(self.terms), other.terms.items()))
@@ -606,8 +620,6 @@ class _SparseSum:
         are canonical, so a key whose two values are equal cancels
         exactly: it is dropped after one comparison, and no difference
         or negation is formed for it."""
-        if type(other) is not type(self):
-            return NotImplemented
         self._check(other)
         acc = dict(self.terms)
         for key, value in other.terms.items():
@@ -777,9 +789,9 @@ class Scalar(_SparseSum):
         if type(other) is not Scalar and isinstance(other, (int, Fraction)):
             return Scalar._wrap(self.level, {
                 k: c for k, v in self.terms.items() if (c := v.scaled(other))})
+        self._check(other)
         if len(self.terms) == 1 == len(other.terms):
             return self._mul_q(other, 0)
-        self._check(other)
         t = _table(self.level)
         one = t.key_bias
         return Scalar._wrap(self.level, _accumulate({}, (
@@ -800,9 +812,9 @@ class Scalar(_SparseSum):
         k = 0.  Longer factors take ``self * other`` then
         ``mul_q_power(k)``.
         """
+        self._check(other)
         if len(self.terms) != 1 or len(other.terms) != 1:
             return (self * other).mul_q_power(k)
-        self._check(other)
         (k1, c1), = self.terms.items()
         (k2, c2), = other.terms.items()
         # Q(q) has no zero divisors, so the product stays nonzero; the
@@ -813,7 +825,7 @@ class Scalar(_SparseSum):
 
     def mul_q_power(self, k: int) -> "Scalar":
         """Multiply by q**k; the common fast path for exchange phases."""
-        k %= self.level
+        k = _q_exponent(k) % self.level
         if not k:
             return self
         return Scalar._wrap(self.level, {key: c._times_q(k)

@@ -14,8 +14,8 @@ a coefficient's stored form or build one unchecked, so ``Scalar`` and
 the sparse sums multiply coefficients through ``Cyclo``'s own product.
 And it pins the owner of the packed ``Scalar`` key: only ``Scalar``,
 the per-level table that holds the layout and the key helpers read it;
-and the owner of the level check: one function raises
-``LevelMismatchError``; and the owner of the level itself: one function,
+and the owner of the operand check: one function raises
+``LevelMismatchError``, and only ``__eq__`` returns ``NotImplemented``; and the owner of the level itself: one function,
 ``scalars._field``, reads a level a caller gives with ``operator.index``
 and refuses one below 2.
 """
@@ -150,6 +150,17 @@ def test_one_function_raises_the_level_mismatch():
         lambda n: isinstance(n, ast.Raise) and n.exc
         and "LevelMismatchError" in set(_read(n.exc)))
     assert raisers == ["scalars.py: _same_level"], raisers
+
+
+def test_only_eq_returns_not_implemented():
+    # every other binary operation refuses another type in its operand
+    # check, ``scalars._same_level``, so no operation gives way to a
+    # reflected one
+    returners = _functions_holding(
+        lambda n: isinstance(n, ast.Return) and isinstance(n.value, ast.Name)
+        and n.value.id == "NotImplemented")
+    assert returners and all(r.endswith(": __eq__") for r in returners), \
+        returners
 
 
 def test_one_function_reads_the_level_a_caller_gives():

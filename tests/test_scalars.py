@@ -108,20 +108,32 @@ def test_sum_types_stay_apart_and_need_two_levels():
             sum_type(1)
 
 
-def test_sums_of_different_types_are_refused_when_added():
-    # + and - refuse another type at once, rather than build a malformed
-    # sum that fails later
+def test_sums_of_different_types_are_refused_when_combined():
+    # +, -, *, @ and Cyclo arithmetic refuse another type at once, naming
+    # both operand types, rather than build a malformed sum that fails
+    # later or crash inside a kernel
     cases = [
-        lambda: OpExpr.zero(3) - Scalar.one(3),
-        lambda: GExpr.zero(3) + OpExpr.identity(3),
-        lambda: Scalar.one(3) + 1,
-        lambda: Scalar.one(3) - Fraction(1, 2),
-        lambda: 1 + Scalar.one(3),
-        lambda: OpExpr.identity(3) + _gexpr_one(3),
+        (lambda: OpExpr.zero(3) - Scalar.one(3), "OpExpr", "Scalar"),
+        (lambda: GExpr.zero(3) + OpExpr.identity(3), "GExpr", "OpExpr"),
+        (lambda: Scalar.one(3) + 1, "Scalar", "int"),
+        (lambda: Scalar.one(3) - Fraction(1, 2), "Scalar", "Fraction"),
+        (lambda: 1 + Scalar.one(3), "int", "Scalar"),
+        (lambda: OpExpr.identity(3) + _gexpr_one(3), "OpExpr", "GExpr"),
+        (lambda: Scalar.one(3) * 0.5, "Scalar", "float"),
+        (lambda: make_ladder(3).scale(0.5), "Scalar", "float"),
+        (lambda: make_ladder(3) @ Scalar.one(3), "OpExpr", "Scalar"),
+        (lambda: Cyclo.one(3) + 1, "Cyclo", "int"),
+        (lambda: Cyclo.one(3) * 2, "Cyclo", "int"),
+        (lambda: Cyclo.one(3) * Scalar.one(3), "Cyclo", "Scalar"),
+        (lambda: Scalar.one(3) * make_ladder(3), "Scalar", "OpExpr"),
+        (lambda: Scalar.one(3) * Cyclo.one(3), "Scalar", "Cyclo"),
+        (lambda: Cyclo.one(3) - Fraction(1, 2), "Cyclo", "Fraction"),
+        (lambda: Scalar.one(3)._mul_q(Cyclo.one(3), 1), "Scalar", "Cyclo"),
     ]
-    for case in cases:
-        with pytest.raises(TypeError, match="unsupported operand"):
+    for case, *names in cases:
+        with pytest.raises(TypeError, match="unsupported operand") as err:
             case()
+        assert all(name in str(err.value) for name in names), err.value
 
 
 @st.composite
@@ -507,6 +519,24 @@ def test_an_exponent_that_is_not_an_int_is_refused():
             Scalar.s(3, 1, e)
         with pytest.raises(TypeError, match="exponent must be an int"):
             (Scalar.s(3, 1) + Scalar.one(3)).mul_u_power(e)
+
+
+def test_a_power_of_q_is_an_int_of_any_size():
+    # a float power was once stored as the unit's k, and a Scalar holding
+    # it could not be printed; an int has no range bound, since phases
+    # such as q**(i(i+1)) grow with the level
+    for k in (1.5, 1.0, Fraction(3, 2), np.int64(1), "1", None):
+        with pytest.raises(TypeError, match="power of q must be an int"):
+            Cyclo.q_power(3, k)
+        with pytest.raises(TypeError, match="power of q must be an int"):
+            Scalar.q(3, k)
+        with pytest.raises(TypeError, match="power of q must be an int"):
+            Scalar.one(3).mul_q_power(k)
+    for n in (3, 2048):
+        for k in (n * (n + 1), -(10 ** 30) - 1, 2 ** 70):
+            assert Cyclo.q_power(n, k) == Cyclo.q_power(n, k % n)
+            assert (Scalar.s(n, 1).mul_q_power(k)
+                    == Scalar.s(n, 1).mul_q_power(k % n))
 
 
 def test_a_coefficient_that_is_not_a_cyclo_is_refused():
