@@ -43,7 +43,8 @@ thus files ``arg`` once and probes it once per term of each power.  A
 product raises the error of its first refused pair in (left term, right
 term) order (``_joined``), and its surviving pairs come out in that
 order too, so every result keeps its term order.  Each surviving pair
-takes one coefficient step, c1 * c2 * q**e (``Scalar._mul_q``).
+takes one coefficient step, c1 * c2 * q**e (``Scalar.__mul__``, called
+by name to pass the phase).
 
 The distinguished ladder operators are
 
@@ -253,7 +254,7 @@ class OpExpr(_SparseSum):
                 if w is not None:
                     dyad = (d2 if d1 == IDENT else d1 if d2 == IDENT
                             else (d1[0], d2[1]))
-                    yield (w, dyad), c1._mul_q(c2, qe)
+                    yield (w, dyad), c1.__mul__(c2, qe)
         return OpExpr._wrap(self.level, _accumulate({}, products()))
 
     def power(self, k: int) -> "OpExpr":

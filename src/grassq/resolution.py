@@ -152,7 +152,7 @@ def resolution_integral(weight: GExpr, pair: tuple[str, str],
     bodies = [evolve_state(s) if evolved else s.body for s in states]
     coefficients = _coefficients(weight)
     integrand = _accumulate({}, (
-        (key, coefficients[ab]._mul_q(c_ket, 0)._mul_q(c_bra, qe))
+        (key, (coefficients[ab] * c_ket).__mul__(c_bra, qe))
         for ab, key, qe, c_ket, c_bra in _read_pairs(*bodies, coefficients)))
     return berezin_op(OpExpr._wrap(weight.level, integrand), MEASURE)
 
@@ -180,10 +180,10 @@ def _solve_permutation(level: int, entries) -> dict:
     factors (no cancellation is assumed).  With level^2 rows, every row
     hit means every column reached.  The unique solution is c_kl =
     1/entry on the diagonal rows, zero elsewhere; only those entries are
-    formed, in one coefficient step (``Scalar._mul_q``).  Any other shape,
-    a column or row outside 0..level-1, or a surviving off-diagonal c_kl,
-    raises :class:`SingularSystemError` at the first entry that shows it.
-    The solution is in (k, l) order.
+    formed, each in one coefficient step (``Scalar.__mul__``, with the
+    phase).  Any other shape, a column or row outside 0..level-1, or a
+    surviving off-diagonal c_kl, raises :class:`SingularSystemError` at
+    the first entry that shows it.  The solution is in (k, l) order.
 
     The columns reached and the rows hit are two tables of level^2 bytes,
     (i, j) at i * level + j, with a count of the rows left.  Each
@@ -210,7 +210,7 @@ def _solve_permutation(level: int, entries) -> dict:
         if i == j:
             if k != l:
                 raise SingularSystemError(f"off-diagonal c_{k}{l} survived")
-            solution[(k, l)] = c_ket._mul_q(c_bra, qe).monomial_inverse()
+            solution[(k, l)] = c_ket.__mul__(c_bra, qe).monomial_inverse()
     if left:
         raise SingularSystemError(
             f"row {divmod(hit.index(0), level)} is never hit")

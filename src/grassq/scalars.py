@@ -82,15 +82,18 @@ one loop.  Only ``Scalar`` and the key helpers beside it read the layout;
 the constructor packs exponent tuples and ``Scalar.monomials`` unpacks
 them.
 
-Every product of two single-term Scalars, the commonest step of the
-engine, goes through ``Scalar._mul_q`` (``*`` is its case q**0), which
-adds the keys and multiplies the two coefficients with ``Cyclo``'s own
-product.  So every unit product goes through ``Cyclo``: only ``Cyclo``
-and the field helpers above it read a unit's stored form or build one.
-Two phases take no product at all: ``mul_q_power`` rotates each
-coefficient by q**k, and its twin ``mul_u_power``, the time evolution's
-u**k, adds k to each key, since u is the least significant field, and
-keeps each coefficient as it is.
+Every Scalar product is ``Scalar.__mul__(other, k=0)``, self * other *
+q**k: ``*`` is its case k = 0, and an operator product calls it by name
+to pass a term pair's phase.  Each pair of terms adds its keys and
+multiplies its two coefficients with ``Cyclo``'s own product, which
+takes the phase, so two units times q**k build one unit.  So every unit
+product goes through ``Cyclo``: only ``Cyclo`` and the field helpers
+above it read a unit's stored form or build one.  Two phases take no
+product at all: ``mul_q_power`` rotates each coefficient by q**k, and
+its twin ``mul_u_power``, the time evolution's u**k, adds k to each key,
+since u is the least significant field, and keeps each coefficient as it
+is.  ``Cyclo`` and ``Scalar`` write a coefficient times its symbols by
+one rule, ``_times``.
 """
 
 from __future__ import annotations
@@ -355,6 +358,20 @@ def _same_level(a: Cyclo | _SparseSum, b: Cyclo | _SparseSum) -> None:
         raise LevelMismatchError(f"cannot mix levels {a.level} and {b.level}")
 
 
+def _times(c: str, symbols: str) -> str:
+    """The rendered coefficient ``c`` times ``symbols``, as ``Cyclo`` and
+    ``Scalar`` write a term: a coefficient of 1 leaves the symbols, one of
+    -1 their negation, and any other is written ``c*symbols``, bracketed
+    when it holds a sum."""
+    if c == "1":
+        return symbols
+    if c == "-1":
+        return "-" + symbols
+    if "+" in c or "-" in c[1:]:
+        c = f"({c})"
+    return f"{c}*{symbols}"
+
+
 # ---------------------------------------------------------------------------
 # elements of Q(q)
 # ---------------------------------------------------------------------------
@@ -543,16 +560,7 @@ class Cyclo:
         for k, a in self._pairs():
             g = gcd(a, den)
             c = f"{a // g}" if g == den else f"{a // g}/{den // g}"
-            if k == 0:
-                parts.append(c)
-            else:
-                base = "q" if k == 1 else f"q^{k}"
-                if c == "1":
-                    parts.append(base)
-                elif c == "-1":
-                    parts.append(f"-{base}")
-                else:
-                    parts.append(f"{c}*{base}")
+            parts.append(_times(c, "q" if k == 1 else f"q^{k}") if k else c)
         if not parts:
             return "0"
         out = parts[0]
@@ -666,27 +674,17 @@ def _exponent(e) -> int:
 
 
 def _pack(t: _Table, key) -> int:
-    """The packed form of an exponent tuple (e_1, ..., e_{n-1}, e_u).
-
-    The struct refuses a field that is not an integer in [0, 2^16) and the
-    guard bits one from 2^15 up; ``_exponent`` then names the exponent at
-    fault."""
+    """The packed form of an exponent tuple (e_1, ..., e_{n-1}, e_u):
+    ``_exponent`` checks each exponent, and its bound keeps each field
+    below its guard bit."""
     if not isinstance(key, tuple):
         raise TypeError(f"a Scalar key must be a tuple of exponents, got "
                         f"{type(key).__name__} {key!r}")
     if len(key) != t.n:
         raise ValueError(f"a Scalar key at level {t.n} holds {t.n} "
                          f"exponents, got {len(key)}: {key!r}")
-    try:
-        packed = int.from_bytes(
-            t.key_fields.pack(*[e + _EXP_LIMIT for e in key]), "big")
-        if not packed & t.key_guard:
-            return packed
-    except (TypeError, struct.error):
-        pass
-    for e in key:
-        _exponent(e)
-    raise TypeError(f"a Scalar key must hold int exponents, got {key!r}")
+    return int.from_bytes(
+        t.key_fields.pack(*[_exponent(e) + _EXP_LIMIT for e in key]), "big")
 
 
 def _unpack(t: _Table, key: int) -> tuple[int, ...]:
@@ -785,43 +783,42 @@ class Scalar(_SparseSum):
 
     # -- ring operations ----------------------------------------------------
 
-    def __mul__(self, other: "Scalar | Rational") -> "Scalar":
+    def __mul__(self, other: "Scalar | Rational", k: int = 0) -> "Scalar":
+        """self * other * q**k: ``*`` is its case k = 0, and an operator
+        product calls it by name to pass a term pair's phase.
+
+        A rational factor rescales each coefficient.  Each pair of terms
+        adds its keys and forms one ``Cyclo`` product, which takes the
+        phase, so two units build one unit.  Two single-term factors, the
+        commonest product since every ladder, state and weight coefficient
+        is one term, make one term with no merge.
+        """
+        # plain loops, no comprehension: a local that a nested scope reads
+        # becomes a cell, which every call, the single-term one included,
+        # would pay for
+        k = _q_exponent(k) % self.level
+        terms = {}
         if type(other) is not Scalar and isinstance(other, (int, Fraction)):
-            return Scalar._wrap(self.level, {
-                k: c for k, v in self.terms.items() if (c := v.scaled(other))})
+            for key, v in self.terms.items():
+                if c := v.scaled(other):
+                    terms[key] = c._times_q(k) if k else c
+            return Scalar._wrap(self.level, terms)
         self._check(other)
-        if len(self.terms) == 1 == len(other.terms):
-            return self._mul_q(other, 0)
         t = _table(self.level)
         one = t.key_bias
-        return Scalar._wrap(self.level, _accumulate({}, (
-            (_guarded(t, k1 + k2 - one), c1 * c2)
-            for k1, c1 in self.terms.items()
-            for k2, c2 in other.terms.items())))
+        if len(self.terms) == 1 == len(other.terms):
+            (k1, c1), = self.terms.items()
+            (k2, c2), = other.terms.items()
+            # Q(q) has no zero divisors, so the product stays nonzero
+            terms[_guarded(t, k1 + k2 - one)] = c1.__mul__(c2, k)
+            return Scalar._wrap(self.level, terms)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _accumulate(terms, ((_guarded(t, k1 + k2 - one),
+                                     c1.__mul__(c2, k)),))
+        return Scalar._wrap(self.level, terms)
 
     __rmul__ = __mul__
-
-    def _mul_q(self, other: "Scalar", k: int) -> "Scalar":
-        """self * other * q**k, the coefficient of a term pair of an
-        operator product.
-
-        Two single-term factors take one key sum and one Scalar: the
-        Cyclo product, which takes the phase q**k, so two units build one
-        unit.  That is the commonest product, since every ladder, state
-        and weight coefficient is one term, and ``*`` takes it with
-        k = 0.  Longer factors take ``self * other`` then
-        ``mul_q_power(k)``.
-        """
-        self._check(other)
-        if len(self.terms) != 1 or len(other.terms) != 1:
-            return (self * other).mul_q_power(k)
-        (k1, c1), = self.terms.items()
-        (k2, c2), = other.terms.items()
-        # Q(q) has no zero divisors, so the product stays nonzero; the
-        # dunder is called by name to pass the phase
-        c = c1.__mul__(c2, k % self.level)
-        t = _table(self.level)
-        return Scalar._wrap(self.level, {_guarded(t, k1 + k2 - t.key_bias): c})
 
     def mul_q_power(self, k: int) -> "Scalar":
         """Multiply by q**k; the common fast path for exchange phases."""
@@ -904,20 +901,10 @@ class Scalar(_SparseSum):
         t, parts = _table(self.level), []
         # packed keys sort as their exponent tuples do
         for packed in sorted(self.terms):
-            c = self.terms[packed]
-            syms = [name if e == 1 else f"{name}^{e}"
-                    for name, e in zip(t.key_names, _unpack(t, packed)) if e]
-            cs = str(c)
-            if syms:
-                if cs == "1":
-                    parts.append("*".join(syms))
-                    continue
-                if cs == "-1":
-                    parts.append("-" + "*".join(syms))
-                    continue
-                if "+" in cs or "-" in cs[1:]:
-                    cs = f"({cs})"
-            parts.append("*".join([cs] + syms) if syms else cs)
+            syms = "*".join([name if e == 1 else f"{name}^{e}" for name, e
+                             in zip(t.key_names, _unpack(t, packed)) if e])
+            cs = str(self.terms[packed])
+            parts.append(_times(cs, syms) if syms else cs)
         return " + ".join(parts)
 
 

@@ -295,8 +295,8 @@ COHERENT_MUTANTS = {
     # contraction and in the product's filing alike
     "opalg._meets_at": (lambda plain: lambda side: 0, EIGEN_AND_EXP),
     # the fused coefficient step of a term pair without its q^e
-    "scalars.Scalar._mul_q": (
-        lambda plain: lambda self, other, k: plain(self, other, 0),
+    "scalars.Scalar.__mul__": (
+        lambda plain: lambda self, other, k=0: plain(self, other, 0),
         EIGEN_AND_EXP),
     # the metric maps each family to itself
     "opalg._dual": (lambda plain: lambda family: family,

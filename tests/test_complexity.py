@@ -32,15 +32,15 @@ def _count(monkeypatch, owner, name):
 def test_the_coherent_suite_makes_ten_single_term_products_per_symbol(
         n, monkeypatch, fresh_caches):
     # every coefficient product of the coherent suite goes through
-    # Scalar._mul_q: 10 per symbol s_1..s_(n-1), so a faster suite has
+    # Scalar.__mul__: 10 per symbol s_1..s_(n-1), so a faster suite has
     # cheaper products, not fewer
-    plain, calls = Scalar._mul_q, []
+    plain, calls = Scalar.__mul__, []
 
-    def counting(self, other, k):
+    def counting(self, other, k=0):
         calls.append(k)
         return plain(self, other, k)
 
-    monkeypatch.setattr(Scalar, "_mul_q", counting)
+    monkeypatch.setattr(Scalar, "__mul__", counting)
     report = run_suite("coherent", (n, n), max_n=n)
     assert {c.status for c in report.checks} == {"pass"}
     assert len(calls) == 10 * (n - 1)
@@ -51,7 +51,7 @@ def test_the_coherent_suite_places_files_and_multiplies_linearly(
         n, monkeypatch, fresh_caches):
     # ordering, filing, the coefficient field and the ladder, each counted
     # over a fresh coherent run: 12n - 4 words placed, 8 right operands
-    # filed whatever n, one Cyclo product per Scalar._mul_q, and b's n - 1
+    # filed whatever n, one Cyclo product per Scalar.__mul__, and b's n - 1
     # symbols as the only Scalar.s calls, since both eigen checks and both
     # exponential forms share one ladder per level
     placed = _count(monkeypatch, opalg, "_place")
@@ -73,7 +73,7 @@ def test_a_stability_check_forms_no_coefficient_product(
     # u field, so neither a Scalar nor a Cyclo product is formed
     for family in (PSI, PHI):
         make_coherent(n, family)
-    products = _count(monkeypatch, Scalar, "_mul_q")
+    products = _count(monkeypatch, Scalar, "__mul__")
     field_products = _count(monkeypatch, Cyclo, "__mul__")
     for family in (PSI, PHI):
         assert check_stability(n, family).is_zero
@@ -85,9 +85,9 @@ def test_a_stability_check_forms_no_coefficient_product(
 def test_the_weight_solve_makes_one_product_and_one_inverse_per_entry(
         n, monkeypatch, fresh_caches):
     # with the coherent states already built, each of the n diagonal
-    # entries is one Scalar._mul_q and one monomial_inverse
+    # entries is one Scalar.__mul__ and one monomial_inverse
     solve_weight(n)
-    products = _count(monkeypatch, Scalar, "_mul_q")
+    products = _count(monkeypatch, Scalar, "__mul__")
     inverses = _count(monkeypatch, Scalar, "monomial_inverse")
     solve_weight(n)
     assert len(products) == n

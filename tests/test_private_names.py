@@ -17,7 +17,10 @@ the per-level table that holds the layout and the key helpers read it;
 and the owner of the operand check: one function raises
 ``LevelMismatchError``, and only ``__eq__`` returns ``NotImplemented``; and the owner of the level itself: one function,
 ``scalars._field``, reads a level a caller gives with ``operator.index``
-and refuses one below 2.
+and refuses one below 2.  It pins one body for the Scalar product,
+``Scalar.__mul__``, which alone in ``scalars`` passes a phase to a
+product, and one renderer of a coefficient times its symbols,
+``scalars._times``.
 """
 
 import ast
@@ -174,3 +177,34 @@ def test_one_function_reads_the_level_a_caller_gives():
                 for c in ast.walk(n.exc)))
     assert readers == ["scalars.py: _field"], readers
     assert refusers == ["scalars.py: _field"], refusers
+
+
+def _phased_product(n):
+    """Whether ``n`` is a call ``x.__mul__(y, k)``: a product asked for by
+    name, with a phase."""
+    return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__mul__" and len(n.args) == 2)
+
+
+def test_one_function_forms_the_scalar_product():
+    # ``*`` and an operator product's phased coefficient step are one
+    # body: in scalars only Scalar.__mul__ hands a phase to Cyclo's
+    # product, each other module passes its phase to Scalar.__mul__, and
+    # no second product method is defined
+    callers = set(_functions_holding(_phased_product))
+    assert {c for c in callers if c.startswith("scalars.py")} == {
+        "scalars.py: __mul__"}, callers
+    assert {c.split(": ")[0] for c in callers} == {
+        "opalg.py", "resolution.py", "scalars.py"}, callers
+    defined = _functions_holding(
+        lambda n: isinstance(n, ast.FunctionDef) and n.name == "_mul_q")
+    assert not defined, defined
+
+
+def test_one_function_renders_a_coefficient_times_its_symbols():
+    # the rules for a coefficient of 1, of -1 and of a sum are written once
+    comparers = _functions_holding(
+        lambda n: isinstance(n, ast.Compare) and any(
+            isinstance(c, ast.Constant) and c.value == "-1"
+            for c in (n.left, *n.comparators)))
+    assert comparers == ["scalars.py: _times"], comparers
