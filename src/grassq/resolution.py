@@ -31,25 +31,27 @@ walk reaches it.  The solver, not any closed formula, is the source of
 truth; the closed-form candidates below are compared with it.
 
 One walk (:func:`_read_pairs`) forms every integral, the solve's and the
-checks'.  The measure keeps a word only when it holds theta_1^(n-1)
-thetabar_1^(n-1): int dtheta theta^k = delta(k, n-1), the paragrassmann
-rule of Filippov, Isaev and Kurdikov (1992).  Normal ordering merges
-equal generators by adding their exponents, returns zero at an exponent
->= n, and a phase never changes an exponent; so a product's theta_1 and
-thetabar_1 exponents are the sums of its factors'.  A ket term of
-degrees (c, d) and a term (e, f) of the dagger of the bra are therefore
-read by exactly one weight degree, (a, b) = (n-1-c-e, n-1-d-f).  The
-walk skips a pair unless its reader wants (a, b), and places theta^a
-thetabar^b (ket word) (bra word) once for each pair it keeps: |A><B| is
-never formed and no operator is composed.  A check reads the degrees
-its weight holds, so a diagonal weight places n of the n^2 pairs; it
-adds c_ab c_ket c_bra q^qe over them into one integrand and integrates
-that once (``berezin_op``).  The complement gives every placed word
-the degrees (n-1, n-1), and the bodies hold theta_1 and thetabar_1
-alone, so every word is theta^(n-1) thetabar^(n-1) itself.  The solve
-reads every degree, integrates that one word once per level, and gives
-every entry its phase; it files nothing.  Every pair left out
-integrates to exactly 0, so no result changes.
+checks'.  Every state the engine integrates has one shape, which
+:func:`_by_degree` checks and files: each ket term is theta^c on a bare
+ket |F_i>, and each term of a bra's dagger is thetabar^f on a bare bra
+<G_j|, one term per degree; evolved and thinned states keep it.  The
+measure keeps a word only when it holds theta_1^(n-1) thetabar_1^(n-1):
+int dtheta theta^k = delta(k, n-1), the paragrassmann rule of Filippov,
+Isaev and Kurdikov (1992).  Normal ordering merges equal generators by
+adding their exponents, returns zero at an exponent >= n, and a phase
+never changes an exponent; so the ket term theta^c and the bra term
+thetabar^f are read by exactly one weight degree, (a, b) = (n-1-c,
+n-1-f).  The walk therefore visits the degrees its reader holds, looks
+up the ket of degree n-1-a and the bra of degree n-1-b, and places
+theta^a thetabar^b (ket word) (bra word) once where both exist: |A><B|
+is never formed and no operator is composed.  A check reads the degrees
+its weight holds, so a diagonal weight places n pairs and visits n
+degrees; it adds c_ab c_ket c_bra q^qe over them into one integrand and
+integrates that once (``berezin_op``).  Every placed word is theta^(n-1)
+thetabar^(n-1) itself.  The solve reads all n^2 degrees, integrates
+that one word once per level, and gives every entry its phase; it files
+nothing.  Every pair left out integrates to exactly 0, so no result
+changes.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from __future__ import annotations
 from .errors import EngineError, SingularSystemError
 from .galg import (GExpr, _monomial, d_theta, d_thetabar, grade,
                    integrate_word, normalize_word)
-from .opalg import (OpExpr, PHI, PSI, _contract, _place, berezin_op,
-                    dual_identity_sum, op_dagger)
+from .opalg import (OpExpr, PHI, PSI, _place, berezin_op, dual_identity_sum,
+                    op_dagger)
 from .coherent import evolve_state, make_coherent
 from .scalars import Scalar, _accumulate, rho_factorial
 
@@ -69,8 +71,9 @@ SAME_PAIRS = ((PSI, PSI), (PHI, PHI))
 
 
 def is_diagonal(weight: GExpr) -> bool:
-    """Whether every term of the weight has equal theta and thetabar degree."""
-    return all(dt == db for dt, db in map(grade, weight.terms))
+    """Whether every term c_kl theta^k thetabar^l of the weight has k = l;
+    a word that is not a weight word is refused (:func:`_coefficients`)."""
+    return all(k == l for k, l in _coefficients(weight))
 
 
 def _weight(level: int, coefficients: dict[tuple[int, int], Scalar]) -> GExpr:
@@ -108,34 +111,47 @@ def _coefficients(weight: GExpr) -> dict[tuple[int, int], Scalar]:
     return {grade(word): c for word, c in weight.terms.items()}
 
 
-def _read_pairs(ket_body: OpExpr, bra_body: OpExpr, reads):
-    """The term pairs of |A><B| that the weight degrees in ``reads`` (None
-    for every degree) read, for ket body A and bra body B.
+def _by_degree(body: OpExpr, side: int) -> dict:
+    """``{degree: (word, dyad, coefficient)}`` of a ket body's terms by
+    theta degree (``side`` 0), or of a bra body's dagger's terms by
+    thetabar degree (``side`` 1).
 
-    Each term (c, d) of ``ket_body`` meets each term (e, f) of
-    dagger(``bra_body``), in that order, under the one weight degree
-    (a, b) = (n-1-c-e, n-1-d-f) that reads it (see the module docstring;
-    the bodies' words, like the weight's, hold theta_1 and thetabar_1
-    alone, so the degrees are their ``grade``).  A pair under a degree not
-    in ``reads`` is skipped before anything is formed; otherwise its dyads
-    are contracted (``_contract``, which refuses a same-family pairing)
-    and theta^a thetabar^b (ket word) (bra word) is placed once.  Yields
-    ``((a, b), (word, dyad), qe, c_ket, c_bra)`` for each pair that
-    neither contraction nor ordering makes zero: the pair contributes
-    c_ab c_ket c_bra q^qe word dyad.
+    This is the one shape the walk reads (see the module docstring).
+    Degrees are read by ``grade``, which refuses a measure symbol; a word
+    that is not theta_1^c (thetabar_1^f), a dyad that is not a bare ket
+    (bare bra) and a second term of one degree are refused too.
+    """
+    filed = {}
+    for (word, dyad), c in body.terms.items():
+        deg = grade(word)
+        if (deg[1 - side] or deg[side] in filed or dyad[1 - side] or not dyad[side]
+                or normalize_word(body.level, _monomial(*deg))[1] != word):
+            raise EngineError("a state is one theta^k |F_i> term per degree")
+        filed[deg[side]] = word, dyad, c
+    return filed
+
+
+def _read_pairs(ket_body: OpExpr, bra_body: OpExpr, reads):
+    """The term pairs of |A><B| that the weight degrees in ``reads`` read,
+    for ket body A and bra body B, in the order of ``reads``.
+
+    The ket term theta^c and the term thetabar^f of dagger(``bra_body``)
+    (:func:`_by_degree`) are read by the one weight degree (a, b) =
+    (n-1-c, n-1-f) (see the module docstring).  So each degree (a, b)
+    looks up the ket of degree n-1-a and the bra of degree n-1-b, and
+    where both exist theta^a thetabar^b (ket word) (bra word) is placed
+    once.  Yields ``((a, b), (word, dyad), qe, c_ket, c_bra)`` for each
+    such pair, with the dyad |F_i><G_j| of the two sides: the pair
+    contributes c_ab c_ket c_bra q^qe word dyad.
     """
     level = ket_body.level
-    bra_terms = [(grade(w), w, d, c)
-                 for (w, d), c in op_dagger(bra_body).terms.items()]
-    for (w1, d1), c_ket in ket_body.terms.items():
-        c, d = grade(w1)
-        for (e, f), w2, d2, c_bra in bra_terms:
-            ab = (level - 1 - c - e, level - 1 - d - f)
-            if reads is None or ab in reads:
-                dyad = _contract(d1, d2)
-                qe, word = _place(level, _monomial(*ab) + w1, d1, w2)
-                if dyad is not None and word is not None:
-                    yield ab, (word, dyad), qe, c_ket, c_bra
+    kets, bras = _by_degree(ket_body, 0), _by_degree(op_dagger(bra_body), 1)
+    for a, b in reads:
+        ket, bra = kets.get(level - 1 - a), bras.get(level - 1 - b)
+        if ket and bra:
+            (w1, d1, c_ket), (w2, d2, c_bra) = ket, bra
+            qe, word = _place(level, _monomial(a, b) + w1, d1, w2)
+            yield (a, b), (word, (d1[0], d2[1])), qe, c_ket, c_bra
 
 
 def resolution_integral(weight: GExpr, pair: tuple[str, str],
@@ -220,24 +236,22 @@ def _solve_permutation(level: int, entries) -> dict:
 def _entries(level: int):
     """The weight system as it streams, for :func:`_solve_permutation`.
 
-    Every term pair of |theta><theta~| (:func:`_read_pairs`, reading every
-    degree) is placed under its column (k, l) as theta^k thetabar^l (ket
-    word) (bra word).  The complement gives that word the degrees
-    (n-1, n-1), so it is ``top`` = theta^(n-1) thetabar^(n-1), the one
-    word the measure keeps (see the module docstring): ``top`` is
-    integrated once per level, to q^q0, and a pair that placed any other
-    word integrates to 0 and is skipped.  A pair on ``top`` must lie on an
-    outer product |psi_i><phi_j|; it yields
+    Every term pair of |theta><theta~| (:func:`_read_pairs`, reading all
+    n^2 degrees in column order) is placed under its column (k, l) as
+    theta^k thetabar^l (ket word) (bra word).  The complement gives that
+    word the degrees (n-1, n-1), so it is ``top`` = theta^(n-1)
+    thetabar^(n-1), the one word the measure keeps (see the module
+    docstring): ``top`` is integrated once per level, to q^q0, and a pair
+    that placed any other word integrates to 0 and is skipped.  A pair
+    on ``top``, on the outer product |psi_i><phi_j|, yields
     ``((k, l), (i, j), c_ket, c_bra, qe + q0)``.
     """
     top = normalize_word(level, _monomial(level - 1, level - 1))[1]
     q0 = integrate_word(level, top, MEASURE)[0]
     bodies = [make_coherent(level, family).body for family in (PSI, PHI)]
     for kl, (word, (ket_side, bra_side)), qe, c_ket, c_bra in _read_pairs(
-            *bodies, None):
+            *bodies, ((k, l) for k in range(level) for l in range(level))):
         if word == top:
-            if not (ket_side and bra_side):
-                raise SingularSystemError("unexpected term shape in weight system")
             yield kl, (ket_side[1], bra_side[1]), c_ket, c_bra, qe + q0
 
 

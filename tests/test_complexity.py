@@ -8,10 +8,11 @@ machine's speed.
 
 import pytest
 
-from grassq import opalg
+from grassq import opalg, resolution
 from grassq.coherent import check_stability, make_coherent
 from grassq.opalg import PHI, PSI
-from grassq.resolution import solve_weight
+from grassq.resolution import (MIXED_PAIRS, SAME_PAIRS, closed_form_weight,
+                               solve_weight, verify_resolution)
 from grassq.scalars import Cyclo, Scalar
 from grassq.suites import run_suite
 
@@ -92,3 +93,35 @@ def test_the_weight_solve_makes_one_product_and_one_inverse_per_entry(
     solve_weight(n)
     assert len(products) == n
     assert len(inverses) == n
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_a_resolution_check_visits_only_the_degrees_its_weight_holds(
+        n, monkeypatch, fresh_caches):
+    # each of the five resolution checks looks up the pairs its diagonal
+    # weight reads: the weight degrees it iterates and tests for
+    # membership come to at most 2n, where a walk over every (ket term,
+    # bra term) pair makes n^2 membership tests
+    visits = []
+
+    class Counted(dict):
+        def __iter__(self):
+            for key in super().__iter__():
+                visits.append(key)
+                yield key
+
+        def __contains__(self, key):
+            visits.append(key)
+            return super().__contains__(key)
+
+    plain = resolution._coefficients
+    monkeypatch.setattr(resolution, "_coefficients",
+                        lambda weight: Counted(plain(weight)))
+    weight = closed_form_weight(n)
+    checks = ([(pair, False) for pair in MIXED_PAIRS + SAME_PAIRS]
+              + [((PSI, PHI), True)])
+    for pair, evolved in checks:
+        visits.clear()
+        defect = verify_resolution(weight, pair, evolved)
+        assert defect.is_zero == (pair in MIXED_PAIRS), (pair, evolved)
+        assert len(visits) <= 2 * n, (pair, evolved, len(visits))

@@ -9,8 +9,8 @@ from grassq import resolution
 from grassq.coherent import CoherentState, evolve_state, make_coherent
 from grassq.errors import EngineError, SingularSystemError
 from grassq.galg import GExpr, Kind, grade, normalize_word
-from grassq.opalg import (PHI, PSI, OpExpr, berezin_op, op_dagger, op_term,
-                          outer)
+from grassq.opalg import (PHI, PSI, OpExpr, berezin_op, ket, op_dagger,
+                          op_term, outer)
 from grassq.resolution import (MEASURE, MIXED_PAIRS, SAME_PAIRS,
                                closed_form_weight, is_diagonal, mirror_weight,
                                resolution_integral, solve_weight,
@@ -173,34 +173,43 @@ def test_permutation_solver(monkeypatch):
     refused({(0, 1): None}, r"row \(1, 0\) is never hit")
 
 
+def _all_degrees(n):
+    """Every weight degree (a, b), in column order."""
+    return [(a, b) for a in range(n) for b in range(n)]
+
+
 def test_walk_places_every_term_pair_once_under_its_complement():
-    # each (ket term, bra term) pair, in ket-term-major order, under the
-    # one weight degree that reads it, placed as the plain product of
-    # theta^a thetabar^b, the ket term and the bra term; a reader gets
-    # exactly the pairs under the degrees it holds
+    # each (ket term, bra term) pair under the one weight degree that
+    # reads it, (n-1-c, n-1-f) for a ket term theta^c and a bra term
+    # thetabar^f, placed as the plain product of theta^a thetabar^b, the
+    # ket term and the bra term; a reader gets exactly the pairs under the
+    # degrees it holds, in its own order
     rng = random.Random(26)
     for n in range(2, 9):
         one = Scalar.one(n)
-        degrees = [(a, b) for a in range(n) for b in range(n)]
+        degrees = _all_degrees(n)
         for pair in MIXED_PAIRS + SAME_PAIRS:
             for evolved in (False, True):
                 ket_body, bra_body = _pair_bodies(n, pair, evolved)
-                walked = list(_read_pairs(ket_body, bra_body, None))
-                want = []
+                walked = list(_read_pairs(ket_body, bra_body, degrees))
+                want = {}
                 for ket_key, c_ket in ket_body.terms.items():
                     for bra_key, c_bra in op_dagger(bra_body).terms.items():
-                        (c, d), (e, f) = grade(ket_key[0]), grade(bra_key[0])
-                        ab = (n - 1 - c - e, n - 1 - d - f)
+                        ab = (n - 1 - grade(ket_key[0])[0],
+                              n - 1 - grade(bra_key[0])[1])
                         product = (op_term(n, one, left=_monomial(*ab))
                                    @ OpExpr(n, {ket_key: c_ket})
                                    @ OpExpr(n, {bra_key: c_bra}))
-                        want.append((ab, product.terms))
-                assert [(ab, {key: c_ket.__mul__(c_bra, qe)})
-                        for ab, key, qe, c_ket, c_bra in walked] == want, (
+                        assert ab not in want, (n, pair, evolved, ab)
+                        want[ab] = product.terms
+                assert {ab: {key: c_ket.__mul__(c_bra, qe)}
+                        for ab, key, qe, c_ket, c_bra in walked} == want, (
                             n, pair, evolved)
-                reads = set(rng.sample(degrees, rng.randrange(n * n)))
+                assert len(walked) == len(want), (n, pair, evolved)
+                reads = rng.sample(degrees, rng.randrange(n * n))
                 assert list(_read_pairs(ket_body, bra_body, reads)) == [
-                    t for t in walked if t[0] in reads], (n, pair, evolved)
+                    t for ab in reads for t in walked if t[0] == ab], (
+                        n, pair, evolved)
 
 
 def test_every_solve_pair_places_the_one_word_the_measure_keeps():
@@ -208,14 +217,16 @@ def test_every_solve_pair_places_the_one_word_the_measure_keeps():
     # every pair of |theta><theta~| the word theta^(n-1) thetabar^(n-1)
     for n in range(2, 17):
         _, top = normalize_word(n, _monomial(n - 1, n - 1))
-        stream = list(_read_pairs(*_pair_bodies(n, (PSI, PHI), False), None))
+        stream = list(_read_pairs(*_pair_bodies(n, (PSI, PHI), False),
+                                  _all_degrees(n)))
         assert len(stream) == n * n, n
         assert all(word == top for _, (word, _), *_ in stream), n
 
 
 def test_column_reads_one_term_pair_and_refuses_any_other_shape(monkeypatch):
     n = 2
-    stream = list(_read_pairs(*_pair_bodies(n, (PSI, PHI), False), None))
+    stream = list(_read_pairs(*_pair_bodies(n, (PSI, PHI), False),
+                              _all_degrees(n)))
     entries = list(_entries(n))
     # c_01: theta^0 thetabar^1 meets the ket term theta |psi_1> and the
     # bra term <phi_0|, and only there
@@ -254,9 +265,6 @@ def test_column_reads_one_term_pair_and_refuses_any_other_shape(monkeypatch):
     # and bra words alone, theta, miss the thetabar the measure needs
     refused(replaced((0, 1), 1, (((Kind.THETA, 1, 1),), key[1])),
             r"row \(1, 0\) is never hit")
-    # a surviving pair on a bare ket, not an outer product, has no row
-    refused(replaced((0, 1), 1, (key[0], (key[1][0], ()))),
-            "unexpected term shape in weight system")
     # two surviving pairs on a diagonal column are refused, not summed
     refused(stream + [t for t in stream if t[0] == (0, 0)],
             "column c_00 is reached twice")
@@ -286,7 +294,9 @@ def test_solve_raises_at_the_first_bad_entry_without_reading_on(
 def test_integral_refuses_a_word_outside_the_weight_polynomials():
     # a weight is sum c_kl theta^k thetabar^l, read as {(k, l): c_kl}; a
     # word of another index is refused, not read under its total
-    # degrees, and so is a word holding a measure symbol
+    # degrees, and so is a word holding a measure symbol.  is_diagonal
+    # reads the weight the same way, so theta_2 thetabar_1 is not a
+    # diagonal term of total degrees (1, 1)
     n = 4
     assert _coefficients(closed_form_weight(n)) == {
         (i, i): rho_factorial(n, n - 1 - i).mul_q_power(i * (i + 1))
@@ -297,6 +307,8 @@ def test_integral_refuses_a_word_outside_the_weight_polynomials():
              "a weight is a sum of theta"),
             ([(Kind.THETA, 1, 1), (Kind.THETABAR, 2, 1)],
              "a weight is a sum of theta"),
+            ([(Kind.THETA, 2, 1), (Kind.THETABAR, 1, 1)],
+             "a weight is a sum of theta"),
             ([(Kind.DTHETA, 1, 1)], "measure symbol"),
             (_monomial(2, 2) + [(Kind.DTHETABAR, 1, 1)], "measure symbol")):
         weight = closed_form_weight(n) + GExpr.from_raw(
@@ -305,6 +317,8 @@ def test_integral_refuses_a_word_outside_the_weight_polynomials():
             _coefficients(weight)
         with pytest.raises(EngineError, match=message):
             resolution_integral(weight, (PSI, PHI))
+        with pytest.raises(EngineError, match=message):
+            is_diagonal(weight)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +381,20 @@ def _thin(rng, e):
     return OpExpr(e.level, {key: e.terms[key] for key in keys})
 
 
-def _integral_on_bodies(monkeypatch, weight, ket_body, bra_body):
-    """``resolution_integral(weight, (PSI, PHI))`` with the psi and phi
-    coherent states' bodies replaced by the given ones."""
+def _on_bodies(monkeypatch, ket_body, bra_body, run):
+    """``run()`` with the psi and phi coherent states' bodies replaced by
+    the given ones."""
     bodies = {PSI: ket_body, PHI: bra_body}
     with monkeypatch.context() as replaced:
         replaced.setattr(resolution, "make_coherent", lambda level, family:
                          CoherentState(level, family, bodies[family]))
-        return resolution_integral(weight, (PSI, PHI))
+        return run()
+
+
+def _integral_on_bodies(monkeypatch, weight, ket_body, bra_body):
+    """``resolution_integral(weight, (PSI, PHI))`` on the given bodies."""
+    return _on_bodies(monkeypatch, ket_body, bra_body,
+                      lambda: resolution_integral(weight, (PSI, PHI)))
 
 
 def test_weight_blocks_without_a_partner_integrate_to_zero(monkeypatch):
@@ -393,6 +413,48 @@ def test_weight_blocks_without_a_partner_integrate_to_zero(monkeypatch):
                              _reference_integral(weight, thinned),
                              (n, len(ket_thin.terms), len(bra_thin.terms),
                               shape))
+
+
+def _with_term(body, index, raw, dyad):
+    """``body`` with its term on index ``index`` replaced by the raw word
+    ``raw`` on ``dyad``, coefficient 1."""
+    n = body.level
+    kept = OpExpr(n, {key: c for key, c in body.terms.items()
+                      if key[1][0][1] != index})
+    return kept + op_term(n, Scalar.one(n), dyad, left=raw)
+
+
+# each maps the ket and bra bodies of (psi, phi) to a pair of another shape
+SHAPE_BREAKERS = {
+    "ket-term-with-a-thetabar": lambda ket_body, bra_body: (
+        _with_term(ket_body, 1, _monomial(1, 1), ket(PSI, 1)), bra_body),
+    "ket-term-on-an-outer-product": lambda ket_body, bra_body: (
+        _with_term(ket_body, 1, _monomial(1, 0), outer(PSI, 1, PHI, 0)),
+        bra_body),
+    "ket-term-of-another-index": lambda ket_body, bra_body: (
+        _with_term(ket_body, 1, [(Kind.THETA, 2, 1)], ket(PSI, 1)), bra_body),
+    "two-ket-terms-of-one-degree": lambda ket_body, bra_body: (
+        _with_term(ket_body, 2, _monomial(1, 0), ket(PSI, 2)), bra_body),
+    "bra-whose-dagger-holds-a-theta": lambda ket_body, bra_body: (
+        ket_body, _with_term(bra_body, 1, _monomial(1, 1), ket(PHI, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_BREAKERS))
+def test_a_state_of_another_shape_is_refused_before_it_is_read(
+        case, monkeypatch):
+    # the walk reads one ket term theta^c per degree c on a bare ket, and
+    # one bra term thetabar^f per degree f on a bare bra; any other shape
+    # would be misread, so the check and the solve both refuse it
+    n = 3
+    bodies = SHAPE_BREAKERS[case](*_pair_bodies(n, (PSI, PHI), False))
+    for run in (lambda: resolution_integral(closed_form_weight(n),
+                                            (PSI, PHI)),
+                lambda: solve_weight(n)):
+        with pytest.raises(EngineError) as refused:
+            _on_bodies(monkeypatch, *bodies, run)
+        assert str(refused.value) == (
+            "a state is one theta^k |F_i> term per degree")
 
 
 def _reference_columns(n, integrate):
@@ -570,12 +632,13 @@ RESOLUTION_MUTANTS = {
         {"resolution/n=3/same-psi-psi", "resolution/n=3/same-phi-phi",
          "resolution/n=3/mixed-psi-phi", "resolution/n=3/mixed-phi-psi",
          "dynamics/n=3/evolved-resolution"}),
-    # the walk loses the pairs under (0, 0) wherever a weight reads them;
-    # the solve, which reads every degree (None), keeps them
+    # the walk loses the pairs under (0, 0) wherever a weight reads them
+    # (a check reads its weight's coefficient table); the solve, which
+    # reads every degree from a generator, keeps them
     "_read_pairs": (
         lambda plain: lambda ket_body, bra_body, reads: (
             t for t in plain(ket_body, bra_body, reads)
-            if reads is None or t[0] != (0, 0)),
+            if not isinstance(reads, dict) or t[0] != (0, 0)),
         {"resolution/n=3/mixed-psi-phi", "resolution/n=3/mixed-phi-psi",
          "dynamics/n=3/evolved-resolution"}),
 }
